@@ -3,6 +3,8 @@
 from .coding import (
     CodeResult,
     Coder,
+    CodingDiagnostics,
+    Encoder,
     SpatialWeightConfig,
     bound_check,
     dense_saco1,
@@ -41,8 +43,10 @@ __all__ = [
     "AffinityGraph",
     "CodeResult",
     "Coder",
+    "CodingDiagnostics",
     "DegenerateInputError",
     "Dictionary",
+    "Encoder",
     "ImageFeatures",
     "InvalidConfigError",
     "InvalidInputError",

@@ -14,14 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import (
-    Coder,
-    SpatialWeightConfig,
-    saco1,
-    saco2,
-    solve_weighted_l2_l1,
-    spatial_weights,
-)
+from .coding import CodingDiagnostics, Encoder, SpatialWeightConfig
 from .config import PipelineConfig
 from .data import Dictionary, sample_candidates
 from .errors import InvalidInputError, PipelineStageError
@@ -30,11 +23,10 @@ from .selection import ObjectiveWeights, SelectionResult, lazy_greedy
 
 
 def pool_codes(codes) -> np.ndarray:
-    """Average-pool a non-empty list of equal-length code vectors."""
+    """Average-pool a non-empty list (or 2-D array) of equal-length code vectors."""
     if len(codes) == 0:
         raise InvalidInputError("cannot pool an empty code list")
-    stack = np.stack([np.asarray(c, dtype=np.float64) for c in codes])
-    return stack.mean(axis=0)
+    return np.asarray(codes, dtype=np.float64).mean(axis=0)
 
 
 @dataclass
@@ -116,6 +108,23 @@ def svm_predict(model: LinearSvmModel, feature):
     return int(scores.argmax()), scores
 
 
+def _label_groups(dictionary: Dictionary) -> list[np.ndarray]:
+    labels = dictionary.atom_labels
+    return [np.flatnonzero(labels == c) for c in range(int(labels.max()) + 1)]
+
+
+def _class_residuals(X, encoder: Encoder, class_groups) -> np.ndarray:
+    """(N, C) norms ||x - D_c a_c||, coding with ``encoder`` then keeping
+    only class c's coefficients."""
+    codes, _ = encoder.encode(X)
+    D = encoder.dictionary.matrix
+    residuals = np.empty((len(X), len(class_groups)))
+    for c, idx in enumerate(class_groups):
+        idx = np.asarray(idx, dtype=np.int64)
+        residuals[:, c] = np.linalg.norm(X - codes[:, idx] @ D[:, idx].T, axis=1)
+    return residuals
+
+
 def src_classify(x, dictionary: Dictionary, class_groups=None, lambda1=0.01,
                  tol=1e-6, max_iter=1000):
     """Classify one patch by smallest per-class reconstruction residual.
@@ -125,18 +134,13 @@ def src_classify(x, dictionary: Dictionary, class_groups=None, lambda1=0.01,
     ||x - D_c a_c||.  Returns (class, residuals); ties go to the lowest
     class index.
     """
-    x = np.asarray(x, dtype=np.float64)
     if class_groups is None:
-        labels = dictionary.atom_labels
-        class_groups = [np.flatnonzero(labels == c) for c in range(int(labels.max()) + 1)]
+        class_groups = _label_groups(dictionary)
     if any(len(g) == 0 for g in class_groups):
         raise InvalidInputError("every class needs at least one atom")
-    w = np.ones(dictionary.n_atoms)
-    a = solve_weighted_l2_l1(x, dictionary, w, lambda1, 0.0, tol, max_iter).coeffs
-    residuals = np.empty(len(class_groups))
-    for c, idx in enumerate(class_groups):
-        idx = np.asarray(idx, dtype=np.int64)
-        residuals[c] = np.linalg.norm(x - dictionary.matrix[:, idx] @ a[idx])
+    x = np.asarray(x, dtype=np.float64)
+    encoder = Encoder(dictionary, "iterative", lambda1, 0.0, None, tol, max_iter)
+    residuals = _class_residuals(x[None], encoder, class_groups)[0]
     return int(residuals.argmin()), residuals
 
 
@@ -161,6 +165,8 @@ class PipelineResult:
     confusion: np.ndarray
     train_features: np.ndarray = field(repr=False, default=None)
     model: LinearSvmModel = field(repr=False, default=None)
+    # both splits' coder convergence; kept out of the report and predictions
+    coding: CodingDiagnostics = field(repr=False, default=None)
 
     def predictions_csv_lines(self) -> list[str]:
         n_scores = len(self.predictions[0].scores) if self.predictions else 0
@@ -193,26 +199,36 @@ def _stage(name, fn, *args, **kwargs):
         raise PipelineStageError(name, exc) from exc
 
 
-def _code_one(patch, coder, dictionary, cfg, weight_cfg):
-    if cfg.spatial_weighting:
-        w = spatial_weights(patch.coord, dictionary, weight_cfg)
-    else:
-        w = np.ones(dictionary.n_atoms)
-    if cfg.coder == "saco1":
-        return saco1(patch.features, coder, w)
-    if cfg.coder == "saco2":
-        return saco2(patch.features, dictionary, w, cfg.lambda1, cfg.lambda2)
-    return solve_weighted_l2_l1(patch.features, dictionary, w, cfg.lambda1, cfg.lambda2).coeffs
+def build_encoder(dictionary: Dictionary, cfg: PipelineConfig) -> Encoder:
+    """The configured coder over ``dictionary``, spatially weighted if enabled."""
+    weights = (SpatialWeightConfig(cfg.weight_kernel, cfg.weight_epsilon, cfg.weight_scale)
+               if cfg.spatial_weighting else None)
+    return Encoder(dictionary, cfg.coder, cfg.lambda1, cfg.lambda2, weights)
 
 
-def encode_images(images, dictionary, coder, cfg: PipelineConfig, seed_key: int) -> np.ndarray:
-    """Sample, code and pool each image into one pooled feature row."""
-    weight_cfg = SpatialWeightConfig(cfg.weight_kernel, cfg.weight_epsilon, cfg.weight_scale)
+def _patch_batch(patches):
+    """(N, p) features and (N, 2) locations of a patch list."""
+    return (np.array([p.features for p in patches], dtype=np.float64),
+            np.array([p.coord for p in patches], dtype=np.float64))
+
+
+def encode_images(images, dictionary, encoder, cfg: PipelineConfig, seed_key: int,
+                  diagnostics: CodingDiagnostics | None = None) -> np.ndarray:
+    """Sample, code and pool each image into one pooled feature row.
+
+    Each image's patches are coded as one batch.  ``encoder`` of None
+    builds one from ``cfg``; each batch's diagnostics are added to
+    ``diagnostics`` when given.
+    """
+    if encoder is None:
+        encoder = build_encoder(dictionary, cfg)
     pooled = np.empty((len(images), dictionary.n_atoms))
     for i, img in enumerate(images):
         patches = sample_candidates([img], cfg.patches_per_image, [cfg.seed, seed_key])
-        codes = [_code_one(p, coder, dictionary, cfg, weight_cfg) for p in patches]
+        codes, diag = encoder.encode(*_patch_batch(patches))
         pooled[i] = pool_codes(codes)
+        if diagnostics is not None:
+            diagnostics.add(diag)
     return pooled
 
 
@@ -249,14 +265,12 @@ def run_pipeline(train_images, test_images, cfg: PipelineConfig) -> PipelineResu
         )
     dictionary = _stage("dictionary", Dictionary, [candidates[i] for i in chosen])
 
-    coder = None
-    if cfg.coder in ("saco1",):
-        coder = _stage("coder", Coder.build, dictionary, cfg.lambda1, cfg.lambda2)
-    elif cfg.coder == "saco2":
-        # saco2 solves per-patch ridge systems; Omega itself is not needed
-        coder = None
-    train_feats = _stage("encode-train", encode_images, train_images, dictionary, coder, cfg, 2)
-    test_feats = _stage("encode-test", encode_images, test_images, dictionary, coder, cfg, 3)
+    encoder = _stage("coder", build_encoder, dictionary, cfg)
+    coding = CodingDiagnostics()
+    train_feats = _stage("encode-train", encode_images, train_images, dictionary, encoder, cfg, 2,
+                         coding)
+    test_feats = _stage("encode-test", encode_images, test_images, dictionary, encoder, cfg, 3,
+                        coding)
 
     train_labels = np.array([img.label for img in train_images], dtype=np.int64)
     test_labels = np.array([img.label for img in test_images], dtype=np.int64)
@@ -284,6 +298,7 @@ def run_pipeline(train_images, test_images, cfg: PipelineConfig) -> PipelineResu
         confusion=confusion,
         train_features=train_feats,
         model=model,
+        coding=coding,
     )
 
 
@@ -291,15 +306,12 @@ def src_image_accuracy(test_images, dictionary: Dictionary, cfg: PipelineConfig,
                        lambda1=0.01) -> float:
     """Residual-baseline accuracy: per image, average per-class residuals
     over its sampled patches and pick the smallest."""
-    labels = dictionary.atom_labels
-    n_classes = int(labels.max()) + 1
-    groups = [np.flatnonzero(labels == c) for c in range(n_classes)]
+    groups = _label_groups(dictionary)
+    encoder = Encoder(dictionary, "iterative", lambda1, 0.0)
     hits = 0
     for img in test_images:
         patches = sample_candidates([img], cfg.patches_per_image, [cfg.seed, 3])
-        totals = np.zeros(n_classes)
-        for p in patches:
-            _, residuals = src_classify(p.features, dictionary, groups, lambda1)
-            totals += residuals
+        X, _ = _patch_batch(patches)
+        totals = _class_residuals(X, encoder, groups).sum(axis=0)
         hits += int(int(totals.argmin()) == img.label)
     return hits / len(test_images)

@@ -22,22 +22,23 @@ from . import align as al
 from . import synth
 from .classify import (
     LinearSvmModel,
+    build_encoder,
     run_pipeline,
     svm_predict,
     svm_train,
 )
-from .coding import Coder, SpatialWeightConfig, saco1, saco2, solve_weighted_l2_l1, spatial_weights
 from .config import PipelineConfig, apply_overrides, read_config_file
 from .data import (
     load_image_pools,
     load_patches,
+    read_csv_rows,
     save_patches,
     sample_candidates,
 )
 from .errors import InvalidConfigError, InvalidInputError
 from .graphs import build_feature_affinity, build_spatial_affinity
 from .plotting import write_svg_scatter
-from .selection import ObjectiveWeights, lazy_greedy, naive_greedy
+from .selection import ObjectiveWeights, lazy_greedy, naive_greedy, read_selection_ids
 from .tensorio import read_tensor, write_tensor
 
 
@@ -158,31 +159,16 @@ def cmd_code(args) -> int:
     atoms = load_patches(args.dict_patches, args.dict_features)
     if args.selection:
         _require_files(args.selection)
-        keep = []
-        with open(args.selection, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("step,"):
-                    continue
-                keep.append(int(line.split(",")[1]))
-        atoms = [atoms[i] for i in keep]
+        atoms = [atoms[i] for i in read_selection_ids(args.selection, len(atoms))]
     dictionary = Dictionary(atoms)
     queries = load_patches(args.query_patches, args.query_features)
-    weight_cfg = SpatialWeightConfig(cfg.weight_kernel, cfg.weight_epsilon, cfg.weight_scale)
-    coder = Coder.build(dictionary, cfg.lambda1, cfg.lambda2) if cfg.coder == "saco1" else None
-    codes = np.empty((len(queries), dictionary.n_atoms), dtype=np.float64)
-    for i, q in enumerate(queries):
-        w = (
-            spatial_weights(q.coord, dictionary, weight_cfg)
-            if cfg.spatial_weighting
-            else np.ones(dictionary.n_atoms)
-        )
-        if cfg.coder == "saco1":
-            codes[i] = saco1(q.features, coder, w)
-        elif cfg.coder == "saco2":
-            codes[i] = saco2(q.features, dictionary, w, cfg.lambda1, cfg.lambda2)
-        else:
-            codes[i] = solve_weighted_l2_l1(q.features, dictionary, w, cfg.lambda1, cfg.lambda2).coeffs
+    codes, diag = build_encoder(dictionary, cfg).encode(
+        np.array([q.features for q in queries]), np.array([q.coord for q in queries])
+    )
+    if diag.unconverged:
+        print(f"warning: {diag.unconverged} of {diag.rows} patches stopped unconverged after "
+              f"{diag.max_iterations} iterations (worst KKT residual {diag.worst_kkt:.3e})",
+              file=sys.stderr)
     write_tensor(args.out, codes)
     with open(str(args.out) + ".config.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(cfg.echo_lines()) + "\n")
@@ -194,23 +180,7 @@ def cmd_code(args) -> int:
 
 
 def _read_image_labels(path) -> list[tuple[int, int]]:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                if line != "image_id,label":
-                    raise InvalidInputError(f"{path}: expected header 'image_id,label'")
-                header = line
-                continue
-            a, b = line.split(",")
-            rows.append((int(a), int(b)))
-    if header is None:
-        raise InvalidInputError(f"{path}: empty file, header required")
-    return rows
+    return [(int(a), int(b)) for _, (a, b) in read_csv_rows(path, "image_id,label")]
 
 
 def cmd_train(args) -> int:
@@ -358,12 +328,7 @@ def cmd_plot_layout(args) -> int:
     selected = []
     if args.selection:
         _require_files(args.selection)
-        with open(args.selection, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("step,"):
-                    continue
-                selected.append(int(line.split(",")[1]))
+        selected = read_selection_ids(args.selection, len(patches))
     write_svg_scatter(args.out, patches, selected, title=args.title)
     print(f"wrote {args.out}")
     return 0

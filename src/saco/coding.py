@@ -2,21 +2,33 @@
 
 Per query patch, a weight vector ``w`` grows with the distance between
 the query location and each atom's location, so distant atoms pay a
-higher sparsity (or ridge) price.  Two routes produce codes:
+higher sparsity (or ridge) price.  Three coders produce codes:
 
-* an iterative proximal-gradient solver for
-  ``0.5 ||x - D a||^2 + 0.5 lambda2 ||diag(w) a||^2 + lambda1 ||diag(w) a||_1``,
-* closed-form shrinkage coders built on the dictionary pseudo-inverse
-  ``Omega = (D^T D)^-1 D^T``:
-
-  - ``saco1``: soft-threshold ``Omega x`` per-coordinate by ``lambda1 * w_i``;
-    exactly optimal for the proxy objective
-    ``0.5 ||Omega x - a||^2 + lambda1 ||diag(w) a||_1``.
-  - ``saco2``: ridge pre-solve ``u = (D^T D + lambda2 diag(w)^2)^-1 D^T x``
-    followed by a uniform soft-threshold at ``lambda1``.
+* ``saco1``: soft-threshold ``Omega x`` per-coordinate by ``lambda1 * w``,
+  with the dictionary pseudo-inverse ``Omega = (D^T D)^-1 D^T``; exactly
+  optimal for the proxy objective
+  ``0.5 ||Omega x - a||^2 + lambda1 ||diag(w) a||_1``.
+* ``saco2``: ridge pre-solve ``u = (D^T D + lambda2 diag(w)^2)^-1 D^T x``
+  followed by a uniform soft-threshold at ``lambda1``.
+* ``iterative``: proximal gradient (ISTA) for
+  ``0.5 ||x - D a||^2 + 0.5 lambda2 ||diag(w) a||^2 + lambda1 ||diag(w) a||_1``.
 
 With an orthonormal dictionary the proxy objective coincides with the
 reconstruction objective, so ``saco1`` and the iterative solver agree.
+
+``Encoder`` is the one batched entry point: built once per dictionary
+(Omega, saco2's atom outer products, the ISTA step size when every row
+shares the smooth term), it codes an (N, p) batch of features at (N, 2)
+locations, one image's patches at a time, and returns ``(codes,
+CodingDiagnostics)``: rows left unconverged at ``max_iter``, the most
+iterations run and the worst KKT residual (iterative coder only).  saco2
+uses the push-through identity ``(D^T D + L)^-1 D^T = L^-1 D^T (I_p +
+D L^-1 D^T)^-1`` with ``L = lambda2 diag(w)^2``, a p x p system per row,
+wherever p < m, lambda2 > 0 and every weight is > 0; other rows (a zero
+weight arises when epsilon = 0 and the query sits on an atom) take the
+m x m Cholesky solve.  ISTA updates the whole batch, freezing each row at
+its own stopping test.  The one-row coders run the same kernels, and a
+row's saco1 code does not depend on how rows are batched.
 """
 
 from __future__ import annotations
@@ -33,6 +45,11 @@ from .errors import InvalidConfigError, InvalidInputError, LinearSolveError
 CONDITION_WARN_THRESHOLD = 1e8
 
 WEIGHT_KERNELS = ("linear", "one-minus-gaussian")
+
+CODERS = ("saco1", "saco2", "iterative")
+
+# rows per batched push-through solve: 128 rows hold 128 * p * p doubles
+PUSH_THROUGH_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -52,20 +69,30 @@ class SpatialWeightConfig:
             raise InvalidConfigError(f"weight epsilon must be >= 0, got {self.epsilon}")
 
 
-def spatial_weights(query_coord, dictionary: Dictionary, config: SpatialWeightConfig) -> np.ndarray:
-    """Per-atom weights from the query's distance to each atom location."""
-    q = np.asarray(query_coord, dtype=np.float64)
-    if q.shape != (2,):
-        raise InvalidInputError(f"query coord must have shape (2,), got {q.shape}")
-    d = np.linalg.norm(dictionary.atom_coords - q, axis=1)
+def _weight_rows(coords, atom_coords, config: SpatialWeightConfig) -> np.ndarray:
+    """(N, m) weights from each of N query locations to each atom location."""
+    d = np.linalg.norm(atom_coords[None, :, :] - coords[:, None, :], axis=2)
     if config.kernel == "linear":
         return config.epsilon + d / config.scale
     return config.epsilon + 1.0 - np.exp(-(d * d) / (2.0 * config.scale * config.scale))
 
 
+def spatial_weights(query_coord, dictionary: Dictionary, config: SpatialWeightConfig) -> np.ndarray:
+    """Per-atom weights from the query's distance to each atom location."""
+    q = np.asarray(query_coord, dtype=np.float64)
+    if q.shape != (2,):
+        raise InvalidInputError(f"query coord must have shape (2,), got {q.shape}")
+    return _weight_rows(q[None], dictionary.atom_coords, config)[0]
+
+
 def soft_threshold(u, thresh):
     """Elementwise shrinkage: sign(u) * max(0, |u| - thresh)."""
     return np.sign(u) * np.maximum(0.0, np.abs(u) - thresh)
+
+
+def _check_lambdas(lambda1, lambda2):
+    if lambda1 < 0 or lambda2 < 0:
+        raise InvalidInputError(f"lambda1/lambda2 must be >= 0, got {lambda1}, {lambda2}")
 
 
 @dataclass
@@ -86,8 +113,7 @@ class Coder:
         Requires at least as many feature dimensions as atoms; warns
         when cond(D^T D) exceeds 1e8 and fails on rank deficiency.
         """
-        if lambda1 < 0 or lambda2 < 0:
-            raise InvalidInputError(f"lambda1/lambda2 must be >= 0, got {lambda1}, {lambda2}")
+        _check_lambdas(lambda1, lambda2)
         D = dictionary.matrix
         p, m = D.shape
         if p < m:
@@ -134,33 +160,142 @@ def _check_weights(w, n_atoms):
     return w
 
 
+def _saco1_rows(X, omega, lambda1, W) -> np.ndarray:
+    # unoptimized einsum reduces every (row, atom) pair in the same order
+    # whatever the batch size, unlike a BLAS product, so a row's code does
+    # not depend on the rows batched with it
+    u = np.einsum("np,mp->nm", np.ascontiguousarray(X), omega)
+    return soft_threshold(u, lambda1 * W)
+
+
+def _atom_outer(D) -> np.ndarray:
+    """(m, p*p) outer products d_j d_j^T, so D diag(s) D^T = (s @ outer).reshape(p, p)."""
+    p, m = D.shape
+    return np.einsum("pm,qm->mpq", D, D).reshape(m, p * p)
+
+
+def _saco2_rows(X, dictionary: Dictionary, W, lambda1, lambda2, outer=None) -> np.ndarray:
+    D = dictionary.matrix
+    p, m = D.shape
+    U = np.empty((len(X), m))
+    with np.errstate(divide="ignore", over="ignore"):
+        inv = 1.0 / (lambda2 * W * W)
+    fast = np.isfinite(inv).all(axis=1) if p < m else np.zeros(len(X), dtype=bool)
+    rows = np.flatnonzero(fast)
+    if rows.size and outer is None:
+        outer = _atom_outer(D)
+    eye = np.arange(p)
+    for lo in range(0, rows.size, PUSH_THROUGH_ROWS):
+        blk = rows[lo:lo + PUSH_THROUGH_ROWS]
+        K = (inv[blk] @ outer).reshape(len(blk), p, p)
+        K[:, eye, eye] += 1.0
+        v = np.linalg.solve(K, X[blk, :, None])[:, :, 0]
+        U[blk] = inv[blk] * (v @ D)
+    # rows the push-through cannot take, or where it lost finiteness
+    slow = ~fast
+    slow[rows] = ~np.isfinite(U[rows]).all(axis=1)
+    for i in np.flatnonzero(slow):
+        A = dictionary.gram() + lambda2 * np.diag(W[i] * W[i])
+        try:
+            U[i] = scipy.linalg.solve(A, D.T @ X[i], assume_a="pos")
+        except scipy.linalg.LinAlgError as exc:
+            raise LinearSolveError(
+                f"ridge system singular, condition estimate {np.linalg.cond(A):.3e}"
+            ) from exc
+        if not np.all(np.isfinite(U[i])):
+            raise LinearSolveError(
+                f"ridge solve produced non-finite values, condition estimate "
+                f"{np.linalg.cond(A):.3e}"
+            )
+    return soft_threshold(U, lambda1)
+
+
+def _lipschitz(G, W, lambda2) -> np.ndarray:
+    """Per row, the largest eigenvalue of D^T D + lambda2 diag(w)^2.
+
+    One ``eigvalsh`` when every row shares that matrix (lambda2 = 0 or
+    identical weight rows), else one per row.
+    """
+    if lambda2 == 0 or (W == W[0]).all():
+        return np.full(len(W), np.linalg.eigvalsh(G + lambda2 * np.diag(W[0] * W[0]))[-1])
+    return np.array([np.linalg.eigvalsh(G + lambda2 * np.diag(w * w))[-1] for w in W])
+
+
+def _objective_rows(X, D, A, W, lambda1, lambda2) -> np.ndarray:
+    R = X - A @ D.T
+    WA = W * A
+    return (0.5 * (R * R).sum(axis=1) + 0.5 * lambda2 * (WA * WA).sum(axis=1)
+            + lambda1 * np.abs(WA).sum(axis=1))
+
+
+def _kkt_rows(X, D, A, W, lambda1, lambda2) -> np.ndarray:
+    """Per row, the infinity norm of the optimality-condition violation."""
+    grad = (A @ D.T - X) @ D + lambda2 * (W * W) * A
+    thresh = lambda1 * W
+    res = np.where(A != 0, np.abs(grad + thresh * np.sign(A)),
+                   np.maximum(0.0, np.abs(grad) - thresh))
+    return res.max(axis=1)
+
+
+def _ista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, tol, max_iter, lip=None,
+               track_objective=False):
+    """ISTA on every row at once, each with step 1 / its own Lipschitz constant.
+
+    Returns (codes, converged, iterations, kkt, objective, history);
+    ``history`` lists the (N,) objectives before and after each
+    iteration when tracked, else is None.  ``lip`` is a constant shared
+    by every row, when the caller already knows it.
+    """
+    D = dictionary.matrix
+    G = dictionary.gram()
+    n, m = W.shape
+    lips = np.full(n, lip) if lip is not None else _lipschitz(G, W, lambda2)
+    A = np.zeros((n, m))
+    iterations = np.zeros(n, dtype=np.int64)
+    # an all-zero dictionary has nothing to fit: a = 0 is optimal
+    converged = lips <= 0
+    rows = np.flatnonzero(~converged)
+    step = 1.0 / lips[rows, None]
+    thresh = step * lambda1 * W[rows]
+    w2 = lambda2 * W[rows] * W[rows]
+    dtx = X[rows] @ D
+    a = A[rows]
+    history = [_objective_rows(X, D, A, W, lambda1, lambda2)] if track_objective else None
+    for it in range(1, max_iter + 1):
+        if not rows.size:
+            break
+        grad = a @ G + w2 * a - dtx
+        a_next = soft_threshold(a - step * grad, thresh)
+        done = np.abs(a_next - a).max(axis=1) < tol
+        a = a_next
+        iterations[rows] = it
+        if done.any():
+            A[rows] = a
+            converged[rows[done]] = True
+            keep = ~done
+            rows, a, step, thresh, w2, dtx = (
+                rows[keep], a[keep], step[keep], thresh[keep], w2[keep], dtx[keep])
+        if track_objective:
+            A[rows] = a
+            history.append(_objective_rows(X, D, A, W, lambda1, lambda2))
+    A[rows] = a
+    return (A, converged, iterations, _kkt_rows(X, D, A, W, lambda1, lambda2),
+            _objective_rows(X, D, A, W, lambda1, lambda2), history)
+
+
 def saco1(x, coder: Coder, w) -> np.ndarray:
     """Per-coordinate shrinkage of Omega x with thresholds lambda1 * w."""
     x = _check_query(x, coder.dictionary)
     w = _check_weights(w, coder.dictionary.n_atoms)
-    u = coder.omega @ x
-    return soft_threshold(u, coder.lambda1 * w)
+    return _saco1_rows(x[None], coder.omega, coder.lambda1, w[None])[0]
 
 
 def saco2(x, dictionary: Dictionary, w, lambda1: float, lambda2: float) -> np.ndarray:
     """Weighted ridge pre-solve, then a uniform shrinkage at lambda1."""
     x = _check_query(x, dictionary)
     w = _check_weights(w, dictionary.n_atoms)
-    if lambda1 < 0 or lambda2 < 0:
-        raise InvalidInputError(f"lambda1/lambda2 must be >= 0, got {lambda1}, {lambda2}")
-    A = dictionary.gram() + lambda2 * np.diag(w * w)
-    rhs = dictionary.matrix.T @ x
-    try:
-        u = scipy.linalg.solve(A, rhs, assume_a="pos")
-    except scipy.linalg.LinAlgError as exc:
-        raise LinearSolveError(
-            f"ridge system singular, condition estimate {np.linalg.cond(A):.3e}"
-        ) from exc
-    if not np.all(np.isfinite(u)):
-        raise LinearSolveError(
-            f"ridge solve produced non-finite values, condition estimate {np.linalg.cond(A):.3e}"
-        )
-    return soft_threshold(u, lambda1)
+    _check_lambdas(lambda1, lambda2)
+    return _saco2_rows(x[None], dictionary, w[None], lambda1, lambda2)[0]
 
 
 def bound_check(x, a, coder: Coder):
@@ -193,66 +328,28 @@ class CodeResult:
     objective_history: list[float] | None = None
 
 
-def _weighted_objective(x, D, a, w, lambda1, lambda2) -> float:
-    r = x - D @ a
-    wa = w * a
-    return float(
-        0.5 * r @ r + 0.5 * lambda2 * (wa @ wa) + lambda1 * np.abs(wa).sum()
-    )
-
-
-def _kkt_residual(x, D, a, w, lambda1, lambda2) -> float:
-    """Infinity norm of the optimality-condition violation."""
-    grad = D.T @ (D @ a - x) + lambda2 * (w * w) * a
-    thresh = lambda1 * w
-    on = a != 0
-    res_on = np.abs(grad[on] + thresh[on] * np.sign(a[on]))
-    res_off = np.maximum(0.0, np.abs(grad[~on]) - thresh[~on])
-    pieces = np.concatenate([res_on, res_off])
-    return float(pieces.max()) if pieces.size else 0.0
+def _check_solver(tol, max_iter):
+    if tol <= 0 or max_iter < 1:
+        raise InvalidInputError(f"bad solver settings tol={tol}, max_iter={max_iter}")
 
 
 def _ista(x, dictionary, w, lambda1, lambda2, tol, max_iter, track_objective) -> CodeResult:
     x = _check_query(x, dictionary)
     w = _check_weights(w, dictionary.n_atoms)
-    if lambda1 < 0 or lambda2 < 0:
-        raise InvalidInputError(f"lambda1/lambda2 must be >= 0, got {lambda1}, {lambda2}")
-    if tol <= 0 or max_iter < 1:
-        raise InvalidInputError(f"bad solver settings tol={tol}, max_iter={max_iter}")
-    D = dictionary.matrix
-    m = dictionary.n_atoms
-    quad = dictionary.gram() + (lambda2 * np.diag(w * w) if lambda2 > 0 else 0.0)
-    quad = np.asarray(quad)
-    lip = float(np.linalg.eigvalsh(quad)[-1])
-    a = np.zeros(m)
-    dtx = D.T @ x
-    if lip <= 0:
-        # all-zero dictionary: nothing to fit, a = 0 is optimal
-        return CodeResult(a, True, 0, _kkt_residual(x, D, a, w, lambda1, lambda2),
-                          _weighted_objective(x, D, a, w, lambda1, lambda2),
-                          [0.0] if track_objective else None)
-    step = 1.0 / lip
-    thresh = step * lambda1 * w
-    history = [_weighted_objective(x, D, a, w, lambda1, lambda2)] if track_objective else None
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        grad = quad @ a - dtx
-        a_next = soft_threshold(a - step * grad, thresh)
-        delta = float(np.max(np.abs(a_next - a))) if m else 0.0
-        a = a_next
-        if track_objective:
-            history.append(_weighted_objective(x, D, a, w, lambda1, lambda2))
-        if delta < tol:
-            converged = True
-            break
+    _check_lambdas(lambda1, lambda2)
+    _check_solver(tol, max_iter)
+    A, converged, iterations, kkt, objective, history = _ista_rows(
+        x[None], dictionary, w[None], lambda1, lambda2, tol, max_iter,
+        track_objective=track_objective,
+    )
     return CodeResult(
-        coeffs=a,
-        converged=converged,
-        iterations=it,
-        kkt_residual=_kkt_residual(x, D, a, w, lambda1, lambda2),
-        objective=_weighted_objective(x, D, a, w, lambda1, lambda2),
-        objective_history=history,
+        coeffs=A[0],
+        converged=bool(converged[0]),
+        iterations=int(iterations[0]),
+        kkt_residual=float(kkt[0]),
+        objective=float(objective[0]),
+        objective_history=(None if history is None
+                           else [float(h[0]) for h in history[: iterations[0] + 1]]),
     )
 
 
@@ -283,13 +380,10 @@ def grid_weights(dictionary: Dictionary, config: SpatialWeightConfig, n_rows: in
     """
     if n_rows < 1 or n_cols < 1:
         raise InvalidInputError(f"grid must be non-empty, got {n_rows}x{n_cols}")
-    out = np.empty((n_rows, n_cols, dictionary.n_atoms))
-    for r in range(n_rows):
-        for c in range(n_cols):
-            out[r, c] = spatial_weights(
-                ((c + 0.5) / n_cols, (r + 0.5) / n_rows), dictionary, config
-            )
-    return out
+    xs, ys = np.meshgrid((np.arange(n_cols) + 0.5) / n_cols, (np.arange(n_rows) + 0.5) / n_rows)
+    centers = np.column_stack([xs.ravel(), ys.ravel()])
+    w = _weight_rows(centers, dictionary.atom_coords, config)
+    return w.reshape(n_rows, n_cols, dictionary.n_atoms)
 
 
 def dense_saco1(feature_map, coder: Coder, weight_field) -> np.ndarray:
@@ -297,8 +391,8 @@ def dense_saco1(feature_map, coder: Coder, weight_field) -> np.ndarray:
 
     ``weight_field`` is an (H, W, m) array of per-cell atom weights
     (see ``grid_weights``).  Each cell's code equals ``saco1`` on that
-    cell's feature vector exactly: the per-cell correlation with Omega
-    and the shrinkage use the same arithmetic as the per-patch path.
+    cell's feature vector exactly: both run the same row-independent
+    kernel.
     """
     fmap = np.asarray(feature_map, dtype=np.float64)
     if fmap.ndim != 3:
@@ -314,8 +408,91 @@ def dense_saco1(feature_map, coder: Coder, weight_field) -> np.ndarray:
         raise InvalidInputError(f"weight field {wf.shape} does not match ({h}, {wid}, {m})")
     if np.any(wf < 0):
         raise InvalidInputError("negative spatial weight")
-    u = np.empty((h, wid, m))
-    for r in range(h):
-        for c in range(wid):
-            u[r, c] = coder.omega @ fmap[r, c]
-    return soft_threshold(u, coder.lambda1 * wf)
+    codes = _saco1_rows(fmap.reshape(h * wid, p), coder.omega, coder.lambda1,
+                        wf.reshape(h * wid, m))
+    return codes.reshape(h, wid, m)
+
+
+@dataclass
+class CodingDiagnostics:
+    """Convergence summary of coded rows, summed over batches with ``add``.
+
+    Only the iterative coder iterates: the closed-form coders report
+    zero iterations, no unconverged rows and a KKT residual of 0.0 (not
+    measured; their codes are exact for their own objectives).
+    """
+
+    rows: int = 0
+    unconverged: int = 0
+    max_iterations: int = 0
+    worst_kkt: float = 0.0
+
+    def add(self, other: "CodingDiagnostics") -> None:
+        self.rows += other.rows
+        self.unconverged += other.unconverged
+        self.max_iterations = max(self.max_iterations, other.max_iterations)
+        self.worst_kkt = max(self.worst_kkt, other.worst_kkt)
+
+
+@dataclass
+class Encoder:
+    """Codes batches of located patch features against one dictionary.
+
+    ``weights`` of None gives every atom weight 1, and ``encode`` then
+    needs no locations.  ``tol`` and ``max_iter`` apply to the iterative
+    coder only; a saco1 encoder builds its ``Coder`` and fails as it does.
+    """
+
+    dictionary: Dictionary
+    method: str = "saco2"
+    lambda1: float = 0.1
+    lambda2: float = 1.0
+    weights: SpatialWeightConfig | None = None
+    tol: float = 1e-6
+    max_iter: int = 1000
+
+    def __post_init__(self):
+        if self.method not in CODERS:
+            raise InvalidConfigError(f"unknown coder '{self.method}'")
+        _check_lambdas(self.lambda1, self.lambda2)
+        _check_solver(self.tol, self.max_iter)
+        p, m = self.dictionary.matrix.shape
+        self.coder = self._outer = self._lip = None
+        if self.method == "saco1":
+            self.coder = Coder.build(self.dictionary, self.lambda1, self.lambda2)
+        elif self.method == "saco2" and p < m and self.lambda2 > 0:
+            self._outer = _atom_outer(self.dictionary.matrix)
+        elif self.method == "iterative" and (self.weights is None or self.lambda2 == 0):
+            self._lip = _lipschitz(self.dictionary.gram(), np.ones((1, m)), self.lambda2)[0]
+
+    def encode(self, X, coords=None):
+        """Code an (N, p) batch located at (N, 2) ``coords``: (codes, diagnostics)."""
+        d = self.dictionary
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != d.feature_dim:
+            raise InvalidInputError(
+                f"query batch {X.shape} does not match feature dim {d.feature_dim}"
+            )
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if bad.size:
+            raise InvalidInputError(f"query row {int(bad[0])} has non-finite features")
+        n = len(X)
+        if not n:
+            return np.zeros((0, d.n_atoms)), CodingDiagnostics()
+        if self.weights is None:
+            W = np.ones((n, d.n_atoms))
+        else:
+            coords = np.asarray(coords, dtype=np.float64)
+            if coords.shape != (n, 2):
+                raise InvalidInputError(f"coords {coords.shape} do not match ({n}, 2)")
+            W = _weight_rows(coords, d.atom_coords, self.weights)
+        if self.method == "saco1":
+            return _saco1_rows(X, self.coder.omega, self.lambda1, W), CodingDiagnostics(n)
+        if self.method == "saco2":
+            codes = _saco2_rows(X, d, W, self.lambda1, self.lambda2, self._outer)
+            return codes, CodingDiagnostics(n)
+        codes, converged, iterations, kkt, _, _ = _ista_rows(
+            X, d, W, self.lambda1, self.lambda2, self.tol, self.max_iter, self._lip
+        )
+        return codes, CodingDiagnostics(n, int((~converged).sum()), int(iterations.max()),
+                                        float(kkt.max()))

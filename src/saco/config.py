@@ -78,7 +78,6 @@ class PipelineConfig:
     spatial_weighting: bool = True
     svm_reg: float = 1.0
     svm_epochs: int = 300
-    threads: int = 1
 
     def __post_init__(self):
         if self.selection not in ("greedy", "random"):
@@ -86,7 +85,7 @@ class PipelineConfig:
         if self.coder not in ("saco1", "saco2", "iterative"):
             raise InvalidConfigError(f"unknown coder '{self.coder}'")
         for name in ("candidates_per_image", "patches_per_image", "k_nn", "dict_size",
-                     "svm_epochs", "threads"):
+                     "svm_epochs"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"{name} must be >= 1")
 

@@ -118,36 +118,43 @@ def write_patch_csv(path, patches, header_comments=()) -> None:
             fh.write(f"{p.id},{p.image_id},{p.label},{p.coord[0]!r},{p.coord[1]!r}\n")
 
 
-def read_patch_rows(path) -> list[dict]:
-    """Read patch metadata rows; the exact header is required."""
-    rows = []
+def read_csv_rows(path, header: str):
+    """Yield (line number, fields) for each data row of a CSV file.
+
+    Blank and ``#`` comment lines are skipped; the first other line must
+    be exactly ``header``.
+    """
+    found = False
     with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for raw in fh:
+        for ln, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if header is None:
-                if line != PATCH_CSV_HEADER:
-                    raise InvalidInputError(
-                        f"{path}: expected header '{PATCH_CSV_HEADER}', got '{line}'"
-                    )
-                header = line
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise InvalidInputError(f"{path}: malformed row '{line}'")
-            rows.append(
-                {
-                    "id": int(parts[0]),
-                    "image_id": int(parts[1]),
-                    "label": int(parts[2]),
-                    "x": float(parts[3]),
-                    "y": float(parts[4]),
-                }
-            )
-    if header is None:
+            if found:
+                yield ln, line.split(",")
+            elif line == header:
+                found = True
+            else:
+                raise InvalidInputError(f"{path}:{ln}: expected header '{header}', got '{line}'")
+    if not found:
         raise InvalidInputError(f"{path}: empty file, header required")
+
+
+def read_patch_rows(path) -> list[dict]:
+    """Read patch metadata rows; the exact header is required."""
+    rows = []
+    for ln, parts in read_csv_rows(path, PATCH_CSV_HEADER):
+        if len(parts) != 5:
+            raise InvalidInputError(f"{path}:{ln}: malformed row '{','.join(parts)}'")
+        rows.append(
+            {
+                "id": int(parts[0]),
+                "image_id": int(parts[1]),
+                "label": int(parts[2]),
+                "x": float(parts[3]),
+                "y": float(parts[4]),
+            }
+        )
     return rows
 
 

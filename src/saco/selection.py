@@ -33,7 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import read_csv_rows
 from .errors import InvalidInputError
+
+SELECTION_CSV_HEADER = "step,patch_id,gain,evaluations"
 
 __all__ = [
     "ObjectiveWeights",
@@ -341,10 +344,30 @@ class SelectionResult:
         with open(path, "w", encoding="utf-8") as fh:
             for line in header_comments:
                 fh.write(f"# {line}\n")
-            fh.write("step,patch_id,gain,evaluations\n")
+            fh.write(SELECTION_CSV_HEADER + "\n")
             for s, (pid, g) in enumerate(zip(self.ids, self.gains)):
                 evals = self.cumulative_evals[s] if s < len(self.cumulative_evals) else self.n_evaluations
                 fh.write(f"{s},{pid},{float(g)!r},{evals}\n")
+
+
+def read_selection_ids(path, n_patches: int) -> list[int]:
+    """Patch ids, in selection order, from a CSV written by ``write_csv``.
+
+    Every id must index one of ``n_patches`` patches; errors name the
+    file and line.
+    """
+    ids = []
+    for ln, parts in read_csv_rows(path, SELECTION_CSV_HEADER):
+        try:
+            pid = int(parts[1])
+        except (IndexError, ValueError):
+            pid = None
+        if len(parts) != 4 or pid is None:
+            raise InvalidInputError(f"{path}:{ln}: malformed row '{','.join(parts)}'")
+        if not 0 <= pid < n_patches:
+            raise InvalidInputError(f"{path}:{ln}: patch id {pid} outside [0, {n_patches})")
+        ids.append(pid)
+    return ids
 
 
 def _check_greedy_args(state, k):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import saco.classify as cl
+from saco.coding import CodingDiagnostics
 from saco.config import PipelineConfig
 from saco.data import Dictionary, Patch
 from saco.errors import InvalidInputError, PipelineStageError
@@ -166,6 +167,17 @@ class TestPipeline:
         for coder in ("saco1", "iterative"):
             r = cl.run_pipeline(train, test, tiny_config(coder=coder))
             assert 0.0 <= r.accuracy <= 1.0
+
+    def test_coding_diagnostics_cover_both_splits(self):
+        train, test, _ = tiny_dataset()
+        rows = (len(train) + len(test)) * 10
+        r = cl.run_pipeline(train, test, tiny_config(coder="iterative"))
+        assert r.coding.rows == rows
+        assert 0 <= r.coding.unconverged <= rows
+        assert 1 <= r.coding.max_iterations <= 1000
+        assert r.coding.worst_kkt >= 0.0
+        closed = cl.run_pipeline(train, test, tiny_config())
+        assert closed.coding == CodingDiagnostics(rows=rows)
 
     def test_stage_failures_are_labeled(self):
         train, test, _ = tiny_dataset()

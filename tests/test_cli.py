@@ -178,6 +178,33 @@ class TestCode:
         assert "coder = saco2" in open(sidecar).read()
 
 
+# file text, the line an error must name, and what it must say
+BAD_SELECTIONS = {
+    "negative id": ("step,patch_id,gain,evaluations\n0,-1,0.5,3\n", 2, "patch id -1"),
+    "id out of range": ("# k = 1\nstep,patch_id,gain,evaluations\n0,120,0.5,3\n", 3,
+                        "patch id 120 outside [0, 120)"),
+    "missing header": ("0,4,0.5,3\n", 1, "expected header"),
+    "malformed row": ("step,patch_id,gain,evaluations\n0,x,0.5,3\n", 2, "malformed row"),
+}
+
+
+@pytest.mark.parametrize("command", ["code", "plot-layout"])
+@pytest.mark.parametrize("case", sorted(BAD_SELECTIONS))
+def test_bad_selection_csv_names_file_and_line(blob_dataset, tmp_path, capsys, command, case):
+    text, line, detail = BAD_SELECTIONS[case]
+    sel = tmp_path / "sel.csv"
+    sel.write_text(text)
+    feats, patches = (str(blob_dataset / "candidates_features.skt"),
+                      str(blob_dataset / "candidates_patches.csv"))
+    if command == "code":
+        argv = ["code", "--dict-features", feats, "--dict-patches", patches,
+                "--query-features", feats, "--query-patches", patches]
+    else:
+        argv = ["plot-layout", "--features", feats, "--patches", patches]
+    err = run_fail(capsys, argv + ["--selection", str(sel), "--out", str(tmp_path / "o")])
+    assert f"{sel}:{line}: {detail}" in err
+
+
 def pooled_problem(tmp_path, n=30):
     rng = np.random.default_rng(14)
     X = np.vstack([

@@ -305,3 +305,105 @@ class TestDenseCoding:
             cd.dense_saco1(np.zeros((3, 4, 6)), coder, np.ones((3, 3, 4)))
         with pytest.raises(InvalidInputError):
             cd.dense_saco1(np.zeros((3, 4, 6)), coder, -wf)
+
+
+def ridge_reference(X, d, W, lam1, lam2):
+    """saco2 one row at a time through the m x m Cholesky solve."""
+    import scipy.linalg
+
+    return np.array([
+        cd.soft_threshold(
+            scipy.linalg.solve(d.gram() + lam2 * np.diag(w * w), d.matrix.T @ x,
+                               assume_a="pos"),
+            lam1,
+        )
+        for x, w in zip(X, W)
+    ])
+
+
+def batch_problem(seed, p=8, m=20, n=30):
+    """An over-complete dictionary (p < m) with n located queries."""
+    d = make_dictionary(seed, p=p, m=m)
+    rng = np.random.default_rng([seed, 82])
+    return d, rng.normal(size=(n, p)), rng.uniform(size=(n, 2))
+
+
+class TestEncoder:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_push_through_matches_cholesky_reference(self, seed):
+        d, X, coords = batch_problem(seed)
+        # epsilon = 0 and a query on atom 3: that row has a zero weight and
+        # takes the Cholesky path, the others the p x p push-through
+        coords[5] = d.atom_coords[3]
+        cfg = cd.SpatialWeightConfig(kernel="linear", epsilon=0.0, scale=0.5)
+        W = np.array([cd.spatial_weights(c, d, cfg) for c in coords])
+        assert W[5, 3] == 0.0 and np.all(np.delete(W, 5, axis=0) > 0)
+        codes, diag = cd.Encoder(d, "saco2", 0.05, 0.7, cfg).encode(X, coords)
+        ref = ridge_reference(X, d, W, 0.05, 0.7)
+        np.testing.assert_allclose(codes, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert (diag.rows, diag.unconverged, diag.max_iterations) == (30, 0, 0)
+        # the one-row function runs the same kernel
+        np.testing.assert_allclose(cd.saco2(X[0], d, W[0], 0.05, 0.7), ref[0],
+                                   rtol=1e-12, atol=1e-12 * np.abs(ref[0]).max())
+
+    @pytest.mark.parametrize("method", ["saco1", "saco2", "iterative"])
+    def test_batch_slicing_does_not_change_codes(self, method):
+        # saco1 needs p >= m; the push-through needs p < m
+        p, m = (12, 6) if method == "saco1" else (8, 20)
+        d, X, coords = batch_problem(5, p=p, m=m, n=29)
+        enc = cd.Encoder(d, method, 0.1, 0.5, cd.SpatialWeightConfig(), tol=1e-12,
+                         max_iter=20000)
+        whole, _ = enc.encode(X, coords)
+        for size in (1, 7):
+            parts = np.vstack([enc.encode(X[i:i + size], coords[i:i + size])[0]
+                               for i in range(0, len(X), size)])
+            if method == "saco1":
+                np.testing.assert_array_equal(parts, whole)
+            else:
+                np.testing.assert_allclose(parts, whole, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("lam2", [0.0, 0.4])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_batched_ista_matches_one_row_solver(self, lam2, weighted):
+        d, X, coords = batch_problem(6, p=8, m=12, n=17)
+        cfg = cd.SpatialWeightConfig(epsilon=0.2) if weighted else None
+        codes, diag = cd.Encoder(d, "iterative", 0.2, lam2, cfg, tol=1e-12,
+                                 max_iter=20000).encode(X, coords)
+        W = np.array([cd.spatial_weights(c, d, cfg) for c in coords]) if weighted \
+            else np.ones((17, 12))
+        rows = [cd.solve_weighted_l2_l1(x, d, w, 0.2, lam2, tol=1e-12, max_iter=20000)
+                for x, w in zip(X, W)]
+        np.testing.assert_allclose(codes, [r.coeffs for r in rows], rtol=0, atol=1e-10)
+        assert diag.unconverged == 0
+        assert diag.max_iterations == max(r.iterations for r in rows)
+        assert diag.worst_kkt == pytest.approx(max(r.kkt_residual for r in rows), abs=1e-12)
+
+    def test_max_iter_one_reports_every_row_unconverged(self):
+        d, X, coords = batch_problem(7)
+        codes, diag = cd.Encoder(d, "iterative", 0.01, 1.0, cd.SpatialWeightConfig(),
+                                 max_iter=1).encode(X, coords)
+        assert (diag.rows, diag.unconverged, diag.max_iterations) == (30, 30, 1)
+        assert diag.worst_kkt > 0
+        total = cd.CodingDiagnostics()
+        total.add(diag)
+        total.add(cd.CodingDiagnostics(5))
+        assert (total.rows, total.unconverged, total.max_iterations) == (35, 30, 1)
+        assert total.worst_kkt == diag.worst_kkt
+
+    def test_rejects_bad_batches(self):
+        d, X, coords = batch_problem(8)
+        enc = cd.Encoder(d, "saco2", 0.1, 1.0, cd.SpatialWeightConfig())
+        with pytest.raises(InvalidInputError, match="feature dim"):
+            enc.encode(X[:, :5], coords)
+        with pytest.raises(InvalidInputError, match="coords"):
+            enc.encode(X, coords[:4])
+        X[3, 2] = np.nan
+        with pytest.raises(InvalidInputError, match="row 3"):
+            enc.encode(X, coords)
+        with pytest.raises(InvalidConfigError):
+            cd.Encoder(d, "fista")
+        with pytest.raises(InvalidInputError):
+            cd.Encoder(d, "iterative", max_iter=0)
+        # saco1 builds Omega, so over-complete dictionaries fail at build time
+        with pytest.raises(InvalidInputError, match="under-complete"):
+            cd.Encoder(d, "saco1")
