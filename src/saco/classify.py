@@ -44,14 +44,7 @@ class LinearSvmModel:
         return len(self.weights)
 
 
-def _svm_objective(X, y_signs, w, b, reg) -> float:
-    margins = y_signs * (X @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * reg * float(w @ w) + float(hinge.mean())
-
-
-def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300, seed=0,
-              track_objective=False):
+def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300, seed=0):
     """Train one-vs-rest hinge classifiers by full-batch subgradient descent.
 
     The per-class objective is 0.5*reg*||w||^2 plus the mean hinge loss;
@@ -73,14 +66,8 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300, seed=0,
     n, dim = X.shape
     W = np.zeros((n_classes, dim))
     B = np.zeros(n_classes)
-    history = [] if track_objective else None
     for t in range(1, epochs + 1):
         step = 1.0 / (reg * t)
-        if track_objective:
-            history.append(
-                float(np.mean([_svm_objective(X, np.where(y == c, 1.0, -1.0), W[c], B[c], reg)
-                               for c in range(n_classes)]))
-            )
         for c in range(n_classes):
             y_c = np.where(y == c, 1.0, -1.0)
             margins = y_c * (X @ W[c] + B[c])
@@ -89,8 +76,7 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300, seed=0,
             grad_b = -y_c[viol].sum() / n
             W[c] -= step * grad_w
             B[c] -= step * grad_b
-    model = LinearSvmModel(W, B, float(reg), int(epochs), int(seed))
-    return (model, history) if track_objective else model
+    return LinearSvmModel(W, B, float(reg), int(epochs), int(seed))
 
 
 def svm_scores(model: LinearSvmModel, feature) -> np.ndarray:

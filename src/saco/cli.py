@@ -29,6 +29,8 @@ from .classify import (
 )
 from .config import PipelineConfig, apply_overrides, read_config_file
 from .data import (
+    Dictionary,
+    Patch,
     load_image_pools,
     load_patches,
     read_csv_rows,
@@ -73,23 +75,17 @@ def _require_files(*paths):
 
 def _write_pool_files(out: Path, prefix: str, pools, comments):
     rows = []
-    feats = []
-    next_id = 0
-    from .data import Patch
-
     for pool in pools:
         for i in range(len(pool.features)):
             rows.append(
                 Patch(
-                    id=next_id,
+                    id=len(rows),
                     features=pool.features[i],
                     coord=(float(pool.coords[i][0]), float(pool.coords[i][1])),
                     label=pool.label,
                     image_id=pool.image_id,
                 )
             )
-            feats.append(pool.features[i])
-            next_id += 1
     save_patches(out / f"{prefix}_patches.csv", out / f"{prefix}_features.skt", rows, comments)
 
 
@@ -154,8 +150,6 @@ def cmd_select(args) -> int:
 def cmd_code(args) -> int:
     cfg = _resolve_config(args)
     _require_files(args.dict_features, args.dict_patches, args.query_features, args.query_patches)
-    from .data import Dictionary
-
     atoms = load_patches(args.dict_patches, args.dict_features)
     if args.selection:
         _require_files(args.selection)
@@ -287,8 +281,6 @@ def _bench_instance(m: int, seed: int):
     which = rng.integers(0, 3, size=m)
     feats = centers[labels * 3 + which] + 0.35 * rng.normal(size=(m, 8))
     coords = rng.uniform(0.0, 1.0, size=(m, 2))
-    from .data import Patch
-
     return [
         Patch(i, feats[i], (float(coords[i, 0]), float(coords[i, 1])), int(labels[i]), 0)
         for i in range(m)
@@ -313,7 +305,12 @@ def cmd_bench_greedy(args) -> int:
         naive_s = time.perf_counter() - t0
         print(f"naive      {len(naive.ids):8d}  {naive.n_evaluations:10d}  {naive_s:8.2f}")
         if naive.ids != lazy.ids:
-            raise AssertionError("lazy and naive selections diverged")
+            # expected off the submodular regime (lambda_d or lambda_c > 0)
+            lazy_ids, naive_ids = lazy.ids + ["none"], naive.ids + ["none"]
+            step = next(s for s, (a, b) in enumerate(zip(lazy_ids, naive_ids)) if a != b)
+            print(f"error: lazy and naive selections diverge at step {step}: "
+                  f"lazy chose {lazy_ids[step]}, naive chose {naive_ids[step]}", file=sys.stderr)
+            return 1
         print(f"identical selections; lazy evals are "
               f"{100.0 * lazy.n_evaluations / naive.n_evaluations:.1f}% of naive")
     return 0

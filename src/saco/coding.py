@@ -25,10 +25,12 @@ iterations run and the worst KKT residual (iterative coder only).  saco2
 uses the push-through identity ``(D^T D + L)^-1 D^T = L^-1 D^T (I_p +
 D L^-1 D^T)^-1`` with ``L = lambda2 diag(w)^2``, a p x p system per row,
 wherever p < m, lambda2 > 0 and every weight is > 0; other rows (a zero
-weight arises when epsilon = 0 and the query sits on an atom) take the
-m x m Cholesky solve.  ISTA updates the whole batch, freezing each row at
-its own stopping test.  The one-row coders run the same kernels, and a
-row's saco1 code does not depend on how rows are batched.
+weight arises when epsilon = 0 and the query sits on an atom) solve
+their m x m systems ``D^T D + lambda2 diag(w)^2`` by Cholesky, stacked
+into one call per block.  Both paths solve as many rows per block as
+fit in ``SOLVE_BLOCK_DOUBLES``.  ISTA updates the whole batch, freezing
+each row at its own stopping test.  The one-row coders run the same
+kernels, and a row's saco1 code does not depend on how rows are batched.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ WEIGHT_KERNELS = ("linear", "one-minus-gaussian")
 
 CODERS = ("saco1", "saco2", "iterative")
 
-# rows per batched push-through solve: 128 rows hold 128 * p * p doubles
-PUSH_THROUGH_ROWS = 128
+# doubles one batched solve may stack: 128 systems of 64 x 64
+SOLVE_BLOCK_DOUBLES = 128 * 64 * 64
 
 
 @dataclass(frozen=True)
@@ -174,6 +176,12 @@ def _atom_outer(D) -> np.ndarray:
     return np.einsum("pm,qm->mpq", D, D).reshape(m, p * p)
 
 
+def _blocks(rows, n):
+    """Split ``rows`` into runs whose n x n systems fit in SOLVE_BLOCK_DOUBLES."""
+    size = max(1, SOLVE_BLOCK_DOUBLES // (n * n))
+    return [rows[lo:lo + size] for lo in range(0, rows.size, size)]
+
+
 def _saco2_rows(X, dictionary: Dictionary, W, lambda1, lambda2, outer=None) -> np.ndarray:
     D = dictionary.matrix
     p, m = D.shape
@@ -185,27 +193,33 @@ def _saco2_rows(X, dictionary: Dictionary, W, lambda1, lambda2, outer=None) -> n
     if rows.size and outer is None:
         outer = _atom_outer(D)
     eye = np.arange(p)
-    for lo in range(0, rows.size, PUSH_THROUGH_ROWS):
-        blk = rows[lo:lo + PUSH_THROUGH_ROWS]
+    for blk in _blocks(rows, p):
         K = (inv[blk] @ outer).reshape(len(blk), p, p)
         K[:, eye, eye] += 1.0
         v = np.linalg.solve(K, X[blk, :, None])[:, :, 0]
         U[blk] = inv[blk] * (v @ D)
-    # rows the push-through cannot take, or where it lost finiteness
+    # rows the push-through cannot take, or where it lost finiteness, solve
+    # D^T D + lambda2 diag(w)^2 by Cholesky, one stacked call per block
     slow = ~fast
     slow[rows] = ~np.isfinite(U[rows]).all(axis=1)
-    for i in np.flatnonzero(slow):
-        A = dictionary.gram() + lambda2 * np.diag(W[i] * W[i])
+    diag = np.arange(m)
+    for blk in _blocks(np.flatnonzero(slow), m):
+        A = np.repeat(dictionary.gram()[None], len(blk), axis=0)
+        A[:, diag, diag] += lambda2 * (W[blk] * W[blk])
         try:
-            U[i] = scipy.linalg.solve(A, D.T @ X[i], assume_a="pos")
+            U[blk] = scipy.linalg.solve(A, D.T @ X[blk, :, None], assume_a="pos")[:, :, 0]
         except scipy.linalg.LinAlgError as exc:
+            # name the block's worst-conditioned system
+            cond = np.linalg.cond(A)
+            k = int(cond.argmax())
             raise LinearSolveError(
-                f"ridge system singular, condition estimate {np.linalg.cond(A):.3e}"
+                f"ridge system of row {blk[k]} singular, condition estimate {cond[k]:.3e}"
             ) from exc
-        if not np.all(np.isfinite(U[i])):
+        bad = np.flatnonzero(~np.isfinite(U[blk]).all(axis=1))
+        if bad.size:
             raise LinearSolveError(
-                f"ridge solve produced non-finite values, condition estimate "
-                f"{np.linalg.cond(A):.3e}"
+                f"ridge solve of row {blk[bad[0]]} produced non-finite values, condition "
+                f"estimate {np.linalg.cond(A[bad[0]]):.3e}"
             )
     return soft_threshold(U, lambda1)
 
@@ -237,14 +251,11 @@ def _kkt_rows(X, D, A, W, lambda1, lambda2) -> np.ndarray:
     return res.max(axis=1)
 
 
-def _ista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, tol, max_iter, lip=None,
-               track_objective=False):
+def _ista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, tol, max_iter, lip=None):
     """ISTA on every row at once, each with step 1 / its own Lipschitz constant.
 
-    Returns (codes, converged, iterations, kkt, objective, history);
-    ``history`` lists the (N,) objectives before and after each
-    iteration when tracked, else is None.  ``lip`` is a constant shared
-    by every row, when the caller already knows it.
+    Returns (codes, converged, iterations, kkt).  ``lip`` is a constant
+    shared by every row, when the caller already knows it.
     """
     D = dictionary.matrix
     G = dictionary.gram()
@@ -260,7 +271,6 @@ def _ista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, tol, max_iter, li
     w2 = lambda2 * W[rows] * W[rows]
     dtx = X[rows] @ D
     a = A[rows]
-    history = [_objective_rows(X, D, A, W, lambda1, lambda2)] if track_objective else None
     for it in range(1, max_iter + 1):
         if not rows.size:
             break
@@ -275,12 +285,8 @@ def _ista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, tol, max_iter, li
             keep = ~done
             rows, a, step, thresh, w2, dtx = (
                 rows[keep], a[keep], step[keep], thresh[keep], w2[keep], dtx[keep])
-        if track_objective:
-            A[rows] = a
-            history.append(_objective_rows(X, D, A, W, lambda1, lambda2))
     A[rows] = a
-    return (A, converged, iterations, _kkt_rows(X, D, A, W, lambda1, lambda2),
-            _objective_rows(X, D, A, W, lambda1, lambda2), history)
+    return A, converged, iterations, _kkt_rows(X, D, A, W, lambda1, lambda2)
 
 
 def saco1(x, coder: Coder, w) -> np.ndarray:
@@ -325,7 +331,6 @@ class CodeResult:
     iterations: int
     kkt_residual: float
     objective: float
-    objective_history: list[float] | None = None
 
 
 def _check_solver(tol, max_iter):
@@ -333,43 +338,36 @@ def _check_solver(tol, max_iter):
         raise InvalidInputError(f"bad solver settings tol={tol}, max_iter={max_iter}")
 
 
-def _ista(x, dictionary, w, lambda1, lambda2, tol, max_iter, track_objective) -> CodeResult:
+def solve_weighted_l1(x, dictionary, w, lambda1, tol=1e-6, max_iter=1000) -> CodeResult:
+    """Proximal gradient for 0.5||x - Da||^2 + lambda1 ||diag(w) a||_1.
+
+    Step size 1/sigma_max(D^T D); each iteration soft-thresholds the
+    gradient step coordinatewise at lambda1 * w_i * step.
+    """
+    return solve_weighted_l2_l1(x, dictionary, w, lambda1, 0.0, tol, max_iter)
+
+
+def solve_weighted_l2_l1(x, dictionary, w, lambda1, lambda2, tol=1e-6,
+                         max_iter=1000) -> CodeResult:
+    """Adds 0.5 * lambda2 ||diag(w) a||^2 to the smooth part.
+
+    With lambda2 = 0 this is exactly ``solve_weighted_l1``.
+    """
     x = _check_query(x, dictionary)
     w = _check_weights(w, dictionary.n_atoms)
     _check_lambdas(lambda1, lambda2)
     _check_solver(tol, max_iter)
-    A, converged, iterations, kkt, objective, history = _ista_rows(
-        x[None], dictionary, w[None], lambda1, lambda2, tol, max_iter,
-        track_objective=track_objective,
+    A, converged, iterations, kkt = _ista_rows(
+        x[None], dictionary, w[None], lambda1, lambda2, tol, max_iter
     )
+    objective = _objective_rows(x[None], dictionary.matrix, A, w[None], lambda1, lambda2)
     return CodeResult(
         coeffs=A[0],
         converged=bool(converged[0]),
         iterations=int(iterations[0]),
         kkt_residual=float(kkt[0]),
         objective=float(objective[0]),
-        objective_history=(None if history is None
-                           else [float(h[0]) for h in history[: iterations[0] + 1]]),
     )
-
-
-def solve_weighted_l1(x, dictionary, w, lambda1, tol=1e-6, max_iter=1000,
-                      track_objective=False) -> CodeResult:
-    """Proximal gradient for 0.5||x - Da||^2 + lambda1 ||diag(w) a||_1.
-
-    Step size 1/sigma_max(D^T D); each iteration soft-thresholds the
-    gradient step coordinatewise at lambda1 * w_i * step.
-    """
-    return _ista(x, dictionary, w, lambda1, 0.0, tol, max_iter, track_objective)
-
-
-def solve_weighted_l2_l1(x, dictionary, w, lambda1, lambda2, tol=1e-6, max_iter=1000,
-                         track_objective=False) -> CodeResult:
-    """Adds 0.5 * lambda2 ||diag(w) a||^2 to the smooth part.
-
-    With lambda2 = 0 this is exactly ``solve_weighted_l1``.
-    """
-    return _ista(x, dictionary, w, lambda1, lambda2, tol, max_iter, track_objective)
 
 
 def grid_weights(dictionary: Dictionary, config: SpatialWeightConfig, n_rows: int, n_cols: int) -> np.ndarray:
@@ -491,7 +489,7 @@ class Encoder:
         if self.method == "saco2":
             codes = _saco2_rows(X, d, W, self.lambda1, self.lambda2, self._outer)
             return codes, CodingDiagnostics(n)
-        codes, converged, iterations, kkt, _, _ = _ista_rows(
+        codes, converged, iterations, kkt = _ista_rows(
             X, d, W, self.lambda1, self.lambda2, self.tol, self.max_iter, self._lip
         )
         return codes, CodingDiagnostics(n, int((~converged).sum()), int(iterations.max()),

@@ -158,14 +158,20 @@ def read_patch_rows(path) -> list[dict]:
     return rows
 
 
-def load_patches(csv_path, tensor_path) -> list[Patch]:
-    """Assemble patches from a metadata CSV and its aligned feature tensor."""
+def _read_patch_files(csv_path, tensor_path):
+    """Metadata rows and their feature tensor, one feature row per CSV row."""
     rows = read_patch_rows(csv_path)
     feats = read_tensor(tensor_path).astype(np.float64)
     if feats.ndim != 2 or len(feats) != len(rows):
         raise InvalidInputError(
             f"feature tensor {feats.shape} does not match {len(rows)} metadata rows"
         )
+    return rows, feats
+
+
+def load_patches(csv_path, tensor_path) -> list[Patch]:
+    """Assemble patches from a metadata CSV and its aligned feature tensor."""
+    rows, feats = _read_patch_files(csv_path, tensor_path)
     return [
         Patch(r["id"], feats[i], (r["x"], r["y"]), r["label"], r["image_id"])
         for i, r in enumerate(rows)
@@ -199,13 +205,7 @@ def group_rows_by_image(rows, feats) -> list[ImageFeatures]:
 
 
 def load_image_pools(csv_path, tensor_path) -> list[ImageFeatures]:
-    rows = read_patch_rows(csv_path)
-    feats = read_tensor(tensor_path).astype(np.float64)
-    if feats.ndim != 2 or len(feats) != len(rows):
-        raise InvalidInputError(
-            f"feature tensor {feats.shape} does not match {len(rows)} metadata rows"
-        )
-    return group_rows_by_image(rows, feats)
+    return group_rows_by_image(*_read_patch_files(csv_path, tensor_path))
 
 
 def sample_candidates(images, per_image, seed) -> list[Patch]:

@@ -44,11 +44,6 @@ class AffinityGraph:
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
-    def entries(self):
-        """Iterate stored (i, j, value) triples."""
-        coo = self._csr.tocoo()
-        yield from zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())
-
     def check_valid(self, atol=0.0) -> None:
         """Assert symmetry, non-negativity and zero diagonal."""
         if self._csr.nnz and self._csr.data.min() < 0:
@@ -87,8 +82,7 @@ def _knn_gaussian(X: np.ndarray, k_nn: int, sigma: float) -> sp.csr_matrix:
         hi = min(lo + _CHUNK, m)
         d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (X[lo:hi] @ X.T)
         np.maximum(d2, 0.0, out=d2)
-        for r in range(lo, hi):
-            d2[r - lo, r] = np.inf
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         nn = np.argpartition(d2, k - 1, axis=1)[:, :k]
         block_rows = np.repeat(np.arange(lo, hi), k)
         block_cols = nn.ravel()
@@ -103,23 +97,17 @@ def _knn_gaussian(X: np.ndarray, k_nn: int, sigma: float) -> sp.csr_matrix:
     return mat.maximum(mat.T)
 
 
-def build_feature_affinity(patches, k_nn=50, sigma_mode="median", sigma=None) -> AffinityGraph:
+def build_feature_affinity(patches, k_nn=50) -> AffinityGraph:
     """kNN Gaussian affinity over patch feature vectors.
 
-    ``sigma_mode`` is "median" (bandwidth from the median pairwise
-    distance of a 1000-pair sample) or "fixed" (use ``sigma``).
+    The bandwidth is the median pairwise distance of a 1000-pair sample.
     """
     if len(patches) < 2:
         raise InvalidInputError(f"need at least 2 patches, got {len(patches)}")
     if k_nn < 1:
         raise InvalidInputError(f"k_nn must be >= 1, got {k_nn}")
     X = np.stack([np.asarray(p.features, dtype=np.float64) for p in patches])
-    if sigma_mode == "median":
-        bw = _median_pairwise_distance(X)
-    elif sigma_mode == "fixed":
-        bw = float(sigma) if sigma is not None else 0.0
-    else:
-        raise InvalidInputError(f"unknown sigma_mode '{sigma_mode}'")
+    bw = _median_pairwise_distance(X)
     if bw <= 0.0:
         raise DegenerateInputError(f"kernel bandwidth sigma={bw} is unusable")
     return AffinityGraph(_knn_gaussian(X, k_nn, bw))

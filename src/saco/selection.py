@@ -19,9 +19,12 @@ and incremental bookkeeping agree exactly.
 
 ``naive_greedy`` re-scores every candidate each round and stops early
 when the best marginal gain is negative.  ``lazy_greedy`` keeps stale
-upper bounds in a max-heap and only re-scores candidates that surface,
-which is equivalent because gains shrink as the selection grows; both
-produce identical selections, including tie handling.
+upper bounds in a max-heap and only re-scores candidates that surface.
+With ``lambda_d = lambda_c = 0`` the objective is submodular, gains only
+shrink as the selection grows, and both produce identical selections,
+including tie handling.  The purity and entropy terms are not
+submodular: with either weight > 0 a re-scored gain can exceed its
+stale bound, and the two selections can differ.
 """
 
 from __future__ import annotations
@@ -82,7 +85,8 @@ class SelectionState:
 
     Tracks, per patch, the best feature/spatial affinity to the current
     selection and the owning exemplar; per exemplar, the class counts of
-    its assigned patches; and per class, how many exemplars were picked.
+    its assigned patches (row ``e`` of a dense ``(m, n_classes)`` array);
+    and per class, how many exemplars were picked.
     Patches with zero affinity to every exemplar sit in the cluster of
     the lowest selected id (the tie rule), and their per-class counts
     are kept separately so gains stay cheap to evaluate.
@@ -106,11 +110,14 @@ class SelectionState:
         self.best_feature_sim = np.zeros(self.m)
         self.best_spatial_sim = np.zeros(self.m)
         self.cluster_of = np.full(self.m, -1, dtype=np.int64)
-        self.cluster_counts: dict[int, np.ndarray] = {}
+        self.cluster_counts = np.zeros((self.m, self.n_classes), dtype=np.int64)
         self.per_class_selected = np.zeros(self.n_classes, dtype=np.int64)
         # class counts of patches with best_feature_sim == 0
         self.uncovered_counts = np.bincount(labels, minlength=self.n_classes)
         self.min_selected: int | None = None
+        # x log x of every cluster share k / m, k = 0..m, by math.log: numpy's
+        # vectorized log can differ from it in the last bit
+        self._xlogx = np.array([_xlogx(k / self.m) for k in range(self.m + 1)])
 
     @classmethod
     def for_patches(cls, patches, n_classes=None) -> "SelectionState":
@@ -123,26 +130,24 @@ class SelectionState:
         m = self.m
         idx_f, val_f = S.row(e)
         idx_s, val_s = L.row(e)
+        n_sel = self.per_class_selected[labels[e]]
+        gain_b = math.log(n_sel + 2.0) - math.log(n_sel + 1.0)
 
         if not self.selected:
             gain_r = float(val_f.sum())
             gain_s = float(val_s.sum())
             class_tot = self.uncovered_counts  # full label histogram here
             gain_d = class_tot.max() / m - 1.0
-            gain_b = math.log(2.0)
             gain_c = -1.0  # single cluster: zero entropy minus the size penalty
             if commit:
                 self.best_feature_sim[idx_f] = val_f
                 self.best_spatial_sim[idx_s] = val_s
                 self.cluster_of[:] = e
-                self.cluster_counts[e] = class_tot.copy()
+                self.cluster_counts[e] = class_tot
                 covered = idx_f[val_f > 0]
                 self.uncovered_counts = class_tot - np.bincount(
                     labels[covered], minlength=self.n_classes
                 )
-                self.per_class_selected[labels[e]] += 1
-                self.selected.append(e)
-                self.is_selected[e] = True
                 self.min_selected = e
         else:
             old_f = self.best_feature_sim[idx_f]
@@ -155,68 +160,48 @@ class SelectionState:
 
             tie = (~improve) & (val_f == old_f) & (e < self.cluster_of[idx_f])
             moved = idx_f[improve | tie]
-
-            # Per-cluster class counts leaving their current owner.
-            move_from: dict[int, np.ndarray] = {}
-            if moved.size:
-                for c_old, lab in zip(self.cluster_of[moved].tolist(), labels[moved].tolist()):
-                    vec = move_from.get(c_old)
-                    if vec is None:
-                        vec = np.zeros(self.n_classes, dtype=np.int64)
-                        move_from[c_old] = vec
-                    vec[lab] += 1
-
             newly_covered = idx_f[improve & (old_f == 0.0)]
             covered_hist = np.bincount(labels[newly_covered], minlength=self.n_classes)
 
-            zero_move = None
-            if e < self.min_selected:
-                # Remaining zero-affinity mass re-ties to the new lowest id.
-                zero_move = self.uncovered_counts - covered_hist
-                if zero_move.sum() > 0:
-                    vec = move_from.get(self.min_selected)
-                    if vec is None:
-                        vec = np.zeros(self.n_classes, dtype=np.int64)
-                        move_from[self.min_selected] = vec
-                    vec += zero_move
-                else:
-                    zero_move = None
+            # Counts leaving each owner, scattered from (owner, class, count)
+            # entries: one per moved patch, and one per class for the
+            # zero-affinity mass, which re-ties to e if e is the new lowest id.
+            lowest = e < self.min_selected
+            C = self.n_classes
+            src = np.concatenate([self.cluster_of[moved], np.full(C, self.min_selected)])
+            cls = np.concatenate([labels[moved], np.arange(C)])
+            cnt = np.concatenate([np.ones(moved.size, np.int64),
+                                  (self.uncovered_counts - covered_hist) * lowest])
+            owners, first, inv = np.unique(src, return_index=True, return_inverse=True)
+            leave = np.zeros((owners.size, C), dtype=np.int64)
+            np.add.at(leave, (inv, cls), cnt)
+            before = self.cluster_counts[owners]
+            after = before - leave
+            new_counts_e = leave.sum(axis=0)
 
-            new_counts_e = np.zeros(self.n_classes, dtype=np.int64)
-            for vec in move_from.values():
-                new_counts_e += vec
-
-            delta_max = 0
-            ent_delta = -_xlogx(new_counts_e.sum() / m)
-            for c_old, leave in move_from.items():
-                old_vec = self.cluster_counts[c_old]
-                new_vec = old_vec - leave
-                delta_max += int(new_vec.max()) - int(old_vec.max())
-                n_old = old_vec.sum() / m
-                n_new = new_vec.sum() / m
-                ent_delta += _xlogx(n_old) - _xlogx(n_new)
-            gain_d = (int(new_counts_e.max()) + delta_max) / m - 1.0
-            gain_c = ent_delta - 1.0
-
-            n_sel = self.per_class_selected[labels[e]]
-            gain_b = math.log(n_sel + 2.0) - math.log(n_sel + 1.0)
+            gain_d = (int(new_counts_e.max()) + int(after.max(axis=1).sum())
+                      - int(before.max(axis=1).sum())) / m - 1.0
+            # Entropy change per owner, summed left to right in order of first
+            # appearance: the order fixes the rounding that greedy ties see.
+            ent = self._xlogx[before.sum(axis=1)] - self._xlogx[after.sum(axis=1)]
+            ent = np.concatenate(([-self._xlogx[new_counts_e.sum()]], ent[np.argsort(first)]))
+            gain_c = float(np.add.accumulate(ent)[-1]) - 1.0
 
             if commit:
                 self.best_feature_sim[idx_f] = np.maximum(old_f, val_f)
                 self.best_spatial_sim[idx_s] = np.maximum(old_s, val_s)
                 self.cluster_of[moved] = e
-                for c_old, leave in move_from.items():
-                    self.cluster_counts[c_old] = self.cluster_counts[c_old] - leave
-                if zero_move is not None:
-                    still_uncovered = self.best_feature_sim == 0.0
-                    self.cluster_of[still_uncovered] = e
-                self.uncovered_counts = self.uncovered_counts - covered_hist
+                if lowest:
+                    self.cluster_of[self.best_feature_sim == 0.0] = e
+                    self.min_selected = e
+                self.cluster_counts[owners] = after
                 self.cluster_counts[e] = new_counts_e
-                self.per_class_selected[labels[e]] += 1
-                self.selected.append(e)
-                self.is_selected[e] = True
-                self.min_selected = min(self.min_selected, e)
+                self.uncovered_counts = self.uncovered_counts - covered_hist
 
+        if commit:
+            self.per_class_selected[labels[e]] += 1
+            self.selected.append(e)
+            self.is_selected[e] = True
         return (
             gain_r
             + weights.lambda_s * gain_s
@@ -247,19 +232,16 @@ def add_exemplar(state: SelectionState, candidate: int, S, L, weights) -> float:
 # -- from-scratch evaluation ------------------------------------------------
 
 
-def _dense_assignment(ids, S, labels, n_classes):
-    """Best affinity, owner index and per-cluster class counts for ``ids``.
+def _cluster_counts(ids, S, labels, n_classes):
+    """(len(ids), n_classes) class counts of the patches each of ``ids`` owns.
 
     Owners follow the lowest-id tie rule: rows are scanned in ascending
     id order and argmax keeps the first maximum.
     """
-    ids = sorted(ids)
-    rows = S.rows_dense(ids)
-    best = rows.max(axis=0)
-    owner_pos = rows.argmax(axis=0)
+    owner_pos = S.rows_dense(sorted(ids)).argmax(axis=0)
     counts = np.zeros((len(ids), n_classes), dtype=np.int64)
     np.add.at(counts, (owner_pos, labels), 1)
-    return best, np.asarray(ids, dtype=np.int64)[owner_pos], counts
+    return counts
 
 
 def term_representative(state: SelectionState, S) -> float:
@@ -280,7 +262,7 @@ def term_discriminative(state: SelectionState, S) -> float:
     """Purity of the induced clusters minus the selection size."""
     if not state.selected:
         return 0.0
-    _, _, counts = _dense_assignment(state.selected, S, state.labels, state.n_classes)
+    counts = _cluster_counts(state.selected, S, state.labels, state.n_classes)
     return float(counts.max(axis=1).sum()) / state.m - len(state.selected)
 
 
@@ -296,7 +278,7 @@ def term_compact(state: SelectionState, S) -> float:
     """Entropy of the cluster-size distribution minus the selection size."""
     if not state.selected:
         return 0.0
-    _, _, counts = _dense_assignment(state.selected, S, state.labels, state.n_classes)
+    counts = _cluster_counts(state.selected, S, state.labels, state.n_classes)
     p = counts.sum(axis=1) / state.m
     ent = -sum(_xlogx(v) for v in p.tolist())
     return ent - len(state.selected)
@@ -318,9 +300,7 @@ def evaluate(state: SelectionState, S, L, weights: ObjectiveWeights) -> float:
 def evaluate_ids(ids, S, L, labels, weights: ObjectiveWeights, n_classes=None) -> float:
     """Objective value of an explicit id set, via a throwaway state."""
     state = SelectionState(labels, n_classes)
-    for i in ids:
-        state.selected.append(int(i))
-        state.is_selected[int(i)] = True
+    state.selected = [int(i) for i in ids]
     # evaluation only reads `selected`/labels, never the incremental caches
     return evaluate(state, S, L, weights)
 
@@ -370,9 +350,10 @@ def read_selection_ids(path, n_patches: int) -> list[int]:
     return ids
 
 
-def _check_greedy_args(state, k):
+def _greedy_state(patches, k, n_classes) -> SelectionState:
     if k < 1:
         raise InvalidInputError(f"K must be >= 1, got {k}")
+    return SelectionState.for_patches(patches, n_classes)
 
 
 def naive_greedy(patches, S, L, weights, k, n_classes=None, verify=False) -> SelectionResult:
@@ -383,8 +364,7 @@ def naive_greedy(patches, S, L, weights, k, n_classes=None, verify=False) -> Sel
     ``verify`` each committed gain is re-checked against the difference
     of from-scratch evaluations.
     """
-    state = SelectionState.for_patches(patches, n_classes)
-    _check_greedy_args(state, k)
+    state = _greedy_state(patches, k, n_classes)
     gains: list[float] = []
     cumulative_evals: list[int] = []
     n_evals = 0
@@ -398,9 +378,7 @@ def naive_greedy(patches, S, L, weights, k, n_classes=None, verify=False) -> Sel
             n_evals += 1
             if best_gain is None or g > best_gain:
                 best_gain, best_id = g, cand
-        if best_id is None:
-            break
-        if best_gain < 0:
+        if best_id is None or best_gain < 0:
             break
         if verify:
             before = evaluate(state, S, L, weights)
@@ -422,10 +400,11 @@ def lazy_greedy(patches, S, L, weights, k, n_classes=None) -> SelectionResult:
     Heap entries are (-gain, id, step_computed); an entry whose gain was
     computed at the current step is exact and can be accepted as soon as
     it surfaces.  The (gain, lowest-id) pop order reproduces the naive
-    tie-breaking exactly.
+    tie-breaking exactly.  The selection equals ``naive_greedy``'s only
+    when ``lambda_d = lambda_c = 0``; otherwise a stale entry may
+    understate a gain and the two can diverge.
     """
-    state = SelectionState.for_patches(patches, n_classes)
-    _check_greedy_args(state, k)
+    state = _greedy_state(patches, k, n_classes)
     heap = []
     n_evals = 0
     for i in range(state.m):

@@ -309,6 +309,13 @@ class TestBenchGreedy:
                                  "--k-nn", "6", "--seed", "0"])
         assert "identical selections" in stdout
 
+    def test_divergence_names_the_step(self, capsys):
+        # lambda_d = lambda_c = 1 is off the submodular regime, where lazy
+        # and naive greedy may pick differently
+        err = run_fail(capsys, ["bench-greedy", "--m", "100", "--k", "15",
+                                "--k-nn", "10", "--seed", "0"])
+        assert "diverge at step 8: lazy chose 81, naive chose 28" in err
+
     def test_lazy_only_skips_naive(self, capsys):
         stdout = run_ok(capsys, ["bench-greedy", "--m", "40", "--k", "4",
                                  "--k-nn", "6", "--seed", "0", "--lazy-only"])

@@ -3,6 +3,7 @@ import pytest
 
 from saco.errors import DegenerateInputError, InvalidInputError
 from saco.graphs import (
+    _median_pairwise_distance,
     build_feature_affinity,
     build_spatial_affinity,
 )
@@ -40,11 +41,12 @@ class TestFeatureAffinity:
         want = dense_knn_gaussian(pts, 7, sigma)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
-    def test_explicit_sigma(self):
-        patches = make_patches(6, m=25, dim=3)
+    def test_sampled_median_bandwidth(self):
+        # 60 patches give 1770 pairs, more than the 1000-pair median sample
+        patches = make_patches(6, m=60, dim=3)
         pts = np.array([p.features for p in patches])
-        got = build_feature_affinity(patches, k_nn=5, sigma_mode="fixed", sigma=0.7).to_dense()
-        want = dense_knn_gaussian(pts, 5, 0.7)
+        got = build_feature_affinity(patches, k_nn=5).to_dense()
+        want = dense_knn_gaussian(pts, 5, _median_pairwise_distance(pts))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_k_clipped_to_pool(self):
