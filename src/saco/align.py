@@ -6,10 +6,22 @@ zero padding), resized, and matched against the other by Euclidean
 pixel distance.  Distances feed a reciprocal similarity with an epsilon
 floor, a k-medoids clustering of viewpoints, and per-image alignment to
 the nearest medoid.
+
+Bilinear sampling is split into a plan and its application.  A plan
+holds, for every output pixel, the flat indices and weights of its four
+source corners; it depends only on the image shape and the angle (or
+the resize target), never on the pixels.  Plans are built once and kept
+in two LRU caches of ``PLAN_CACHE_SIZE`` entries each, keyed by
+(shape, angle) and (shape, target shape), so a grid search rotates every
+image through the same few plans.  A plan takes 64 bytes per output
+pixel, ~262 KB for a 64x64 rotation, and its arrays are read-only.
+Applying a plan repeats the arithmetic of sampling directly, operation
+for operation, so results are bit-identical to it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +32,9 @@ from .errors import InvalidInputError
 
 WORK_SIZE = 40
 DEFAULT_EPSILON = 1e-6
+# sampling plans kept per kind: the default 36-angle grid at one image shape
+# fits with room to spare
+PLAN_CACHE_SIZE = 48
 
 
 def default_theta_grid(step=10.0) -> np.ndarray:
@@ -35,31 +50,43 @@ def _as_image(image) -> np.ndarray:
     return arr
 
 
-def _bilinear_sample(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Sample img at float (x, y) positions; zero outside the frame."""
-    h, w = img.shape
+def _theta_grid(theta_grid) -> np.ndarray:
+    """The search grid as a non-empty 1-D float array of angles in [0, 360)."""
+    grid = np.asarray(theta_grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise InvalidInputError(f"theta grid must be a non-empty 1-D array, got shape {grid.shape}")
+    bad = grid[~((grid >= 0) & (grid < 360))]
+    if bad.size:
+        raise InvalidInputError(f"theta grid angles must lie in [0, 360), got {bad[0]}")
+    return grid
+
+
+def _sampling_plan(xs: np.ndarray, ys: np.ndarray, h: int, w: int):
+    """Bilinear gathers at float (x, y) positions in an h x w image.
+
+    Returns (idx, wgt), each of shape (4,) + xs.shape: flat gather
+    indices and weights of the four corners in (dy, dx) order.  Corners
+    outside the frame index h * w, the zero that ``_apply_plan`` appends.
+    """
     x0 = np.floor(xs).astype(np.int64)
     y0 = np.floor(ys).astype(np.int64)
     fx = xs - x0
     fy = ys - y0
-    out = np.zeros(xs.shape)
-    for dy in (0, 1):
-        for dx in (0, 1):
-            xi = x0 + dx
-            yi = y0 + dy
-            wgt = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            if np.any(valid):
-                vals = np.zeros(xs.shape)
-                vals[valid] = img[yi[valid], xi[valid]]
-                out += wgt * vals
-    return out
+    idx = np.empty((4,) + xs.shape, dtype=np.int64)
+    wgt = np.empty((4,) + xs.shape)
+    for k, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        xi = x0 + dx
+        yi = y0 + dy
+        wgt[k] = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
+        valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+        idx[k] = np.where(valid, yi * w + xi, h * w)
+    idx.flags.writeable = False
+    wgt.flags.writeable = False
+    return idx, wgt
 
 
-def rotate_image(image, theta_deg: float) -> np.ndarray:
-    """Rotate by theta degrees about the center; bilinear, zero padding."""
-    img = _as_image(image)
-    h, w = img.shape
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _rotation_plan(h: int, w: int, theta_deg: float):
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     t = math.radians(theta_deg)
     ct, st = math.cos(t), math.sin(t)
@@ -69,19 +96,49 @@ def rotate_image(image, theta_deg: float) -> np.ndarray:
     # inverse map: rotate destination offsets by -theta
     src_x = ct * dx + st * dy + cx
     src_y = -st * dx + ct * dy + cy
-    return _bilinear_sample(img, src_x, src_y)
+    return _sampling_plan(src_x, src_y, h, w)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _resize_plan(h: int, w: int, out_h: int, out_w: int):
+    ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
+    xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
+    gx, gy = np.meshgrid(xs, ys)
+    return _sampling_plan(gx, gy, h, w)
+
+
+def _apply_plan(plan, img: np.ndarray) -> np.ndarray:
+    """Sum of weight * pixel over the plan's four corners, in corner order."""
+    idx, wgt = plan
+    flat = np.empty(img.size + 1)
+    flat[:-1] = img.ravel()
+    flat[-1] = 0.0
+    vals = flat.take(idx)
+    vals *= wgt
+    # accumulate from zero, corner by corner, as the sampling is defined
+    out = np.zeros(idx.shape[1:])
+    for v in vals:
+        out += v
+    return out
+
+
+def rotate_image(image, theta_deg: float) -> np.ndarray:
+    """Rotate by theta degrees about the center; bilinear, zero padding."""
+    img = _as_image(image)
+    theta_deg = float(theta_deg)
+    if not math.isfinite(theta_deg):
+        raise InvalidInputError(f"rotation angle must be finite, got {theta_deg}")
+    return _apply_plan(_rotation_plan(*img.shape, theta_deg), img)
 
 
 def resize_image(image, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize with corner-aligned sampling (identity if same size)."""
     img = _as_image(image)
-    h, w = img.shape
-    if (h, w) == (out_h, out_w):
+    if out_h < 1 or out_w < 1:
+        raise InvalidInputError(f"resize target must be at least 1x1, got {out_h}x{out_w}")
+    if img.shape == (out_h, out_w):
         return img.copy()
-    ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
-    xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
-    gx, gy = np.meshgrid(xs, ys)
-    return _bilinear_sample(img, gx, gy)
+    return _apply_plan(_resize_plan(*img.shape, out_h, out_w), img)
 
 
 def rotate_resize(image, theta_deg: float, size: int = WORK_SIZE) -> np.ndarray:
@@ -96,7 +153,7 @@ def _min_rotation_distance(a40: np.ndarray, other, theta_grid) -> tuple[float, f
     """
     best_d = None
     best_t = None
-    for t in np.asarray(theta_grid, dtype=np.float64):
+    for t in theta_grid:
         d = float(np.linalg.norm(a40 - rotate_resize(other, t)))
         if best_d is None or d < best_d:
             best_d, best_t = d, float(t)
@@ -112,9 +169,7 @@ def pairwise_similarity(a, b, theta_grid, epsilon=DEFAULT_EPSILON) -> float:
     """
     if epsilon <= 0:
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
-    grid = np.asarray(theta_grid, dtype=np.float64)
-    if grid.size == 0:
-        raise InvalidInputError("theta grid is empty")
+    grid = _theta_grid(theta_grid)
     a40 = rotate_resize(a, 0.0)
     b40 = rotate_resize(b, 0.0)
     d_ab, _ = _min_rotation_distance(a40, b, grid)
@@ -131,9 +186,7 @@ def dissimilarity_matrix(images, theta_grid, epsilon=DEFAULT_EPSILON) -> np.ndar
     """
     if epsilon <= 0:
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
-    grid = np.asarray(theta_grid, dtype=np.float64)
-    if grid.size == 0:
-        raise InvalidInputError("theta grid is empty")
+    grid = _theta_grid(theta_grid)
     n = len(images)
     pixels = [img.pixels if isinstance(img, LabeledImage) else img for img in images]
     base = np.stack([rotate_resize(px, 0.0).ravel() for px in pixels])
@@ -164,9 +217,7 @@ class ViewpointModel:
     def __post_init__(self):
         if len(self.medoid_ids) < 1:
             raise InvalidInputError("viewpoint model needs at least one medoid")
-        self.theta_grid = np.asarray(self.theta_grid, dtype=np.float64)
-        if self.theta_grid.size == 0 or np.any((self.theta_grid < 0) | (self.theta_grid >= 360)):
-            raise InvalidInputError("theta grid angles must lie in [0, 360)")
+        self.theta_grid = _theta_grid(self.theta_grid)
 
 
 def k_medoids(images, k, theta_grid, seed, max_iter=100, epsilon=DEFAULT_EPSILON):
@@ -180,7 +231,10 @@ def k_medoids(images, k, theta_grid, seed, max_iter=100, epsilon=DEFAULT_EPSILON
     n = len(images)
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must be in [1, {n}], got {k}")
-    dm = dissimilarity_matrix(images, theta_grid, epsilon)
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
+    grid = _theta_grid(theta_grid)
+    dm = dissimilarity_matrix(images, grid, epsilon)
     rng = np.random.default_rng(seed)
     medoids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
     cost_history = []
@@ -204,7 +258,7 @@ def k_medoids(images, k, theta_grid, seed, max_iter=100, epsilon=DEFAULT_EPSILON
     model = ViewpointModel(
         medoid_ids=list(medoids),
         thumbnails=[rotate_resize(pixels[i], 0.0) for i in medoids],
-        theta_grid=np.asarray(theta_grid, dtype=np.float64),
+        theta_grid=grid,
     )
     return model, np.asarray(assign, dtype=np.int64), cost_history
 

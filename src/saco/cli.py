@@ -35,7 +35,6 @@ from .data import (
     load_patches,
     read_csv_rows,
     save_patches,
-    sample_candidates,
 )
 from .errors import InvalidConfigError, InvalidInputError
 from .graphs import build_feature_affinity, build_spatial_affinity

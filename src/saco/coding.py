@@ -182,6 +182,13 @@ def _blocks(rows, n):
     return [rows[lo:lo + size] for lo in range(0, rows.size, size)]
 
 
+def _worst_system(A):
+    """Index and condition number of the worst-conditioned of stacked systems."""
+    cond = np.linalg.cond(A)
+    k = int(cond.argmax())
+    return k, cond[k]
+
+
 def _saco2_rows(X, dictionary: Dictionary, W, lambda1, lambda2, outer=None) -> np.ndarray:
     D = dictionary.matrix
     p, m = D.shape
@@ -207,14 +214,25 @@ def _saco2_rows(X, dictionary: Dictionary, W, lambda1, lambda2, outer=None) -> n
         A = np.repeat(dictionary.gram()[None], len(blk), axis=0)
         A[:, diag, diag] += lambda2 * (W[blk] * W[blk])
         try:
-            U[blk] = scipy.linalg.solve(A, D.T @ X[blk, :, None], assume_a="pos")[:, :, 0]
+            # SciPy's stacked solve names the wrong slice in its warning, so
+            # record it and warn again naming the row
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", scipy.linalg.LinAlgWarning)
+                U[blk] = scipy.linalg.solve(A, D.T @ X[blk, :, None], assume_a="pos")[:, :, 0]
         except scipy.linalg.LinAlgError as exc:
-            # name the block's worst-conditioned system
-            cond = np.linalg.cond(A)
-            k = int(cond.argmax())
+            k, cond = _worst_system(A)
             raise LinearSolveError(
-                f"ridge system of row {blk[k]} singular, condition estimate {cond[k]:.3e}"
+                f"ridge system of row {blk[k]} singular, condition estimate {cond:.3e}"
             ) from exc
+        for w in caught:
+            if issubclass(w.category, scipy.linalg.LinAlgWarning):
+                k, cond = _worst_system(A)
+                warnings.warn(
+                    f"ill-conditioned ridge system of row {blk[k]}, condition estimate "
+                    f"{cond:.3e}", scipy.linalg.LinAlgWarning, stacklevel=3,
+                )
+            else:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
         bad = np.flatnonzero(~np.isfinite(U[blk]).all(axis=1))
         if bad.size:
             raise LinearSolveError(

@@ -1,5 +1,7 @@
 """Rotation search, viewpoint clustering, and PGM round trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,48 @@ from saco.errors import InvalidInputError
 def random_images(seed, n=6, size=12):
     rng = np.random.default_rng([seed, 90])
     return [rng.uniform(size=(size, size)) for _ in range(n)]
+
+
+def reference_bilinear_sample(img, xs, ys):
+    """Per-call mask-based bilinear sampling: the reference for the cached plans."""
+    h, w = img.shape
+    x0 = np.floor(xs).astype(np.int64)
+    y0 = np.floor(ys).astype(np.int64)
+    fx = xs - x0
+    fy = ys - y0
+    out = np.zeros(xs.shape)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            xi = x0 + dx
+            yi = y0 + dy
+            wgt = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
+            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+            if np.any(valid):
+                vals = np.zeros(xs.shape)
+                vals[valid] = img[yi[valid], xi[valid]]
+                out += wgt * vals
+    return out
+
+
+def reference_rotate(img, theta_deg):
+    h, w = img.shape
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    t = math.radians(theta_deg)
+    ct, st = math.cos(t), math.sin(t)
+    yy, xx = np.mgrid[0:h, 0:w]
+    dx = xx - cx
+    dy = yy - cy
+    return reference_bilinear_sample(img, ct * dx + st * dy + cx, -st * dx + ct * dy + cy)
+
+
+def reference_resize(img, out_h, out_w):
+    h, w = img.shape
+    if (h, w) == (out_h, out_w):
+        return img.copy()
+    ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
+    xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
+    gx, gy = np.meshgrid(xs, ys)
+    return reference_bilinear_sample(img, gx, gy)
 
 
 def directional_distance(a, b, grid):
@@ -71,6 +115,80 @@ class TestRotate:
         with pytest.raises(InvalidInputError):
             al.rotate_image(np.zeros(0), 10.0)
 
+    @pytest.mark.parametrize("theta", [np.nan, np.inf])
+    def test_rejects_non_finite_angle(self, theta):
+        with pytest.raises(InvalidInputError, match="finite"):
+            al.rotate_image(np.ones((5, 5)), theta)
+
+
+SHAPES = [(7, 7), (8, 8), (12, 9), (64, 64)]
+
+
+def signed_image(shape, seed):
+    """Normal pixels, so some are negative, with a -0.0 in one corner."""
+    img = np.random.default_rng([shape[0], shape[1], seed]).normal(size=shape)
+    img[0, 0] = -0.0
+    return img
+
+
+def assert_bit_identical(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestSamplingPlans:
+    """The cached plans reproduce per-call bilinear sampling bit for bit."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("theta", [0.0, 10.0, 45.0, 90.0, 350.0, 370.0, -30.0])
+    def test_rotation_bit_identical(self, shape, theta):
+        img = signed_image(shape, 7)
+        assert_bit_identical(al.rotate_image(img, theta), reference_rotate(img, theta))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("out", [(1, 6), (5, 7), (40, 40)])
+    def test_resize_bit_identical(self, shape, out):
+        img = signed_image(shape, 8)
+        assert_bit_identical(al.resize_image(img, *out), reference_resize(img, *out))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rotate_resize_bit_identical(self, shape):
+        img = signed_image(shape, 9)
+        for theta in al.default_theta_grid():
+            expected = reference_resize(reference_rotate(img, theta), al.WORK_SIZE, al.WORK_SIZE)
+            assert_bit_identical(al.rotate_resize(img, theta), expected)
+
+    def test_repeat_call_is_a_cache_hit(self):
+        img = np.random.default_rng(10).uniform(size=(23, 29))
+        al.rotate_resize(img, 20.0)
+        rot, res = al._rotation_plan.cache_info(), al._resize_plan.cache_info()
+        al.rotate_resize(img, 20.0)
+        assert al._rotation_plan.cache_info().hits == rot.hits + 1
+        assert al._rotation_plan.cache_info().misses == rot.misses
+        assert al._resize_plan.cache_info().hits == res.hits + 1
+        assert al._resize_plan.cache_info().misses == res.misses
+
+    def test_cache_stays_within_its_size(self):
+        img = np.ones((9, 9))
+        for theta in np.arange(0.0, 360.0, 3.0):  # 120 angles
+            al.rotate_image(img, theta)
+        for n in range(1, 80):
+            al.resize_image(img, n, 3)
+        for plan in (al._rotation_plan, al._resize_plan):
+            info = plan.cache_info()
+            assert info.maxsize == al.PLAN_CACHE_SIZE
+            assert info.currsize <= al.PLAN_CACHE_SIZE
+
+    def test_default_grid_fits_the_cache(self):
+        assert al.default_theta_grid().size + 1 <= al.PLAN_CACHE_SIZE
+
+    def test_plans_are_read_only(self):
+        idx, wgt = al._rotation_plan(6, 6, 30.0)
+        with pytest.raises(ValueError):
+            wgt[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            idx[0, 0, 0] = 0
+
 
 class TestResize:
     def test_same_size_is_copy(self):
@@ -101,6 +219,11 @@ class TestResize:
         out = al.resize_image(img, 1, 6)
         np.testing.assert_allclose(out[0], img[0], atol=1e-12)
 
+    @pytest.mark.parametrize("out", [(0, 5), (5, 0), (-1, 3)])
+    def test_rejects_empty_target(self, out):
+        with pytest.raises(InvalidInputError, match="at least 1x1"):
+            al.resize_image(np.ones((4, 4)), *out)
+
     def test_rotate_resize_shape(self):
         img = random_images(5, n=1, size=17)[0]
         assert al.rotate_resize(img, 30.0).shape == (al.WORK_SIZE, al.WORK_SIZE)
@@ -130,6 +253,45 @@ class TestPairwiseSimilarity:
             al.pairwise_similarity(a, b, al.default_theta_grid(), epsilon=0.0)
         with pytest.raises(InvalidInputError):
             al.pairwise_similarity(a, b, np.array([]))
+
+
+BAD_GRIDS = {
+    "empty": [],
+    "360": [0.0, 90.0, 360.0],
+    "negative": [-10.0, 0.0],
+    "nan": [0.0, np.nan],
+    "inf": [np.inf],
+    "2-D": [[0.0, 90.0]],
+}
+
+
+class TestThetaGridChecks:
+    """Every entry point rejects a bad grid before any rotation runs."""
+
+    @pytest.fixture()
+    def no_rotations(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("rotated before the grid was checked")
+
+        monkeypatch.setattr(al, "rotate_resize", fail)
+
+    @pytest.mark.parametrize("grid", list(BAD_GRIDS.values()), ids=list(BAD_GRIDS))
+    def test_rejected_up_front(self, grid, no_rotations):
+        imgs = random_images(19, n=3)
+        with pytest.raises(InvalidInputError, match="theta grid"):
+            al.pairwise_similarity(imgs[0], imgs[1], grid)
+        with pytest.raises(InvalidInputError, match="theta grid"):
+            al.dissimilarity_matrix(imgs, grid)
+        with pytest.raises(InvalidInputError, match="theta grid"):
+            al.k_medoids(imgs, 2, grid, seed=0)
+        with pytest.raises(InvalidInputError, match="theta grid"):
+            al.ViewpointModel([0], [np.zeros((40, 40))], grid)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_k_medoids_rejects_max_iter_below_one(self, max_iter, no_rotations):
+        imgs = random_images(20, n=3)
+        with pytest.raises(InvalidInputError, match="max_iter"):
+            al.k_medoids(imgs, 2, al.default_theta_grid(90.0), seed=0, max_iter=max_iter)
 
 
 class TestDissimilarityMatrix:

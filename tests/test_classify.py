@@ -1,7 +1,5 @@
 """Pooling, the linear classifier, residual classification, and the pipeline."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 

@@ -1,7 +1,10 @@
 """Sparse-coding solvers against closed forms and an optimality oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import saco.coding as cd
 from saco.data import Dictionary, Patch
@@ -119,6 +122,28 @@ class TestSaco2:
         enc = cd.Encoder(d, "saco2", 0.1, 1.0, cd.SpatialWeightConfig(epsilon=0.0))
         with pytest.raises(LinearSolveError, match="row 2 .*condition"):
             enc.encode(np.ones((4, 3)), coords)
+
+    def test_ill_conditioned_row_warning_names_the_row(self):
+        # a tiny atom orthogonal to the other: with epsilon = 0 the query on
+        # it (row 2) has weight 0 and the diagonal system diag(~1, 1e-18),
+        # which Cholesky solves exactly but SciPy's stacked solve reports
+        # as "slice 0"
+        d = Dictionary([Patch(0, [1.0, 0.0, 0.0], (0.9, 0.9), 0, 0),
+                        Patch(1, [0.0, 1e-9, 0.0], (0.1, 0.1), 1, 0)])
+        coords = np.array([[0.5, 0.5], [0.9, 0.2], [0.1, 0.1], [0.3, 0.8]])
+        enc = cd.Encoder(d, "saco2", 0.1, 1.0, cd.SpatialWeightConfig(epsilon=0.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            codes, _ = enc.encode(np.ones((4, 3)), coords)
+        assert [w.category for w in caught] == [scipy.linalg.LinAlgWarning]
+        assert str(caught[0].message).startswith(
+            "ill-conditioned ridge system of row 2, condition estimate")
+        assert caught[0].filename == __file__
+        assert np.isfinite(codes).all()
+        # well-conditioned rows warn nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            enc.encode(np.ones((3, 3)), coords[[0, 1, 3]])
 
     def test_rejects_negative_penalties(self):
         d = make_dictionary(3, p=6, m=3)

@@ -5,7 +5,6 @@ from saco.data import (
     Dictionary,
     ImageFeatures,
     Patch,
-    group_rows_by_image,
     load_image_pools,
     load_patches,
     sample_candidates,

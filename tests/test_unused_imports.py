@@ -1,0 +1,40 @@
+"""No module in the package or the test suite imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted(
+    p for p in [*(ROOT / "src" / "saco").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    if p.name != "__init__.py"  # re-exports
+)
+
+
+def imported_names(tree):
+    """(bound name, line) for every import except ``from __future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def unused_imports(source):
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in imported_names(tree) if name not in used]
+
+
+def test_scan_finds_an_unused_import():
+    source = "from __future__ import annotations\nimport os\nimport a.b\nfrom c import d as e, f\nf()\n"
+    assert unused_imports(source) == [("os", 2), ("a", 3), ("e", 4)]
+
+
+@pytest.mark.parametrize("path", FILES, ids=[f"{p.parent.name}/{p.name}" for p in FILES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
