@@ -9,8 +9,10 @@ import argparse
 import pathlib
 import sys
 
+import numpy as np
+
 import saco.selection as sel
-from saco.data import Patch
+from saco.data import pool_patches
 from saco.graphs import build_feature_affinity, build_spatial_affinity
 from saco.plotting import write_svg_scatter
 from saco.synth import make_blobs2d
@@ -25,18 +27,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     pools = make_blobs2d(points_per_class=args.per_class, seed=args.seed)
-    patches = [
-        Patch(
-            len(pools) * i + img.label,  # interleave ids so classes mix
-            img.features[i],
-            (float(img.coords[i, 0]), float(img.coords[i, 1])),
-            img.label,
-            img.image_id,
-        )
-        for img in pools
-        for i in range(img.features.shape[0])
-    ]
-    patches.sort(key=lambda p: p.id)
+    patches = pool_patches(pools)
+    # interleave the classes: point i of every pool, then point i + 1
+    patches = patches[np.arange(len(patches)).reshape(len(pools), -1).T.ravel()]
     S = build_feature_affinity(patches, k_nn=12)
     L = build_spatial_affinity(patches, k_nn=12)
     res = sel.lazy_greedy(patches, S, L, sel.ObjectiveWeights(), args.k)

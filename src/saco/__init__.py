@@ -17,7 +17,7 @@ from .coding import (
     spatial_weights,
 )
 from .config import PipelineConfig
-from .data import Dictionary, ImageFeatures, LabeledImage, Patch
+from .data import Dictionary, ImageFeatures, LabeledImage, Patch, PatchSet
 from .errors import (
     DegenerateInputError,
     InvalidConfigError,
@@ -54,6 +54,7 @@ __all__ = [
     "LinearSolveError",
     "ObjectiveWeights",
     "Patch",
+    "PatchSet",
     "PipelineConfig",
     "PipelineStageError",
     "SelectionResult",

@@ -192,12 +192,6 @@ def build_encoder(dictionary: Dictionary, cfg: PipelineConfig) -> Encoder:
     return Encoder(dictionary, cfg.coder, cfg.lambda1, cfg.lambda2, weights)
 
 
-def _patch_batch(patches):
-    """(N, p) features and (N, 2) locations of a patch list."""
-    return (np.array([p.features for p in patches], dtype=np.float64),
-            np.array([p.coord for p in patches], dtype=np.float64))
-
-
 def encode_images(images, dictionary, encoder, cfg: PipelineConfig, seed_key: int,
                   diagnostics: CodingDiagnostics | None = None) -> np.ndarray:
     """Sample, code and pool each image into one pooled feature row.
@@ -211,7 +205,7 @@ def encode_images(images, dictionary, encoder, cfg: PipelineConfig, seed_key: in
     pooled = np.empty((len(images), dictionary.n_atoms))
     for i, img in enumerate(images):
         patches = sample_candidates([img], cfg.patches_per_image, [cfg.seed, seed_key])
-        codes, diag = encoder.encode(*_patch_batch(patches))
+        codes, diag = encoder.encode(patches.features, patches.coords)
         pooled[i] = pool_codes(codes)
         if diagnostics is not None:
             diagnostics.add(diag)
@@ -245,11 +239,9 @@ def run_pipeline(train_images, test_images, cfg: PipelineConfig) -> PipelineResu
         chosen = selection.ids
     else:
         rng = np.random.default_rng([cfg.seed, 1])
-        chosen = sorted(
-            int(i) for i in rng.choice(len(candidates), size=min(cfg.dict_size, len(candidates)),
-                                       replace=False)
-        )
-    dictionary = _stage("dictionary", Dictionary, [candidates[i] for i in chosen])
+        chosen = np.sort(rng.choice(len(candidates), size=min(cfg.dict_size, len(candidates)),
+                                    replace=False))
+    dictionary = _stage("dictionary", Dictionary, candidates[chosen])
 
     encoder = _stage("coder", build_encoder, dictionary, cfg)
     coding = CodingDiagnostics()
@@ -296,8 +288,7 @@ def src_image_accuracy(test_images, dictionary: Dictionary, cfg: PipelineConfig,
     encoder = Encoder(dictionary, "iterative", lambda1, 0.0)
     hits = 0
     for img in test_images:
-        patches = sample_candidates([img], cfg.patches_per_image, [cfg.seed, 3])
-        X, _ = _patch_batch(patches)
+        X = sample_candidates([img], cfg.patches_per_image, [cfg.seed, 3]).features
         totals = _class_residuals(X, encoder, groups).sum(axis=0)
         hits += int(int(totals.argmin()) == img.label)
     return hits / len(test_images)

@@ -30,9 +30,10 @@ from .classify import (
 from .config import PipelineConfig, apply_overrides, read_config_file
 from .data import (
     Dictionary,
-    Patch,
+    PatchSet,
     load_image_pools,
     load_patches,
+    pool_patches,
     read_csv_rows,
     save_patches,
 )
@@ -73,19 +74,8 @@ def _require_files(*paths):
 
 
 def _write_pool_files(out: Path, prefix: str, pools, comments):
-    rows = []
-    for pool in pools:
-        for i in range(len(pool.features)):
-            rows.append(
-                Patch(
-                    id=len(rows),
-                    features=pool.features[i],
-                    coord=(float(pool.coords[i][0]), float(pool.coords[i][1])),
-                    label=pool.label,
-                    image_id=pool.image_id,
-                )
-            )
-    save_patches(out / f"{prefix}_patches.csv", out / f"{prefix}_features.skt", rows, comments)
+    save_patches(out / f"{prefix}_patches.csv", out / f"{prefix}_features.skt",
+                 pool_patches(pools), comments)
 
 
 def cmd_gen(args) -> int:
@@ -152,12 +142,10 @@ def cmd_code(args) -> int:
     atoms = load_patches(args.dict_patches, args.dict_features)
     if args.selection:
         _require_files(args.selection)
-        atoms = [atoms[i] for i in read_selection_ids(args.selection, len(atoms))]
+        atoms = atoms[read_selection_ids(args.selection, len(atoms))]
     dictionary = Dictionary(atoms)
     queries = load_patches(args.query_patches, args.query_features)
-    codes, diag = build_encoder(dictionary, cfg).encode(
-        np.array([q.features for q in queries]), np.array([q.coord for q in queries])
-    )
+    codes, diag = build_encoder(dictionary, cfg).encode(queries.features, queries.coords)
     if diag.unconverged:
         print(f"warning: {diag.unconverged} of {diag.rows} patches stopped unconverged after "
               f"{diag.max_iterations} iterations (worst KKT residual {diag.worst_kkt:.3e})",
@@ -173,7 +161,7 @@ def cmd_code(args) -> int:
 
 
 def _read_image_labels(path) -> list[tuple[int, int]]:
-    return [(int(a), int(b)) for _, (a, b) in read_csv_rows(path, "image_id,label")]
+    return [pair for _, pair in read_csv_rows(path, "image_id,label", (int, int))]
 
 
 def cmd_train(args) -> int:
@@ -280,10 +268,7 @@ def _bench_instance(m: int, seed: int):
     which = rng.integers(0, 3, size=m)
     feats = centers[labels * 3 + which] + 0.35 * rng.normal(size=(m, 8))
     coords = rng.uniform(0.0, 1.0, size=(m, 2))
-    return [
-        Patch(i, feats[i], (float(coords[i, 0]), float(coords[i, 1])), int(labels[i]), 0)
-        for i in range(m)
-    ]
+    return PatchSet(feats, coords, labels, np.zeros(m))
 
 
 def cmd_bench_greedy(args) -> int:

@@ -1,15 +1,23 @@
-"""Core data records: patches, per-image feature pools, dictionaries.
+"""Core data records: patch sets, per-image feature pools, dictionaries.
 
-A patch is a feature vector tied to a normalized spatial location inside
-its source image, plus a class label.  Patch metadata travels in CSV
-files with the fixed header ``id,image_id,label,x,y``; the feature
-vectors travel separately in a tensor file whose row order matches the
-CSV row order.
+A ``PatchSet`` holds M patches as aligned arrays: features (M, p),
+locations (M, 2) in [0,1]^2, labels, image ids, and ``ids`` (the CSV
+``id`` column, provenance only).  Graphs, selection, dictionaries and
+selection CSVs name a patch by its row position 0..M-1.  ``ps[i]`` is a
+``Patch`` row view; ``PatchSet.of`` stacks a ``Patch`` sequence once.
+Patch CSVs have the header ``id,image_id,label,x,y``; the features
+travel in a tensor file in the same row order.
+
+Input is validated once, where it enters, by vectorized checks that name
+the bad row: ``PatchSet`` (row counts, finite features, coordinates in
+[0,1]^2, ids and labels >= 0; from ``load_patches`` also the CSV line),
+``ImageFeatures`` (finite features and coordinates in any units, naming
+the image id) and the CSV reader (header, field count, numbers).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +29,7 @@ PATCH_CSV_HEADER = "id,image_id,label,x,y"
 
 @dataclass(frozen=True)
 class Patch:
-    """One candidate: features, normalized location, label, provenance."""
+    """One row of a ``PatchSet``: features, normalized location, label, provenance."""
 
     id: int
     features: np.ndarray
@@ -29,14 +37,63 @@ class Patch:
     label: int
     image_id: int
 
-    def validate(self) -> None:
-        if self.id < 0 or self.label < 0:
-            raise InvalidInputError(f"patch {self.id}: negative id or label")
-        if not np.all(np.isfinite(self.features)):
-            raise InvalidInputError(f"patch {self.id}: non-finite features")
-        x, y = self.coord
-        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-            raise InvalidInputError(f"patch {self.id}: coord {self.coord} outside [0,1]^2")
+
+class PatchSet:
+    """M located, labeled patches as aligned arrays, validated on construction.
+
+    ``ids`` defaults to the row positions; ``where(row)`` names a bad row.
+    """
+
+    def __init__(self, features, coords, labels, image_ids, ids=None, *, where=None):
+        self.features = np.ascontiguousarray(features, dtype=np.float64)
+        self.coords = np.ascontiguousarray(coords, dtype=np.float64)
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.image_ids = np.asarray(image_ids, dtype=np.int64)
+        m = len(self.features)
+        self.ids = np.arange(m) if ids is None else np.asarray(ids, dtype=np.int64)
+        shapes = [a.shape for a in (self.coords, self.labels, self.image_ids, self.ids)]
+        if self.features.ndim != 2 or shapes != [(m, 2), (m,), (m,), (m,)]:
+            raise InvalidInputError(f"patch arrays disagree: features {self.features.shape}; "
+                                    f"coords, labels, image ids, ids {shapes}")
+        inside = (self.coords >= 0.0) & (self.coords <= 1.0)
+        for bad, what in (
+            (~np.isfinite(self.features).all(axis=1), "non-finite features"),
+            (~inside.all(axis=1), "coord {} outside [0,1]^2"),
+            ((self.labels < 0) | (self.ids < 0), "negative id or label"),
+        ):
+            if bad.any():
+                row = int(bad.argmax())
+                at = f"patch row {row}" if where is None else where(row)
+                raise InvalidInputError(f"{at}: " + what.format(tuple(self.coords[row].tolist())))
+
+    @classmethod
+    def of(cls, patches) -> "PatchSet":
+        """``patches`` unchanged if it is a ``PatchSet``, else its ``Patch`` rows stacked."""
+        if isinstance(patches, PatchSet):
+            return patches
+        patches = list(patches)
+        feats = [np.asarray(p.features, dtype=np.float64) for p in patches]
+        dims = {f.shape for f in feats}
+        if len(dims) > 1:
+            raise InvalidInputError(f"mixed feature dimensions: {sorted(dims)}")
+        return cls(np.stack(feats) if feats else np.empty((0, 0)),
+                   np.reshape([p.coord for p in patches], (-1, 2)), [p.label for p in patches],
+                   [p.image_id for p in patches], [p.id for p in patches])
+
+    def __len__(self) -> int:
+        return len(self.features)
+
+    def __getitem__(self, index):
+        """A ``Patch`` for an integer, a ``PatchSet`` for an index array, list or slice."""
+        if isinstance(index, (int, np.integer)):
+            x, y = self.coords[index].tolist()
+            return Patch(int(self.ids[index]), self.features[index], (x, y),
+                         int(self.labels[index]), int(self.image_ids[index]))
+        return PatchSet(self.features[index], self.coords[index], self.labels[index],
+                        self.image_ids[index], self.ids[index])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 @dataclass
@@ -56,6 +113,9 @@ class ImageFeatures:
                 f"image {self.image_id}: features {self.features.shape} / coords "
                 f"{self.coords.shape} mismatch"
             )
+        bad = ~(np.isfinite(self.features).all(axis=1) & np.isfinite(self.coords).all(axis=1))
+        if bad.any():
+            raise InvalidInputError(f"image {self.image_id}: row {bad.argmax()} is not finite")
 
 
 @dataclass
@@ -72,27 +132,19 @@ class LabeledImage:
             raise InvalidInputError(f"image {self.image_id}: pixels must be a non-empty 2-D array")
 
 
-@dataclass
 class Dictionary:
     """An ordered set of exemplar patches used as coding atoms.
 
     ``matrix`` is p x m with one column per atom, in selection order.
     """
 
-    atoms: list[Patch]
-    matrix: np.ndarray = field(init=False)
-    atom_coords: np.ndarray = field(init=False)
-    atom_labels: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if not self.atoms:
+    def __init__(self, atoms):
+        self.atoms = PatchSet.of(atoms)
+        if not len(self.atoms):
             raise InvalidInputError("dictionary needs at least one atom")
-        dims = {len(a.features) for a in self.atoms}
-        if len(dims) != 1:
-            raise InvalidInputError(f"mixed atom feature dimensions: {sorted(dims)}")
-        self.matrix = np.column_stack([np.asarray(a.features, dtype=np.float64) for a in self.atoms])
-        self.atom_coords = np.array([a.coord for a in self.atoms], dtype=np.float64)
-        self.atom_labels = np.array([a.label for a in self.atoms], dtype=np.int64)
+        self.matrix = np.ascontiguousarray(self.atoms.features.T)
+        self.atom_coords = self.atoms.coords
+        self.atom_labels = self.atoms.labels
 
     @property
     def n_atoms(self) -> int:
@@ -109,20 +161,12 @@ class Dictionary:
         return self._gram
 
 
-def write_patch_csv(path, patches, header_comments=()) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        fh.write(PATCH_CSV_HEADER + "\n")
-        for p in patches:
-            fh.write(f"{p.id},{p.image_id},{p.label},{p.coord[0]!r},{p.coord[1]!r}\n")
-
-
-def read_csv_rows(path, header: str):
-    """Yield (line number, fields) for each data row of a CSV file.
+def read_csv_rows(path, header: str, types):
+    """Yield (line number, values) for each data row of a CSV file.
 
     Blank and ``#`` comment lines are skipped; the first other line must
-    be exactly ``header``.
+    be exactly ``header``.  A row must have one field per entry of
+    ``types``, each converted by it.  Errors name the file and line.
     """
     found = False
     with open(path, "r", encoding="utf-8") as fh:
@@ -131,7 +175,11 @@ def read_csv_rows(path, header: str):
             if not line or line.startswith("#"):
                 continue
             if found:
-                yield ln, line.split(",")
+                try:
+                    values = tuple(t(v) for t, v in zip(types, line.split(","), strict=True))
+                except (ValueError, OverflowError):
+                    raise InvalidInputError(f"{path}:{ln}: malformed row '{line}'") from None
+                yield ln, values
             elif line == header:
                 found = True
             else:
@@ -140,75 +188,64 @@ def read_csv_rows(path, header: str):
         raise InvalidInputError(f"{path}: empty file, header required")
 
 
-def read_patch_rows(path) -> list[dict]:
-    """Read patch metadata rows; the exact header is required."""
-    rows = []
-    for ln, parts in read_csv_rows(path, PATCH_CSV_HEADER):
-        if len(parts) != 5:
-            raise InvalidInputError(f"{path}:{ln}: malformed row '{','.join(parts)}'")
-        rows.append(
-            {
-                "id": int(parts[0]),
-                "image_id": int(parts[1]),
-                "label": int(parts[2]),
-                "x": float(parts[3]),
-                "y": float(parts[4]),
-            }
-        )
-    return rows
-
-
 def _read_patch_files(csv_path, tensor_path):
-    """Metadata rows and their feature tensor, one feature row per CSV row."""
-    rows = read_patch_rows(csv_path)
+    """Line numbers, id/image id/label columns, (M, 2) coords and (M, p) features."""
+    # np.int64 makes a value past its range a malformed row, not an error later
+    rows = list(read_csv_rows(csv_path, PATCH_CSV_HEADER, (np.int64,) * 3 + (float, float)))
+    ints = np.array([v[:3] for _, v in rows], dtype=np.int64).reshape(-1, 3)
+    coords = np.array([v[3:] for _, v in rows], dtype=np.float64).reshape(-1, 2)
     feats = read_tensor(tensor_path).astype(np.float64)
     if feats.ndim != 2 or len(feats) != len(rows):
         raise InvalidInputError(
             f"feature tensor {feats.shape} does not match {len(rows)} metadata rows"
         )
-    return rows, feats
+    return [ln for ln, _ in rows], ints[:, 0], ints[:, 1], ints[:, 2], coords, feats
 
 
-def load_patches(csv_path, tensor_path) -> list[Patch]:
-    """Assemble patches from a metadata CSV and its aligned feature tensor."""
-    rows, feats = _read_patch_files(csv_path, tensor_path)
-    return [
-        Patch(r["id"], feats[i], (r["x"], r["y"]), r["label"], r["image_id"])
-        for i, r in enumerate(rows)
-    ]
+def load_patches(csv_path, tensor_path) -> PatchSet:
+    """Patches from a metadata CSV and its aligned feature tensor."""
+    lines, ids, image_ids, labels, coords, feats = _read_patch_files(csv_path, tensor_path)
+    return PatchSet(feats, coords, labels, image_ids, ids,
+                    where=lambda row: f"{csv_path}:{lines[row]}: patch row {row}")
 
 
 def save_patches(csv_path, tensor_path, patches, header_comments=()) -> None:
-    write_patch_csv(csv_path, patches, header_comments)
-    write_tensor(tensor_path, np.stack([p.features for p in patches]))
+    """Write patches as a metadata CSV and its aligned feature tensor."""
+    patches = PatchSet.of(patches)
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        for line in header_comments:
+            fh.write(f"# {line}\n")
+        fh.write(PATCH_CSV_HEADER + "\n")
+        for pid, image_id, label, (x, y) in zip(patches.ids.tolist(), patches.image_ids.tolist(),
+                                                patches.labels.tolist(), patches.coords.tolist()):
+            fh.write(f"{pid},{image_id},{label},{x!r},{y!r}\n")
+    write_tensor(tensor_path, patches.features)
 
 
-def group_rows_by_image(rows, feats) -> list[ImageFeatures]:
-    """Group aligned metadata rows + features into per-image pools."""
-    order: dict[int, list[int]] = {}
-    for i, r in enumerate(rows):
-        order.setdefault(r["image_id"], []).append(i)
-    pools = []
-    for image_id, idx in order.items():
-        labels = {rows[i]["label"] for i in idx}
-        if len(labels) != 1:
-            raise InvalidInputError(f"image {image_id} has conflicting labels {sorted(labels)}")
-        pools.append(
-            ImageFeatures(
-                image_id=image_id,
-                label=labels.pop(),
-                features=feats[idx],
-                coords=np.array([[rows[i]["x"], rows[i]["y"]] for i in idx]),
-            )
-        )
-    return pools
+def pool_patches(pools) -> PatchSet:
+    """Every row of every pool, in pool order; coordinates must lie in [0,1]^2."""
+    sizes = [len(pool.features) for pool in pools]
+    return PatchSet(np.concatenate([pool.features for pool in pools]),
+                    np.concatenate([pool.coords for pool in pools]),
+                    np.repeat([pool.label for pool in pools], sizes),
+                    np.repeat([pool.image_id for pool in pools], sizes))
 
 
 def load_image_pools(csv_path, tensor_path) -> list[ImageFeatures]:
-    return group_rows_by_image(*_read_patch_files(csv_path, tensor_path))
+    """One pool per image id, in order of first appearance; coordinates keep their units."""
+    _, _, image_ids, labels, coords, feats = _read_patch_files(csv_path, tensor_path)
+    _, first = np.unique(image_ids, return_index=True)
+    pools = []
+    for image_id in image_ids[np.sort(first)].tolist():
+        rows = np.flatnonzero(image_ids == image_id)
+        found = np.unique(labels[rows]).tolist()
+        if len(found) != 1:
+            raise InvalidInputError(f"image {image_id} has conflicting labels {found}")
+        pools.append(ImageFeatures(image_id, found[0], feats[rows], coords[rows]))
+    return pools
 
 
-def sample_candidates(images, per_image, seed) -> list[Patch]:
+def sample_candidates(images, per_image, seed) -> PatchSet:
     """Sample ``per_image`` located patches from every image pool.
 
     Locations are drawn uniformly from each pool (without replacement
@@ -223,8 +260,7 @@ def sample_candidates(images, per_image, seed) -> list[Patch]:
         raise InvalidInputError(f"per_image must be >= 1, got {per_image}")
 
     seed_parts = [int(s) for s in np.atleast_1d(seed)]
-    patches = []
-    next_id = 0
+    sampled = []
     for img in images:
         n = len(img.features)
         if n == 0:
@@ -233,17 +269,6 @@ def sample_candidates(images, per_image, seed) -> list[Patch]:
         chosen = rng.choice(n, size=per_image, replace=n < per_image)
         lo = img.coords.min(axis=0)
         span = img.coords.max(axis=0) - lo
-        for i in chosen:
-            with np.errstate(invalid="ignore"):
-                norm = np.where(span > 0, (img.coords[i] - lo) / np.where(span > 0, span, 1.0), 0.5)
-            patches.append(
-                Patch(
-                    id=next_id,
-                    features=img.features[int(i)].copy(),
-                    coord=(float(norm[0]), float(norm[1])),
-                    label=img.label,
-                    image_id=img.image_id,
-                )
-            )
-            next_id += 1
-    return patches
+        norm = np.where(span > 0, (img.coords[chosen] - lo) / np.where(span > 0, span, 1.0), 0.5)
+        sampled.append(ImageFeatures(img.image_id, img.label, img.features[chosen], norm))
+    return pool_patches(sampled)

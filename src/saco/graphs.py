@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .data import PatchSet
 from .errors import DegenerateInputError, InvalidInputError
 
 MEDIAN_SAMPLE_PAIRS = 1000
@@ -106,7 +107,7 @@ def build_feature_affinity(patches, k_nn=50) -> AffinityGraph:
         raise InvalidInputError(f"need at least 2 patches, got {len(patches)}")
     if k_nn < 1:
         raise InvalidInputError(f"k_nn must be >= 1, got {k_nn}")
-    X = np.stack([np.asarray(p.features, dtype=np.float64) for p in patches])
+    X = PatchSet.of(patches).features
     bw = _median_pairwise_distance(X)
     if bw <= 0.0:
         raise DegenerateInputError(f"kernel bandwidth sigma={bw} is unusable")
@@ -121,5 +122,4 @@ def build_spatial_affinity(patches, k_nn=50, sigma=0.25) -> AffinityGraph:
         raise InvalidInputError(f"k_nn must be >= 1, got {k_nn}")
     if sigma <= 0.0:
         raise DegenerateInputError(f"spatial sigma={sigma} is unusable")
-    C = np.array([p.coord for p in patches], dtype=np.float64)
-    return AffinityGraph(_knn_gaussian(C, k_nn, float(sigma)))
+    return AffinityGraph(_knn_gaussian(PatchSet.of(patches).coords, k_nn, float(sigma)))

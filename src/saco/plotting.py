@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .data import PatchSet
 from .errors import InvalidInputError
 
 PALETTE = [
@@ -23,11 +24,15 @@ def _sy(y: float) -> str:
 
 
 def svg_scatter(patches, selected_ids=(), title="patch layout") -> str:
-    """Render patches colored by class, selected ids ringed in black."""
-    if not patches:
+    """Render patches colored by class, selected row positions ringed in black."""
+    patches = PatchSet.of(patches)
+    if not len(patches):
         raise InvalidInputError("nothing to plot")
-    selected = set(int(i) for i in selected_ids)
-    classes = sorted({p.label for p in patches})
+    selected = sorted(set(int(i) for i in selected_ids))
+    if selected and not (0 <= selected[0] and selected[-1] < len(patches)):
+        raise InvalidInputError(f"selected rows {selected} outside [0, {len(patches)})")
+    labels = patches.labels.tolist()
+    classes = sorted(set(labels))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE}" height="{_SIZE}" '
         f'viewBox="0 0 {_SIZE} {_SIZE}">',
@@ -36,18 +41,16 @@ def svg_scatter(patches, selected_ids=(), title="patch layout") -> str:
         f'fill="none" stroke="#888888" stroke-width="1"/>',
         f'<text x="{_PAD}" y="{_PAD - 12}" font-family="monospace" font-size="13">{title}</text>',
     ]
-    for p in patches:
-        color = PALETTE[p.label % len(PALETTE)]
+    for (x, y), label in zip(patches.coords.tolist(), labels):
         parts.append(
-            f'<circle cx="{_sx(p.coord[0])}" cy="{_sy(p.coord[1])}" r="3" '
-            f'fill="{color}" fill-opacity="0.55"/>'
+            f'<circle cx="{_sx(x)}" cy="{_sy(y)}" r="3" '
+            f'fill="{PALETTE[label % len(PALETTE)]}" fill-opacity="0.55"/>'
         )
-    for p in patches:
-        if p.id in selected:
-            parts.append(
-                f'<circle cx="{_sx(p.coord[0])}" cy="{_sy(p.coord[1])}" r="6" '
-                f'fill="none" stroke="black" stroke-width="1.6"/>'
-            )
+    for x, y in patches.coords[selected].tolist():
+        parts.append(
+            f'<circle cx="{_sx(x)}" cy="{_sy(y)}" r="6" '
+            f'fill="none" stroke="black" stroke-width="1.6"/>'
+        )
     for k, c in enumerate(classes):
         y = _PAD + 14 + 16 * k
         parts.append(

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import read_csv_rows
+from .data import PatchSet, read_csv_rows
 from .errors import InvalidInputError
 
 SELECTION_CSV_HEADER = "step,patch_id,gain,evaluations"
@@ -121,7 +121,7 @@ class SelectionState:
 
     @classmethod
     def for_patches(cls, patches, n_classes=None) -> "SelectionState":
-        return cls([p.label for p in patches], n_classes)
+        return cls(PatchSet.of(patches).labels, n_classes)
 
     # -- incremental engine -------------------------------------------------
 
@@ -331,19 +331,13 @@ class SelectionResult:
 
 
 def read_selection_ids(path, n_patches: int) -> list[int]:
-    """Patch ids, in selection order, from a CSV written by ``write_csv``.
+    """Patch row positions, in selection order, from a CSV written by ``write_csv``.
 
-    Every id must index one of ``n_patches`` patches; errors name the
+    Every id must index one of ``n_patches`` rows; errors name the
     file and line.
     """
     ids = []
-    for ln, parts in read_csv_rows(path, SELECTION_CSV_HEADER):
-        try:
-            pid = int(parts[1])
-        except (IndexError, ValueError):
-            pid = None
-        if len(parts) != 4 or pid is None:
-            raise InvalidInputError(f"{path}:{ln}: malformed row '{','.join(parts)}'")
+    for ln, (_, pid, _, _) in read_csv_rows(path, SELECTION_CSV_HEADER, (int, int, float, int)):
         if not 0 <= pid < n_patches:
             raise InvalidInputError(f"{path}:{ln}: patch id {pid} outside [0, {n_patches})")
         ids.append(pid)
@@ -437,10 +431,10 @@ def brute_force_opt(patches, S, L, weights, k, n_classes=None):
     Guarded to small instances; returns (ids, value) with the first
     maximizer in (size, lexicographic) enumeration order.
     """
-    m = len(patches)
+    labels = PatchSet.of(patches).labels
+    m = len(labels)
     if math.comb(m, min(k, m)) > 1_000_000:
         raise InvalidInputError(f"C({m},{k}) too large for exhaustive search")
-    labels = np.asarray([p.label for p in patches], dtype=np.int64)
     best_ids: tuple[int, ...] = ()
     best_val = 0.0
     for size in range(1, min(k, m) + 1):

@@ -205,6 +205,46 @@ def test_bad_selection_csv_names_file_and_line(blob_dataset, tmp_path, capsys, c
     assert f"{sel}:{line}: {detail}" in err
 
 
+# patch row to corrupt, its new CSV text (None: a NaN feature row instead),
+# and what the error must say after naming the file and the row's line
+BAD_PATCH_FILES = {
+    "non-numeric label": (0, "0,0,zero,0.5,0.5", "malformed row '0,0,zero,0.5,0.5'"),
+    "missing field": (1, "1,0,0.5,0.5", "malformed row '1,0,0.5,0.5'"),
+    "id past int64": (4, f"{2**63},0,0,0.5,0.5", f"malformed row '{2**63},0,0,0.5,0.5'"),
+    "nan coordinate": (2, "2,0,0,nan,0.5", "patch row 2: coord (nan, 0.5) outside [0,1]^2"),
+    "coordinate out of range": (3, "3,0,0,0.5,1.5", "patch row 3: coord (0.5, 1.5) outside"),
+    "nan feature": (5, None, "patch row 5: non-finite features"),
+}
+
+
+@pytest.mark.parametrize("command", ["select", "code", "plot-layout"])
+@pytest.mark.parametrize("case", sorted(BAD_PATCH_FILES))
+def test_bad_patch_file_names_file_and_line(blob_dataset, tmp_path, capsys, command, case):
+    row, new_text, detail = BAD_PATCH_FILES[case]
+    lines = (blob_dataset / "candidates_patches.csv").read_text().splitlines()
+    first = lines.index("id,image_id,label,x,y") + 1
+    feats = read_tensor(blob_dataset / "candidates_features.skt")
+    if new_text is None:
+        feats[row] = np.nan
+    else:
+        lines[first + row] = new_text
+    csv, skt = tmp_path / "bad.csv", tmp_path / "bad.skt"
+    csv.write_text("\n".join(lines) + "\n")
+    write_tensor(skt, feats)
+    if command == "select":
+        argv = select_args(tmp_path, tmp_path / "s.csv")
+        argv[argv.index("--features") + 1], argv[argv.index("--patches") + 1] = str(skt), str(csv)
+    elif command == "code":
+        argv = ["code", "--dict-features", str(skt), "--dict-patches", str(csv),
+                "--query-features", str(skt), "--query-patches", str(csv),
+                "--out", str(tmp_path / "c.skt")]
+    else:
+        argv = ["plot-layout", "--features", str(skt), "--patches", str(csv),
+                "--out", str(tmp_path / "p.svg")]
+    err = run_fail(capsys, argv)
+    assert f"{csv}:{first + row + 1}: {detail}" in err
+
+
 def pooled_problem(tmp_path, n=30):
     rng = np.random.default_rng(14)
     X = np.vstack([
@@ -250,10 +290,15 @@ class TestTrainPredict:
 
     def test_bad_image_header(self, tmp_path, capsys):
         feats, images = pooled_problem(tmp_path)
-        images.write_text("id,label\n0,0\n")
-        err = run_fail(capsys, ["train", "--features", str(feats),
-                                "--images", str(images), "--out", str(tmp_path / "m")])
-        assert "image_id,label" in err
+        for text, line, detail in [
+            ("id,label\n0,0\n", 1, "expected header 'image_id,label'"),
+            ("image_id,label\n0,0\n1,1,0\n", 3, "malformed row '1,1,0'"),
+            ("image_id,label\n0,0\n1,zero\n", 3, "malformed row '1,zero'"),
+        ]:
+            images.write_text(text)
+            err = run_fail(capsys, ["train", "--features", str(feats),
+                                    "--images", str(images), "--out", str(tmp_path / "m")])
+            assert f"{images}:{line}: {detail}" in err
 
 
 class TestPipeline:
@@ -336,3 +381,21 @@ class TestPlotLayout:
         root = ET.parse(out).getroot()
         assert root.tag.endswith("svg")
         assert len(list(root.iter())) > 10
+
+    def test_selection_rings_row_positions_not_the_id_column(self, tmp_path, capsys):
+        # selection ids are row positions; this file's id column is 10-13
+        patches, feats = tmp_path / "p.csv", tmp_path / "p.skt"
+        patches.write_text("id,image_id,label,x,y\n10,0,0,0.1,0.1\n11,0,0,0.25,0.75\n"
+                           "12,0,1,0.5,0.5\n13,0,1,0.9,0.9\n")
+        write_tensor(feats, np.eye(4))
+        sel = tmp_path / "sel.csv"
+        sel.write_text("step,patch_id,gain,evaluations\n0,1,0.5,4\n")
+        out = tmp_path / "layout.svg"
+        run_ok(capsys, ["plot-layout", "--features", str(feats), "--patches", str(patches),
+                        "--selection", str(sel), "--out", str(out)])
+        rings = [el for el in ET.parse(out).getroot().iter()
+                 if el.tag.endswith("circle") and el.get("fill") == "none"]
+        dots = [el for el in ET.parse(out).getroot().iter()
+                if el.tag.endswith("circle") and el.get("fill") != "none"]
+        assert len(rings) == 1
+        assert (rings[0].get("cx"), rings[0].get("cy")) == (dots[1].get("cx"), dots[1].get("cy"))

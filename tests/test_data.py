@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from saco.data import (
     Dictionary,
     ImageFeatures,
     Patch,
+    PatchSet,
     load_image_pools,
     load_patches,
     sample_candidates,
@@ -19,20 +22,73 @@ def _patch(i, feats, coord=(0.25, 0.75), label=0, image_id=0):
 
 
 class TestPatch:
+    """Patch rows are validated once, when they become a PatchSet."""
+
     def test_validate_accepts_good_patch(self):
-        _patch(0, [1.0, 2.0]).validate()
+        ps = PatchSet.of([_patch(0, [1.0, 2.0])])
+        assert len(ps) == 1 and ps[0].coord == (0.25, 0.75)
 
     def test_rejects_nan_features(self):
-        with pytest.raises(InvalidInputError):
-            _patch(0, [np.nan, 1.0]).validate()
+        with pytest.raises(InvalidInputError, match="patch row 1: non-finite features"):
+            PatchSet.of([_patch(0, [0.0, 1.0]), _patch(1, [np.nan, 1.0])])
 
     def test_rejects_coord_outside_unit_square(self):
-        with pytest.raises(InvalidInputError):
-            _patch(0, [1.0], coord=(1.5, 0.0)).validate()
+        with pytest.raises(InvalidInputError, match=r"patch row 0: coord \(1.5, 0.0\) outside"):
+            PatchSet.of([_patch(0, [1.0], coord=(1.5, 0.0))])
 
     def test_rejects_negative_label(self):
-        with pytest.raises(InvalidInputError):
-            _patch(0, [1.0], label=-1).validate()
+        with pytest.raises(InvalidInputError, match="patch row 0: negative id or label"):
+            PatchSet.of([_patch(0, [1.0], label=-1)])
+
+
+class TestPatchSet:
+    def _set(self, m=6):
+        rng = np.random.default_rng(5)
+        return PatchSet(rng.normal(size=(m, 3)), rng.uniform(size=(m, 2)), np.arange(m) % 2,
+                        np.arange(m) // 3, ids=10 + np.arange(m))
+
+    def test_rows_are_patch_views(self):
+        ps = self._set()
+        row = ps[4]
+        assert isinstance(row, Patch)
+        assert (row.id, row.label, row.image_id) == (14, 0, 1)
+        assert type(row.id) is int and type(row.coord[0]) is float
+        assert row.coord == tuple(ps.coords[4].tolist())
+        np.testing.assert_array_equal(row.features, ps.features[4])
+        assert [p.id for p in ps] == list(range(10, 16))
+
+    def test_index_array_gives_a_patch_set(self):
+        ps = self._set()
+        sub = ps[np.array([5, 1])]
+        assert isinstance(sub, PatchSet)
+        assert sub.ids.tolist() == [15, 11]
+        np.testing.assert_array_equal(sub.features, ps.features[[5, 1]])
+
+    def test_of_returns_a_patch_set_unchanged_and_stacks_patches_once(self):
+        ps = self._set()
+        assert PatchSet.of(ps) is ps
+        again = PatchSet.of(list(ps))
+        for name in ("features", "coords", "labels", "image_ids", "ids"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(ps, name))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("features", np.inf, "patch row 2: non-finite features"),
+        ("coords", np.nan, "patch row 2: coord"),
+        ("coords", -0.5, "patch row 2: coord"),
+        ("labels", -1, "patch row 2: negative id or label"),
+        ("ids", -1, "patch row 2: negative id or label"),
+    ])
+    def test_bad_row_is_named(self, field, value, message):
+        ps = self._set()
+        arrays = {name: getattr(ps, name).copy()
+                  for name in ("features", "coords", "labels", "image_ids", "ids")}
+        arrays[field][2] = value
+        with pytest.raises(InvalidInputError, match=message):
+            PatchSet(**arrays)
+
+    def test_row_counts_must_agree(self):
+        with pytest.raises(InvalidInputError, match="patch arrays disagree"):
+            PatchSet(np.zeros((3, 2)), np.zeros((3, 2)), [0, 0], [0, 0, 0])
 
 
 class TestCsvRoundtrip:
@@ -87,6 +143,28 @@ def test_group_rows_by_image_keeps_order(tmp_path):
     assert [p.image_id for p in pools] == [0, 1, 2]
     assert all(pool.features.shape == (3, 1) for pool in pools)
     assert pools[1].label == 1
+
+
+def test_load_patches_names_the_csv_line_of_a_bad_row(tmp_path):
+    patches = [_patch(i, [float(i), 1.0]) for i in range(3)]
+    csv, skt = tmp_path / "b.csv", tmp_path / "b.skt"
+    save_patches(csv, skt, patches, header_comments=["one comment line"])
+    csv.write_text(csv.read_text().replace("1,0,0,0.25", "1,0,0,nan"))
+    # line 1 is the comment and line 2 the header, so patch row 1 is line 4
+    message = f"{csv}:4: patch row 1: coord (nan, 0.75) outside [0,1]^2"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        load_patches(csv, skt)
+
+
+def test_image_pool_with_a_nan_row_names_image_and_row():
+    feats = np.ones((4, 3))
+    feats[2, 1] = np.nan
+    with pytest.raises(InvalidInputError, match="image 7: row 2 is not finite"):
+        ImageFeatures(image_id=7, label=0, features=feats, coords=np.zeros((4, 2)))
+    coords = np.zeros((4, 2))
+    coords[3, 0] = np.inf
+    with pytest.raises(InvalidInputError, match="image 7: row 3 is not finite"):
+        ImageFeatures(image_id=7, label=0, features=np.ones((4, 3)), coords=coords)
 
 
 def test_load_image_pools_rejects_mixed_labels(tmp_path):

@@ -51,3 +51,9 @@ def test_write_roundtrip(tmp_path):
     content = path.read_text()
     assert content.endswith("</svg>\n")
     ET.fromstring(content)
+
+
+@pytest.mark.parametrize("selected", [[-1], [12]])
+def test_selected_rows_outside_the_set_rejected(selected):
+    with pytest.raises(InvalidInputError, match="outside"):
+        svg_scatter(some_patches(12), selected)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import saco.selection as sel
-from saco.data import Patch
+from saco.data import Patch, PatchSet
 from saco.errors import InvalidInputError
 
 from conftest import make_graphs, make_patches
@@ -20,6 +20,22 @@ def test_lazy_equals_naive(seed):
     b = sel.lazy_greedy(patches, S, L, w, 8)
     assert a.ids == b.ids
     np.testing.assert_allclose(a.gains, b.gains, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_patch_list_and_patch_set_select_alike(seed):
+    patches = make_patches(seed, m=60, clustered=True)
+    as_set = PatchSet.of(patches)
+    S, L = make_graphs(patches, k_nn=8)
+    S2, L2 = make_graphs(as_set, k_nn=8)
+    for a, b in ((S, S2), (L, L2)):
+        assert (a.csr != b.csr).nnz == 0
+        np.testing.assert_array_equal(a.csr.data, b.csr.data)
+    w = sel.ObjectiveWeights()
+    a = sel.lazy_greedy(patches, S, L, w, 10)
+    b = sel.lazy_greedy(as_set, S2, L2, w, 10)
+    assert a.ids == b.ids
+    assert [repr(g) for g in a.gains] == [repr(g) for g in b.gains]
 
 
 def test_lazy_uses_fewer_evaluations():

@@ -1,4 +1,4 @@
-"""No module in the package or the test suite imports a name it never uses."""
+"""No module in the package, the test suite or the scripts imports a name it never uses."""
 
 import ast
 from pathlib import Path
@@ -7,7 +7,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
-    p for p in [*(ROOT / "src" / "saco").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    p for p in [*(ROOT / "src" / "saco").glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                *(ROOT / "scripts").glob("*.py")]
     if p.name != "__init__.py"  # re-exports
 )
 
