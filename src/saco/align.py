@@ -7,6 +7,12 @@ pixel distance.  Distances feed a reciprocal similarity with an epsilon
 floor, a k-medoids clustering of viewpoints, and per-image alignment to
 the nearest medoid.
 
+Each search rotates an image once per grid angle into a (T, 1600)
+frame stack.  One kernel gives the (q, T) distances from q targets to
+a stack; its stacked vector products sum exactly as ``np.linalg.norm``
+does.  ``align_to_medoid`` takes the first minimum over (cluster,
+angle), so ties go to the lowest cluster, then the earliest angle.
+
 Bilinear sampling is split into a plan and its application.  A plan
 holds, for every output pixel, the flat indices and weights of its four
 source corners; it depends only on the image shape and the angle (or
@@ -48,6 +54,11 @@ def _as_image(image) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise InvalidInputError(f"image must be a non-empty 2-D array, got shape {arr.shape}")
     return arr
+
+
+def _pixels(image) -> np.ndarray:
+    """The raster of a ``LabeledImage``, or ``image`` itself, as a 2-D float array."""
+    return _as_image(image.pixels if isinstance(image, LabeledImage) else image)
 
 
 def _theta_grid(theta_grid) -> np.ndarray:
@@ -146,18 +157,15 @@ def rotate_resize(image, theta_deg: float, size: int = WORK_SIZE) -> np.ndarray:
     return resize_image(rotate_image(image, theta_deg), size, size)
 
 
-def _min_rotation_distance(a40: np.ndarray, other, theta_grid) -> tuple[float, float]:
-    """min over theta of ||a40 - R_theta(other)||_2 and its argmin angle.
+def _frames(pixels: np.ndarray, theta_grid) -> np.ndarray:
+    """(T, s) stack: ``pixels`` at each grid angle in the working square, flattened."""
+    return np.stack([rotate_resize(pixels, t).ravel() for t in theta_grid])
 
-    Ties go to the earliest grid angle.
-    """
-    best_d = None
-    best_t = None
-    for t in theta_grid:
-        d = float(np.linalg.norm(a40 - rotate_resize(other, t)))
-        if best_d is None or d < best_d:
-            best_d, best_t = d, float(t)
-    return best_d, best_t
+
+def _distances(targets: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """(q, T) Euclidean distances from each of q flattened targets to each frame."""
+    diff = frames[None, :, :] - targets[:, None, :]
+    return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
 
 
 def pairwise_similarity(a, b, theta_grid, epsilon=DEFAULT_EPSILON) -> float:
@@ -170,11 +178,10 @@ def pairwise_similarity(a, b, theta_grid, epsilon=DEFAULT_EPSILON) -> float:
     if epsilon <= 0:
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
     grid = _theta_grid(theta_grid)
-    a40 = rotate_resize(a, 0.0)
-    b40 = rotate_resize(b, 0.0)
-    d_ab, _ = _min_rotation_distance(a40, b, grid)
-    d_ba, _ = _min_rotation_distance(b40, a, grid)
-    return 0.5 * (1.0 / (epsilon + d_ab) + 1.0 / (epsilon + d_ba))
+    a, b = _pixels(a), _pixels(b)
+    d_ab = _distances(rotate_resize(a, 0.0).ravel()[None], _frames(b, grid)).min()
+    d_ba = _distances(rotate_resize(b, 0.0).ravel()[None], _frames(a, grid)).min()
+    return float(0.5 * (1.0 / (epsilon + d_ab) + 1.0 / (epsilon + d_ba)))
 
 
 def dissimilarity_matrix(images, theta_grid, epsilon=DEFAULT_EPSILON) -> np.ndarray:
@@ -188,11 +195,9 @@ def dissimilarity_matrix(images, theta_grid, epsilon=DEFAULT_EPSILON) -> np.ndar
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
     grid = _theta_grid(theta_grid)
     n = len(images)
-    pixels = [img.pixels if isinstance(img, LabeledImage) else img for img in images]
+    pixels = [_pixels(img) for img in images]
     base = np.stack([rotate_resize(px, 0.0).ravel() for px in pixels])
-    rots = np.stack(
-        [np.stack([rotate_resize(px, t).ravel() for t in grid]) for px in pixels]
-    )  # (n, T, s)
+    rots = np.stack([_frames(px, grid) for px in pixels])  # (n, T, s)
     base_sq = np.einsum("is,is->i", base, base)
     rot_sq = np.einsum("its,its->it", rots, rots)
     dm = np.zeros((n, n))
@@ -211,12 +216,19 @@ class ViewpointModel:
     """Medoid exemplars for canonical viewpoints plus the search grid."""
 
     medoid_ids: list[int]
-    thumbnails: list[np.ndarray]  # 40x40 canonical frames
+    thumbnails: list[np.ndarray]  # WORK_SIZE x WORK_SIZE canonical frames
     theta_grid: np.ndarray
 
     def __post_init__(self):
         if len(self.medoid_ids) < 1:
             raise InvalidInputError("viewpoint model needs at least one medoid")
+        if len(self.thumbnails) != len(self.medoid_ids):
+            raise InvalidInputError(f"viewpoint model has {len(self.medoid_ids)} medoids but "
+                                    f"{len(self.thumbnails)} thumbnails")
+        for i, thumb in enumerate(self.thumbnails):
+            if np.shape(thumb) != (WORK_SIZE, WORK_SIZE):
+                raise InvalidInputError(f"thumbnail {i} must be {WORK_SIZE}x{WORK_SIZE}, "
+                                        f"got shape {np.shape(thumb)}")
         self.theta_grid = _theta_grid(self.theta_grid)
 
 
@@ -254,10 +266,9 @@ def k_medoids(images, k, theta_grid, seed, max_iter=100, epsilon=DEFAULT_EPSILON
         if new_medoids == medoids:
             break
         medoids = new_medoids
-    pixels = [img.pixels if isinstance(img, LabeledImage) else img for img in images]
     model = ViewpointModel(
         medoid_ids=list(medoids),
-        thumbnails=[rotate_resize(pixels[i], 0.0) for i in medoids],
+        thumbnails=[rotate_resize(_pixels(images[i]), 0.0) for i in medoids],
         theta_grid=grid,
     )
     return model, np.asarray(assign, dtype=np.int64), cost_history
@@ -272,17 +283,12 @@ def align_to_medoid(image, model: ViewpointModel):
     (aligned_image, cluster_index, theta_star) where the aligned image
     is the original raster rotated by theta_star.
     """
-    px = image.pixels if isinstance(image, LabeledImage) else image
-    px = _as_image(px)
-    rotated40 = [rotate_resize(px, t) for t in model.theta_grid]
-    best = None  # (distance, cluster, theta)
-    for ci, thumb in enumerate(model.thumbnails):
-        for ti, r40 in enumerate(rotated40):
-            d = float(np.linalg.norm(r40 - thumb))
-            if best is None or d < best[0]:
-                best = (d, ci, float(model.theta_grid[ti]))
-    _, cluster, theta = best
-    return rotate_image(px, theta), cluster, theta
+    px = _pixels(image)
+    thumbs = np.stack(model.thumbnails).reshape(len(model.thumbnails), -1)
+    dist = _distances(thumbs, _frames(px, model.theta_grid))  # (cluster, angle)
+    cluster, ti = np.unravel_index(int(dist.argmin()), dist.shape)
+    theta = float(model.theta_grid[ti])
+    return rotate_image(px, theta), int(cluster), theta
 
 
 # -- PGM files ----------------------------------------------------------------

@@ -35,23 +35,19 @@ class LinearSvmModel:
 
     weights: np.ndarray  # (C, dim)
     biases: np.ndarray   # (C,)
-    reg: float
-    epochs: int
-    seed: int
 
     @property
     def n_classes(self) -> int:
         return len(self.weights)
 
 
-def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300, seed=0):
+def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300):
     """Train one-vs-rest hinge classifiers by full-batch subgradient descent.
 
     The per-class objective is 0.5*reg*||w||^2 plus the mean hinge loss;
     epoch t takes one subgradient step of size 1/(reg*t) from a zero
-    start.  Full-batch steps make training deterministic and invariant
-    to duplicating the training set.  ``seed`` is recorded for
-    provenance in artifacts; the optimization itself draws nothing.
+    start.  Training draws nothing at random: full-batch steps make it
+    deterministic and invariant to duplicating the training set.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -76,7 +72,7 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300, seed=0):
             grad_b = -y_c[viol].sum() / n
             W[c] -= step * grad_w
             B[c] -= step * grad_b
-    return LinearSvmModel(W, B, float(reg), int(epochs), int(seed))
+    return LinearSvmModel(W, B)
 
 
 def svm_scores(model: LinearSvmModel, feature) -> np.ndarray:
@@ -111,8 +107,7 @@ def _class_residuals(X, encoder: Encoder, class_groups) -> np.ndarray:
     return residuals
 
 
-def src_classify(x, dictionary: Dictionary, class_groups=None, lambda1=0.01,
-                 tol=1e-6, max_iter=1000):
+def src_classify(x, dictionary: Dictionary, class_groups=None, lambda1=0.01):
     """Classify one patch by smallest per-class reconstruction residual.
 
     Codes ``x`` over the whole dictionary with uniform weights, then for
@@ -125,7 +120,7 @@ def src_classify(x, dictionary: Dictionary, class_groups=None, lambda1=0.01,
     if any(len(g) == 0 for g in class_groups):
         raise InvalidInputError("every class needs at least one atom")
     x = np.asarray(x, dtype=np.float64)
-    encoder = Encoder(dictionary, "iterative", lambda1, 0.0, None, tol, max_iter)
+    encoder = Encoder(dictionary, "iterative", lambda1, 0.0)
     residuals = _class_residuals(x[None], encoder, class_groups)[0]
     return int(residuals.argmin()), residuals
 
@@ -139,6 +134,17 @@ class PredictionRow:
     true_label: int
     predicted: int
     scores: np.ndarray
+
+
+def predictions_csv_lines(predictions: list[PredictionRow]) -> list[str]:
+    """Header and one line per prediction: ids, labels, then every score by ``repr``."""
+    n_scores = len(predictions[0].scores) if predictions else 0
+    header = "image_id,true_label,pred_label," + ",".join(f"score_{c}" for c in range(n_scores))
+    lines = [header]
+    for row in predictions:
+        scores = ",".join(repr(float(s)) for s in row.scores)
+        lines.append(f"{row.image_id},{row.true_label},{row.predicted},{scores}")
+    return lines
 
 
 @dataclass
@@ -155,15 +161,7 @@ class PipelineResult:
     coding: CodingDiagnostics = field(repr=False, default=None)
 
     def predictions_csv_lines(self) -> list[str]:
-        n_scores = len(self.predictions[0].scores) if self.predictions else 0
-        header = "image_id,true_label,pred_label," + ",".join(
-            f"score_{c}" for c in range(n_scores)
-        )
-        lines = [header]
-        for row in self.predictions:
-            scores = ",".join(repr(float(s)) for s in row.scores)
-            lines.append(f"{row.image_id},{row.true_label},{row.predicted},{scores}")
-        return lines
+        return predictions_csv_lines(self.predictions)
 
     def report_lines(self) -> list[str]:
         lines = ["# configuration"]
@@ -192,17 +190,14 @@ def build_encoder(dictionary: Dictionary, cfg: PipelineConfig) -> Encoder:
     return Encoder(dictionary, cfg.coder, cfg.lambda1, cfg.lambda2, weights)
 
 
-def encode_images(images, dictionary, encoder, cfg: PipelineConfig, seed_key: int,
+def encode_images(images, encoder: Encoder, cfg: PipelineConfig, seed_key: int,
                   diagnostics: CodingDiagnostics | None = None) -> np.ndarray:
     """Sample, code and pool each image into one pooled feature row.
 
-    Each image's patches are coded as one batch.  ``encoder`` of None
-    builds one from ``cfg``; each batch's diagnostics are added to
-    ``diagnostics`` when given.
+    Each image's patches are coded as one batch; each batch's
+    diagnostics are added to ``diagnostics`` when given.
     """
-    if encoder is None:
-        encoder = build_encoder(dictionary, cfg)
-    pooled = np.empty((len(images), dictionary.n_atoms))
+    pooled = np.empty((len(images), encoder.dictionary.n_atoms))
     for i, img in enumerate(images):
         patches = sample_candidates([img], cfg.patches_per_image, [cfg.seed, seed_key])
         codes, diag = encoder.encode(patches.features, patches.coords)
@@ -245,18 +240,14 @@ def run_pipeline(train_images, test_images, cfg: PipelineConfig) -> PipelineResu
 
     encoder = _stage("coder", build_encoder, dictionary, cfg)
     coding = CodingDiagnostics()
-    train_feats = _stage("encode-train", encode_images, train_images, dictionary, encoder, cfg, 2,
-                         coding)
-    test_feats = _stage("encode-test", encode_images, test_images, dictionary, encoder, cfg, 3,
-                        coding)
+    train_feats = _stage("encode-train", encode_images, train_images, encoder, cfg, 2, coding)
+    test_feats = _stage("encode-test", encode_images, test_images, encoder, cfg, 3, coding)
 
     train_labels = np.array([img.label for img in train_images], dtype=np.int64)
     test_labels = np.array([img.label for img in test_images], dtype=np.int64)
     n_classes = int(max(train_labels.max(), test_labels.max())) + 1
-    model = _stage(
-        "svm", svm_train, train_feats, train_labels, n_classes, cfg.svm_reg, cfg.svm_epochs,
-        cfg.seed,
-    )
+    model = _stage("svm", svm_train, train_feats, train_labels, n_classes, cfg.svm_reg,
+                   cfg.svm_epochs)
 
     predictions = []
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)

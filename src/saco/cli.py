@@ -22,7 +22,9 @@ from . import align as al
 from . import synth
 from .classify import (
     LinearSvmModel,
+    PredictionRow,
     build_encoder,
+    predictions_csv_lines,
     run_pipeline,
     svm_predict,
     svm_train,
@@ -171,7 +173,7 @@ def cmd_train(args) -> int:
     labels = [lab for _, lab in _read_image_labels(args.images)]
     if len(feats) != len(labels):
         raise InvalidInputError(f"{len(feats)} feature rows vs {len(labels)} labels")
-    model = svm_train(feats, labels, reg=cfg.svm_reg, epochs=cfg.svm_epochs, seed=cfg.seed)
+    model = svm_train(feats, labels, reg=cfg.svm_reg, epochs=cfg.svm_epochs)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_tensor(str(prefix) + ".w.skt", model.weights)
@@ -189,7 +191,14 @@ def _load_model(prefix) -> LinearSvmModel:
     _require_files(str(prefix) + ".w.skt", str(prefix) + ".b.skt")
     W = read_tensor(str(prefix) + ".w.skt").astype(np.float64)
     b = read_tensor(str(prefix) + ".b.skt").astype(np.float64)
-    return LinearSvmModel(W, b, reg=0.0, epochs=0, seed=0)
+    return LinearSvmModel(W, b)
+
+
+def _write_predictions(path, cfg: PipelineConfig, predictions) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in cfg.echo_lines():
+            fh.write(f"# {line}\n")
+        fh.write("\n".join(predictions_csv_lines(predictions)) + "\n")
 
 
 def cmd_predict(args) -> int:
@@ -198,25 +207,14 @@ def cmd_predict(args) -> int:
     model = _load_model(args.model)
     feats = read_tensor(args.features).astype(np.float64)
     pairs = _read_image_labels(args.images)
+    if not pairs:
+        raise InvalidInputError(f"{args.images}: no labeled images to predict")
     if len(feats) != len(pairs):
         raise InvalidInputError(f"{len(feats)} feature rows vs {len(pairs)} labeled images")
-    n_hit = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for line in cfg.echo_lines():
-            fh.write(f"# {line}\n")
-        fh.write(
-            "image_id,true_label,pred_label,"
-            + ",".join(f"score_{c}" for c in range(model.n_classes))
-            + "\n"
-        )
-        for (image_id, true_label), f in zip(pairs, feats):
-            pred, scores = svm_predict(model, f)
-            n_hit += int(pred == true_label)
-            fh.write(
-                f"{image_id},{true_label},{pred},"
-                + ",".join(repr(float(s)) for s in scores)
-                + "\n"
-            )
+    predictions = [PredictionRow(image_id, true_label, *svm_predict(model, f))
+                   for (image_id, true_label), f in zip(pairs, feats)]
+    _write_predictions(args.out, cfg, predictions)
+    n_hit = sum(row.predicted == row.true_label for row in predictions)
     print(f"accuracy {n_hit / len(pairs):.4f} on {len(pairs)} images -> {args.out}")
     return 0
 
@@ -246,10 +244,7 @@ def cmd_pipeline(args) -> int:
         result.dictionary.atoms,
         header_comments=cfg.echo_lines(),
     )
-    with open(out / "predictions.csv", "w", encoding="utf-8") as fh:
-        for line in cfg.echo_lines():
-            fh.write(f"# {line}\n")
-        fh.write("\n".join(result.predictions_csv_lines()) + "\n")
+    _write_predictions(out / "predictions.csv", cfg, result.predictions)
     with open(out / "report.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(result.report_lines()) + "\n")
     print(f"pipeline accuracy {result.accuracy:.4f} -> {out}")

@@ -64,11 +64,11 @@ class SpatialWeightConfig:
 
     def __post_init__(self):
         if self.kernel not in WEIGHT_KERNELS:
-            raise InvalidConfigError(f"unknown weight kernel '{self.kernel}'")
+            raise InvalidConfigError(f"unknown weight_kernel '{self.kernel}'")
         if self.scale <= 0:
-            raise InvalidConfigError(f"weight scale must be > 0, got {self.scale}")
+            raise InvalidConfigError(f"weight_scale must be > 0, got {self.scale}")
         if self.epsilon < 0:
-            raise InvalidConfigError(f"weight epsilon must be >= 0, got {self.epsilon}")
+            raise InvalidConfigError(f"weight_epsilon must be >= 0, got {self.epsilon}")
 
 
 def _weight_rows(coords, atom_coords, config: SpatialWeightConfig) -> np.ndarray:
@@ -99,23 +99,21 @@ def _check_lambdas(lambda1, lambda2):
 
 @dataclass
 class Coder:
-    """A dictionary with its pseudo-inverse and coding hyperparameters."""
+    """A dictionary with its pseudo-inverse and saco1's shrinkage weight."""
 
     dictionary: Dictionary
     omega: np.ndarray
     lambda1: float
-    lambda2: float
     sigma_lower: float
-    condition: float
 
     @classmethod
-    def build(cls, dictionary: Dictionary, lambda1: float, lambda2: float = 0.0) -> "Coder":
+    def build(cls, dictionary: Dictionary, lambda1: float) -> "Coder":
         """Factor D once and derive Omega via QR (no explicit inverse).
 
         Requires at least as many feature dimensions as atoms; warns
         when cond(D^T D) exceeds 1e8 and fails on rank deficiency.
         """
-        _check_lambdas(lambda1, lambda2)
+        _check_lambdas(lambda1, 0.0)
         D = dictionary.matrix
         p, m = D.shape
         if p < m:
@@ -141,7 +139,7 @@ class Coder:
         # whenever p > m (the residual space has a null direction), else
         # the smallest of the m singular values.
         sigma_lower = 0.0 if p > m else float(scipy.linalg.svdvals(omega)[-1])
-        return cls(dictionary, omega, float(lambda1), float(lambda2), sigma_lower, condition)
+        return cls(dictionary, omega, float(lambda1), sigma_lower)
 
 
 def _check_query(x, dictionary):
@@ -475,7 +473,7 @@ class Encoder:
         p, m = self.dictionary.matrix.shape
         self.coder = self._outer = self._lip = None
         if self.method == "saco1":
-            self.coder = Coder.build(self.dictionary, self.lambda1, self.lambda2)
+            self.coder = Coder.build(self.dictionary, self.lambda1)
         elif self.method == "saco2" and p < m and self.lambda2 > 0:
             self._outer = _atom_outer(self.dictionary.matrix)
         elif self.method == "iterative" and (self.weights is None or self.lambda2 == 0):

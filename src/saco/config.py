@@ -10,7 +10,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .errors import InvalidConfigError
+from .coding import CODERS, SpatialWeightConfig, _check_lambdas
+from .errors import InvalidConfigError, InvalidInputError
+from .selection import ObjectiveWeights
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -69,7 +71,7 @@ class PipelineConfig:
     lambda_c: float = 1.0
     dict_size: int = 300
     selection: str = "greedy"       # or "random"
-    coder: str = "saco2"            # "saco1" | "saco2" | "iterative"
+    coder: str = "saco2"            # one of coding.CODERS
     lambda1: float = 0.1
     lambda2: float = 1.0
     weight_kernel: str = "linear"   # or "one-minus-gaussian"
@@ -82,12 +84,22 @@ class PipelineConfig:
     def __post_init__(self):
         if self.selection not in ("greedy", "random"):
             raise InvalidConfigError(f"unknown selection mode '{self.selection}'")
-        if self.coder not in ("saco1", "saco2", "iterative"):
+        if self.coder not in CODERS:
             raise InvalidConfigError(f"unknown coder '{self.coder}'")
         for name in ("candidates_per_image", "patches_per_image", "k_nn", "dict_size",
                      "svm_epochs"):
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"{name} must be >= 1")
+        for name in ("spatial_sigma", "svm_reg"):
+            if not getattr(self, name) > 0:
+                raise InvalidConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        # the stages' own checks, run here so a bad value fails before any work
+        SpatialWeightConfig(self.weight_kernel, self.weight_epsilon, self.weight_scale)
+        try:
+            ObjectiveWeights(self.lambda_s, self.lambda_d, self.lambda_b, self.lambda_c)
+            _check_lambdas(self.lambda1, self.lambda2)
+        except InvalidInputError as exc:
+            raise InvalidConfigError(str(exc)) from exc
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "PipelineConfig":

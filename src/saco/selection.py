@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -315,7 +315,7 @@ class SelectionResult:
     ids: list[int]
     gains: list[float]
     n_evaluations: int
-    cumulative_evals: list[int] = field(default_factory=list)
+    cumulative_evals: list[int]  # n_evaluations when each step committed
 
     def objective(self) -> float:
         return float(sum(self.gains))
@@ -325,8 +325,7 @@ class SelectionResult:
             for line in header_comments:
                 fh.write(f"# {line}\n")
             fh.write(SELECTION_CSV_HEADER + "\n")
-            for s, (pid, g) in enumerate(zip(self.ids, self.gains)):
-                evals = self.cumulative_evals[s] if s < len(self.cumulative_evals) else self.n_evaluations
+            for s, (pid, g, evals) in enumerate(zip(self.ids, self.gains, self.cumulative_evals)):
                 fh.write(f"{s},{pid},{float(g)!r},{evals}\n")
 
 
@@ -350,13 +349,13 @@ def _greedy_state(patches, k, n_classes) -> SelectionState:
     return SelectionState.for_patches(patches, n_classes)
 
 
-def naive_greedy(patches, S, L, weights, k, n_classes=None, verify=False) -> SelectionResult:
+def naive_greedy(patches, S, L, weights, k, n_classes=None) -> SelectionResult:
     """Re-score every unselected candidate each round; pick the best.
 
     Stops when ``k`` exemplars are chosen, the pool is exhausted, or the
-    best gain is negative.  Ties go to the lowest patch id.  With
-    ``verify`` each committed gain is re-checked against the difference
-    of from-scratch evaluations.
+    best gain is negative.  Ties go to the lowest patch id.  Each
+    committed gain equals, up to rounding, the difference of
+    ``evaluate_ids`` on the selection before and after it.
     """
     state = _greedy_state(patches, k, n_classes)
     gains: list[float] = []
@@ -374,16 +373,7 @@ def naive_greedy(patches, S, L, weights, k, n_classes=None, verify=False) -> Sel
                 best_gain, best_id = g, cand
         if best_id is None or best_gain < 0:
             break
-        if verify:
-            before = evaluate(state, S, L, weights)
-        committed = state._delta(best_id, S, L, weights, commit=True)
-        if verify:
-            after = evaluate(state, S, L, weights)
-            if abs(committed - (after - before)) > 1e-9:
-                raise AssertionError(
-                    f"incremental gain {committed} != evaluation difference {after - before}"
-                )
-        gains.append(float(committed))
+        gains.append(float(state._delta(best_id, S, L, weights, commit=True)))
         cumulative_evals.append(n_evals)
     return SelectionResult(list(state.selected), gains, n_evals, cumulative_evals)
 

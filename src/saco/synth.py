@@ -55,15 +55,15 @@ def _orthonormal_rows(n_rows: int, dim: int, rng) -> np.ndarray:
 
 
 def make_spatial_texture(n_classes=3, train_per_class=20, test_per_class=20,
-                         pool_size=120, feature_dim=64, n_textures=4,
-                         noise=0.05, noise_hi=None, junk_fraction=0.0, seed=0):
+                         pool_size=120, feature_dim=64, noise=0.05, noise_hi=None,
+                         junk_fraction=0.0, seed=0):
     """Location-coded texture dataset; returns (train, test, meta).
 
-    The unit square splits into quadrant zones.  Class ``c`` places
-    texture ``(zone + c) % n_textures`` in zone ``zone``; every image
-    draws an equal number of patches from each zone, so the per-image
-    texture histogram is exactly uniform for every class and only the
-    (texture, location) joint distribution carries the class.
+    The unit square splits into four quadrant zones, one per texture.
+    Class ``c`` places texture ``(zone + c) % 4`` in zone ``zone``; every
+    image draws an equal number of patches from each zone, so the
+    per-image texture histogram is exactly uniform for every class and
+    only the (texture, location) joint distribution carries the class.
 
     When ``junk_fraction`` > 0, that fraction of patches (chosen at
     random, independent of class and zone) is corrupted with noise level
@@ -71,18 +71,16 @@ def make_spatial_texture(n_classes=3, train_per_class=20, test_per_class=20,
     then form a minority worth seeking out, so dictionary quality
     depends on the selection strategy rather than on luck alone.
     """
-    if n_textures != 4:
-        raise InvalidInputError("zones are quadrants; n_textures must be 4")
     if pool_size % 4 != 0:
         raise InvalidInputError(f"pool_size must be divisible by 4, got {pool_size}")
-    if feature_dim < n_textures:
-        raise InvalidInputError("feature_dim must be >= n_textures")
+    if feature_dim < 4:
+        raise InvalidInputError(f"feature_dim must be >= 4 (one per texture), got {feature_dim}")
     if not 0.0 <= junk_fraction < 1.0:
         raise InvalidInputError(f"junk_fraction must be in [0, 1), got {junk_fraction}")
     if noise_hi is None:
         noise_hi = noise
     rng = np.random.default_rng(seed)
-    prototypes = _orthonormal_rows(n_textures, feature_dim, rng)
+    prototypes = _orthonormal_rows(4, feature_dim, rng)
 
     zone_lo = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
     per_zone = pool_size // 4
@@ -92,7 +90,7 @@ def make_spatial_texture(n_classes=3, train_per_class=20, test_per_class=20,
         feats = np.empty((pool_size, feature_dim))
         row = 0
         for zone in range(4):
-            texture = (zone + label) % n_textures
+            texture = (zone + label) % 4
             offs = rng.uniform(0.0, 0.5, size=(per_zone, 2))
             coords[row : row + per_zone] = zone_lo[zone] + offs
             sigma = np.where(

@@ -8,6 +8,7 @@ import pytest
 import saco.align as al
 from saco.data import LabeledImage
 from saco.errors import InvalidInputError
+from saco.synth import make_viewpoints
 
 
 def random_images(seed, n=6, size=12):
@@ -57,10 +58,49 @@ def reference_resize(img, out_h, out_w):
     return reference_bilinear_sample(img, gx, gy)
 
 
+def reference_min_rotation_distance(a40, other, theta_grid):
+    """min over theta of ||a40 - R_theta(other)||_2 and its argmin angle, one
+    rotation at a time: the reference for the frame-stack search.
+
+    Ties go to the earliest grid angle.
+    """
+    best_d = None
+    best_t = None
+    for t in theta_grid:
+        d = float(np.linalg.norm(a40 - al.rotate_resize(other, t)))
+        if best_d is None or d < best_d:
+            best_d, best_t = d, float(t)
+    return best_d, best_t
+
+
 def directional_distance(a, b, grid):
-    """Independent re-statement of the one-sided rotation search."""
-    a40 = al.rotate_resize(a, 0.0)
-    return min(float(np.linalg.norm(a40 - al.rotate_resize(b, t))) for t in grid)
+    return reference_min_rotation_distance(al.rotate_resize(a, 0.0), b, grid)[0]
+
+
+def reference_pairwise_similarity(a, b, grid):
+    eps = al.DEFAULT_EPSILON
+    return 0.5 * (1.0 / (eps + directional_distance(a, b, grid))
+                  + 1.0 / (eps + directional_distance(b, a, grid)))
+
+
+def reference_align_to_medoid(px, model):
+    """The (cluster, angle) scan as a double loop: the reference for align_to_medoid."""
+    rotated40 = [al.rotate_resize(px, t) for t in model.theta_grid]
+    best = None  # (distance, cluster, theta)
+    for ci, thumb in enumerate(model.thumbnails):
+        for ti, r40 in enumerate(rotated40):
+            d = float(np.linalg.norm(r40 - thumb))
+            if best is None or d < best[0]:
+                best = (d, ci, float(model.theta_grid[ti]))
+    _, cluster, theta = best
+    return al.rotate_image(px, theta), cluster, theta
+
+
+def search_inputs(kind):
+    if kind == "random":
+        return random_images(21, n=6)
+    images, _, _ = make_viewpoints(per_view=10)
+    return [img.pixels for img in images]
 
 
 class TestThetaGrid:
@@ -396,6 +436,36 @@ class TestAlignToMedoid:
             al.ViewpointModel([], [], al.default_theta_grid())
         with pytest.raises(InvalidInputError):
             al.ViewpointModel([0], [np.zeros((40, 40))], np.array([0.0, 360.0]))
+        with pytest.raises(InvalidInputError, match="2 medoids but 1 thumbnails"):
+            al.ViewpointModel([0, 1], [np.zeros((40, 40))], al.default_theta_grid())
+        with pytest.raises(InvalidInputError, match=r"thumbnail 1 must be 40x40, got shape \(20, 20\)"):
+            al.ViewpointModel([0, 1], [np.zeros((40, 40)), np.zeros((20, 20))],
+                              al.default_theta_grid())
+
+
+@pytest.mark.parametrize("kind", ["random", "viewpoints"])
+class TestSearchMatchesReference:
+    """The frame-stack search returns the one-rotation-at-a-time loops' bits."""
+
+    def test_pairwise_similarity(self, kind):
+        imgs = search_inputs(kind)
+        grid = al.default_theta_grid()
+        for a, b in zip(imgs, imgs[1:]):
+            got = al.pairwise_similarity(a, b, grid)
+            assert type(got) is float
+            assert got == reference_pairwise_similarity(a, b, grid)
+
+    def test_align_to_medoid(self, kind):
+        imgs = search_inputs(kind)
+        model, _, _ = al.k_medoids(imgs, 2, al.default_theta_grid(), seed=0)
+        # a repeated thumbnail ties clusters; a blank image ties every angle
+        tied = al.ViewpointModel([0, 1], [model.thumbnails[0]] * 2, model.theta_grid)
+        for m in (model, tied):
+            for px in imgs + [np.zeros_like(imgs[0])]:
+                got, want = al.align_to_medoid(px, m), reference_align_to_medoid(px, m)
+                assert got[1:] == want[1:]
+                assert type(got[1]) is int and type(got[2]) is float
+                assert got[0].tobytes() == want[0].tobytes()
 
 
 class TestPgm:

@@ -60,7 +60,7 @@ class TestSvm:
 
         # training is deterministic from a zero start, so the model after t
         # epochs is the t-th iterate of any longer run
-        zero = cl.LinearSvmModel(np.zeros((2, 2)), np.zeros(2), 0.1, 0, 0)
+        zero = cl.LinearSvmModel(np.zeros((2, 2)), np.zeros(2))
         hist = [objective(zero)] + [objective(cl.svm_train(X, y, reg=0.1, epochs=t))
                                     for t in range(1, 151)]
         # zero weights score a flat hinge of one on every sample
@@ -77,7 +77,7 @@ class TestSvm:
         assert cl.svm_scores(model, X[0]).shape == (4,)
 
     def test_tie_goes_to_lowest_class(self):
-        model = cl.LinearSvmModel(np.zeros((3, 2)), np.zeros(3), 1.0, 1, 0)
+        model = cl.LinearSvmModel(np.zeros((3, 2)), np.zeros(3))
         pred, scores = cl.svm_predict(model, np.array([0.4, -0.2]))
         assert pred == 0
         np.testing.assert_array_equal(scores, np.zeros(3))
@@ -202,7 +202,7 @@ class TestPipeline:
         train, _, _ = tiny_dataset()
         cfg = tiny_config()
         r = cl.run_pipeline(train, train, cfg)
-        feats = cl.encode_images(train[:3], r.dictionary, None, cfg, seed_key=9)
+        feats = cl.encode_images(train[:3], cl.build_encoder(r.dictionary, cfg), cfg, seed_key=9)
         assert feats.shape == (3, r.dictionary.n_atoms)
 
     def test_artifact_lines(self):

@@ -288,6 +288,19 @@ class TestTrainPredict:
                                 "--images", str(images), "--out", str(tmp_path / "m")])
         assert "feature rows" in err
 
+    def test_predict_rejects_an_empty_image_list(self, tmp_path, capsys):
+        feats, images = pooled_problem(tmp_path)
+        prefix = tmp_path / "model"
+        run_ok(capsys, ["train", "--features", str(feats), "--images", str(images),
+                        "--out", str(prefix)])
+        write_tensor(feats, np.zeros((0, 2)))
+        images.write_text("image_id,label\n")
+        out = tmp_path / "pred.csv"
+        err = run_fail(capsys, ["predict", "--model", str(prefix), "--features", str(feats),
+                                "--images", str(images), "--out", str(out)])
+        assert f"InvalidInputError: {images}: no labeled images" in err
+        assert not out.exists()
+
     def test_bad_image_header(self, tmp_path, capsys):
         feats, images = pooled_problem(tmp_path)
         for text, line, detail in [

@@ -99,6 +99,15 @@ class TestPipelineConfig:
         with pytest.raises(InvalidConfigError):
             PipelineConfig(k_nn=-3)
 
+    @pytest.mark.parametrize("key,value", [
+        ("weight_kernel", "gauss"), ("weight_scale", 0.0), ("weight_epsilon", -0.1),
+        ("spatial_sigma", 0.0), ("spatial_sigma", float("nan")), ("svm_reg", 0.0),
+        ("lambda_s", -1.0), ("lambda_c", float("inf")), ("lambda1", -0.1), ("lambda2", -1.0),
+    ])
+    def test_stage_values_rejected_at_construction(self, key, value):
+        with pytest.raises(InvalidConfigError, match=key):
+            PipelineConfig(**{key: value})
+
     def test_echo_lines_sorted_and_complete(self):
         cfg = PipelineConfig()
         lines = cfg.echo_lines()

@@ -16,10 +16,14 @@ def test_lazy_equals_naive(seed):
     patches = make_patches(seed, m=40, clustered=True)
     S, L = make_graphs(patches, k_nn=8)
     w = sel.ObjectiveWeights(lambda_d=0.0, lambda_c=0.0)
-    a = sel.naive_greedy(patches, S, L, w, 8, verify=True)
+    a = sel.naive_greedy(patches, S, L, w, 8)
     b = sel.lazy_greedy(patches, S, L, w, 8)
     assert a.ids == b.ids
     np.testing.assert_allclose(a.gains, b.gains, atol=1e-12)
+    # every committed gain is the step's difference of from-scratch values
+    labels = PatchSet.of(patches).labels
+    values = [sel.evaluate_ids(a.ids[:s], S, L, labels, w) for s in range(len(a.ids) + 1)]
+    np.testing.assert_allclose(a.gains, np.diff(values), rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -121,8 +121,6 @@ class TestSpatialTexture:
         with pytest.raises(InvalidInputError):
             sy.make_spatial_texture(pool_size=30)  # not divisible by 4
         with pytest.raises(InvalidInputError):
-            sy.make_spatial_texture(n_textures=3)
-        with pytest.raises(InvalidInputError):
             sy.make_spatial_texture(feature_dim=2)
         with pytest.raises(InvalidInputError):
             sy.make_spatial_texture(junk_fraction=1.0)
