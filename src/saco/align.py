@@ -44,7 +44,7 @@ PLAN_CACHE_SIZE = 48
 
 
 def default_theta_grid(step=10.0) -> np.ndarray:
-    if step <= 0 or step > 360:
+    if not 0 < step <= 360:
         raise InvalidInputError(f"theta step must be in (0, 360], got {step}")
     return np.arange(0.0, 360.0, step)
 
@@ -175,7 +175,7 @@ def pairwise_similarity(a, b, theta_grid, epsilon=DEFAULT_EPSILON) -> float:
     and the same with the roles swapped.  Identical images score
     exactly 1/epsilon when the grid contains 0.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
     grid = _theta_grid(theta_grid)
     a, b = _pixels(a), _pixels(b)
@@ -191,7 +191,7 @@ def dissimilarity_matrix(images, theta_grid, epsilon=DEFAULT_EPSILON) -> np.ndar
     directional minima; the diagonal is zero by convention so that
     trivial clusterings have zero cost.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
     grid = _theta_grid(theta_grid)
     n = len(images)

@@ -53,12 +53,12 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300):
     y = np.asarray(labels, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
         raise InvalidInputError(f"features {X.shape} / labels {y.shape} mismatch")
-    if reg <= 0 or epochs < 1:
+    if not (reg > 0 and epochs >= 1):
         raise InvalidInputError(f"bad SVM settings reg={reg}, epochs={epochs}")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
     if np.unique(y).size < 2:
         raise InvalidInputError("SVM training needs at least two classes present")
+    if n_classes is None:
+        n_classes = int(y.max()) + 1
     n, dim = X.shape
     W = np.zeros((n_classes, dim))
     B = np.zeros(n_classes)

@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: gen, select, code, train, predict, pipeline, bench-greedy,
-plot-layout.  Configuration comes from an optional flat key-value file
-plus repeated ``--set key=value`` overrides; the seed falls back to the
-``SACO_SEED`` environment variable when not given explicitly.  Every
-artifact header echoes the resolved configuration, and identical seeds
-produce byte-identical artifacts.
+plot-layout.  All but plot-layout take ``--seed`` (falling back to the
+``SACO_SEED`` environment variable); select, code, train, predict and
+pipeline also read an optional flat key-value file plus repeated ``--set
+key=value`` overrides.  Every artifact header echoes the resolved
+configuration, and identical seeds produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .tensorio import read_tensor, write_tensor
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("SACO_SEED")
     if env is not None:
@@ -59,8 +59,8 @@ def _resolve_seed(args) -> int:
 
 
 def _resolve_config(args) -> PipelineConfig:
-    mapping = read_config_file(args.config) if getattr(args, "config", None) else {}
-    mapping = apply_overrides(mapping, getattr(args, "set", None))
+    mapping = read_config_file(args.config) if args.config else {}
+    mapping = apply_overrides(mapping, args.set)
     if "seed" not in mapping:
         mapping["seed"] = str(_resolve_seed(args))
     return PipelineConfig.from_mapping(mapping)
@@ -163,7 +163,10 @@ def cmd_code(args) -> int:
 
 
 def _read_image_labels(path) -> list[tuple[int, int]]:
-    return [pair for _, pair in read_csv_rows(path, "image_id,label", (int, int))]
+    pairs = [pair for _, pair in read_csv_rows(path, "image_id,label", (int, int))]
+    if not pairs:
+        raise InvalidInputError(f"{path}: no labeled images")
+    return pairs
 
 
 def cmd_train(args) -> int:
@@ -207,8 +210,6 @@ def cmd_predict(args) -> int:
     model = _load_model(args.model)
     feats = read_tensor(args.features).astype(np.float64)
     pairs = _read_image_labels(args.images)
-    if not pairs:
-        raise InvalidInputError(f"{args.images}: no labeled images to predict")
     if len(feats) != len(pairs):
         raise InvalidInputError(f"{len(feats)} feature rows vs {len(pairs)} labeled images")
     predictions = [PredictionRow(image_id, true_label, *svm_predict(model, f))
@@ -320,9 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def seed(p):
         p.add_argument("--seed", type=int, default=None,
                        help="random seed (falls back to SACO_SEED, then 0)")
+
+    def common(p):
+        seed(p)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
@@ -337,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pool-size", type=int, default=120)
     p.add_argument("--feature-dim", type=int, default=64)
     p.add_argument("--per-view", type=int, default=30)
-    common(p)
+    seed(p)
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("select", help="greedy exemplar selection")
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=600)
     p.add_argument("--k-nn", type=int, default=50)
     p.add_argument("--lazy-only", action="store_true")
-    common(p)
+    seed(p)
     p.set_defaults(fn=cmd_bench_greedy)
 
     p = sub.add_parser("plot-layout", help="SVG scatter of patches and selected exemplars")
@@ -396,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selection", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--title", default="patch layout")
-    common(p)
     p.set_defaults(fn=cmd_plot_layout)
 
     return parser

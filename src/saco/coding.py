@@ -31,6 +31,12 @@ into one call per block.  Both paths solve as many rows per block as
 fit in ``SOLVE_BLOCK_DOUBLES``.  ISTA updates the whole batch, freezing
 each row at its own stopping test.  The one-row coders run the same
 kernels, and a row's saco1 code does not depend on how rows are batched.
+
+Every public entry checks its input by one rule, in ``_rows``: features
+(N, p) finite, weights (N, m) finite and >= 0, locations finite where
+weights are computed from them; the error names the first bad row.
+Scalars are checked as their accepted range, so NaN fails: lambda1 and
+lambda2 finite and >= 0, tol > 0, max_iter >= 1.
 """
 
 from __future__ import annotations
@@ -65,10 +71,10 @@ class SpatialWeightConfig:
     def __post_init__(self):
         if self.kernel not in WEIGHT_KERNELS:
             raise InvalidConfigError(f"unknown weight_kernel '{self.kernel}'")
-        if self.scale <= 0:
+        if not self.scale > 0:
             raise InvalidConfigError(f"weight_scale must be > 0, got {self.scale}")
-        if self.epsilon < 0:
-            raise InvalidConfigError(f"weight_epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < np.inf:
+            raise InvalidConfigError(f"weight_epsilon must be finite and >= 0, got {self.epsilon}")
 
 
 def _weight_rows(coords, atom_coords, config: SpatialWeightConfig) -> np.ndarray:
@@ -79,12 +85,50 @@ def _weight_rows(coords, atom_coords, config: SpatialWeightConfig) -> np.ndarray
     return config.epsilon + 1.0 - np.exp(-(d * d) / (2.0 * config.scale * config.scale))
 
 
+def _reject_rows(bad, what):
+    if bad.any():
+        raise InvalidInputError(f"row {bad.argmax()}: {what}")
+
+
+def _rows(d: Dictionary, X=None, W=None, coords=None, config=None, ndim=2):
+    """The one input check of every public entry: float64 rows X (N, p), W (N, m).
+
+    ``X`` holds feature vectors along its last axis and has ``ndim``
+    axes; ``coords`` (2 last) and ``W`` (m last) share its leading shape,
+    and all three are flattened to N rows in C order.  Given ``config``,
+    W is computed from ``coords``; given neither, it is all ones.
+    Features and locations must be finite, weights finite and >= 0.
+    Errors name the first bad row.
+    """
+    p, m = d.feature_dim, d.n_atoms
+    lead, rows = None, []
+    for name, a, width, what in (("features", X, p, f"feature dim {p}"),
+                                 ("coords", None if config is None else coords, 2, "x, y"),
+                                 ("weights", W, m, f"{m} atoms")):
+        if a is not None:
+            a = np.asarray(a, dtype=np.float64)
+            lead = a.shape[:-1] if lead is None else lead
+            if a.ndim != ndim:
+                raise InvalidInputError(f"{name} {a.shape} must have {ndim} axes")
+            if a.shape != lead + (width,):
+                raise InvalidInputError(f"{name} {a.shape} do not match {lead + (width,)} ({what})")
+            a = a.reshape(-1, width)
+        rows.append(a)
+    X, coords, W = rows
+    if X is not None:
+        _reject_rows(~np.isfinite(X).all(axis=1), "non-finite features")
+    if config is not None:
+        _reject_rows(~np.isfinite(coords).all(axis=1), "non-finite location")
+        W = _weight_rows(coords, d.atom_coords, config)
+    elif W is None:
+        W = np.ones((len(X), m))
+    _reject_rows(~((W >= 0) & (W < np.inf)).all(axis=1), "weights must be finite and >= 0")
+    return X, W
+
+
 def spatial_weights(query_coord, dictionary: Dictionary, config: SpatialWeightConfig) -> np.ndarray:
     """Per-atom weights from the query's distance to each atom location."""
-    q = np.asarray(query_coord, dtype=np.float64)
-    if q.shape != (2,):
-        raise InvalidInputError(f"query coord must have shape (2,), got {q.shape}")
-    return _weight_rows(q[None], dictionary.atom_coords, config)[0]
+    return _rows(dictionary, coords=query_coord, config=config, ndim=1)[1][0]
 
 
 def soft_threshold(u, thresh):
@@ -93,8 +137,9 @@ def soft_threshold(u, thresh):
 
 
 def _check_lambdas(lambda1, lambda2):
-    if lambda1 < 0 or lambda2 < 0:
-        raise InvalidInputError(f"lambda1/lambda2 must be >= 0, got {lambda1}, {lambda2}")
+    for name, v in (("lambda1", lambda1), ("lambda2", lambda2)):
+        if not 0 <= v < np.inf:
+            raise InvalidInputError(f"{name} must be finite and >= 0, got {v}")
 
 
 @dataclass
@@ -140,24 +185,6 @@ class Coder:
         # the smallest of the m singular values.
         sigma_lower = 0.0 if p > m else float(scipy.linalg.svdvals(omega)[-1])
         return cls(dictionary, omega, float(lambda1), sigma_lower)
-
-
-def _check_query(x, dictionary):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (dictionary.feature_dim,):
-        raise InvalidInputError(
-            f"query dim {x.shape} does not match feature dim ({dictionary.feature_dim},)"
-        )
-    return x
-
-
-def _check_weights(w, n_atoms):
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (n_atoms,):
-        raise InvalidInputError(f"weight dim {w.shape} does not match {n_atoms} atoms")
-    if np.any(w < 0):
-        raise InvalidInputError("negative spatial weight")
-    return w
 
 
 def _saco1_rows(X, omega, lambda1, W) -> np.ndarray:
@@ -307,17 +334,15 @@ def _ista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, tol, max_iter, li
 
 def saco1(x, coder: Coder, w) -> np.ndarray:
     """Per-coordinate shrinkage of Omega x with thresholds lambda1 * w."""
-    x = _check_query(x, coder.dictionary)
-    w = _check_weights(w, coder.dictionary.n_atoms)
-    return _saco1_rows(x[None], coder.omega, coder.lambda1, w[None])[0]
+    X, W = _rows(coder.dictionary, x, w, ndim=1)
+    return _saco1_rows(X, coder.omega, coder.lambda1, W)[0]
 
 
 def saco2(x, dictionary: Dictionary, w, lambda1: float, lambda2: float) -> np.ndarray:
     """Weighted ridge pre-solve, then a uniform shrinkage at lambda1."""
-    x = _check_query(x, dictionary)
-    w = _check_weights(w, dictionary.n_atoms)
+    X, W = _rows(dictionary, x, w, ndim=1)
     _check_lambdas(lambda1, lambda2)
-    return _saco2_rows(x[None], dictionary, w[None], lambda1, lambda2)[0]
+    return _saco2_rows(X, dictionary, W, lambda1, lambda2)[0]
 
 
 def bound_check(x, a, coder: Coder):
@@ -328,10 +353,10 @@ def bound_check(x, a, coder: Coder):
     gain, and for p > m the factor is zero because residuals orthogonal
     to the atom span are annihilated by Omega.
     """
-    x = _check_query(x, coder.dictionary)
+    x = _rows(coder.dictionary, x, ndim=1)[0][0]
     a = np.asarray(a, dtype=np.float64)
-    if a.shape != (coder.dictionary.n_atoms,):
-        raise InvalidInputError(f"code dim {a.shape} does not match atom count")
+    if a.shape != (coder.dictionary.n_atoms,) or not np.isfinite(a).all():
+        raise InvalidInputError(f"code {a.shape} must be finite with one entry per atom")
     r = x - coder.dictionary.matrix @ a
     lhs = float(np.linalg.norm(coder.omega @ r))
     rhs = float(coder.sigma_lower * np.linalg.norm(r))
@@ -350,7 +375,7 @@ class CodeResult:
 
 
 def _check_solver(tol, max_iter):
-    if tol <= 0 or max_iter < 1:
+    if not (tol > 0 and max_iter >= 1):
         raise InvalidInputError(f"bad solver settings tol={tol}, max_iter={max_iter}")
 
 
@@ -369,14 +394,11 @@ def solve_weighted_l2_l1(x, dictionary, w, lambda1, lambda2, tol=1e-6,
 
     With lambda2 = 0 this is exactly ``solve_weighted_l1``.
     """
-    x = _check_query(x, dictionary)
-    w = _check_weights(w, dictionary.n_atoms)
+    X, W = _rows(dictionary, x, w, ndim=1)
     _check_lambdas(lambda1, lambda2)
     _check_solver(tol, max_iter)
-    A, converged, iterations, kkt = _ista_rows(
-        x[None], dictionary, w[None], lambda1, lambda2, tol, max_iter
-    )
-    objective = _objective_rows(x[None], dictionary.matrix, A, w[None], lambda1, lambda2)
+    A, converged, iterations, kkt = _ista_rows(X, dictionary, W, lambda1, lambda2, tol, max_iter)
+    objective = _objective_rows(X, dictionary.matrix, A, W, lambda1, lambda2)
     return CodeResult(
         coeffs=A[0],
         converged=bool(converged[0]),
@@ -408,23 +430,9 @@ def dense_saco1(feature_map, coder: Coder, weight_field) -> np.ndarray:
     cell's feature vector exactly: both run the same row-independent
     kernel.
     """
-    fmap = np.asarray(feature_map, dtype=np.float64)
-    if fmap.ndim != 3:
-        raise InvalidInputError(f"feature map must be (H, W, p), got {fmap.shape}")
-    h, wid, p = fmap.shape
-    m = coder.dictionary.n_atoms
-    if p != coder.dictionary.feature_dim:
-        raise InvalidInputError(
-            f"feature map depth {p} does not match feature dim {coder.dictionary.feature_dim}"
-        )
-    wf = np.asarray(weight_field, dtype=np.float64)
-    if wf.shape != (h, wid, m):
-        raise InvalidInputError(f"weight field {wf.shape} does not match ({h}, {wid}, {m})")
-    if np.any(wf < 0):
-        raise InvalidInputError("negative spatial weight")
-    codes = _saco1_rows(fmap.reshape(h * wid, p), coder.omega, coder.lambda1,
-                        wf.reshape(h * wid, m))
-    return codes.reshape(h, wid, m)
+    X, W = _rows(coder.dictionary, feature_map, weight_field, ndim=3)
+    h, wid = np.shape(feature_map)[:2]
+    return _saco1_rows(X, coder.omega, coder.lambda1, W).reshape(h, wid, -1)
 
 
 @dataclass
@@ -482,24 +490,10 @@ class Encoder:
     def encode(self, X, coords=None):
         """Code an (N, p) batch located at (N, 2) ``coords``: (codes, diagnostics)."""
         d = self.dictionary
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != d.feature_dim:
-            raise InvalidInputError(
-                f"query batch {X.shape} does not match feature dim {d.feature_dim}"
-            )
-        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-        if bad.size:
-            raise InvalidInputError(f"query row {int(bad[0])} has non-finite features")
+        X, W = _rows(d, X, coords=coords, config=self.weights)
         n = len(X)
         if not n:
             return np.zeros((0, d.n_atoms)), CodingDiagnostics()
-        if self.weights is None:
-            W = np.ones((n, d.n_atoms))
-        else:
-            coords = np.asarray(coords, dtype=np.float64)
-            if coords.shape != (n, 2):
-                raise InvalidInputError(f"coords {coords.shape} do not match ({n}, 2)")
-            W = _weight_rows(coords, d.atom_coords, self.weights)
         if self.method == "saco1":
             return _saco1_rows(X, self.coder.omega, self.lambda1, W), CodingDiagnostics(n)
         if self.method == "saco2":

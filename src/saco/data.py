@@ -12,7 +12,8 @@ Input is validated once, where it enters, by vectorized checks that name
 the bad row: ``PatchSet`` (row counts, finite features, coordinates in
 [0,1]^2, ids and labels >= 0; from ``load_patches`` also the CSV line),
 ``ImageFeatures`` (finite features and coordinates in any units, naming
-the image id) and the CSV reader (header, field count, numbers).
+the image id), the CSV reader (header, field count, numbers) and every
+coding entry (finite features and locations, finite weights >= 0).
 """
 
 from __future__ import annotations

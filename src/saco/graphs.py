@@ -120,6 +120,6 @@ def build_spatial_affinity(patches, k_nn=50, sigma=0.25) -> AffinityGraph:
         raise InvalidInputError(f"need at least 2 patches, got {len(patches)}")
     if k_nn < 1:
         raise InvalidInputError(f"k_nn must be >= 1, got {k_nn}")
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise DegenerateInputError(f"spatial sigma={sigma} is unusable")
     return AffinityGraph(_knn_gaussian(PatchSet.of(patches).coords, k_nn, float(sigma)))

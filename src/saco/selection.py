@@ -297,9 +297,9 @@ def evaluate(state: SelectionState, S, L, weights: ObjectiveWeights) -> float:
     )
 
 
-def evaluate_ids(ids, S, L, labels, weights: ObjectiveWeights, n_classes=None) -> float:
+def evaluate_ids(ids, S, L, labels, weights: ObjectiveWeights) -> float:
     """Objective value of an explicit id set, via a throwaway state."""
-    state = SelectionState(labels, n_classes)
+    state = SelectionState(labels)
     state.selected = [int(i) for i in ids]
     # evaluation only reads `selected`/labels, never the incremental caches
     return evaluate(state, S, L, weights)
@@ -343,13 +343,13 @@ def read_selection_ids(path, n_patches: int) -> list[int]:
     return ids
 
 
-def _greedy_state(patches, k, n_classes) -> SelectionState:
+def _greedy_state(patches, k) -> SelectionState:
     if k < 1:
         raise InvalidInputError(f"K must be >= 1, got {k}")
-    return SelectionState.for_patches(patches, n_classes)
+    return SelectionState.for_patches(patches)
 
 
-def naive_greedy(patches, S, L, weights, k, n_classes=None) -> SelectionResult:
+def naive_greedy(patches, S, L, weights, k) -> SelectionResult:
     """Re-score every unselected candidate each round; pick the best.
 
     Stops when ``k`` exemplars are chosen, the pool is exhausted, or the
@@ -357,7 +357,7 @@ def naive_greedy(patches, S, L, weights, k, n_classes=None) -> SelectionResult:
     committed gain equals, up to rounding, the difference of
     ``evaluate_ids`` on the selection before and after it.
     """
-    state = _greedy_state(patches, k, n_classes)
+    state = _greedy_state(patches, k)
     gains: list[float] = []
     cumulative_evals: list[int] = []
     n_evals = 0
@@ -378,7 +378,7 @@ def naive_greedy(patches, S, L, weights, k, n_classes=None) -> SelectionResult:
     return SelectionResult(list(state.selected), gains, n_evals, cumulative_evals)
 
 
-def lazy_greedy(patches, S, L, weights, k, n_classes=None) -> SelectionResult:
+def lazy_greedy(patches, S, L, weights, k) -> SelectionResult:
     """Greedy with stale upper bounds on a max-heap.
 
     Heap entries are (-gain, id, step_computed); an entry whose gain was
@@ -388,7 +388,7 @@ def lazy_greedy(patches, S, L, weights, k, n_classes=None) -> SelectionResult:
     when ``lambda_d = lambda_c = 0``; otherwise a stale entry may
     understate a gain and the two can diverge.
     """
-    state = _greedy_state(patches, k, n_classes)
+    state = _greedy_state(patches, k)
     heap = []
     n_evals = 0
     for i in range(state.m):
@@ -415,7 +415,7 @@ def lazy_greedy(patches, S, L, weights, k, n_classes=None) -> SelectionResult:
     return SelectionResult(list(state.selected), gains, n_evals, cumulative_evals)
 
 
-def brute_force_opt(patches, S, L, weights, k, n_classes=None):
+def brute_force_opt(patches, S, L, weights, k):
     """Exhaustive maximum of the objective over subsets of size <= k.
 
     Guarded to small instances; returns (ids, value) with the first
@@ -429,7 +429,7 @@ def brute_force_opt(patches, S, L, weights, k, n_classes=None):
     best_val = 0.0
     for size in range(1, min(k, m) + 1):
         for combo in itertools.combinations(range(m), size):
-            v = evaluate_ids(combo, S, L, labels, weights, n_classes)
+            v = evaluate_ids(combo, S, L, labels, weights)
             if v > best_val:
                 best_val, best_ids = v, combo
     return list(best_ids), best_val

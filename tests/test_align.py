@@ -115,7 +115,7 @@ class TestThetaGrid:
             al.default_theta_grid(90.0), [0.0, 90.0, 180.0, 270.0]
         )
 
-    @pytest.mark.parametrize("step", [0.0, -10.0, 361.0])
+    @pytest.mark.parametrize("step", [0.0, -10.0, 361.0, float("nan")])
     def test_bad_step(self, step):
         with pytest.raises(InvalidInputError):
             al.default_theta_grid(step)
@@ -289,8 +289,14 @@ class TestPairwiseSimilarity:
 
     def test_validation(self):
         a, b = random_images(9, n=2)
-        with pytest.raises(InvalidInputError):
-            al.pairwise_similarity(a, b, al.default_theta_grid(), epsilon=0.0)
+        grid = al.default_theta_grid(90.0)
+        for epsilon in (0.0, float("nan")):
+            with pytest.raises(InvalidInputError, match="epsilon"):
+                al.pairwise_similarity(a, b, grid, epsilon=epsilon)
+            with pytest.raises(InvalidInputError, match="epsilon"):
+                al.dissimilarity_matrix([a, b], grid, epsilon=epsilon)
+            with pytest.raises(InvalidInputError, match="epsilon"):
+                al.k_medoids([a, b], 1, grid, seed=0, epsilon=epsilon)
         with pytest.raises(InvalidInputError):
             al.pairwise_similarity(a, b, np.array([]))
 

@@ -87,7 +87,10 @@ class TestSvm:
         with pytest.raises(InvalidInputError):
             cl.svm_train(X, np.zeros(len(X), dtype=int))  # single class
         with pytest.raises(InvalidInputError):
-            cl.svm_train(X, y, reg=0.0)
+            cl.svm_train(np.zeros((0, 2)), [])  # no rows: no classes present
+        for reg in (0.0, float("nan")):
+            with pytest.raises(InvalidInputError):
+                cl.svm_train(X, y, reg=reg)
         with pytest.raises(InvalidInputError):
             cl.svm_train(X, y, epochs=0)
         with pytest.raises(InvalidInputError):

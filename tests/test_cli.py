@@ -69,6 +69,14 @@ class TestGen:
             tmp_path / "env" / "candidates_features.skt"
         ).read_bytes()
 
+    @pytest.mark.parametrize("option", [["--set", "seed=5"], ["--config", "run.cfg"]])
+    def test_config_options_are_usage_errors(self, tmp_path, capsys, option):
+        # gen reads no configuration, so it takes --seed only
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--kind", "blobs2d", "--out", str(tmp_path / "x"), *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_bad_env_seed(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("SACO_SEED", "lots")
         err = run_fail(capsys, ["gen", "--kind", "blobs2d", "--out", str(tmp_path / "x")])
@@ -301,6 +309,15 @@ class TestTrainPredict:
         assert f"InvalidInputError: {images}: no labeled images" in err
         assert not out.exists()
 
+    def test_train_rejects_an_empty_image_list(self, tmp_path, capsys):
+        feats, images = pooled_problem(tmp_path)
+        write_tensor(feats, np.zeros((0, 2)))
+        images.write_text("image_id,label\n")
+        err = run_fail(capsys, ["train", "--features", str(feats), "--images", str(images),
+                                "--out", str(tmp_path / "model")])
+        assert f"InvalidInputError: {images}: no labeled images" in err
+        assert not (tmp_path / "model.w.skt").exists()
+
     def test_bad_image_header(self, tmp_path, capsys):
         feats, images = pooled_problem(tmp_path)
         for text, line, detail in [
@@ -353,6 +370,14 @@ class TestPipeline:
         for name in ("selection.csv", "dictionary_features.skt",
                      "predictions.csv", "report.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_nan_config_value_fails_before_any_stage(self, texture_dirs, tmp_path, capsys):
+        out = tmp_path / "run"
+        err = run_fail(capsys, ["pipeline", "--train-dir", str(texture_dirs),
+                                "--test-dir", str(texture_dirs), "--out", str(out),
+                                *self.PIPE_SETS, "--set", "lambda1=nan"])
+        assert "InvalidConfigError: lambda1 must be finite and >= 0, got nan" in err
+        assert not out.exists()
 
     def test_missing_dir(self, tmp_path, capsys):
         err = run_fail(capsys, ["pipeline", "--train-dir", str(tmp_path / "none"),

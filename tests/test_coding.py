@@ -255,6 +255,12 @@ class TestBoundCheck:
         # tall dictionaries annihilate part of the residual
         assert rhs == 0.0
 
+    @pytest.mark.parametrize("a", [np.zeros(4), np.array([0.0, np.nan, 0.0])])
+    def test_rejects_bad_code(self, a):
+        coder = cd.Coder.build(make_dictionary(13, p=4, m=3), lambda1=0.1)
+        with pytest.raises(InvalidInputError, match="code"):
+            cd.bound_check(np.ones(4), a, coder)
+
 
 class TestSpatialWeights:
     def test_linear_kernel_frozen(self):
@@ -446,3 +452,72 @@ class TestEncoder:
         # saco1 builds Omega, so over-complete dictionaries fail at build time
         with pytest.raises(InvalidInputError, match="under-complete"):
             cd.Encoder(d, "saco1")
+
+
+# -- one input rule behind every entry ---------------------------------------
+
+SCALARS = {"lambda1": 0.1, "lambda2": 1.0, "tol": 1e-6, "weight_scale": 0.5,
+           "weight_epsilon": 0.1}
+
+
+def _weights(s):
+    return cd.SpatialWeightConfig("linear", s["weight_epsilon"], s["weight_scale"])
+
+
+def _encode(method):
+    return lambda d, X, W, C, s: cd.Encoder(d, method, s["lambda1"], s["lambda2"], _weights(s),
+                                            s["tol"]).encode(X, C)
+
+
+# entry -> (the row the table corrupts, the inputs it reads, a call on a
+# 4-row batch X (4, p), weights W (4, m), locations C (4, 2) and SCALARS);
+# one-row entries read row 0, dense coding reads the batch as a 2 x 2 map
+ENTRIES = {
+    **{f"Encoder.encode[{m}]": (2, "X C lambda1 lambda2 tol weight_scale weight_epsilon",
+                                _encode(m)) for m in cd.CODERS},
+    "saco1": (0, "X W lambda1",
+              lambda d, X, W, C, s: cd.saco1(X[0], cd.Coder.build(d, s["lambda1"]), W[0])),
+    "saco2": (0, "X W lambda1 lambda2",
+              lambda d, X, W, C, s: cd.saco2(X[0], d, W[0], s["lambda1"], s["lambda2"])),
+    "solve_weighted_l1": (0, "X W lambda1 tol", lambda d, X, W, C, s: cd.solve_weighted_l1(
+        X[0], d, W[0], s["lambda1"], s["tol"])),
+    "solve_weighted_l2_l1": (0, "X W lambda1 lambda2 tol",
+                             lambda d, X, W, C, s: cd.solve_weighted_l2_l1(
+                                 X[0], d, W[0], s["lambda1"], s["lambda2"], s["tol"])),
+    "dense_saco1": (2, "X W lambda1", lambda d, X, W, C, s: cd.dense_saco1(
+        X.reshape(2, 2, -1), cd.Coder.build(d, s["lambda1"]), W.reshape(2, 2, -1))),
+    "bound_check": (0, "X lambda1", lambda d, X, W, C, s: cd.bound_check(
+        X[0], np.zeros(d.n_atoms), cd.Coder.build(d, s["lambda1"]))),
+    "spatial_weights": (0, "C weight_scale weight_epsilon",
+                        lambda d, X, W, C, s: cd.spatial_weights(C[0], d, _weights(s))),
+}
+
+# column -> (the input it corrupts, the bad value)
+BAD_INPUTS = {
+    "nan feature": ("X", np.nan), "inf feature": ("X", np.inf), "nan weight": ("W", np.nan),
+    "negative weight": ("W", -1.0), "inf weight": ("W", np.inf), "nan location": ("C", np.nan),
+    **{f"nan {name}": (name, np.nan) for name in SCALARS},
+}
+
+
+@pytest.mark.parametrize("entry,column", [
+    (entry, column) for entry, (_, reads, _) in ENTRIES.items()
+    for column, (what, _) in BAD_INPUTS.items() if what in reads.split()
+])
+def test_every_entry_rejects_bad_input_naming_the_row(entry, column):
+    row, _, call = ENTRIES[entry]
+    what, value = BAD_INPUTS[column]
+    d = make_dictionary(21, p=6, m=3)
+    rng = np.random.default_rng(21)
+    arrays = {"X": rng.normal(size=(4, 6)), "W": rng.uniform(0.5, 2.0, size=(4, 3)),
+              "C": rng.uniform(size=(4, 2))}
+    scalars = dict(SCALARS)
+    if what in arrays:
+        arrays[what][row, 1] = value
+        error, match = InvalidInputError, f"row {row}"
+    else:
+        scalars[what] = value
+        error = InvalidConfigError if what.startswith("weight_") else InvalidInputError
+        match = what
+    with pytest.raises(error, match=match):
+        call(d, arrays["X"], arrays["W"], arrays["C"], scalars)

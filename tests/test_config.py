@@ -103,6 +103,8 @@ class TestPipelineConfig:
         ("weight_kernel", "gauss"), ("weight_scale", 0.0), ("weight_epsilon", -0.1),
         ("spatial_sigma", 0.0), ("spatial_sigma", float("nan")), ("svm_reg", 0.0),
         ("lambda_s", -1.0), ("lambda_c", float("inf")), ("lambda1", -0.1), ("lambda2", -1.0),
+        ("lambda1", float("nan")), ("lambda2", float("nan")), ("weight_scale", float("nan")),
+        ("weight_epsilon", float("nan")),
     ])
     def test_stage_values_rejected_at_construction(self, key, value):
         with pytest.raises(InvalidConfigError, match=key):

@@ -84,6 +84,11 @@ class TestSpatialAffinity:
         want = dense_knn_gaussian(pts, 4, 0.1)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.1, float("nan")])
+    def test_unusable_sigma_rejected(self, sigma):
+        with pytest.raises(DegenerateInputError, match="sigma"):
+            build_spatial_affinity(make_patches(11, m=20), k_nn=4, sigma=sigma)
+
 
 class TestGraphStructure:
     @pytest.fixture

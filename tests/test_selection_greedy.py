@@ -69,13 +69,13 @@ def test_gains_are_committed_gains():
     res = sel.naive_greedy(patches, S, L, w, 6)
     total = 0.0
     for step, g in enumerate(res.gains):
-        before = sel.evaluate_ids(res.ids[:step], S, L, labels, w, 3)
-        after = sel.evaluate_ids(res.ids[: step + 1], S, L, labels, w, 3)
+        before = sel.evaluate_ids(res.ids[:step], S, L, labels, w)
+        after = sel.evaluate_ids(res.ids[: step + 1], S, L, labels, w)
         assert g == pytest.approx(after - before, abs=1e-9)
         total += g
     assert res.objective() == pytest.approx(total)
     assert res.objective() == pytest.approx(
-        sel.evaluate_ids(res.ids, S, L, labels, w, 3)
+        sel.evaluate_ids(res.ids, S, L, labels, w)
     )
 
 
@@ -172,11 +172,11 @@ class TestBruteForce:
         best = 0.0
         for r in range(1, 4):
             for combo in itertools.combinations(range(9), r):
-                v = sel.evaluate_ids(list(combo), S, L, labels, w, 3)
+                v = sel.evaluate_ids(list(combo), S, L, labels, w)
                 if v > best:
                     best = v
         assert val == pytest.approx(best, abs=1e-12)
-        assert sel.evaluate_ids(ids, S, L, labels, w, 3) == pytest.approx(val)
+        assert sel.evaluate_ids(ids, S, L, labels, w) == pytest.approx(val)
 
     def test_greedy_within_bound(self):
         # with the cardinality-penalty terms off, the objective is monotone

@@ -179,9 +179,9 @@ class TestMarginalGain:
         st = sel.SelectionState.for_patches(patches, n_classes=3)
         selected = []
         for e in [int(i) for i in rng.choice(28, size=7, replace=False)]:
-            before = sel.evaluate_ids(selected, S, L, labels, w, 3)
+            before = sel.evaluate_ids(selected, S, L, labels, w)
             gain = sel.marginal_gain(st, e, S, L, w)
-            after = sel.evaluate_ids(selected + [e], S, L, labels, w, 3)
+            after = sel.evaluate_ids(selected + [e], S, L, labels, w)
             assert gain == pytest.approx(after - before, abs=1e-9)
             committed = sel.add_exemplar(st, e, S, L, w)
             assert committed == pytest.approx(gain, abs=1e-12)
