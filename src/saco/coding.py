@@ -414,7 +414,7 @@ def grid_weights(dictionary: Dictionary, config: SpatialWeightConfig, n_rows: in
     Cell (r, c) maps to the normalized coordinate
     ((c + 0.5)/n_cols, (r + 0.5)/n_rows).
     """
-    if n_rows < 1 or n_cols < 1:
+    if not (n_rows >= 1 and n_cols >= 1):
         raise InvalidInputError(f"grid must be non-empty, got {n_rows}x{n_cols}")
     xs, ys = np.meshgrid((np.arange(n_cols) + 0.5) / n_cols, (np.arange(n_rows) + 0.5) / n_rows)
     centers = np.column_stack([xs.ravel(), ys.ravel()])

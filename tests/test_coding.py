@@ -315,8 +315,9 @@ class TestDenseCoding:
 
     def test_grid_must_be_nonempty(self):
         d = make_dictionary(17, p=4, m=3)
-        with pytest.raises(InvalidInputError):
-            cd.grid_weights(d, cd.SpatialWeightConfig(), 0, 3)
+        for n_rows in (0, float("nan")):
+            with pytest.raises(InvalidInputError):
+                cd.grid_weights(d, cd.SpatialWeightConfig(), n_rows, 3)
 
     def test_dense_matches_per_cell_exactly(self):
         d = make_dictionary(18, p=6, m=4, orthonormal=True)
