@@ -1,19 +1,11 @@
 """Exemplar selection, spatially aware sparse coding, and classification."""
 
 from .coding import (
-    CodeResult,
-    Coder,
     CodingDiagnostics,
     Encoder,
     SpatialWeightConfig,
     bound_check,
-    dense_saco1,
-    grid_weights,
-    saco1,
-    saco2,
     soft_threshold,
-    solve_weighted_l1,
-    solve_weighted_l2_l1,
     spatial_weights,
 )
 from .config import PipelineConfig
@@ -41,8 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffinityGraph",
-    "CodeResult",
-    "Coder",
     "CodingDiagnostics",
     "DegenerateInputError",
     "Dictionary",
@@ -65,16 +55,10 @@ __all__ = [
     "brute_force_opt",
     "build_feature_affinity",
     "build_spatial_affinity",
-    "dense_saco1",
-    "grid_weights",
     "lazy_greedy",
     "naive_greedy",
     "read_tensor",
-    "saco1",
-    "saco2",
     "soft_threshold",
-    "solve_weighted_l1",
-    "solve_weighted_l2_l1",
     "spatial_weights",
     "write_tensor",
 ]

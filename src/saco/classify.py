@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import CodingDiagnostics, Encoder, SpatialWeightConfig
+from .coding import CodingDiagnostics, Encoder, SpatialWeightConfig, _reject_rows
 from .config import PipelineConfig
 from .data import Dictionary, sample_candidates
 from .errors import InvalidInputError, PipelineStageError
@@ -36,6 +36,13 @@ class LinearSvmModel:
     weights: np.ndarray  # (C, dim)
     biases: np.ndarray   # (C,)
 
+    def __post_init__(self):
+        W = self.weights = np.asarray(self.weights, dtype=np.float64)
+        b = self.biases = np.asarray(self.biases, dtype=np.float64)
+        if W.ndim != 2 or b.shape != (len(W),) or not np.isfinite(W).all() & np.isfinite(b).all():
+            raise InvalidInputError(f"model needs finite (classes, dim) weights and one finite "
+                                    f"bias per class, got weights {W.shape}, biases {b.shape}")
+
     @property
     def n_classes(self) -> int:
         return len(self.weights)
@@ -51,8 +58,10 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300):
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    if X.ndim != 2 or len(X) != len(y):
+    if X.ndim != 2 or y.shape != (len(X),):
         raise InvalidInputError(f"features {X.shape} / labels {y.shape} mismatch")
+    _reject_rows(~np.isfinite(X).all(axis=1), "non-finite features")
+    _reject_rows(y < 0, "negative label")
     if not (reg > 0 and epochs >= 1):
         raise InvalidInputError(f"bad SVM settings reg={reg}, epochs={epochs}")
     if np.unique(y).size < 2:
@@ -91,37 +100,38 @@ def svm_predict(model: LinearSvmModel, feature):
 
 
 def _label_groups(dictionary: Dictionary) -> list[np.ndarray]:
+    """Atom indices of each class 0..max label; every class needs at least one atom."""
     labels = dictionary.atom_labels
-    return [np.flatnonzero(labels == c) for c in range(int(labels.max()) + 1)]
+    groups = [np.flatnonzero(labels == c) for c in range(int(labels.max()) + 1)]
+    empty = [c for c, g in enumerate(groups) if not g.size]
+    if empty:
+        raise InvalidInputError(f"every class needs at least one atom; classes {empty} have none")
+    return groups
 
 
 def _class_residuals(X, encoder: Encoder, class_groups) -> np.ndarray:
     """(N, C) norms ||x - D_c a_c||, coding with ``encoder`` then keeping
     only class c's coefficients."""
-    codes, _ = encoder.encode(X)
+    X = np.asarray(X, dtype=np.float64)
+    codes, _ = encoder.code(X)
     D = encoder.dictionary.matrix
     residuals = np.empty((len(X), len(class_groups)))
     for c, idx in enumerate(class_groups):
-        idx = np.asarray(idx, dtype=np.int64)
         residuals[:, c] = np.linalg.norm(X - codes[:, idx] @ D[:, idx].T, axis=1)
     return residuals
 
 
-def src_classify(x, dictionary: Dictionary, class_groups=None, lambda1=0.01):
+def src_classify(x, dictionary: Dictionary, lambda1=0.01):
     """Classify one patch by smallest per-class reconstruction residual.
 
     Codes ``x`` over the whole dictionary with uniform weights, then for
-    each class keeps only that class's coefficients and measures
-    ||x - D_c a_c||.  Returns (class, residuals); ties go to the lowest
-    class index.
+    each class (the atoms' labels) keeps only that class's coefficients
+    and measures ||x - D_c a_c||.  Returns (class, residuals); ties go to
+    the lowest class index.
     """
-    if class_groups is None:
-        class_groups = _label_groups(dictionary)
-    if any(len(g) == 0 for g in class_groups):
-        raise InvalidInputError("every class needs at least one atom")
-    x = np.asarray(x, dtype=np.float64)
+    groups = _label_groups(dictionary)
     encoder = Encoder(dictionary, "iterative", lambda1, 0.0)
-    residuals = _class_residuals(x[None], encoder, class_groups)[0]
+    residuals = _class_residuals([x], encoder, groups)[0]
     return int(residuals.argmin()), residuals
 
 

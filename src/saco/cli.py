@@ -163,7 +163,11 @@ def cmd_code(args) -> int:
 
 
 def _read_image_labels(path) -> list[tuple[int, int]]:
-    pairs = [pair for _, pair in read_csv_rows(path, "image_id,label", (int, int))]
+    pairs = []
+    for ln, (image_id, label) in read_csv_rows(path, "image_id,label", (int, int)):
+        if label < 0:
+            raise InvalidInputError(f"{path}:{ln}: negative label {label}")
+        pairs.append((image_id, label))
     if not pairs:
         raise InvalidInputError(f"{path}: no labeled images")
     return pairs
@@ -191,10 +195,12 @@ def cmd_train(args) -> int:
 
 
 def _load_model(prefix) -> LinearSvmModel:
-    _require_files(str(prefix) + ".w.skt", str(prefix) + ".b.skt")
-    W = read_tensor(str(prefix) + ".w.skt").astype(np.float64)
-    b = read_tensor(str(prefix) + ".b.skt").astype(np.float64)
-    return LinearSvmModel(W, b)
+    paths = str(prefix) + ".w.skt", str(prefix) + ".b.skt"
+    _require_files(*paths)
+    try:
+        return LinearSvmModel(*map(read_tensor, paths))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"model {prefix}: {exc}") from None
 
 
 def _write_predictions(path, cfg: PipelineConfig, predictions) -> None:

@@ -16,27 +16,23 @@ higher sparsity (or ridge) price.  Three coders produce codes:
 With an orthonormal dictionary the proxy objective coincides with the
 reconstruction objective, so ``saco1`` and the iterative solver agree.
 
-``Encoder`` is the one batched entry point: built once per dictionary
-(Omega, saco2's atom outer products, the ISTA step size when every row
-shares the smooth term), it codes an (N, p) batch of features at (N, 2)
-locations, one image's patches at a time, and returns ``(codes,
-CodingDiagnostics)``: rows left unconverged at ``max_iter``, the most
-iterations run and the worst KKT residual (iterative coder only).  saco2
-uses the push-through identity ``(D^T D + L)^-1 D^T = L^-1 D^T (I_p +
-D L^-1 D^T)^-1`` with ``L = lambda2 diag(w)^2``, a p x p system per row,
+``Encoder`` is the one way to code: built once per dictionary and coder,
+it codes an (N, p) batch at explicit (N, m) weights (``code``) or at
+(N, 2) locations (``encode``) and returns ``(codes, CodingDiagnostics)``.
+One patch is a 1-row batch; a dense (H, W, p) feature map is
+``code(fmap.reshape(-1, p), weights.reshape(-1, m))``.  saco2 uses the
+push-through identity ``(D^T D + L)^-1 D^T = L^-1 D^T (I_p + D L^-1
+D^T)^-1`` with ``L = lambda2 diag(w)^2``, a p x p system per row,
 wherever p < m, lambda2 > 0 and every weight is > 0; other rows (a zero
 weight arises when epsilon = 0 and the query sits on an atom) solve
-their m x m systems ``D^T D + lambda2 diag(w)^2`` by Cholesky, stacked
-into one call per block.  Both paths solve as many rows per block as
-fit in ``SOLVE_BLOCK_DOUBLES``.  ISTA updates the whole batch, freezing
-each row at its own stopping test.  The one-row coders run the same
-kernels, and a row's saco1 code does not depend on how rows are batched.
+``D^T D + lambda2 diag(w)^2`` by Cholesky, stacked into one call per
+block of ``SOLVE_BLOCK_DOUBLES``.  ISTA updates the whole batch, freezing
+each row at its own stopping test.  A row's saco1 code does not depend
+on how rows are batched.
 
-Every public entry checks its input by one rule, in ``_rows``: features
-(N, p) finite, weights (N, m) finite and >= 0, locations finite where
-weights are computed from them; the error names the first bad row.
-Scalars are checked as their accepted range, so NaN fails: lambda1 and
-lambda2 finite and >= 0, tol > 0, max_iter >= 1.
+Every public entry checks its input by one rule, in ``_rows``, naming the
+first bad row.  Scalars are checked as their accepted range, so NaN
+fails: lambda1 and lambda2 finite and >= 0, tol > 0, max_iter >= 1.
 """
 
 from __future__ import annotations
@@ -90,45 +86,39 @@ def _reject_rows(bad, what):
         raise InvalidInputError(f"row {bad.argmax()}: {what}")
 
 
-def _rows(d: Dictionary, X=None, W=None, coords=None, config=None, ndim=2):
-    """The one input check of every public entry: float64 rows X (N, p), W (N, m).
+def _rows(d: Dictionary, X=None, W=None, coords=None):
+    """The one input check of every public entry: float64 (X, coords, W).
 
-    ``X`` holds feature vectors along its last axis and has ``ndim``
-    axes; ``coords`` (2 last) and ``W`` (m last) share its leading shape,
-    and all three are flattened to N rows in C order.  Given ``config``,
-    W is computed from ``coords``; given neither, it is all ones.
-    Features and locations must be finite, weights finite and >= 0.
-    Errors name the first bad row.
+    Each given array holds 2-D rows, N of them in all: features X (N, p),
+    locations coords (N, 2), weights W (N, m).  Features and locations
+    must be finite, weights finite and >= 0.  Errors name the first bad row.
     """
     p, m = d.feature_dim, d.n_atoms
-    lead, rows = None, []
+    n, rows = None, []
     for name, a, width, what in (("features", X, p, f"feature dim {p}"),
-                                 ("coords", None if config is None else coords, 2, "x, y"),
+                                 ("coords", coords, 2, "x, y"),
                                  ("weights", W, m, f"{m} atoms")):
         if a is not None:
             a = np.asarray(a, dtype=np.float64)
-            lead = a.shape[:-1] if lead is None else lead
-            if a.ndim != ndim:
-                raise InvalidInputError(f"{name} {a.shape} must have {ndim} axes")
-            if a.shape != lead + (width,):
-                raise InvalidInputError(f"{name} {a.shape} do not match {lead + (width,)} ({what})")
-            a = a.reshape(-1, width)
+            if a.ndim != 2:
+                raise InvalidInputError(f"{name} {a.shape} must have 2 axes")
+            n = len(a) if n is None else n
+            if a.shape != (n, width):
+                raise InvalidInputError(f"{name} {a.shape} do not match {(n, width)} ({what})")
         rows.append(a)
     X, coords, W = rows
     if X is not None:
         _reject_rows(~np.isfinite(X).all(axis=1), "non-finite features")
-    if config is not None:
+    if coords is not None:
         _reject_rows(~np.isfinite(coords).all(axis=1), "non-finite location")
-        W = _weight_rows(coords, d.atom_coords, config)
-    elif W is None:
-        W = np.ones((len(X), m))
-    _reject_rows(~((W >= 0) & (W < np.inf)).all(axis=1), "weights must be finite and >= 0")
-    return X, W
+    if W is not None:
+        _reject_rows(~((W >= 0) & (W < np.inf)).all(axis=1), "weights must be finite and >= 0")
+    return X, coords, W
 
 
-def spatial_weights(query_coord, dictionary: Dictionary, config: SpatialWeightConfig) -> np.ndarray:
-    """Per-atom weights from the query's distance to each atom location."""
-    return _rows(dictionary, coords=query_coord, config=config, ndim=1)[1][0]
+def spatial_weights(coords, dictionary: Dictionary, config: SpatialWeightConfig) -> np.ndarray:
+    """(N, m) atom weights from each of (N, 2) query locations' distance to each atom."""
+    return _weight_rows(_rows(dictionary, coords=coords)[1], dictionary.atom_coords, config)
 
 
 def soft_threshold(u, thresh):
@@ -142,49 +132,31 @@ def _check_lambdas(lambda1, lambda2):
             raise InvalidInputError(f"{name} must be finite and >= 0, got {v}")
 
 
-@dataclass
-class Coder:
-    """A dictionary with its pseudo-inverse and saco1's shrinkage weight."""
+def _pseudo_inverse(D):
+    """Omega = (D^T D)^-1 D^T via QR (no explicit inverse) and its smallest singular value.
 
-    dictionary: Dictionary
-    omega: np.ndarray
-    lambda1: float
-    sigma_lower: float
-
-    @classmethod
-    def build(cls, dictionary: Dictionary, lambda1: float) -> "Coder":
-        """Factor D once and derive Omega via QR (no explicit inverse).
-
-        Requires at least as many feature dimensions as atoms; warns
-        when cond(D^T D) exceeds 1e8 and fails on rank deficiency.
-        """
-        _check_lambdas(lambda1, 0.0)
-        D = dictionary.matrix
-        p, m = D.shape
-        if p < m:
-            raise InvalidInputError(
-                f"dictionary must be under-complete: feature dim {p} < {m} atoms"
-            )
-        svals = scipy.linalg.svdvals(D)
-        if svals[-1] <= 0 or not np.isfinite(svals[-1]):
-            raise LinearSolveError(
-                f"rank-deficient dictionary, condition estimate inf (singular values "
-                f"{svals[0]:.3e}..{svals[-1]:.3e})"
-            )
-        condition = float((svals[0] / svals[-1]) ** 2)
-        if condition > CONDITION_WARN_THRESHOLD:
-            warnings.warn(
-                f"ill-conditioned dictionary: cond(D^T D) ~= {condition:.3e}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        q, r = np.linalg.qr(D, mode="reduced")
-        omega = scipy.linalg.solve_triangular(r, q.T)
-        # Smallest singular value of Omega as an operator on R^p: zero
-        # whenever p > m (the residual space has a null direction), else
-        # the smallest of the m singular values.
-        sigma_lower = 0.0 if p > m else float(scipy.linalg.svdvals(omega)[-1])
-        return cls(dictionary, omega, float(lambda1), sigma_lower)
+    Requires at least as many feature dimensions as atoms; warns when
+    cond(D^T D) exceeds 1e8 and fails on rank deficiency.
+    """
+    p, m = D.shape
+    if p < m:
+        raise InvalidInputError(f"dictionary must be under-complete: feature dim {p} < {m} atoms")
+    svals = scipy.linalg.svdvals(D)
+    if svals[-1] <= 0 or not np.isfinite(svals[-1]):
+        raise LinearSolveError(f"rank-deficient dictionary, condition estimate inf "
+                               f"(singular values {svals[0]:.3e}..{svals[-1]:.3e})")
+    condition = float((svals[0] / svals[-1]) ** 2)
+    if condition > CONDITION_WARN_THRESHOLD:
+        # stack: here, Encoder.__post_init__, Encoder.__init__, the caller
+        warnings.warn(f"ill-conditioned dictionary: cond(D^T D) ~= {condition:.3e}",
+                      RuntimeWarning, stacklevel=4)
+    q, r = np.linalg.qr(D, mode="reduced")
+    omega = scipy.linalg.solve_triangular(r, q.T)
+    # Smallest singular value of Omega as an operator on R^p: zero
+    # whenever p > m (the residual space has a null direction), else
+    # the smallest of the m singular values.
+    sigma_lower = 0.0 if p > m else float(scipy.linalg.svdvals(omega)[-1])
+    return omega, sigma_lower
 
 
 def _saco1_rows(X, omega, lambda1, W) -> np.ndarray:
@@ -254,7 +226,7 @@ def _saco2_rows(X, dictionary: Dictionary, W, lambda1, lambda2, outer=None) -> n
                 k, cond = _worst_system(A)
                 warnings.warn(
                     f"ill-conditioned ridge system of row {blk[k]}, condition estimate "
-                    f"{cond:.3e}", scipy.linalg.LinAlgWarning, stacklevel=3,
+                    f"{cond:.3e}", scipy.linalg.LinAlgWarning, stacklevel=4,
                 )
             else:
                 warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
@@ -270,19 +242,11 @@ def _saco2_rows(X, dictionary: Dictionary, W, lambda1, lambda2, outer=None) -> n
 def _lipschitz(G, W, lambda2) -> np.ndarray:
     """Per row, the largest eigenvalue of D^T D + lambda2 diag(w)^2.
 
-    One ``eigvalsh`` when every row shares that matrix (lambda2 = 0 or
-    identical weight rows), else one per row.
+    One ``eigvalsh`` when every row shares its weights, else one per row.
     """
-    if lambda2 == 0 or (W == W[0]).all():
+    if (W == W[0]).all():
         return np.full(len(W), np.linalg.eigvalsh(G + lambda2 * np.diag(W[0] * W[0]))[-1])
     return np.array([np.linalg.eigvalsh(G + lambda2 * np.diag(w * w))[-1] for w in W])
-
-
-def _objective_rows(X, D, A, W, lambda1, lambda2) -> np.ndarray:
-    R = X - A @ D.T
-    WA = W * A
-    return (0.5 * (R * R).sum(axis=1) + 0.5 * lambda2 * (WA * WA).sum(axis=1)
-            + lambda1 * np.abs(WA).sum(axis=1))
 
 
 def _kkt_rows(X, D, A, W, lambda1, lambda2) -> np.ndarray:
@@ -332,109 +296,6 @@ def _ista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, tol, max_iter, li
     return A, converged, iterations, _kkt_rows(X, D, A, W, lambda1, lambda2)
 
 
-def saco1(x, coder: Coder, w) -> np.ndarray:
-    """Per-coordinate shrinkage of Omega x with thresholds lambda1 * w."""
-    X, W = _rows(coder.dictionary, x, w, ndim=1)
-    return _saco1_rows(X, coder.omega, coder.lambda1, W)[0]
-
-
-def saco2(x, dictionary: Dictionary, w, lambda1: float, lambda2: float) -> np.ndarray:
-    """Weighted ridge pre-solve, then a uniform shrinkage at lambda1."""
-    X, W = _rows(dictionary, x, w, ndim=1)
-    _check_lambdas(lambda1, lambda2)
-    return _saco2_rows(X, dictionary, W, lambda1, lambda2)[0]
-
-
-def bound_check(x, a, coder: Coder):
-    """Return (||Omega(x - Da)||, sigma_lower(Omega) * ||x - Da||).
-
-    The first never falls below the second: for a square dictionary the
-    smallest singular value of Omega is a genuine lower bound on its
-    gain, and for p > m the factor is zero because residuals orthogonal
-    to the atom span are annihilated by Omega.
-    """
-    x = _rows(coder.dictionary, x, ndim=1)[0][0]
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (coder.dictionary.n_atoms,) or not np.isfinite(a).all():
-        raise InvalidInputError(f"code {a.shape} must be finite with one entry per atom")
-    r = x - coder.dictionary.matrix @ a
-    lhs = float(np.linalg.norm(coder.omega @ r))
-    rhs = float(coder.sigma_lower * np.linalg.norm(r))
-    return lhs, rhs
-
-
-@dataclass
-class CodeResult:
-    """Iterative solver output with convergence diagnostics."""
-
-    coeffs: np.ndarray
-    converged: bool
-    iterations: int
-    kkt_residual: float
-    objective: float
-
-
-def _check_solver(tol, max_iter):
-    if not (tol > 0 and max_iter >= 1):
-        raise InvalidInputError(f"bad solver settings tol={tol}, max_iter={max_iter}")
-
-
-def solve_weighted_l1(x, dictionary, w, lambda1, tol=1e-6, max_iter=1000) -> CodeResult:
-    """Proximal gradient for 0.5||x - Da||^2 + lambda1 ||diag(w) a||_1.
-
-    Step size 1/sigma_max(D^T D); each iteration soft-thresholds the
-    gradient step coordinatewise at lambda1 * w_i * step.
-    """
-    return solve_weighted_l2_l1(x, dictionary, w, lambda1, 0.0, tol, max_iter)
-
-
-def solve_weighted_l2_l1(x, dictionary, w, lambda1, lambda2, tol=1e-6,
-                         max_iter=1000) -> CodeResult:
-    """Adds 0.5 * lambda2 ||diag(w) a||^2 to the smooth part.
-
-    With lambda2 = 0 this is exactly ``solve_weighted_l1``.
-    """
-    X, W = _rows(dictionary, x, w, ndim=1)
-    _check_lambdas(lambda1, lambda2)
-    _check_solver(tol, max_iter)
-    A, converged, iterations, kkt = _ista_rows(X, dictionary, W, lambda1, lambda2, tol, max_iter)
-    objective = _objective_rows(X, dictionary.matrix, A, W, lambda1, lambda2)
-    return CodeResult(
-        coeffs=A[0],
-        converged=bool(converged[0]),
-        iterations=int(iterations[0]),
-        kkt_residual=float(kkt[0]),
-        objective=float(objective[0]),
-    )
-
-
-def grid_weights(dictionary: Dictionary, config: SpatialWeightConfig, n_rows: int, n_cols: int) -> np.ndarray:
-    """Spatial weights for every cell center of an (n_rows, n_cols) grid.
-
-    Cell (r, c) maps to the normalized coordinate
-    ((c + 0.5)/n_cols, (r + 0.5)/n_rows).
-    """
-    if not (n_rows >= 1 and n_cols >= 1):
-        raise InvalidInputError(f"grid must be non-empty, got {n_rows}x{n_cols}")
-    xs, ys = np.meshgrid((np.arange(n_cols) + 0.5) / n_cols, (np.arange(n_rows) + 0.5) / n_rows)
-    centers = np.column_stack([xs.ravel(), ys.ravel()])
-    w = _weight_rows(centers, dictionary.atom_coords, config)
-    return w.reshape(n_rows, n_cols, dictionary.n_atoms)
-
-
-def dense_saco1(feature_map, coder: Coder, weight_field) -> np.ndarray:
-    """saco1 applied to every cell of an (H, W, p) feature map.
-
-    ``weight_field`` is an (H, W, m) array of per-cell atom weights
-    (see ``grid_weights``).  Each cell's code equals ``saco1`` on that
-    cell's feature vector exactly: both run the same row-independent
-    kernel.
-    """
-    X, W = _rows(coder.dictionary, feature_map, weight_field, ndim=3)
-    h, wid = np.shape(feature_map)[:2]
-    return _saco1_rows(X, coder.omega, coder.lambda1, W).reshape(h, wid, -1)
-
-
 @dataclass
 class CodingDiagnostics:
     """Convergence summary of coded rows, summed over batches with ``add``.
@@ -458,11 +319,13 @@ class CodingDiagnostics:
 
 @dataclass
 class Encoder:
-    """Codes batches of located patch features against one dictionary.
+    """Codes batches of patch features against one dictionary.
 
     ``weights`` of None gives every atom weight 1, and ``encode`` then
     needs no locations.  ``tol`` and ``max_iter`` apply to the iterative
-    coder only; a saco1 encoder builds its ``Coder`` and fails as it does.
+    coder only.  A saco1 encoder holds ``omega`` (the pseudo-inverse) and
+    ``sigma_lower`` (its smallest singular value on R^p, see
+    ``bound_check``); it needs an under-complete, full-rank dictionary.
     """
 
     dictionary: Dictionary
@@ -477,30 +340,66 @@ class Encoder:
         if self.method not in CODERS:
             raise InvalidConfigError(f"unknown coder '{self.method}'")
         _check_lambdas(self.lambda1, self.lambda2)
-        _check_solver(self.tol, self.max_iter)
-        p, m = self.dictionary.matrix.shape
-        self.coder = self._outer = self._lip = None
+        if not (self.tol > 0 and self.max_iter >= 1):
+            raise InvalidInputError(f"bad solver settings tol={self.tol}, max_iter={self.max_iter}")
+        D = self.dictionary.matrix
+        self.omega = self.sigma_lower = self._outer = self._lip = None
         if self.method == "saco1":
-            self.coder = Coder.build(self.dictionary, self.lambda1)
-        elif self.method == "saco2" and p < m and self.lambda2 > 0:
-            self._outer = _atom_outer(self.dictionary.matrix)
-        elif self.method == "iterative" and (self.weights is None or self.lambda2 == 0):
-            self._lip = _lipschitz(self.dictionary.gram(), np.ones((1, m)), self.lambda2)[0]
+            self.omega, self.sigma_lower = _pseudo_inverse(D)
+        elif self.method == "saco2" and D.shape[0] < D.shape[1] and self.lambda2 > 0:
+            self._outer = _atom_outer(D)
+        elif self.method == "iterative" and self.lambda2 == 0:
+            # without the ridge term the weights leave the ISTA step unchanged
+            self._lip = np.linalg.eigvalsh(self.dictionary.gram())[-1]
+
+    def code(self, X, W=None):
+        """Code an (N, p) batch at explicit (N, m) weights, all ones for None.
+
+        Returns ``(codes, diagnostics)``.
+        """
+        X, _, W = _rows(self.dictionary, X, W)
+        return self._code(X, W)
 
     def encode(self, X, coords=None):
-        """Code an (N, p) batch located at (N, 2) ``coords``: (codes, diagnostics)."""
+        """``code`` an (N, p) batch at the ``weights`` of its (N, 2) ``coords``."""
         d = self.dictionary
-        X, W = _rows(d, X, coords=coords, config=self.weights)
-        n = len(X)
+        if self.weights is None:
+            return self._code(_rows(d, X)[0])
+        X, coords, _ = _rows(d, X, coords=coords)
+        return self._code(X, _rows(d, W=_weight_rows(coords, d.atom_coords, self.weights))[2])
+
+    def _code(self, X, W=None):
+        d, n = self.dictionary, len(X)
+        W = np.ones((n, d.n_atoms)) if W is None else W
         if not n:
             return np.zeros((0, d.n_atoms)), CodingDiagnostics()
         if self.method == "saco1":
-            return _saco1_rows(X, self.coder.omega, self.lambda1, W), CodingDiagnostics(n)
+            return _saco1_rows(X, self.omega, self.lambda1, W), CodingDiagnostics(n)
         if self.method == "saco2":
             codes = _saco2_rows(X, d, W, self.lambda1, self.lambda2, self._outer)
             return codes, CodingDiagnostics(n)
-        codes, converged, iterations, kkt = _ista_rows(
-            X, d, W, self.lambda1, self.lambda2, self.tol, self.max_iter, self._lip
-        )
-        return codes, CodingDiagnostics(n, int((~converged).sum()), int(iterations.max()),
-                                        float(kkt.max()))
+        A, converged, iterations, kkt = _ista_rows(X, d, W, self.lambda1, self.lambda2, self.tol,
+                                                   self.max_iter, self._lip)
+        return A, CodingDiagnostics(n, int((~converged).sum()), int(iterations.max()),
+                                    float(kkt.max()))
+
+
+def bound_check(x, a, encoder: Encoder):
+    """Return (||Omega(x - Da)||, sigma_lower(Omega) * ||x - Da||) for a saco1 encoder.
+
+    The first never falls below the second: for a square dictionary the
+    smallest singular value of Omega is a genuine lower bound on its
+    gain, and for p > m the factor is zero because residuals orthogonal
+    to the atom span are annihilated by Omega.
+    """
+    if encoder.omega is None:
+        raise InvalidInputError(f"bound_check needs a saco1 encoder, got {encoder.method}")
+    d = encoder.dictionary
+    x = _rows(d, [x])[0][0]
+    a = np.asarray(a, dtype=np.float64)
+    if a.shape != (d.n_atoms,) or not np.isfinite(a).all():
+        raise InvalidInputError(f"code {a.shape} must be finite with one entry per atom")
+    r = x - d.matrix @ a
+    lhs = float(np.linalg.norm(encoder.omega @ r))
+    rhs = float(encoder.sigma_lower * np.linalg.norm(r))
+    return lhs, rhs

@@ -224,9 +224,9 @@ def test_criterion_5_coding_correctness():
         ortho = Dictionary(atoms)
         x = rng.normal(size=12)
         w = rng.uniform(0.1, 2.0, size=6)
-        coder = cd.Coder.build(ortho, lambda1=0.15)
+        coder = cd.Encoder(ortho, "saco1", 0.15)
 
-        a_direct = cd.saco1(x, coder, w)
+        a_direct = coder.code([x], [w])[0][0]
         grad = ortho.matrix.T @ (ortho.matrix @ a_direct - x)
         on = a_direct != 0
         kkt = max(
@@ -235,9 +235,9 @@ def test_criterion_5_coding_correctness():
         )
         worst_kkt = max(worst_kkt, kkt)
 
-        it = cd.solve_weighted_l1(x, ortho, w, 0.15, tol=1e-12, max_iter=5000)
+        it, _ = cd.Encoder(ortho, "iterative", 0.15, 0.0, tol=1e-12, max_iter=5000).code([x], [w])
         worst_vs_iterative = max(worst_vs_iterative,
-                                 float(np.abs(a_direct - it.coeffs).max()))
+                                 float(np.abs(a_direct - it[0]).max()))
 
         # general (non-orthonormal) dictionary: ridge pre-solve with no ridge
         # must agree with the analytic path at uniform weights
@@ -245,12 +245,13 @@ def test_criterion_5_coding_correctness():
         general = Dictionary(
             [Patch(i, g[:, i], (0.5, 0.5), i % 3, 0) for i in range(6)]
         )
-        gcoder = cd.Coder.build(general, lambda1=0.15)
-        ones = np.ones(6)
+        gcoder = cd.Encoder(general, "saco1", 0.15)
+        ones = np.ones((1, 6))
         worst_vs_closed_form = max(
             worst_vs_closed_form,
             float(np.abs(
-                cd.saco2(x, general, ones, 0.15, 0.0) - cd.saco1(x, gcoder, ones)
+                cd.Encoder(general, "saco2", 0.15, 0.0).code([x], ones)[0]
+                - gcoder.code([x], ones)[0]
             ).max()),
         )
 
@@ -281,13 +282,15 @@ def test_criterion_6_dense_equals_per_patch():
     q, _ = np.linalg.qr(rng.normal(size=(10, 6)))
     d = Dictionary([Patch(i, q[:, i], (float(rng.uniform()), float(rng.uniform())),
                           i % 3, 0) for i in range(6)])
-    coder = cd.Coder.build(d, lambda1=0.2)
+    coder = cd.Encoder(d, "saco1", 0.2)
     cfg = cd.SpatialWeightConfig(kernel="linear", epsilon=0.1, scale=0.5)
     fmap = rng.normal(size=(16, 16, 10))
-    wf = cd.grid_weights(d, cfg, 16, 16)
-    dense = cd.dense_saco1(fmap, coder, wf)
+    # weights at the 16 x 16 cell centers ((c + 0.5)/16, (r + 0.5)/16), in C order
+    xs, ys = np.meshgrid((np.arange(16) + 0.5) / 16, (np.arange(16) + 0.5) / 16)
+    wf = cd.spatial_weights(np.column_stack([xs.ravel(), ys.ravel()]), d, cfg).reshape(16, 16, 6)
+    dense = coder.code(fmap.reshape(-1, 10), wf.reshape(-1, 6))[0].reshape(16, 16, 6)
     exact = all(
-        np.array_equal(dense[r, c], cd.saco1(fmap[r, c], coder, wf[r, c]))
+        np.array_equal(dense[r, c], coder.code([fmap[r, c]], [wf[r, c]])[0][0])
         for r in range(16)
         for c in range(16)
     )

@@ -99,6 +99,27 @@ class TestSvm:
         with pytest.raises(InvalidInputError):
             cl.svm_scores(model, np.zeros(3))
 
+    def test_bad_training_rows_named(self):
+        X, y = separable_problem(6)
+        X[7, 1] = np.nan
+        # a NaN row's margins fail every "< 1" test, so it would drop out of the fit
+        with pytest.raises(InvalidInputError, match="row 7: non-finite features"):
+            cl.svm_train(X, y)
+        X, y = separable_problem(6)
+        y[4] = -1
+        with pytest.raises(InvalidInputError, match="row 4: negative label"):
+            cl.svm_train(X, y)
+
+    @pytest.mark.parametrize("weights, biases", [
+        (np.zeros((3, 2)), np.zeros(1)),              # one bias for three classes
+        (np.zeros(3), np.zeros(3)),                   # weights not (classes, dim)
+        (np.full((3, 2), np.nan), np.zeros(3)),
+        (np.zeros((3, 2)), np.array([0.0, np.inf, 0.0])),
+    ])
+    def test_model_validated_at_construction(self, weights, biases):
+        with pytest.raises(InvalidInputError):
+            cl.LinearSvmModel(weights, biases)
+
 
 def basis_dictionary():
     """Four orthonormal atoms; classes own disjoint coordinate planes."""
@@ -122,18 +143,17 @@ class TestSrcClassify:
         assert residuals[true] < 0.1
         assert residuals[1 - true] == pytest.approx(np.linalg.norm(x), abs=1e-9)
 
-    def test_explicit_groups_override_labels(self):
-        d = basis_dictionary()
-        x = np.array([0.0, 0.0, 1.0, 0.0])
-        # regroup so class 0 owns atoms {0, 2}: x now reconstructs under class 0
-        pred, _ = cl.src_classify(x, d, class_groups=[[0, 2], [1, 3]], lambda1=0.01)
-        assert pred == 0
-
     def test_empty_class_rejected(self):
         eye = np.eye(3)
         d = Dictionary([Patch(i, eye[i], (0.3, 0.3), 2 * (i // 2), 0) for i in range(3)])
         with pytest.raises(InvalidInputError):
             cl.src_classify(np.ones(3), d)
+        # the image-level baseline keeps the same rule: class 1 has no atom
+        eye = np.eye(8)
+        d = Dictionary([Patch(i, eye[i], (0.3, 0.3), 2 * (i // 2), 0) for i in range(3)])
+        _, test, _ = tiny_dataset()
+        with pytest.raises(InvalidInputError, match=r"classes \[1\] have none"):
+            cl.src_image_accuracy(test, d, tiny_config())
 
 
 def tiny_dataset():

@@ -318,6 +318,38 @@ class TestTrainPredict:
         assert f"InvalidInputError: {images}: no labeled images" in err
         assert not (tmp_path / "model.w.skt").exists()
 
+    def test_train_rejects_bad_rows_naming_them(self, tmp_path, capsys):
+        feats, images = pooled_problem(tmp_path)
+        images.write_text("image_id,label\n" + "".join(f"{i},{i % 2}\n" for i in range(59))
+                          + "59,-1\n")
+        err = run_fail(capsys, ["train", "--features", str(feats), "--images", str(images),
+                                "--out", str(tmp_path / "m")])
+        assert f"InvalidInputError: {images}:61: negative label -1" in err
+        feats, images = pooled_problem(tmp_path)
+        X = read_tensor(feats)
+        X[5, 0] = np.nan
+        write_tensor(feats, X)
+        err = run_fail(capsys, ["train", "--features", str(feats), "--images", str(images),
+                                "--out", str(tmp_path / "m")])
+        assert "InvalidInputError: row 5: non-finite features" in err
+        assert not (tmp_path / "m.w.skt").exists()
+
+    @pytest.mark.parametrize("part, value", [
+        ("b", np.zeros(1)),                       # one bias against three classes
+        ("w", np.full((3, 2), np.nan)),
+    ])
+    def test_predict_rejects_a_bad_model_naming_it(self, tmp_path, capsys, part, value):
+        feats, images = pooled_problem(tmp_path)
+        prefix = tmp_path / "model"
+        write_tensor(str(prefix) + ".w.skt", np.ones((3, 2)))
+        write_tensor(str(prefix) + ".b.skt", np.zeros(3))
+        write_tensor(f"{prefix}.{part}.skt", value)
+        out = tmp_path / "pred.csv"
+        err = run_fail(capsys, ["predict", "--model", str(prefix), "--features", str(feats),
+                                "--images", str(images), "--out", str(out)])
+        assert f"InvalidInputError: model {prefix}: " in err
+        assert not out.exists()
+
     def test_bad_image_header(self, tmp_path, capsys):
         feats, images = pooled_problem(tmp_path)
         for text, line, detail in [

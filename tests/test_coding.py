@@ -11,6 +11,13 @@ from saco.data import Dictionary, Patch
 from saco.errors import InvalidConfigError, InvalidInputError, LinearSolveError
 
 
+def objective(x, D, a, w, lam1, lam2=0.0):
+    """0.5||x - Da||^2 + 0.5 lam2 ||diag(w) a||^2 + lam1 ||diag(w) a||_1."""
+    r = x - D @ a
+    wa = w * a
+    return 0.5 * r @ r + 0.5 * lam2 * wa @ wa + lam1 * np.abs(wa).sum()
+
+
 def kkt_violation(x, D, a, w, lam1, lam2=0.0):
     """Independent optimality check for the weighted lasso/elastic objective.
 
@@ -41,6 +48,12 @@ def make_dictionary(seed, p, m, orthonormal=False):
     return Dictionary(atoms)
 
 
+def code_one(encoder, x, w=None):
+    """One patch coded as a 1-row batch: (code, diagnostics)."""
+    codes, diag = encoder.code([x], None if w is None else [w])
+    return codes[0], diag
+
+
 def test_soft_threshold_frozen():
     u = np.array([0.5, -0.1, 0.2, -0.9])
     np.testing.assert_allclose(
@@ -58,11 +71,11 @@ class TestSaco1:
     def test_identity_dictionary_frozen(self):
         d = Dictionary([Patch(0, [1.0, 0.0], (0.2, 0.2), 0, 0),
                         Patch(1, [0.0, 1.0], (0.8, 0.8), 1, 0)])
-        coder = cd.Coder.build(d, lambda1=0.2)
-        a = cd.saco1(np.array([0.5, -0.1]), coder, np.ones(2))
+        coder = cd.Encoder(d, "saco1", 0.2)
+        a, _ = code_one(coder, np.array([0.5, -0.1]), np.ones(2))
         np.testing.assert_allclose(a, [0.3, 0.0], atol=1e-15)
         # per-atom weights scale the threshold
-        a = cd.saco1(np.array([0.5, -0.1]), coder, np.array([0.5, 2.0]))
+        a, _ = code_one(coder, np.array([0.5, -0.1]), np.array([0.5, 2.0]))
         np.testing.assert_allclose(a, [0.4, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -71,22 +84,22 @@ class TestSaco1:
         rng = np.random.default_rng([seed, 78])
         x = rng.normal(size=12)
         w = rng.uniform(0.1, 2.0, size=6)
-        coder = cd.Coder.build(d, lambda1=0.15)
-        direct = cd.saco1(x, coder, w)
-        iterative = cd.solve_weighted_l1(x, d, w, 0.15, tol=1e-12, max_iter=5000)
-        assert iterative.converged
-        np.testing.assert_allclose(direct, iterative.coeffs, atol=1e-9)
+        direct, _ = code_one(cd.Encoder(d, "saco1", 0.15), x, w)
+        iterative, diag = code_one(cd.Encoder(d, "iterative", 0.15, 0.0, tol=1e-12,
+                                              max_iter=5000), x, w)
+        assert diag.unconverged == 0
+        np.testing.assert_allclose(direct, iterative, atol=1e-9)
         assert kkt_violation(x, d.matrix, direct, w, 0.15) < 1e-9
 
     def test_rejects_bad_shapes(self):
         d = make_dictionary(0, p=6, m=3)
-        coder = cd.Coder.build(d, lambda1=0.1)
+        coder = cd.Encoder(d, "saco1", 0.1)
         with pytest.raises(InvalidInputError):
-            cd.saco1(np.zeros(5), coder, np.ones(3))
+            code_one(coder, np.zeros(5), np.ones(3))
         with pytest.raises(InvalidInputError):
-            cd.saco1(np.zeros(6), coder, np.ones(4))
+            code_one(coder, np.zeros(6), np.ones(4))
         with pytest.raises(InvalidInputError):
-            cd.saco1(np.zeros(6), coder, np.array([1.0, -0.5, 1.0]))
+            code_one(coder, np.zeros(6), np.array([1.0, -0.5, 1.0]))
 
 
 class TestSaco2:
@@ -94,7 +107,7 @@ class TestSaco2:
         d = make_dictionary(1, p=10, m=4, orthonormal=True)
         rng = np.random.default_rng(5)
         x = rng.normal(size=10)
-        a = cd.saco2(x, d, np.ones(4), lambda1=0.1, lambda2=0.0)
+        a, _ = code_one(cd.Encoder(d, "saco2", 0.1, 0.0), x, np.ones(4))
         np.testing.assert_allclose(
             a, cd.soft_threshold(d.matrix.T @ x, 0.1), atol=1e-12
         )
@@ -105,7 +118,7 @@ class TestSaco2:
         x = rng.normal(size=10)
         w = rng.uniform(0.2, 1.5, size=4)
         lam2 = 0.7
-        a = cd.saco2(x, d, w, lambda1=0.0, lambda2=lam2)
+        a, _ = code_one(cd.Encoder(d, "saco2", 0.0, lam2), x, w)
         np.testing.assert_allclose(
             a, (d.matrix.T @ x) / (1.0 + lam2 * w**2), atol=1e-12
         )
@@ -115,7 +128,7 @@ class TestSaco2:
         d = Dictionary([Patch(0, v, (0.1, 0.1), 0, 0),
                         Patch(1, v, (0.1, 0.1), 1, 0)])
         with pytest.raises(LinearSolveError, match="row 0 .*condition"):
-            cd.saco2(np.ones(3), d, np.ones(2), lambda1=0.1, lambda2=0.0)
+            code_one(cd.Encoder(d, "saco2", 0.1, 0.0), np.ones(3), np.ones(2))
         # with epsilon = 0 only the query on both atoms has zero weights and
         # a singular system; the error names that row of the batch
         coords = np.array([[0.5, 0.5], [0.9, 0.2], [0.1, 0.1], [0.3, 0.8]])
@@ -148,7 +161,7 @@ class TestSaco2:
     def test_rejects_negative_penalties(self):
         d = make_dictionary(3, p=6, m=3)
         with pytest.raises(InvalidInputError):
-            cd.saco2(np.zeros(6), d, np.ones(3), lambda1=-0.1, lambda2=0.0)
+            cd.Encoder(d, "saco2", -0.1, 0.0)
 
 
 class TestIterativeSolvers:
@@ -159,60 +172,63 @@ class TestIterativeSolvers:
         rng = np.random.default_rng([seed, 79])
         x = rng.normal(size=9)
         w = rng.uniform(0.1, 2.0, size=7)
-        res = cd.solve_weighted_l2_l1(x, d, w, 0.2, lam2, tol=1e-12, max_iter=20000)
-        assert res.converged
-        assert kkt_violation(x, d.matrix, res.coeffs, w, 0.2, lam2) < 1e-6
-        assert res.kkt_residual == pytest.approx(
-            kkt_violation(x, d.matrix, res.coeffs, w, 0.2, lam2), abs=1e-12
+        a, diag = code_one(cd.Encoder(d, "iterative", 0.2, lam2, tol=1e-12, max_iter=20000),
+                           x, w)
+        assert diag.unconverged == 0
+        assert kkt_violation(x, d.matrix, a, w, 0.2, lam2) < 1e-6
+        assert diag.worst_kkt == pytest.approx(
+            kkt_violation(x, d.matrix, a, w, 0.2, lam2), abs=1e-12
         )
 
     def test_objective_never_increases(self):
         d = make_dictionary(4, p=8, m=5)
         rng = np.random.default_rng(7)
         x = rng.normal(size=8)
-        res = cd.solve_weighted_l1(x, d, np.ones(5), 0.3, tol=1e-10, max_iter=2000)
-        assert res.converged and res.iterations > 10
+        w = np.ones(5)
+        a, diag = code_one(cd.Encoder(d, "iterative", 0.3, 0.0, tol=1e-10, max_iter=2000), x, w)
+        assert diag.unconverged == 0 and diag.max_iterations > 10
         # ISTA is deterministic from a zero start, so a run capped at k
         # iterations stops at the k-th iterate of the full run; check the
         # zero start, the first 150 iterates and the last
-        capped = [cd.solve_weighted_l1(x, d, np.ones(5), 0.3, tol=1e-10, max_iter=k)
-                  for k in [*range(1, 151), res.iterations]]
-        hist = [0.5 * x @ x] + [r.objective for r in capped]
+        capped = [code_one(cd.Encoder(d, "iterative", 0.3, 0.0, tol=1e-10, max_iter=k), x, w)[0]
+                  for k in [*range(1, 151), diag.max_iterations]]
+        hist = [0.5 * x @ x] + [objective(x, d.matrix, c, w, 0.3) for c in capped]
         assert np.all(np.diff(hist) <= 1e-12)
-        np.testing.assert_array_equal(capped[-1].coeffs, res.coeffs)
+        np.testing.assert_array_equal(capped[-1], a)
 
     def test_zero_penalty_reaches_least_squares(self):
         d = make_dictionary(5, p=8, m=4)
         rng = np.random.default_rng(8)
         target = d.matrix @ rng.normal(size=4)
-        res = cd.solve_weighted_l1(target, d, np.ones(4), 0.0, tol=1e-12, max_iter=20000)
-        assert np.linalg.norm(target - d.matrix @ res.coeffs) < 1e-6
+        a, _ = code_one(cd.Encoder(d, "iterative", 0.0, 0.0, tol=1e-12, max_iter=20000),
+                        target, np.ones(4))
+        assert np.linalg.norm(target - d.matrix @ a) < 1e-6
 
     def test_huge_penalty_gives_zero_code(self):
         d = make_dictionary(6, p=8, m=4)
         rng = np.random.default_rng(9)
-        res = cd.solve_weighted_l1(rng.normal(size=8), d, np.ones(4), 1e6)
-        np.testing.assert_array_equal(res.coeffs, np.zeros(4))
-        assert res.converged
+        a, diag = code_one(cd.Encoder(d, "iterative", 1e6, 0.0), rng.normal(size=8), np.ones(4))
+        np.testing.assert_array_equal(a, np.zeros(4))
+        assert diag.unconverged == 0
 
     def test_rejects_bad_settings(self):
         d = make_dictionary(7, p=6, m=3)
         with pytest.raises(InvalidInputError):
-            cd.solve_weighted_l1(np.zeros(6), d, np.ones(3), 0.1, tol=0.0)
+            cd.Encoder(d, "iterative", 0.1, 0.0, tol=0.0)
         with pytest.raises(InvalidInputError):
-            cd.solve_weighted_l1(np.zeros(6), d, np.ones(3), 0.1, max_iter=0)
+            cd.Encoder(d, "iterative", 0.1, 0.0, max_iter=0)
 
 
 class TestCoderBuild:
     def test_pseudo_inverse_identity(self):
         d = make_dictionary(10, p=9, m=5)
-        coder = cd.Coder.build(d, lambda1=0.1)
+        coder = cd.Encoder(d, "saco1", 0.1)
         np.testing.assert_allclose(coder.omega @ d.matrix, np.eye(5), atol=1e-10)
 
     def test_overcomplete_rejected(self):
         d = make_dictionary(11, p=3, m=5)
         with pytest.raises(InvalidInputError, match="under-complete"):
-            cd.Coder.build(d, lambda1=0.1)
+            cd.Encoder(d, "saco1", 0.1)
 
     def test_ill_conditioned_warns(self):
         base = np.array([1.0, 0.0, 0.0])
@@ -220,24 +236,24 @@ class TestCoderBuild:
         d = Dictionary([Patch(0, base, (0.1, 0.1), 0, 0),
                         Patch(1, nearly, (0.9, 0.9), 1, 0)])
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-            cd.Coder.build(d, lambda1=0.1)
+            cd.Encoder(d, "saco1", 0.1)
 
     def test_rank_deficient_rejected(self):
         d = Dictionary([Patch(0, [0.0, 0.0], (0.1, 0.1), 0, 0),
                         Patch(1, [1.0, 0.0], (0.9, 0.9), 1, 0)])
         with pytest.raises(LinearSolveError):
-            cd.Coder.build(d, lambda1=0.1)
+            cd.Encoder(d, "saco1", 0.1)
 
     def test_negative_penalty_rejected(self):
         d = make_dictionary(12, p=6, m=3)
         with pytest.raises(InvalidInputError):
-            cd.Coder.build(d, lambda1=-0.5)
+            cd.Encoder(d, "saco1", -0.5)
 
 
 class TestBoundCheck:
     def test_square_orthonormal_is_tight(self):
         d = make_dictionary(13, p=4, m=4, orthonormal=True)
-        coder = cd.Coder.build(d, lambda1=0.1)
+        coder = cd.Encoder(d, "saco1", 0.1)
         rng = np.random.default_rng(10)
         x = rng.normal(size=4)
         a = rng.normal(size=4)
@@ -248,7 +264,7 @@ class TestBoundCheck:
     @pytest.mark.parametrize("seed", range(8))
     def test_lower_bound_holds(self, seed):
         d = make_dictionary(seed + 80, p=9, m=5)
-        coder = cd.Coder.build(d, lambda1=0.1)
+        coder = cd.Encoder(d, "saco1", 0.1)
         rng = np.random.default_rng([seed, 81])
         lhs, rhs = cd.bound_check(rng.normal(size=9), rng.normal(size=5), coder)
         assert lhs >= rhs - 1e-12
@@ -257,7 +273,7 @@ class TestBoundCheck:
 
     @pytest.mark.parametrize("a", [np.zeros(4), np.array([0.0, np.nan, 0.0])])
     def test_rejects_bad_code(self, a):
-        coder = cd.Coder.build(make_dictionary(13, p=4, m=3), lambda1=0.1)
+        coder = cd.Encoder(make_dictionary(13, p=4, m=3), "saco1", 0.1)
         with pytest.raises(InvalidInputError, match="code"):
             cd.bound_check(np.ones(4), a, coder)
 
@@ -267,22 +283,21 @@ class TestSpatialWeights:
         d = Dictionary([Patch(0, [1.0], (0.0, 0.0), 0, 0),
                         Patch(1, [2.0], (0.0, 1.0), 0, 0)])
         cfg = cd.SpatialWeightConfig(kernel="linear", epsilon=0.1, scale=0.5)
-        w = cd.spatial_weights((0.0, 0.0), d, cfg)
-        np.testing.assert_allclose(w, [0.1, 0.1 + 1.0 / 0.5], atol=1e-15)
+        w = cd.spatial_weights([(0.0, 0.0)], d, cfg)
+        np.testing.assert_allclose(w, [[0.1, 0.1 + 1.0 / 0.5]], atol=1e-15)
 
     def test_gaussian_kernel_frozen(self):
         d = Dictionary([Patch(0, [1.0], (0.0, 0.0), 0, 0),
                         Patch(1, [2.0], (0.0, 1.0), 0, 0)])
         cfg = cd.SpatialWeightConfig(kernel="one-minus-gaussian", epsilon=0.0, scale=0.5)
-        w = cd.spatial_weights((0.0, 0.0), d, cfg)
-        np.testing.assert_allclose(w, [0.0, 1.0 - np.exp(-2.0)], atol=1e-15)
+        w = cd.spatial_weights([(0.0, 0.0)], d, cfg)
+        np.testing.assert_allclose(w, [[0.0, 1.0 - np.exp(-2.0)]], atol=1e-15)
 
     def test_weight_grows_with_distance(self):
         d = make_dictionary(14, p=4, m=6)
         for kernel in ("linear", "one-minus-gaussian"):
             cfg = cd.SpatialWeightConfig(kernel=kernel, epsilon=0.05, scale=0.4)
-            w_near = cd.spatial_weights(tuple(d.atom_coords[0]), d, cfg)
-            w_far = cd.spatial_weights((-5.0, -5.0), d, cfg)
+            w_near, w_far = cd.spatial_weights([d.atom_coords[0], (-5.0, -5.0)], d, cfg)
             assert w_near[0] == pytest.approx(0.05)
             assert np.all(w_far >= w_near)
 
@@ -297,55 +312,49 @@ class TestSpatialWeights:
     def test_query_shape_checked(self):
         d = make_dictionary(15, p=4, m=3)
         with pytest.raises(InvalidInputError):
-            cd.spatial_weights((0.1, 0.2, 0.3), d, cd.SpatialWeightConfig())
+            cd.spatial_weights([(0.1, 0.2, 0.3)], d, cd.SpatialWeightConfig())
+        # locations come as (N, 2) rows, one location too
+        with pytest.raises(InvalidInputError, match="2 axes"):
+            cd.spatial_weights((0.1, 0.2), d, cd.SpatialWeightConfig())
+
+
+def grid_centers(n_rows, n_cols):
+    """(n_rows * n_cols, 2) grid cell centers in C order: cell (r, c) at
+    ((c + 0.5)/n_cols, (r + 0.5)/n_rows)."""
+    xs, ys = np.meshgrid((np.arange(n_cols) + 0.5) / n_cols, (np.arange(n_rows) + 0.5) / n_rows)
+    return np.column_stack([xs.ravel(), ys.ravel()])
 
 
 class TestDenseCoding:
-    def test_grid_weights_match_cell_centers(self):
-        d = make_dictionary(16, p=4, m=5)
-        cfg = cd.SpatialWeightConfig(kernel="one-minus-gaussian", epsilon=0.1, scale=0.3)
-        grid = cd.grid_weights(d, cfg, n_rows=2, n_cols=3)
-        assert grid.shape == (2, 3, 5)
-        for r in range(2):
-            for c in range(3):
-                center = ((c + 0.5) / 3, (r + 0.5) / 2)
-                np.testing.assert_array_equal(
-                    grid[r, c], cd.spatial_weights(center, d, cfg)
-                )
-
-    def test_grid_must_be_nonempty(self):
-        d = make_dictionary(17, p=4, m=3)
-        for n_rows in (0, float("nan")):
-            with pytest.raises(InvalidInputError):
-                cd.grid_weights(d, cd.SpatialWeightConfig(), n_rows, 3)
+    """A dense (H, W, p) feature map is coded as its H*W cells' rows."""
 
     def test_dense_matches_per_cell_exactly(self):
         d = make_dictionary(18, p=6, m=4, orthonormal=True)
-        coder = cd.Coder.build(d, lambda1=0.2)
+        coder = cd.Encoder(d, "saco1", 0.2)
         cfg = cd.SpatialWeightConfig(kernel="linear", epsilon=0.1, scale=0.5)
         rng = np.random.default_rng(11)
         fmap = rng.normal(size=(3, 4, 6))
-        wf = cd.grid_weights(d, cfg, 3, 4)
-        dense = cd.dense_saco1(fmap, coder, wf)
+        wf = cd.spatial_weights(grid_centers(3, 4), d, cfg).reshape(3, 4, 4)
+        dense = coder.code(fmap.reshape(-1, 6), wf.reshape(-1, 4))[0].reshape(3, 4, 4)
         assert dense.shape == (3, 4, 4)
         for r in range(3):
             for c in range(4):
                 np.testing.assert_array_equal(
-                    dense[r, c], cd.saco1(fmap[r, c], coder, wf[r, c])
+                    dense[r, c], code_one(coder, fmap[r, c], wf[r, c])[0]
                 )
 
     def test_dense_shape_validation(self):
         d = make_dictionary(19, p=6, m=4)
-        coder = cd.Coder.build(d, lambda1=0.2)
+        coder = cd.Encoder(d, "saco1", 0.2)
         wf = np.ones((3, 4, 4))
         with pytest.raises(InvalidInputError):
-            cd.dense_saco1(np.zeros((3, 4)), coder, wf)
+            coder.code(np.zeros((3, 4)).reshape(-1, 6), wf.reshape(-1, 4))
         with pytest.raises(InvalidInputError):
-            cd.dense_saco1(np.zeros((3, 4, 5)), coder, wf)
+            coder.code(np.zeros((3, 4, 5)).reshape(-1, 6), wf.reshape(-1, 4))
         with pytest.raises(InvalidInputError):
-            cd.dense_saco1(np.zeros((3, 4, 6)), coder, np.ones((3, 3, 4)))
+            coder.code(np.zeros((3, 4, 6)).reshape(-1, 6), np.ones((3, 3, 4)).reshape(-1, 4))
         with pytest.raises(InvalidInputError):
-            cd.dense_saco1(np.zeros((3, 4, 6)), coder, -wf)
+            coder.code(np.zeros((3, 4, 6)).reshape(-1, 6), -wf.reshape(-1, 4))
 
 
 def ridge_reference(X, d, W, lam1, lam2):
@@ -382,15 +391,15 @@ class TestEncoder:
         # push-through
         coords[5] = d.atom_coords[3]
         cfg = cd.SpatialWeightConfig(kernel="linear", epsilon=0.0, scale=0.5)
-        W = np.array([cd.spatial_weights(c, d, cfg) for c in coords])
+        W = cd.spatial_weights(coords, d, cfg)
         assert W[5, 3] == 0.0 and np.all(np.delete(W, 5, axis=0) > 0)
         codes, diag = cd.Encoder(d, "saco2", 0.05, 0.7, cfg).encode(X, coords)
         ref = ridge_reference(X, d, W, 0.05, 0.7)
         np.testing.assert_allclose(codes, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
         assert (diag.rows, diag.unconverged, diag.max_iterations) == (30, 0, 0)
-        # the one-row function runs the same kernel
-        np.testing.assert_allclose(cd.saco2(X[0], d, W[0], 0.05, 0.7), ref[0],
-                                   rtol=1e-12, atol=1e-12 * np.abs(ref[0]).max())
+        # one row at explicit weights runs the same kernel
+        np.testing.assert_allclose(code_one(cd.Encoder(d, "saco2", 0.05, 0.7), X[0], W[0])[0],
+                                   ref[0], rtol=1e-12, atol=1e-12 * np.abs(ref[0]).max())
 
     @pytest.mark.parametrize("method", ["saco1", "saco2", "iterative"])
     def test_batch_slicing_does_not_change_codes(self, method):
@@ -415,14 +424,26 @@ class TestEncoder:
         cfg = cd.SpatialWeightConfig(epsilon=0.2) if weighted else None
         codes, diag = cd.Encoder(d, "iterative", 0.2, lam2, cfg, tol=1e-12,
                                  max_iter=20000).encode(X, coords)
-        W = np.array([cd.spatial_weights(c, d, cfg) for c in coords]) if weighted \
-            else np.ones((17, 12))
-        rows = [cd.solve_weighted_l2_l1(x, d, w, 0.2, lam2, tol=1e-12, max_iter=20000)
-                for x, w in zip(X, W)]
-        np.testing.assert_allclose(codes, [r.coeffs for r in rows], rtol=0, atol=1e-10)
+        W = cd.spatial_weights(coords, d, cfg) if weighted else np.ones((17, 12))
+        one = cd.Encoder(d, "iterative", 0.2, lam2, tol=1e-12, max_iter=20000)
+        rows = [code_one(one, x, w) for x, w in zip(X, W)]
+        np.testing.assert_allclose(codes, [a for a, _ in rows], rtol=0, atol=1e-10)
         assert diag.unconverged == 0
-        assert diag.max_iterations == max(r.iterations for r in rows)
-        assert diag.worst_kkt == pytest.approx(max(r.kkt_residual for r in rows), abs=1e-12)
+        assert diag.max_iterations == max(r.max_iterations for _, r in rows)
+        assert diag.worst_kkt == pytest.approx(max(r.worst_kkt for _, r in rows), abs=1e-12)
+
+    def test_explicit_weights_with_ridge_get_their_own_step(self):
+        # with lambda2 > 0 the ISTA step depends on the weights: reusing the
+        # all-ones step overshoots at weights up to 10 and never converges
+        d, X, _ = batch_problem(9, p=8, m=12, n=10)
+        W = np.random.default_rng(9).uniform(0.5, 10.0, size=(10, 12))
+        enc = cd.Encoder(d, "iterative", 0.2, 1.0, tol=1e-12, max_iter=20000)
+        codes, diag = enc.code(X, W)
+        assert diag.unconverged == 0
+        assert max(kkt_violation(x, d.matrix, a, w, 0.2, 1.0)
+                   for x, w, a in zip(X, W, codes)) < 1e-6
+        np.testing.assert_allclose(codes, [code_one(enc, x, w)[0] for x, w in zip(X, W)],
+                                   rtol=0, atol=1e-10)
 
     def test_max_iter_one_reports_every_row_unconverged(self):
         d, X, coords = batch_problem(7)
@@ -443,6 +464,8 @@ class TestEncoder:
             enc.encode(X[:, :5], coords)
         with pytest.raises(InvalidInputError, match="coords"):
             enc.encode(X, coords[:4])
+        with pytest.raises(InvalidInputError, match="weights"):
+            enc.code(X, np.ones((4, 20)))
         X[3, 2] = np.nan
         with pytest.raises(InvalidInputError, match="row 3"):
             enc.encode(X, coords)
@@ -470,27 +493,32 @@ def _encode(method):
                                             s["tol"]).encode(X, C)
 
 
+def _code(method):
+    return lambda d, X, W, C, s: cd.Encoder(d, method, s["lambda1"], s["lambda2"],
+                                            tol=s["tol"]).code(X, W)
+
+
 # entry -> (the row the table corrupts, the inputs it reads, a call on a
 # 4-row batch X (4, p), weights W (4, m), locations C (4, 2) and SCALARS);
-# one-row entries read row 0, dense coding reads the batch as a 2 x 2 map
+# an entry named by its coder codes X at the explicit weights W, and the
+# one-row entries read row 0
 ENTRIES = {
     **{f"Encoder.encode[{m}]": (2, "X C lambda1 lambda2 tol weight_scale weight_epsilon",
                                 _encode(m)) for m in cd.CODERS},
-    "saco1": (0, "X W lambda1",
-              lambda d, X, W, C, s: cd.saco1(X[0], cd.Coder.build(d, s["lambda1"]), W[0])),
-    "saco2": (0, "X W lambda1 lambda2",
-              lambda d, X, W, C, s: cd.saco2(X[0], d, W[0], s["lambda1"], s["lambda2"])),
-    "solve_weighted_l1": (0, "X W lambda1 tol", lambda d, X, W, C, s: cd.solve_weighted_l1(
-        X[0], d, W[0], s["lambda1"], s["tol"])),
-    "solve_weighted_l2_l1": (0, "X W lambda1 lambda2 tol",
-                             lambda d, X, W, C, s: cd.solve_weighted_l2_l1(
-                                 X[0], d, W[0], s["lambda1"], s["lambda2"], s["tol"])),
-    "dense_saco1": (2, "X W lambda1", lambda d, X, W, C, s: cd.dense_saco1(
-        X.reshape(2, 2, -1), cd.Coder.build(d, s["lambda1"]), W.reshape(2, 2, -1))),
+    **{m: (2, "X W lambda1 lambda2 tol", _code(m)) for m in cd.CODERS},
+    # the one-patch weighted l1 and l2-l1 problems as a one-row batch, and
+    # dense saco1 as a 2 x 2 feature map coded cell by cell in C order
+    "solve_weighted_l1": (0, "X W lambda1 tol", lambda d, X, W, C, s: cd.Encoder(
+        d, "iterative", s["lambda1"], 0.0, tol=s["tol"]).code(X[:1], W[:1])),
+    "solve_weighted_l2_l1": (0, "X W lambda1 lambda2 tol", lambda d, X, W, C, s: cd.Encoder(
+        d, "iterative", s["lambda1"], s["lambda2"], tol=s["tol"]).code(X[:1], W[:1])),
+    "dense_saco1": (2, "X W lambda1", lambda d, X, W, C, s: cd.Encoder(
+        d, "saco1", s["lambda1"]).code(X.reshape(2, 2, -1).reshape(4, -1),
+                                       W.reshape(2, 2, -1).reshape(4, -1))),
     "bound_check": (0, "X lambda1", lambda d, X, W, C, s: cd.bound_check(
-        X[0], np.zeros(d.n_atoms), cd.Coder.build(d, s["lambda1"]))),
-    "spatial_weights": (0, "C weight_scale weight_epsilon",
-                        lambda d, X, W, C, s: cd.spatial_weights(C[0], d, _weights(s))),
+        X[0], np.zeros(d.n_atoms), cd.Encoder(d, "saco1", s["lambda1"]))),
+    "spatial_weights": (2, "C weight_scale weight_epsilon",
+                        lambda d, X, W, C, s: cd.spatial_weights(C, d, _weights(s))),
 }
 
 # column -> (the input it corrupts, the bad value)
