@@ -68,6 +68,7 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300):
         raise InvalidInputError("SVM training needs at least two classes present")
     if n_classes is None:
         n_classes = int(y.max()) + 1
+    _reject_rows(y >= n_classes, f"label out of range for {n_classes} classes")
     n, dim = X.shape
     W = np.zeros((n_classes, dim))
     B = np.zeros(n_classes)

@@ -72,28 +72,32 @@ def _median_pairwise_distance(X: np.ndarray) -> float:
     return float(np.median(d))
 
 
+def _knn_block(X: np.ndarray, sq: np.ndarray, lo: int, hi: int, k: int):
+    """(rows, cols, squared distances) of the k nearest neighbors of rows lo..hi-1.
+
+    Each (hi - lo, m) temporary is dropped as soon as it is used, so at
+    most two are alive at once.
+    """
+    d2 = sq[lo:hi, None] + sq[None, :]
+    g = X[lo:hi] @ X.T
+    g *= 2.0
+    d2 -= g
+    del g
+    np.maximum(d2, 0.0, out=d2)
+    d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+    cols = np.argpartition(d2, k - 1, axis=1)[:, :k].ravel()
+    rows = np.arange(hi - lo).repeat(k)
+    return rows + lo, cols, d2[rows, cols]
+
+
 def _knn_gaussian(X: np.ndarray, k_nn: int, sigma: float) -> sp.csr_matrix:
     m = len(X)
     k = min(k_nn, m - 1)
     sq = np.einsum("ij,ij->i", X, X)
-    rows_idx = []
-    cols_idx = []
-    vals = []
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
-        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (X[lo:hi] @ X.T)
-        np.maximum(d2, 0.0, out=d2)
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        nn = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        block_rows = np.repeat(np.arange(lo, hi), k)
-        block_cols = nn.ravel()
-        block_d2 = d2[np.arange(hi - lo).repeat(k), block_cols]
-        rows_idx.append(block_rows)
-        cols_idx.append(block_cols)
-        vals.append(np.exp(-block_d2 / (2.0 * sigma * sigma)))
+    blocks = [_knn_block(X, sq, lo, min(lo + _CHUNK, m), k) for lo in range(0, m, _CHUNK)]
+    rows_idx, cols_idx, d2 = (np.concatenate(parts) for parts in zip(*blocks))
     mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-        shape=(m, m),
+        (np.exp(-d2 / (2.0 * sigma * sigma)), (rows_idx, cols_idx)), shape=(m, m)
     ).tocsr()
     return mat.maximum(mat.T)
 

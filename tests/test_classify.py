@@ -110,6 +110,13 @@ class TestSvm:
         with pytest.raises(InvalidInputError, match="row 4: negative label"):
             cl.svm_train(X, y)
 
+    def test_label_beyond_n_classes_named(self):
+        X, y = separable_problem(6)
+        y[50:55] = 2
+        # labels 0..2 for 2 classes: rows of class 2 would only ever be negatives
+        with pytest.raises(InvalidInputError, match="row 50: label out of range for 2 classes"):
+            cl.svm_train(X, y, n_classes=2)
+
     @pytest.mark.parametrize("weights, biases", [
         (np.zeros((3, 2)), np.zeros(1)),              # one bias for three classes
         (np.zeros(3), np.zeros(3)),                   # weights not (classes, dim)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import saco.selection as sel
 from saco.data import Patch, PatchSet
 from saco.errors import InvalidInputError
+from saco.graphs import AffinityGraph
 
 from conftest import make_graphs, make_patches
 
@@ -19,11 +21,72 @@ def test_lazy_equals_naive(seed):
     a = sel.naive_greedy(patches, S, L, w, 8)
     b = sel.lazy_greedy(patches, S, L, w, 8)
     assert a.ids == b.ids
-    np.testing.assert_allclose(a.gains, b.gains, atol=1e-12)
+    assert [repr(g) for g in a.gains] == [repr(g) for g in b.gains]
     # every committed gain is the step's difference of from-scratch values
     labels = PatchSet.of(patches).labels
     values = [sel.evaluate_ids(a.ids[:s], S, L, labels, w) for s in range(len(a.ids) + 1)]
     np.testing.assert_allclose(a.gains, np.diff(values), rtol=0, atol=1e-9)
+
+
+SUBMODULAR = sel.ObjectiveWeights(lambda_s=0.7, lambda_d=0.0, lambda_b=1.3, lambda_c=0.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("n_committed", [0, 1, 6])
+def test_batched_gains_equal_one_candidate_gains(seed, n_committed):
+    patches = make_patches(seed, m=50, clustered=True)
+    S, L = make_graphs(patches, k_nn=6)
+    rng = np.random.default_rng([seed, n_committed])
+    state = sel.SelectionState.for_patches(patches)
+    for e in rng.choice(50, size=n_committed, replace=False):
+        sel.add_exemplar(state, int(e), S, L, SUBMODULAR)
+    batch = rng.permutation(np.flatnonzero(~state.is_selected))  # out of id order
+    batched = state.gains(batch, S, L, SUBMODULAR)
+    one = [state._delta(int(e), S, L, SUBMODULAR, commit=False) for e in batch]
+    np.testing.assert_allclose(batched, one, rtol=0, atol=1e-12)
+    # a candidate scores the same bits whatever else is in its batch
+    part = batch[[9, 2, 30]]
+    assert [repr(g) for g in state.gains(part, S, L, SUBMODULAR)] == \
+        [repr(g) for g in batched[[9, 2, 30]]]
+
+
+def test_empty_rows_score_only_their_balance_term():
+    # rows 2 and 4 store nothing: in the batch (2, 0, 3, 4) row 2 repeats
+    # row 0's offset and row 4's offset is the end of the gathered entries
+    A = np.zeros((5, 5))
+    A[0, 1] = A[1, 0] = 0.8
+    A[0, 3] = A[3, 0] = 0.3
+    A[1, 3] = A[3, 1] = 0.5
+    S = AffinityGraph(sp.csr_matrix(A))
+    patches = [Patch(i, np.zeros(2), (0.5, 0.5), i % 2, 0) for i in range(5)]
+    state = sel.SelectionState.for_patches(patches)
+    balance = SUBMODULAR.lambda_b * (np.log(2.0) - np.log(1.0))
+    for committed in (None, 1):
+        if committed is not None:
+            sel.add_exemplar(state, committed, S, S, SUBMODULAR)
+        batch = [c for c in (2, 0, 3, 4) if not state.is_selected[c]]
+        got = state.gains(batch, S, S, SUBMODULAR)
+        one = [state._delta(c, S, S, SUBMODULAR, commit=False) for c in batch]
+        np.testing.assert_allclose(got, one, rtol=0, atol=1e-12)
+        assert got[batch.index(2)] == pytest.approx(balance, abs=1e-15)
+        # patches 2 and 4 are class 0, which has no exemplar yet
+        assert got[batch.index(4)] == pytest.approx(balance, abs=1e-15)
+
+
+def test_batched_lazy_equals_naive_exactly(monkeypatch):
+    # large enough that stale entries are re-scored many at a time
+    patches = make_patches(21, m=2000, clustered=True)
+    S, L = make_graphs(patches, k_nn=16)
+    w = sel.ObjectiveWeights(lambda_d=0.0, lambda_c=0.0)
+    naive = sel.naive_greedy(patches, S, L, w, 100)
+    lazy = sel.lazy_greedy(patches, S, L, w, 100)
+    assert lazy.ids == naive.ids
+    assert [repr(g) for g in lazy.gains] == [repr(g) for g in naive.gains]
+    monkeypatch.setattr(sel, "_RESCORE_BATCH", 1)
+    one_by_one = sel.lazy_greedy(patches, S, L, w, 100)
+    assert one_by_one.ids == naive.ids
+    # batches re-score entries that one-at-a-time never reaches
+    assert one_by_one.n_evaluations < lazy.n_evaluations < naive.n_evaluations
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -87,13 +150,14 @@ def test_tie_breaks_to_lowest_id():
         Patch(i, feats[i], (0.1 * (i + 1), 0.1 * (i + 1)), 0, 0) for i in range(5)
     ]
     S, L = make_graphs(patches, k_nn=4)
-    w = sel.ObjectiveWeights()
-    naive = sel.naive_greedy(patches, S, L, w, 2)
-    lazy = sel.lazy_greedy(patches, S, L, w, 2)
-    assert naive.ids == lazy.ids
-    assert naive.ids[0] in (0, 2)
-    # whichever pair wins, its lower member is chosen
-    assert naive.ids[0] % 2 == 0
+    # the default weights and the submodular regime, whose gains are batched
+    for w in (sel.ObjectiveWeights(), sel.ObjectiveWeights(lambda_d=0.0, lambda_c=0.0)):
+        naive = sel.naive_greedy(patches, S, L, w, 2)
+        lazy = sel.lazy_greedy(patches, S, L, w, 2)
+        assert naive.ids == lazy.ids
+        assert naive.ids[0] in (0, 2)
+        # whichever pair wins, its lower member is chosen
+        assert naive.ids[0] % 2 == 0
 
 
 def test_early_stop_on_nonpositive_gain():
@@ -101,10 +165,6 @@ def test_early_stop_on_nonpositive_gain():
     # already covers everything, so any further pick only pays the
     # cardinality penalties and greedy stops at one
     patches = [Patch(i, np.zeros(2), (0.5, 0.5), 0, 0) for i in range(6)]
-    import scipy.sparse as sp
-
-    from saco.graphs import AffinityGraph
-
     W = np.ones((6, 6))
     S = AffinityGraph(sp.csr_matrix(W))
     res = sel.naive_greedy(patches, S, S, sel.ObjectiveWeights(), 5)
