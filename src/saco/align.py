@@ -13,16 +13,18 @@ a stack; its stacked vector products sum exactly as ``np.linalg.norm``
 does.  ``align_to_medoid`` takes the first minimum over (cluster,
 angle), so ties go to the lowest cluster, then the earliest angle.
 
-Bilinear sampling is split into a plan and its application.  A plan
-holds, for every output pixel, the flat indices and weights of its four
-source corners; it depends only on the image shape and the angle (or
-the resize target), never on the pixels.  Plans are built once and kept
-in two LRU caches of ``PLAN_CACHE_SIZE`` entries each, keyed by
-(shape, angle) and (shape, target shape), so a grid search rotates every
-image through the same few plans.  A plan takes 64 bytes per output
-pixel, ~262 KB for a 64x64 rotation, and its arrays are read-only.
-Applying a plan repeats the arithmetic of sampling directly, operation
-for operation, so results are bit-identical to it.
+Bilinear sampling is a linear operator on the flattened pixels.  A
+plan is a ``scipy.sparse.csr_array`` of shape (output pixels, h * w)
+whose row holds the weights of an output pixel's in-frame source
+corners; it depends only on the image shape and the angle (or the
+resize target), never on the pixels.  Plans are built once and kept in
+two LRU caches of ``PLAN_CACHE_SIZE`` entries each, keyed by (shape,
+angle) and (shape, target shape), so a grid search rotates every image
+through the same few plans.  A plan takes 60-71 bytes per output pixel
+(~250 KB for a 64x64 rotation, ~113 KB for a 64x64 -> 40x40 resize),
+and its arrays are read-only.  The CSR product sums each row's corners
+from zero in (dy, dx) order, as sampling is defined, so results are
+bit-identical to sampling directly.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import LabeledImage
 from .errors import InvalidInputError
@@ -56,9 +59,19 @@ def _as_image(image) -> np.ndarray:
     return arr
 
 
-def _pixels(image) -> np.ndarray:
-    """The raster of a ``LabeledImage``, or ``image`` itself, as a 2-D float array."""
-    return _as_image(image.pixels if isinstance(image, LabeledImage) else image)
+def _pixels(image, name="image") -> np.ndarray:
+    """The raster of a ``LabeledImage``, or ``image`` itself, as a finite 2-D float array.
+
+    Errors name a ``LabeledImage`` by its id, any other image by ``name``.
+    """
+    if isinstance(image, LabeledImage):
+        name, image = f"image {image.image_id}", image.pixels
+    arr = _as_image(image)
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        r, c = bad[0]
+        raise InvalidInputError(f"{name}: non-finite pixel {arr[r, c]} at row {r}, column {c}")
+    return arr
 
 
 def _theta_grid(theta_grid) -> np.ndarray:
@@ -72,32 +85,31 @@ def _theta_grid(theta_grid) -> np.ndarray:
     return grid
 
 
-def _sampling_plan(xs: np.ndarray, ys: np.ndarray, h: int, w: int):
-    """Bilinear gathers at float (x, y) positions in an h x w image.
+def _sampling_plan(xs: np.ndarray, ys: np.ndarray, h: int, w: int) -> sp.csr_array:
+    """Bilinear sampling at float (x, y) positions in an h x w image, as an operator.
 
-    Returns (idx, wgt), each of shape (4,) + xs.shape: flat gather
-    indices and weights of the four corners in (dy, dx) order.  Corners
-    outside the frame index h * w, the zero that ``_apply_plan`` appends.
+    Row r of the (xs.size, h * w) result holds the in-frame corners of
+    output pixel r in (dy, dx) order, which is ascending column order.
+    Out-of-frame corners are dropped; in-frame corners of weight 0 are
+    kept, since they still decide the result for -0.0 and non-finite
+    pixels.
     """
-    x0 = np.floor(xs).astype(np.int64)
-    y0 = np.floor(ys).astype(np.int64)
-    fx = xs - x0
-    fy = ys - y0
-    idx = np.empty((4,) + xs.shape, dtype=np.int64)
-    wgt = np.empty((4,) + xs.shape)
-    for k, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        xi = x0 + dx
-        yi = y0 + dy
-        wgt[k] = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-        valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-        idx[k] = np.where(valid, yi * w + xi, h * w)
-    idx.flags.writeable = False
-    wgt.flags.writeable = False
-    return idx, wgt
+    dx, dy = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
+    xs, ys = np.reshape(xs, (-1, 1)), np.reshape(ys, (-1, 1))
+    fx, fy = xs - np.floor(xs), ys - np.floor(ys)
+    xi = np.floor(xs).astype(np.int64) + dx
+    yi = np.floor(ys).astype(np.int64) + dy
+    wgt = np.where(dx, fx, 1.0 - fx) * np.where(dy, fy, 1.0 - fy)
+    valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+    indptr = np.r_[0, valid.sum(axis=1).cumsum()]
+    op = sp.csr_array((wgt[valid], (yi * w + xi)[valid], indptr), shape=(len(xs), h * w))
+    for arr in (op.data, op.indices, op.indptr):
+        arr.flags.writeable = False
+    return op
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _rotation_plan(h: int, w: int, theta_deg: float):
+def _rotation_plan(h: int, w: int, theta_deg: float) -> sp.csr_array:
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     t = math.radians(theta_deg)
     ct, st = math.cos(t), math.sin(t)
@@ -111,26 +123,11 @@ def _rotation_plan(h: int, w: int, theta_deg: float):
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _resize_plan(h: int, w: int, out_h: int, out_w: int):
+def _resize_plan(h: int, w: int, out_h: int, out_w: int) -> sp.csr_array:
     ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
     xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
     gx, gy = np.meshgrid(xs, ys)
     return _sampling_plan(gx, gy, h, w)
-
-
-def _apply_plan(plan, img: np.ndarray) -> np.ndarray:
-    """Sum of weight * pixel over the plan's four corners, in corner order."""
-    idx, wgt = plan
-    flat = np.empty(img.size + 1)
-    flat[:-1] = img.ravel()
-    flat[-1] = 0.0
-    vals = flat.take(idx)
-    vals *= wgt
-    # accumulate from zero, corner by corner, as the sampling is defined
-    out = np.zeros(idx.shape[1:])
-    for v in vals:
-        out += v
-    return out
 
 
 def rotate_image(image, theta_deg: float) -> np.ndarray:
@@ -139,7 +136,7 @@ def rotate_image(image, theta_deg: float) -> np.ndarray:
     theta_deg = float(theta_deg)
     if not math.isfinite(theta_deg):
         raise InvalidInputError(f"rotation angle must be finite, got {theta_deg}")
-    return _apply_plan(_rotation_plan(*img.shape, theta_deg), img)
+    return (_rotation_plan(*img.shape, theta_deg) @ img.ravel()).reshape(img.shape)
 
 
 def resize_image(image, out_h: int, out_w: int) -> np.ndarray:
@@ -149,7 +146,7 @@ def resize_image(image, out_h: int, out_w: int) -> np.ndarray:
         raise InvalidInputError(f"resize target must be at least 1x1, got {out_h}x{out_w}")
     if img.shape == (out_h, out_w):
         return img.copy()
-    return _apply_plan(_resize_plan(*img.shape, out_h, out_w), img)
+    return (_resize_plan(*img.shape, out_h, out_w) @ img.ravel()).reshape(out_h, out_w)
 
 
 def rotate_resize(image, theta_deg: float, size: int = WORK_SIZE) -> np.ndarray:
@@ -178,7 +175,7 @@ def pairwise_similarity(a, b, theta_grid, epsilon=DEFAULT_EPSILON) -> float:
     if not epsilon > 0:
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
     grid = _theta_grid(theta_grid)
-    a, b = _pixels(a), _pixels(b)
+    a, b = _pixels(a, "image a"), _pixels(b, "image b")
     d_ab = _distances(rotate_resize(a, 0.0).ravel()[None], _frames(b, grid)).min()
     d_ba = _distances(rotate_resize(b, 0.0).ravel()[None], _frames(a, grid)).min()
     return float(0.5 * (1.0 / (epsilon + d_ab) + 1.0 / (epsilon + d_ba)))
@@ -195,7 +192,7 @@ def dissimilarity_matrix(images, theta_grid, epsilon=DEFAULT_EPSILON) -> np.ndar
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
     grid = _theta_grid(theta_grid)
     n = len(images)
-    pixels = [_pixels(img) for img in images]
+    pixels = [_pixels(img, f"image at position {i}") for i, img in enumerate(images)]
     base = np.stack([rotate_resize(px, 0.0).ravel() for px in pixels])
     rots = np.stack([_frames(px, grid) for px in pixels])  # (n, T, s)
     base_sq = np.einsum("is,is->i", base, base)

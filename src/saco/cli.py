@@ -48,14 +48,18 @@ from .tensorio import read_tensor, write_tensor
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SACO_SEED")
-    if env is not None:
+        seed, name = args.seed, "--seed"
+    else:
+        env = os.environ.get("SACO_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, name = int(env), "SACO_SEED"
         except ValueError as exc:
             raise InvalidConfigError(f"SACO_SEED must be an integer, got '{env}'") from exc
-    return 0
+    if seed < 0:
+        raise InvalidConfigError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _resolve_config(args) -> PipelineConfig:
@@ -215,6 +219,10 @@ def cmd_predict(args) -> int:
     _require_files(args.features, args.images)
     model = _load_model(args.model)
     feats = read_tensor(args.features).astype(np.float64)
+    dim = model.weights.shape[1]
+    if feats.ndim != 2 or feats.shape[1] != dim:
+        raise InvalidInputError(f"{args.features}: feature tensor of shape {feats.shape} does not "
+                                f"match model {args.model}, which expects rows of width {dim}")
     pairs = _read_image_labels(args.images)
     if len(feats) != len(pairs):
         raise InvalidInputError(f"{len(feats)} feature rows vs {len(pairs)} labeled images")

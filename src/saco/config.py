@@ -86,6 +86,8 @@ class PipelineConfig:
             raise InvalidConfigError(f"unknown selection mode '{self.selection}'")
         if self.coder not in CODERS:
             raise InvalidConfigError(f"unknown coder '{self.coder}'")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed}")
         for name in ("candidates_per_image", "patches_per_image", "k_nn", "dict_size",
                      "svm_epochs"):
             if getattr(self, name) < 1:

@@ -131,6 +131,8 @@ class LabeledImage:
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
         if self.pixels.ndim != 2 or min(self.pixels.shape) < 1:
             raise InvalidInputError(f"image {self.image_id}: pixels must be a non-empty 2-D array")
+        if not np.isfinite(self.pixels).all():
+            raise InvalidInputError(f"image {self.image_id}: pixels must be finite")
 
 
 class Dictionary:

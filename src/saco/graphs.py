@@ -39,9 +39,6 @@ class AffinityGraph:
         lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
         return self._csr.indices[lo:hi], self._csr.data[lo:hi]
 
-    def rows_dense(self, ids) -> np.ndarray:
-        return np.asarray(self._csr[list(ids)].todense())
-
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 

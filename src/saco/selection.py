@@ -286,15 +286,32 @@ def add_exemplar(state: SelectionState, candidate: int, S, L, weights) -> float:
 # -- from-scratch evaluation ------------------------------------------------
 
 
+def _best_rows(G, ids):
+    """Per patch, its best affinity to ``ids`` and the first sorted-id position attaining it.
+
+    Equal to the max and argmax over the columns of the dense rows of
+    ``sorted(ids)``: a patch no row stores gets affinity 0 and position 0.
+    Only the stored entries of the selected rows are read.
+    """
+    rows = G.csr[sorted(ids)]
+    pos = np.repeat(np.arange(rows.shape[0]), np.diff(rows.indptr))
+    best = np.zeros(rows.shape[1])
+    np.maximum.at(best, rows.indices, rows.data)
+    owner = np.full(rows.shape[1], rows.shape[0])
+    hit = rows.data == best[rows.indices]
+    np.minimum.at(owner, rows.indices[hit], pos[hit])
+    owner[best == 0.0] = 0
+    return best, owner
+
+
 def _cluster_counts(ids, S, labels, n_classes):
     """(len(ids), n_classes) class counts of the patches each of ``ids`` owns.
 
-    Owners follow the lowest-id tie rule: rows are scanned in ascending
-    id order and argmax keeps the first maximum.
+    Owners follow the lowest-id tie rule: the first maximum over the
+    rows in ascending id order.
     """
-    owner_pos = S.rows_dense(sorted(ids)).argmax(axis=0)
     counts = np.zeros((len(ids), n_classes), dtype=np.int64)
-    np.add.at(counts, (owner_pos, labels), 1)
+    np.add.at(counts, (_best_rows(S, ids)[1], labels), 1)
     return counts
 
 
@@ -302,14 +319,14 @@ def term_representative(state: SelectionState, S) -> float:
     """Feature facility location, recomputed from the selected ids."""
     if not state.selected:
         return 0.0
-    return float(S.rows_dense(sorted(state.selected)).max(axis=0).sum())
+    return float(_best_rows(S, state.selected)[0].sum())
 
 
 def term_spatial(state: SelectionState, L) -> float:
     """Spatial facility location, recomputed from the selected ids."""
     if not state.selected:
         return 0.0
-    return float(L.rows_dense(sorted(state.selected)).max(axis=0).sum())
+    return float(_best_rows(L, state.selected)[0].sum())
 
 
 def term_discriminative(state: SelectionState, S) -> float:

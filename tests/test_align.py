@@ -223,11 +223,10 @@ class TestSamplingPlans:
         assert al.default_theta_grid().size + 1 <= al.PLAN_CACHE_SIZE
 
     def test_plans_are_read_only(self):
-        idx, wgt = al._rotation_plan(6, 6, 30.0)
-        with pytest.raises(ValueError):
-            wgt[0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            idx[0, 0, 0] = 0
+        op = al._rotation_plan(6, 6, 30.0)
+        for arr in (op.data, op.indices, op.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 class TestResize:
@@ -311,15 +310,20 @@ BAD_GRIDS = {
 }
 
 
+def forbid_rotations(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("rotated before the input was checked")
+
+    monkeypatch.setattr(al, "rotate_resize", fail)
+
+
+@pytest.fixture()
+def no_rotations(monkeypatch):
+    forbid_rotations(monkeypatch)
+
+
 class TestThetaGridChecks:
     """Every entry point rejects a bad grid before any rotation runs."""
-
-    @pytest.fixture()
-    def no_rotations(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("rotated before the grid was checked")
-
-        monkeypatch.setattr(al, "rotate_resize", fail)
 
     @pytest.mark.parametrize("grid", list(BAD_GRIDS.values()), ids=list(BAD_GRIDS))
     def test_rejected_up_front(self, grid, no_rotations):
@@ -338,6 +342,50 @@ class TestThetaGridChecks:
         imgs = random_images(20, n=3)
         with pytest.raises(InvalidInputError, match="max_iter"):
             al.k_medoids(imgs, 2, al.default_theta_grid(90.0), seed=0, max_iter=max_iter)
+
+
+class TestNonFinitePixels:
+    """A non-finite pixel is rejected once per image, by name, before any rotation runs."""
+
+    @pytest.fixture()
+    def images(self):
+        images, _, _ = make_viewpoints(per_view=6)
+        return [img.pixels.copy() for img in images]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_k_medoids(self, images, bad, no_rotations):
+        images[4][3, 5] = bad
+        with pytest.raises(InvalidInputError,
+                           match=rf"image at position 4: non-finite pixel {bad} at row 3, column 5"):
+            al.k_medoids(images, 2, al.default_theta_grid(), seed=0)
+
+    def test_dissimilarity_matrix(self, images, no_rotations):
+        images[-1][0, 0] = np.nan
+        with pytest.raises(InvalidInputError, match="image at position 11: non-finite pixel nan"):
+            al.dissimilarity_matrix(images, al.default_theta_grid())
+
+    def test_labeled_image_is_named_by_its_id(self, images, no_rotations):
+        wrapped = [LabeledImage(i + 100, px, 0) for i, px in enumerate(images)]
+        wrapped[2].pixels[1, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="image 102: non-finite pixel nan"):
+            al.k_medoids(wrapped, 2, al.default_theta_grid(), seed=0)
+
+    def test_pairwise_similarity(self, images, no_rotations):
+        images[1][2, 2] = np.inf
+        with pytest.raises(InvalidInputError, match="image b: non-finite pixel inf"):
+            al.pairwise_similarity(images[0], images[1], al.default_theta_grid())
+
+    def test_align_to_medoid(self, images, monkeypatch):
+        model, _, _ = al.k_medoids(images, 2, al.default_theta_grid(), seed=0)
+        forbid_rotations(monkeypatch)
+        images[0][0, 7] = np.nan
+        with pytest.raises(InvalidInputError, match="image: non-finite pixel nan at row 0, column 7"):
+            al.align_to_medoid(images[0], model)
+
+    def test_labeled_image_rejects_at_construction(self, images):
+        images[0][5, 5] = np.nan
+        with pytest.raises(InvalidInputError, match="image 9: pixels must be finite"):
+            LabeledImage(9, images[0], 0)
 
 
 class TestDissimilarityMatrix:

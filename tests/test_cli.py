@@ -82,6 +82,18 @@ class TestGen:
         err = run_fail(capsys, ["gen", "--kind", "blobs2d", "--out", str(tmp_path / "x")])
         assert "SACO_SEED" in err
 
+    def test_negative_env_seed(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SACO_SEED", "-3")
+        err = run_fail(capsys, ["gen", "--kind", "blobs2d", "--out", str(tmp_path / "x")])
+        assert "InvalidConfigError: SACO_SEED must be a non-negative integer, got -3" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        err = run_fail(capsys, ["gen", "--kind", "blobs2d", "--out", str(tmp_path / "x"),
+                                "--seed", "-1"])
+        assert "InvalidConfigError: --seed must be a non-negative integer, got -1" in err
+        assert not (tmp_path / "x").exists()
+
     def test_spatial_texture_split(self, tmp_path, capsys):
         run_ok(capsys, [
             "gen", "--kind", "spatial-texture", "--out", str(tmp_path / "st"),
@@ -350,6 +362,18 @@ class TestTrainPredict:
         assert f"InvalidInputError: model {prefix}: " in err
         assert not out.exists()
 
+    def test_predict_rejects_a_wrong_feature_width_naming_both_files(self, tmp_path, capsys):
+        feats, images = pooled_problem(tmp_path)
+        prefix = tmp_path / "model"
+        write_tensor(str(prefix) + ".w.skt", np.ones((2, 3)))
+        write_tensor(str(prefix) + ".b.skt", np.zeros(2))
+        out = tmp_path / "pred.csv"
+        err = run_fail(capsys, ["predict", "--model", str(prefix), "--features", str(feats),
+                                "--images", str(images), "--out", str(out)])
+        assert (f"InvalidInputError: {feats}: feature tensor of shape (60, 2) does not match "
+                f"model {prefix}, which expects rows of width 3") in err
+        assert not out.exists()
+
     def test_bad_image_header(self, tmp_path, capsys):
         feats, images = pooled_problem(tmp_path)
         for text, line, detail in [
@@ -409,6 +433,14 @@ class TestPipeline:
                                 "--test-dir", str(texture_dirs), "--out", str(out),
                                 *self.PIPE_SETS, "--set", "lambda1=nan"])
         assert "InvalidConfigError: lambda1 must be finite and >= 0, got nan" in err
+        assert not out.exists()
+
+    def test_negative_seed_fails_before_any_stage(self, texture_dirs, tmp_path, capsys):
+        out = tmp_path / "run"
+        err = run_fail(capsys, ["pipeline", "--train-dir", str(texture_dirs),
+                                "--test-dir", str(texture_dirs), "--out", str(out),
+                                *self.PIPE_SETS, "--set", "seed=-1"])
+        assert "InvalidConfigError: seed must be a non-negative integer, got -1" in err
         assert not out.exists()
 
     def test_missing_dir(self, tmp_path, capsys):

@@ -114,11 +114,6 @@ class TestGraphStructure:
             row[idx] = val
             np.testing.assert_array_equal(row, d[i])
 
-    def test_rows_dense_matches(self, graph):
-        ids = [3, 9, 1]
-        block = graph.rows_dense(ids)
-        np.testing.assert_array_equal(block, graph.to_dense()[ids])
-
     def test_check_valid_passes(self, graph):
         graph.check_valid()
 

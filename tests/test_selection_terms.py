@@ -163,6 +163,27 @@ class TestDenseOracle:
         assert int(st.per_class_selected.sum()) == len(ids)
 
 
+class TestBestRows:
+    """The sparse column max and first argmax equal the dense ones over the selected rows."""
+
+    def test_matches_dense_reference(self):
+        import scipy.sparse as sp
+
+        # row 2 stores an explicit 0 at column 3, no selected row touches column 5
+        # (only row 3 does), rows 1 and 2 tie at column 0 and rows 0 and 4 at column 2
+        rows = [0, 0, 0, 1, 1, 2, 2, 2, 4, 4, 3]
+        cols = [2, 1, 4, 0, 4, 0, 1, 3, 2, 4, 5]
+        vals = [0.7, 0.2, 0.3, 0.5, 0.3, 0.5, 0.9, 0.0, 0.7, 0.3, 0.8]
+        W = sp.coo_matrix((vals, (rows, cols)), shape=(6, 6)).tocsr()
+        assert W.nnz == len(vals)
+        ids = [4, 2, 0, 1]
+        best, owner = sel._best_rows(AffinityGraph(W), ids)
+        dense = W.toarray()[sorted(ids)]
+        np.testing.assert_array_equal(best, dense.max(axis=0))
+        np.testing.assert_array_equal(owner, dense.argmax(axis=0))
+        np.testing.assert_array_equal(owner, [1, 2, 0, 0, 0, 0])
+
+
 class TestMarginalGain:
     @pytest.mark.parametrize("seed", range(10))
     def test_gain_equals_evaluate_difference(self, seed):
