@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,10 @@ def default_theta_grid(step=10.0) -> np.ndarray:
     return np.arange(0.0, 360.0, step)
 
 
-def _as_image(image) -> np.ndarray:
+def _as_image(image, name="image") -> np.ndarray:
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise InvalidInputError(f"image must be a non-empty 2-D array, got shape {arr.shape}")
+        raise InvalidInputError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
     return arr
 
 
@@ -66,7 +67,7 @@ def _pixels(image, name="image") -> np.ndarray:
     """
     if isinstance(image, LabeledImage):
         name, image = f"image {image.image_id}", image.pixels
-    arr = _as_image(image)
+    arr = _as_image(image, name)
     bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
         r, c = bad[0]
@@ -240,6 +241,8 @@ def k_medoids(images, k, theta_grid, seed, max_iter=100, epsilon=DEFAULT_EPSILON
     n = len(images)
     if not 1 <= k <= n:
         raise InvalidInputError(f"k must be in [1, {n}], got {k}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     if max_iter < 1:
         raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
     grid = _theta_grid(theta_grid)

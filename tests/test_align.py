@@ -388,6 +388,29 @@ class TestNonFinitePixels:
             LabeledImage(9, images[0], 0)
 
 
+class TestEntryChecks:
+    """A bad image shape or seed is rejected by name before any rotation runs."""
+
+    def test_wrong_shape_is_named_by_position(self, no_rotations):
+        images = [np.ones((12, 12)), np.ones((12, 12)), np.ones(5)]
+        with pytest.raises(InvalidInputError, match=r"image at position 2 must be a non-empty "
+                                                    r"2-D array, got shape \(5,\)"):
+            al.dissimilarity_matrix(images, al.default_theta_grid())
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", None, True])
+    def test_k_medoids_rejects_bad_seed(self, seed, no_rotations):
+        with pytest.raises(InvalidInputError, match=r"seed must be a non-negative integer, got "):
+            al.k_medoids(random_images(21, n=3), 2, al.default_theta_grid(90.0), seed=seed)
+
+    def test_k_medoids_accepts_numpy_integer_seed(self):
+        imgs = random_images(21, n=3)
+        grid = al.default_theta_grid(90.0)
+        _, a, h = al.k_medoids(imgs, 2, grid, seed=np.int64(4))
+        _, b, g = al.k_medoids(imgs, 2, grid, seed=4)
+        np.testing.assert_array_equal(a, b)
+        assert h == g
+
+
 class TestDissimilarityMatrix:
     def test_matches_direct_search(self):
         imgs = random_images(10, n=4)

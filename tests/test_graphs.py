@@ -1,9 +1,20 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import saco
 from saco.errors import DegenerateInputError, InvalidInputError
 from saco.graphs import (
+    TREE_MAX_DIM,
+    _dense_knn,
+    _knn_gaussian,
     _median_pairwise_distance,
+    _tree_knn,
     build_feature_affinity,
     build_spatial_affinity,
 )
@@ -122,3 +133,58 @@ class TestGraphStructure:
         a = build_feature_affinity(patches, k_nn=5).to_dense()
         b = build_feature_affinity(patches, k_nn=5).to_dense()
         np.testing.assert_array_equal(a, b)
+
+
+def assert_matches_oracle(points, k, sigma=0.3):
+    """Same sparsity pattern as the oracle, values within 1e-12."""
+    got = _knn_gaussian(points, k, sigma).toarray()
+    want = dense_knn_gaussian(points, k, sigma)
+    np.testing.assert_array_equal(got != 0, want != 0)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def with_duplicates(rng, n, p):
+    """n distinct points; the first ten appear twice and point 3 eleven times."""
+    base = rng.normal(size=(n, p))
+    return np.concatenate([base, base[:10], np.repeat(base[3:4], 9, axis=0)])
+
+
+class TestTieRule:
+    """Both paths keep the k smallest (d^2, j) with j != i, as the oracle does."""
+
+    @pytest.mark.parametrize("k", [6, 8])
+    def test_lattice(self, k):
+        lattice = np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2)
+        assert_matches_oracle(lattice / 11.0, k)
+
+    def test_duplicated_2d_points(self):
+        # point 3 appears 11 times, more than k + 2 at k = 6, so its copies
+        # may crowd self out of a neighbour query
+        points = with_duplicates(np.random.default_rng(1), 30, 2)
+        assert_matches_oracle(points, 6)
+
+    @pytest.mark.parametrize("p", [TREE_MAX_DIM, TREE_MAX_DIM + 1])
+    def test_duplicated_rows_on_both_paths(self, p):
+        assert_matches_oracle(with_duplicates(np.random.default_rng(p), 40, p), 6)
+
+    @pytest.mark.parametrize("p", [TREE_MAX_DIM, TREE_MAX_DIM + 1])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 80), k=st.integers(1, 12))
+    def test_tree_and_dense_paths_agree(self, p, seed, m, k):
+        points = np.random.default_rng(seed).normal(size=(m, p))
+        k = min(k, m - 1)
+        tree_cols, tree_d2 = _tree_knn(points, k)
+        dense_cols, dense_d2 = _dense_knn(points, k)
+        np.testing.assert_array_equal(np.sort(tree_cols, axis=1), np.sort(dense_cols, axis=1))
+        np.testing.assert_allclose(np.sort(tree_d2, axis=1), np.sort(dense_d2, axis=1),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    """The k-d tree is imported on first use, keeping it out of ``import saco``."""
+    src = str(Path(saco.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import saco, saco.align, saco.classify; print('scipy.spatial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
