@@ -32,7 +32,6 @@ from .classify import (
 from .config import PipelineConfig, apply_overrides, read_config_file
 from .data import (
     Dictionary,
-    PatchSet,
     load_image_pools,
     load_patches,
     pool_patches,
@@ -269,21 +268,9 @@ def cmd_pipeline(args) -> int:
 # -- bench-greedy ----------------------------------------------------------------------
 
 
-def _bench_instance(m: int, seed: int):
-    """Synthetic labeled candidates for selection benchmarks."""
-    rng = np.random.default_rng(seed)
-    n_classes = 3
-    centers = rng.normal(0.0, 1.0, size=(n_classes * 3, 8))
-    labels = rng.integers(0, n_classes, size=m)
-    which = rng.integers(0, 3, size=m)
-    feats = centers[labels * 3 + which] + 0.35 * rng.normal(size=(m, 8))
-    coords = rng.uniform(0.0, 1.0, size=(m, 2))
-    return PatchSet(feats, coords, labels, np.zeros(m))
-
-
 def cmd_bench_greedy(args) -> int:
     seed = _resolve_seed(args)
-    patches = _bench_instance(args.m, seed)
+    patches = synth.clustered_instance(seed, args.m)
     S = build_feature_affinity(patches, k_nn=args.k_nn)
     L = build_spatial_affinity(patches, k_nn=args.k_nn)
     weights = ObjectiveWeights()
@@ -299,7 +286,8 @@ def cmd_bench_greedy(args) -> int:
         naive_s = time.perf_counter() - t0
         print(f"naive      {len(naive.ids):8d}  {naive.n_evaluations:10d}  {naive_s:8.2f}")
         if naive.ids != lazy.ids:
-            # expected off the submodular regime (lambda_d or lambda_c > 0)
+            # possible only off the submodular regime (lambda_d or lambda_c > 0),
+            # where lazy greedy's stale bounds are not guaranteed upper bounds
             lazy_ids, naive_ids = lazy.ids + ["none"], naive.ids + ["none"]
             step = next(s for s, (a, b) in enumerate(zip(lazy_ids, naive_ids)) if a != b)
             print(f"error: lazy and naive selections diverge at step {step}: "

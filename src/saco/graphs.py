@@ -109,11 +109,17 @@ def _smallest(d2: np.ndarray, k: int):
     return pos.copy(), np.take_along_axis(d2, pos, 1), nxt
 
 
-def _ranked(X: np.ndarray, i: int, cand: np.ndarray, k: int):
-    """(cols, d^2) of the k smallest (d^2, j) over the ascending candidates cand, j != i."""
-    cand = cand[cand != i]
-    d2 = _sq_dist(X, i, cand)
-    take = np.argsort(d2, kind="stable")[:k]
+def _ranked(X: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int):
+    """(cols, d^2), each (len(rows), k): per row, the k smallest (d^2, j), j != row.
+
+    ``rows`` are points that coincide, so they share one ranking of the
+    ascending candidates ``cand``; each row drops itself from it.
+    """
+    d2 = _sq_dist(X, rows[0], cand)
+    order = np.argsort(d2, kind="stable")[:k + 1]
+    keep = cand[order] != rows[:, None]
+    keep[keep.all(axis=1), -1] = False  # a row outside the first k + 1 drops the last
+    take = np.broadcast_to(order, keep.shape)[keep].reshape(len(rows), k)
     return cand[take], d2[take]
 
 
@@ -124,7 +130,9 @@ def _tree_knn(X: np.ndarray, k: int):
     among them; their d^2 is recomputed directly.  When another of them
     agrees with a row's k-th value within the tree's rounding, the row's
     boundary may tie: it is re-ranked over the tree's ball around it,
-    which holds every point at least as close as its k-th.
+    which holds every point at least as close as its k-th.  Flagged rows
+    with the same point and reach share one ball and one ranking, so the
+    copies of a duplicated point cost one re-ranking, not one each.
     """
     from scipy.spatial import cKDTree  # lazy: importing it costs ~0.12 s
 
@@ -138,9 +146,12 @@ def _tree_knn(X: np.ndarray, k: int):
     cols = np.take_along_axis(cand, pos, 1)
     # the tree's distances and direct d^2 differ by rounding alone
     reach = vals.max(axis=1) * (1.0 + 8.0 * (p + 3) * _EPS)
+    shared = {}
     for i in np.flatnonzero(nxt <= reach):
-        ball = tree.query_ball_point(X[i], np.sqrt(reach[i]), return_sorted=True)
-        cols[i], vals[i] = _ranked(X, i, np.asarray(ball), k)
+        shared.setdefault((X[i].tobytes(), reach[i]), []).append(i)
+    for rows in map(np.array, shared.values()):
+        ball = tree.query_ball_point(X[rows[0]], np.sqrt(reach[rows[0]]), return_sorted=True)
+        cols[rows], vals[rows] = _ranked(X, rows, np.asarray(ball), k)
     return cols, vals
 
 
@@ -163,7 +174,7 @@ def _dense_block(X: np.ndarray, sq: np.ndarray, err: np.ndarray, lo: int, hi: in
     cols, vals, nxt = _smallest(d2, k)
     reach = vals.max(axis=1) + 2.0 * err[lo:hi]
     for r in np.flatnonzero(nxt <= reach):
-        cols[r], vals[r] = _ranked(X, lo + r, np.flatnonzero(d2[r] <= reach[r]), k)
+        cols[r], vals[r] = _ranked(X, np.array([lo + r]), np.flatnonzero(d2[r] <= reach[r]), k)
     return cols, vals
 
 

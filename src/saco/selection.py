@@ -24,17 +24,17 @@ With ``lambda_d = lambda_c = 0`` the objective is submodular, gains only
 shrink as the selection grows, and both produce identical selections,
 including tie handling, and bit-identical gains.  The purity and entropy
 terms are not submodular: with either weight > 0 a re-scored gain can
-exceed its stale bound, and the two selections can differ.
+exceed its stale bound, so the two selections may differ.  They agree
+on the instances tested, but that is observed, not guaranteed.
 
-Both drivers score candidates through ``SelectionState.gains``.  In the
-submodular regime it scores a whole batch in one pass over the CSR rows
-of the two graphs, and ``lazy_greedy`` re-scores up to
-``_RESCORE_BATCH`` stale heap entries at once (the exact half of "lazier
-than lazy" greedy); evaluation counts include every candidate scored,
-so a lazy run counts slightly more than one re-scoring entries one at a
-time.  Off the regime each candidate goes through ``_delta`` and stale
-entries are re-scored one at a time, because batching would change
-which stale bounds survive and so the (inexact) lazy selection.
+``SelectionState.gains`` is the one scorer, in every weight regime.  It
+scores a batch of candidates in one vectorized pass over the CSR rows
+of the two graphs, and a candidate's gain never depends on the rest of
+its batch.  Naive greedy scores the whole pool at once; lazy greedy
+re-scores up to ``_RESCORE_BATCH`` stale heap entries per call (the
+exact half of "lazier than lazy" greedy).  Evaluation counts include
+every candidate scored, so a lazy run counts slightly more than one
+re-scoring entries one at a time.
 """
 
 from __future__ import annotations
@@ -50,8 +50,10 @@ from .data import PatchSet, read_csv_rows
 from .errors import InvalidInputError
 
 SELECTION_CSV_HEADER = "step,patch_id,gain,evaluations"
-# stale heap entries ``lazy_greedy`` re-scores per call in the submodular regime
-_RESCORE_BATCH = 32
+# stale heap entries ``lazy_greedy`` re-scores per call: at 32 the evaluation
+# ratio of acceptance criterion 3 exceeds its 0.20 bound, and at 24 the
+# M=10000 selection benchmark runs slower
+_RESCORE_BATCH = 28
 
 __all__ = [
     "ObjectiveWeights",
@@ -92,29 +94,30 @@ def _xlogx(p: float) -> float:
     return p * math.log(p) if p > 0.0 else 0.0
 
 
-def _submodular(weights: ObjectiveWeights) -> bool:
-    """True when the purity and entropy terms are off (lambda_d = lambda_c = 0)."""
-    return weights.lambda_d == 0.0 and weights.lambda_c == 0.0
-
-
-def _coverage_gains(graph, rows: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """Facility-location gain sum_j max(A_ij - best_j, 0) of each row i in ``rows``.
-
-    One gather over the CSR rows; each row sums only its own entries, so
-    a candidate's value does not depend on the rest of the batch.
-    """
+def _row_entries(graph, rows: np.ndarray):
+    """Stored entries of ``rows``, row by row: (row lengths, column indices, values)."""
     csr = graph.csr
     starts = csr.indptr[rows].astype(np.int64)
     lengths = csr.indptr[rows + 1] - starts
     offsets = np.cumsum(lengths) - lengths  # row starts in the gathered arrays
     pos = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
-    gap = csr.data[pos] - best[csr.indices[pos]]
+    return lengths, csr.indices[pos], csr.data[pos]
+
+
+def _coverage_gains(graph, rows: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """Facility-location gain sum_j max(A_ij - best_j, 0) of each row i in ``rows``.
+
+    Each row sums only its own entries, so a candidate's value does not
+    depend on the rest of the batch.
+    """
+    lengths, idx, val = _row_entries(graph, rows)
+    gap = val - best[idx]
     np.maximum(gap, 0.0, out=gap)
     out = np.zeros(len(rows))
     # reduceat returns the element at a repeated offset, not 0: skip empty rows
     filled = lengths > 0
     if filled.any():
-        out[filled] = np.add.reduceat(gap, offsets[filled])
+        out[filled] = np.add.reduceat(gap, (np.cumsum(lengths) - lengths)[filled])
     return out
 
 
@@ -166,121 +169,117 @@ class SelectionState:
     def gains(self, B, S, L, weights: ObjectiveWeights) -> np.ndarray:
         """Marginal gains of the unselected candidates ``B`` (1-D ids), in order.
 
-        In the submodular regime the batch is scored in one vectorized
-        pass; elsewhere each candidate goes through ``_delta``.
+        The batch is scored in one vectorized pass over the CSR rows of
+        the two graphs; a term of weight 0 is skipped, which gives the
+        same bits as adding it times 0.  A candidate's gain depends only
+        on its own rows, never on the rest of the batch.
         """
         B = np.asarray(B, dtype=np.int64)
-        if not _submodular(weights):
-            return np.array([self._delta(int(e), S, L, weights, commit=False) for e in B])
-        n_sel = self.per_class_selected
-        # math.log per class, as in _delta: numpy's log can differ in the last bit
-        gain_b = np.array([math.log(n + 2.0) - math.log(n + 1.0) for n in n_sel.tolist()])
-        gain_r = _coverage_gains(S, B, self.best_feature_sim)
-        gain_s = _coverage_gains(L, B, self.best_spatial_sim)
-        return gain_r + weights.lambda_s * gain_s + weights.lambda_b * gain_b[self.labels[B]]
+        total = _coverage_gains(S, B, self.best_feature_sim)
+        if weights.lambda_s:
+            total = total + weights.lambda_s * _coverage_gains(L, B, self.best_spatial_sim)
+        if weights.lambda_d or weights.lambda_c:
+            gain_d, gain_c = self._cluster_gains(B, S)
+        if weights.lambda_d:
+            total = total + weights.lambda_d * gain_d
+        if weights.lambda_b:
+            # math.log per class: numpy's log can differ in the last bit
+            n_sel = self.per_class_selected.tolist()
+            gain_b = np.array([math.log(n + 2.0) - math.log(n + 1.0) for n in n_sel])
+            total = total + weights.lambda_b * gain_b[self.labels[B]]
+        if weights.lambda_c:
+            total = total + weights.lambda_c * gain_c
+        return total
 
-    def _delta(self, e: int, S, L, weights: ObjectiveWeights, commit: bool) -> float:
+    def _cluster_gains(self, B, S):
+        """Purity and entropy gains of the candidates ``B``.
+
+        A candidate takes over the patches it improves or ties at a lower
+        id than their owner, plus the zero-affinity mass if it would be
+        the new lowest id.  Grouping those patches by (candidate, old
+        owner) gives each owner's class counts before and after.
+        """
+        n, m, C = len(B), self.m, self.n_classes
+        if not self.selected:
+            # one cluster of every patch: the pool's purity, zero entropy
+            return np.full(n, self.uncovered_counts.max() / m - 1.0), np.full(n, -1.0)
+        lengths, idx, val = _row_entries(S, B)
+        old = self.best_feature_sim[idx]
+        seg = np.repeat(np.arange(n), lengths)
+        owner = self.cluster_of[idx]
+        cls = self.labels[idx]
+        improve = val > old
+        # a patch at affinity 0 sits in the zero-affinity mass, not in a tie
+        moved = improve | ((val == old) & (old > 0.0) & (B[seg] < owner))
+        covered = improve & (old == 0.0)
+        lowest = B < self.min_selected
+        zero = self.uncovered_counts - np.bincount(
+            seg[covered] * C + cls[covered], minlength=n * C).reshape(n, C)
+        zero[~lowest] = 0
+        mseg, mcls = seg[moved], cls[moved]
+        new = np.bincount(mseg * C + mcls, minlength=n * C).reshape(n, C) + zero
+
+        keys = np.concatenate([mseg * m + owner[moved],
+                               np.flatnonzero(lowest) * m + self.min_selected])
+        groups, inv = np.unique(keys, return_inverse=True)
+        leave = np.bincount(inv[:mseg.size] * C + mcls, minlength=groups.size * C).reshape(-1, C)
+        leave[inv[mseg.size:]] += zero[lowest]
+        gseg, gown = np.divmod(groups, m)
+        before = self.cluster_counts[gown]
+        after = before - leave
+        purity = new.max(axis=1) + np.bincount(
+            gseg, weights=after.max(axis=1) - before.max(axis=1), minlength=n)
+
+        # per candidate: the new cluster's -x log x, then each old owner's
+        # change in ascending owner id, summed as one run
+        xl = self._xlogx
+        heads = np.arange(n) + np.searchsorted(gseg, np.arange(n))
+        parts = np.empty(n + groups.size)
+        parts[heads] = -xl[new.sum(axis=1)]
+        parts[np.arange(groups.size) + gseg + 1] = xl[before.sum(axis=1)] - xl[after.sum(axis=1)]
+        return purity / m - 1.0, np.add.reduceat(parts, heads) - 1.0
+
+    def add(self, e: int, S, L) -> None:
+        """Commit the unselected candidate ``e`` into the selection."""
         labels = self.labels
-        m = self.m
         idx_f, val_f = S.row(e)
         idx_s, val_s = L.row(e)
-        n_sel = self.per_class_selected[labels[e]]
-        gain_b = math.log(n_sel + 2.0) - math.log(n_sel + 1.0)
-
-        if not self.selected:
-            gain_r = float(val_f.sum())
-            gain_s = float(val_s.sum())
-            class_tot = self.uncovered_counts  # full label histogram here
-            gain_d = class_tot.max() / m - 1.0
-            gain_c = -1.0  # single cluster: zero entropy minus the size penalty
-            if commit:
-                self.best_feature_sim[idx_f] = val_f
-                self.best_spatial_sim[idx_s] = val_s
-                self.cluster_of[:] = e
-                self.cluster_counts[e] = class_tot
-                covered = idx_f[val_f > 0]
-                self.uncovered_counts = class_tot - np.bincount(
-                    labels[covered], minlength=self.n_classes
-                )
-                self.min_selected = e
-        else:
-            old_f = self.best_feature_sim[idx_f]
-            improve = val_f > old_f
-            gain_r = float((val_f[improve] - old_f[improve]).sum())
-
-            old_s = self.best_spatial_sim[idx_s]
-            imp_s = val_s > old_s
-            gain_s = float((val_s[imp_s] - old_s[imp_s]).sum())
-
-            tie = (~improve) & (val_f == old_f) & (e < self.cluster_of[idx_f])
-            moved = idx_f[improve | tie]
-            newly_covered = idx_f[improve & (old_f == 0.0)]
-            covered_hist = np.bincount(labels[newly_covered], minlength=self.n_classes)
-
-            # Counts leaving each owner, scattered from (owner, class, count)
-            # entries: one per moved patch, and one per class for the
-            # zero-affinity mass, which re-ties to e if e is the new lowest id.
-            lowest = e < self.min_selected
-            C = self.n_classes
-            src = np.concatenate([self.cluster_of[moved], np.full(C, self.min_selected)])
-            cls = np.concatenate([labels[moved], np.arange(C)])
-            cnt = np.concatenate([np.ones(moved.size, np.int64),
-                                  (self.uncovered_counts - covered_hist) * lowest])
-            owners, first, inv = np.unique(src, return_index=True, return_inverse=True)
-            leave = np.zeros((owners.size, C), dtype=np.int64)
-            np.add.at(leave, (inv, cls), cnt)
-            before = self.cluster_counts[owners]
-            after = before - leave
-            new_counts_e = leave.sum(axis=0)
-
-            gain_d = (int(new_counts_e.max()) + int(after.max(axis=1).sum())
-                      - int(before.max(axis=1).sum())) / m - 1.0
-            # Entropy change per owner, summed left to right in order of first
-            # appearance: the order fixes the rounding that greedy ties see.
-            ent = self._xlogx[before.sum(axis=1)] - self._xlogx[after.sum(axis=1)]
-            ent = np.concatenate(([-self._xlogx[new_counts_e.sum()]], ent[np.argsort(first)]))
-            gain_c = float(np.add.accumulate(ent)[-1]) - 1.0
-
-            if commit:
-                self.best_feature_sim[idx_f] = np.maximum(old_f, val_f)
-                self.best_spatial_sim[idx_s] = np.maximum(old_s, val_s)
-                self.cluster_of[moved] = e
-                if lowest:
-                    self.cluster_of[self.best_feature_sim == 0.0] = e
-                    self.min_selected = e
-                self.cluster_counts[owners] = after
-                self.cluster_counts[e] = new_counts_e
-                self.uncovered_counts = self.uncovered_counts - covered_hist
-
-        if commit:
-            self.per_class_selected[labels[e]] += 1
-            self.selected.append(e)
-            self.is_selected[e] = True
-        return (
-            gain_r
-            + weights.lambda_s * gain_s
-            + weights.lambda_d * gain_d
-            + weights.lambda_b * gain_b
-            + weights.lambda_c * gain_c
-        )
+        old_f = self.best_feature_sim[idx_f]
+        moved = idx_f[(val_f > old_f) | ((val_f == old_f) & (e < self.cluster_of[idx_f]))]
+        self.best_feature_sim[idx_f] = np.maximum(old_f, val_f)
+        self.best_spatial_sim[idx_s] = np.maximum(self.best_spatial_sim[idx_s], val_s)
+        np.subtract.at(self.uncovered_counts, labels[idx_f[(old_f == 0.0) & (val_f > 0.0)]], 1)
+        if self.min_selected is None or e < self.min_selected:
+            # the zero-affinity mass re-ties to the new lowest id
+            moved = np.union1d(moved, np.flatnonzero(self.best_feature_sim == 0.0))
+            self.min_selected = e
+        if self.selected:
+            np.subtract.at(self.cluster_counts, (self.cluster_of[moved], labels[moved]), 1)
+        self.cluster_counts[e] = np.bincount(labels[moved], minlength=self.n_classes)
+        self.cluster_of[moved] = e
+        self.per_class_selected[labels[e]] += 1
+        self.selected.append(e)
+        self.is_selected[e] = True
 
 
-def marginal_gain(state: SelectionState, candidate: int, S, L, weights) -> float:
-    """Gain of adding ``candidate``; must equal the evaluation difference."""
-    if candidate < 0 or candidate >= state.m:
+def _unselected(state: SelectionState, candidate: int) -> int:
+    if not 0 <= candidate < state.m:
         raise InvalidInputError(f"candidate {candidate} out of range")
     if state.is_selected[candidate]:
         raise InvalidInputError(f"candidate {candidate} already selected")
-    return state._delta(candidate, S, L, weights, commit=False)
+    return int(candidate)
+
+
+def marginal_gain(state: SelectionState, candidate: int, S, L, weights) -> float:
+    """Gain of adding ``candidate``; equals the evaluation difference up to rounding."""
+    return float(state.gains([_unselected(state, candidate)], S, L, weights)[0])
 
 
 def add_exemplar(state: SelectionState, candidate: int, S, L, weights) -> float:
     """Commit ``candidate`` into the selection; returns its gain."""
-    if candidate < 0 or candidate >= state.m:
-        raise InvalidInputError(f"candidate {candidate} out of range")
-    if state.is_selected[candidate]:
-        raise InvalidInputError(f"candidate {candidate} already selected")
-    return state._delta(candidate, S, L, weights, commit=True)
+    gain = marginal_gain(state, candidate, S, L, weights)
+    state.add(int(candidate), S, L)
+    return gain
 
 
 # -- from-scratch evaluation ------------------------------------------------
@@ -441,7 +440,7 @@ def naive_greedy(patches, S, L, weights, k) -> SelectionResult:
         best = int(np.argmax(scores))  # the first maximum: the lowest id
         if scores[best] < 0:
             break
-        state._delta(int(pool[best]), S, L, weights, commit=True)
+        state.add(int(pool[best]), S, L)
         gains.append(float(scores[best]))
         cumulative_evals.append(n_evals)
     return SelectionResult(list(state.selected), gains, n_evals, cumulative_evals)
@@ -453,17 +452,15 @@ def lazy_greedy(patches, S, L, weights, k) -> SelectionResult:
     Heap entries are (-gain, id, step_computed); an entry whose gain was
     computed at the current step is exact and can be accepted as soon as
     it surfaces.  While the top is stale, the stale entries on top (up
-    to ``_RESCORE_BATCH`` of them in the submodular regime, one
-    otherwise, stopping at the first fresh one) are re-scored in one
-    call and pushed back.  The (gain, lowest-id) pop order reproduces
-    the naive tie-breaking exactly.  The selection equals
-    ``naive_greedy``'s, with bit-identical gains, only when
-    ``lambda_d = lambda_c = 0``; otherwise a stale entry may understate
-    a gain and the two can diverge.  ``n_evaluations`` counts every
-    candidate scored, batch members that never surface included.
+    to ``_RESCORE_BATCH``, stopping at the first fresh one) are
+    re-scored in one call and pushed back.  The (gain, lowest-id) pop
+    order reproduces the naive tie-breaking exactly.  When
+    ``lambda_d = lambda_c = 0`` the selection equals ``naive_greedy``'s,
+    with bit-identical gains.  Otherwise a stale entry may understate a
+    gain, and the two can diverge.  ``n_evaluations`` counts every
+    candidate scored, including batch members that never surface.
     """
     state = _greedy_state(patches, k)
-    batch = _RESCORE_BATCH if _submodular(weights) else 1
     scores = state.gains(np.arange(state.m), S, L, weights)
     heap = [(-g, i, 0) for i, g in enumerate(scores.tolist())]
     heapq.heapify(heap)
@@ -477,12 +474,12 @@ def lazy_greedy(patches, S, L, weights, k) -> SelectionResult:
             neg_g, cand, _ = heapq.heappop(heap)
             if -neg_g < 0:
                 break
-            state._delta(cand, S, L, weights, commit=True)
+            state.add(cand, S, L)
             gains.append(float(-neg_g))
             cumulative_evals.append(n_evals)
             continue
         stale = []
-        while heap and heap[0][2] != step and len(stale) < batch:
+        while heap and heap[0][2] != step and len(stale) < _RESCORE_BATCH:
             stale.append(heapq.heappop(heap)[1])
         n_evals += len(stale)
         for cand, g in zip(stale, state.gains(stale, S, L, weights).tolist()):

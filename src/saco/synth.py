@@ -1,7 +1,9 @@
 """Synthetic datasets for demos, benchmarks and acceptance checks.
 
-Three families:
+Four families:
 
+* ``clustered_instance`` — labeled candidates from a mixture of
+  sub-centres, the pool the selection checks and ``bench-greedy`` use.
 * ``make_blobs2d`` — labeled 2-D point clouds where the points serve as
   both features and spatial coordinates.
 * ``make_spatial_texture`` — classes that share the same texture
@@ -19,8 +21,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import ImageFeatures, LabeledImage
+from .data import ImageFeatures, LabeledImage, PatchSet
 from .errors import InvalidInputError
+
+
+def clustered_instance(seed, m) -> PatchSet:
+    """``m`` candidates: three classes of four sub-centres each in six dimensions.
+
+    Locations are uniform on the unit square.
+    """
+    rng = np.random.default_rng([seed, 303])
+    centers = rng.normal(0.0, 1.0, size=(3 * 4, 6))
+    labels = rng.integers(0, 3, size=m)
+    which = rng.integers(0, 4, size=m)
+    feats = centers[labels * 4 + which] + 0.25 * rng.normal(size=(m, 6))
+    return PatchSet(feats, rng.uniform(0.0, 1.0, size=(m, 2)), labels, np.zeros(m))
 
 
 def make_blobs2d(n_classes=3, points_per_class=100, spread=0.06, seed=0) -> list[ImageFeatures]:
@@ -55,8 +70,7 @@ def _orthonormal_rows(n_rows: int, dim: int, rng) -> np.ndarray:
 
 
 def make_spatial_texture(n_classes=3, train_per_class=20, test_per_class=20,
-                         pool_size=120, feature_dim=64, noise=0.05, noise_hi=None,
-                         junk_fraction=0.0, seed=0):
+                         pool_size=120, feature_dim=64, noise=0.05, seed=0):
     """Location-coded texture dataset; returns (train, test, meta).
 
     The unit square splits into four quadrant zones, one per texture.
@@ -64,21 +78,11 @@ def make_spatial_texture(n_classes=3, train_per_class=20, test_per_class=20,
     image draws an equal number of patches from each zone, so the
     per-image texture histogram is exactly uniform for every class and
     only the (texture, location) joint distribution carries the class.
-
-    When ``junk_fraction`` > 0, that fraction of patches (chosen at
-    random, independent of class and zone) is corrupted with noise level
-    ``noise_hi`` instead of ``noise``.  Clean, representative patches
-    then form a minority worth seeking out, so dictionary quality
-    depends on the selection strategy rather than on luck alone.
     """
     if pool_size % 4 != 0:
         raise InvalidInputError(f"pool_size must be divisible by 4, got {pool_size}")
     if feature_dim < 4:
         raise InvalidInputError(f"feature_dim must be >= 4 (one per texture), got {feature_dim}")
-    if not 0.0 <= junk_fraction < 1.0:
-        raise InvalidInputError(f"junk_fraction must be in [0, 1), got {junk_fraction}")
-    if noise_hi is None:
-        noise_hi = noise
     rng = np.random.default_rng(seed)
     prototypes = _orthonormal_rows(4, feature_dim, rng)
 
@@ -93,10 +97,9 @@ def make_spatial_texture(n_classes=3, train_per_class=20, test_per_class=20,
             texture = (zone + label) % 4
             offs = rng.uniform(0.0, 0.5, size=(per_zone, 2))
             coords[row : row + per_zone] = zone_lo[zone] + offs
-            sigma = np.where(
-                rng.uniform(size=per_zone) < junk_fraction, noise_hi, noise
-            )
-            feats[row : row + per_zone] = prototypes[texture] + sigma[:, None] * rng.normal(
+            # one draw per patch that no feature uses: it keeps each seed's stream
+            rng.uniform(size=per_zone)
+            feats[row : row + per_zone] = prototypes[texture] + noise * rng.normal(
                 size=(per_zone, feature_dim)
             )
             row += per_zone

@@ -26,7 +26,7 @@ from saco.classify import run_pipeline, src_classify, src_image_accuracy
 from saco.config import PipelineConfig
 from saco.data import Dictionary, Patch
 from saco.graphs import build_feature_affinity, build_spatial_affinity
-from saco.synth import make_spatial_texture, make_viewpoints
+from saco.synth import clustered_instance, make_spatial_texture, make_viewpoints
 
 from conftest import make_graphs, make_patches
 
@@ -34,20 +34,6 @@ from conftest import make_graphs, make_patches
 def verdict(n, ok, detail):
     print(f"ACCEPTANCE {n}: {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
-
-
-def clustered_instance(seed, m):
-    """Mixture-of-subcenters candidates used for the selection checks."""
-    rng = np.random.default_rng([seed, 303])
-    centers = rng.normal(0.0, 1.0, size=(3 * 4, 6))
-    labels = rng.integers(0, 3, size=m)
-    which = rng.integers(0, 4, size=m)
-    feats = centers[labels * 4 + which] + 0.25 * rng.normal(size=(m, 6))
-    coords = rng.uniform(0.0, 1.0, size=(m, 2))
-    return [
-        Patch(i, feats[i], (float(coords[i, 0]), float(coords[i, 1])), int(labels[i]), 0)
-        for i in range(m)
-    ]
 
 
 # -- 1: diminishing returns, term by term ---------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 import saco.align as al
 from saco.cli import main
+from saco.selection import naive_greedy
 from saco.tensorio import read_tensor, write_tensor
 
 
@@ -456,12 +457,22 @@ class TestBenchGreedy:
                                  "--k-nn", "6", "--seed", "0"])
         assert "identical selections" in stdout
 
-    def test_divergence_names_the_step(self, capsys):
-        # lambda_d = lambda_c = 1 is off the submodular regime, where lazy
-        # and naive greedy may pick differently
-        err = run_fail(capsys, ["bench-greedy", "--m", "100", "--k", "15",
-                                "--k-nn", "10", "--seed", "0"])
-        assert "diverge at step 8: lazy chose 81, naive chose 28" in err
+    def test_divergence_names_the_step(self, capsys, monkeypatch):
+        # off the submodular regime lazy and naive greedy may pick differently;
+        # a naive run whose third pick differs stands in for such an instance
+        picks = []
+
+        def diverging_naive(*args):
+            res = naive_greedy(*args)
+            picks.append(res.ids[2])
+            res.ids[2] = (res.ids[2] + 1) % 40
+            return res
+
+        monkeypatch.setattr("saco.cli.naive_greedy", diverging_naive)
+        err = run_fail(capsys, ["bench-greedy", "--m", "40", "--k", "4",
+                                "--k-nn", "6", "--seed", "0"])
+        lazy, naive = picks[0], (picks[0] + 1) % 40
+        assert f"diverge at step 2: lazy chose {lazy}, naive chose {naive}" in err
 
     def test_lazy_only_skips_naive(self, capsys):
         stdout = run_ok(capsys, ["bench-greedy", "--m", "40", "--k", "4",

@@ -29,6 +29,15 @@ def test_lazy_equals_naive(seed):
 
 
 SUBMODULAR = sel.ObjectiveWeights(lambda_s=0.7, lambda_d=0.0, lambda_b=1.3, lambda_c=0.0)
+RANDOM = sel.ObjectiveWeights(*np.random.default_rng(5).uniform(0.1, 3.0, 4))
+WEIGHTS = [sel.ObjectiveWeights(), RANDOM, SUBMODULAR]
+
+
+def scratch_gains(state, batch, S, L, w):
+    """Gains of ``batch`` as differences of from-scratch objective values."""
+    base = sel.evaluate_ids(state.selected, S, L, state.labels, w)
+    return [sel.evaluate_ids(state.selected + [int(e)], S, L, state.labels, w) - base
+            for e in batch]
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -36,18 +45,20 @@ SUBMODULAR = sel.ObjectiveWeights(lambda_s=0.7, lambda_d=0.0, lambda_b=1.3, lamb
 def test_batched_gains_equal_one_candidate_gains(seed, n_committed):
     patches = make_patches(seed, m=50, clustered=True)
     S, L = make_graphs(patches, k_nn=6)
-    rng = np.random.default_rng([seed, n_committed])
-    state = sel.SelectionState.for_patches(patches)
-    for e in rng.choice(50, size=n_committed, replace=False):
-        sel.add_exemplar(state, int(e), S, L, SUBMODULAR)
-    batch = rng.permutation(np.flatnonzero(~state.is_selected))  # out of id order
-    batched = state.gains(batch, S, L, SUBMODULAR)
-    one = [state._delta(int(e), S, L, SUBMODULAR, commit=False) for e in batch]
-    np.testing.assert_allclose(batched, one, rtol=0, atol=1e-12)
-    # a candidate scores the same bits whatever else is in its batch
-    part = batch[[9, 2, 30]]
-    assert [repr(g) for g in state.gains(part, S, L, SUBMODULAR)] == \
-        [repr(g) for g in batched[[9, 2, 30]]]
+    for w in WEIGHTS:
+        rng = np.random.default_rng([seed, n_committed])
+        state = sel.SelectionState.for_patches(patches)
+        # exemplars from the upper half leave candidates below the lowest selected id
+        for e in rng.choice(np.arange(25, 50), size=n_committed, replace=False):
+            sel.add_exemplar(state, int(e), S, L, w)
+        batch = rng.permutation(np.flatnonzero(~state.is_selected))  # out of id order
+        batched = state.gains(batch, S, L, w)
+        np.testing.assert_allclose(batched, scratch_gains(state, batch, S, L, w),
+                                   rtol=0, atol=1e-9)
+        # a candidate scores the same bits whatever else is in its batch
+        part = batch[[9, 2, 30]]
+        assert [repr(g) for g in state.gains(part, S, L, w)] == \
+            [repr(g) for g in batched[[9, 2, 30]]]
 
 
 def test_empty_rows_score_only_their_balance_term():
@@ -59,18 +70,45 @@ def test_empty_rows_score_only_their_balance_term():
     A[1, 3] = A[3, 1] = 0.5
     S = AffinityGraph(sp.csr_matrix(A))
     patches = [Patch(i, np.zeros(2), (0.5, 0.5), i % 2, 0) for i in range(5)]
-    state = sel.SelectionState.for_patches(patches)
     balance = SUBMODULAR.lambda_b * (np.log(2.0) - np.log(1.0))
-    for committed in (None, 1):
-        if committed is not None:
-            sel.add_exemplar(state, committed, S, S, SUBMODULAR)
-        batch = [c for c in (2, 0, 3, 4) if not state.is_selected[c]]
-        got = state.gains(batch, S, S, SUBMODULAR)
-        one = [state._delta(c, S, S, SUBMODULAR, commit=False) for c in batch]
-        np.testing.assert_allclose(got, one, rtol=0, atol=1e-12)
-        assert got[batch.index(2)] == pytest.approx(balance, abs=1e-15)
-        # patches 2 and 4 are class 0, which has no exemplar yet
-        assert got[batch.index(4)] == pytest.approx(balance, abs=1e-15)
+    for w in (SUBMODULAR, sel.ObjectiveWeights()):
+        state = sel.SelectionState.for_patches(patches)
+        for committed in (None, 1):
+            if committed is not None:
+                sel.add_exemplar(state, committed, S, S, w)
+            batch = [c for c in (2, 0, 3, 4) if not state.is_selected[c]]
+            got = state.gains(batch, S, S, w)
+            # after committing 1, candidate 0 would become the lowest selected id
+            np.testing.assert_allclose(got, scratch_gains(state, batch, S, S, w),
+                                       rtol=0, atol=1e-9)
+            if w is SUBMODULAR:
+                assert got[batch.index(2)] == pytest.approx(balance, abs=1e-15)
+                # patches 2 and 4 are class 0, which has no exemplar yet
+                assert got[batch.index(4)] == pytest.approx(balance, abs=1e-15)
+
+
+def test_stored_zero_affinity_is_not_a_tie():
+    # patch 4 stores a zero affinity to 0 and 3 and none to anything else: it
+    # sits in the zero-affinity mass, owned by the lowest selected id
+    A = np.zeros((5, 5))
+    A[0, 1] = A[1, 0] = 0.8
+    A[1, 2] = A[2, 1] = 0.4
+    rows, cols = np.nonzero(A)
+    rows, cols = np.r_[rows, 0, 4, 3, 4], np.r_[cols, 4, 0, 4, 3]
+    S = AffinityGraph(sp.csr_matrix((np.r_[A[A > 0], 0.0, 0.0, 0.0, 0.0], (rows, cols)),
+                                    shape=(5, 5)))
+    assert S.csr.nnz == 8
+    patches = [Patch(i, np.zeros(2), (0.5, 0.5), i % 2, 0) for i in range(5)]
+    w = sel.ObjectiveWeights()
+    state = sel.SelectionState.for_patches(patches)
+    for e in (2, 0):
+        sel.add_exemplar(state, e, S, S, w)
+        batch = np.flatnonzero(~state.is_selected)
+        np.testing.assert_allclose(state.gains(batch, S, S, w),
+                                   scratch_gains(state, batch, S, S, w), rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(
+            state.cluster_counts[sorted(state.selected)],
+            sel._cluster_counts(state.selected, S, state.labels, state.n_classes))
 
 
 def test_batched_lazy_equals_naive_exactly(monkeypatch):

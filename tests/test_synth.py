@@ -96,36 +96,11 @@ class TestSpatialTexture:
         b = sy.make_spatial_texture(2, 2, 1, pool_size=8, feature_dim=8, seed=9)
         np.testing.assert_array_equal(a[0][0].features, b[0][0].features)
 
-    def test_junk_mixture_spreads_noise(self):
-        clean, _, meta = sy.make_spatial_texture(
-            2, 2, 1, pool_size=40, feature_dim=16, noise=0.05, seed=4
-        )
-        dirty, _, _ = sy.make_spatial_texture(
-            2, 2, 1, pool_size=40, feature_dim=16, noise=0.05,
-            noise_hi=5.0, junk_fraction=0.5, seed=4,
-        )
-        P = meta["prototypes"]
-
-        def worst_fit(imgs):
-            return max(
-                np.linalg.norm(
-                    img.features - P[np.argmax(img.features @ P.T, axis=1)], axis=1
-                ).max()
-                for img in imgs
-            )
-
-        assert worst_fit(clean) < 1.0
-        assert worst_fit(dirty) > 2.0
-
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             sy.make_spatial_texture(pool_size=30)  # not divisible by 4
         with pytest.raises(InvalidInputError):
             sy.make_spatial_texture(feature_dim=2)
-        with pytest.raises(InvalidInputError):
-            sy.make_spatial_texture(junk_fraction=1.0)
-        with pytest.raises(InvalidInputError):
-            sy.make_spatial_texture(junk_fraction=-0.1)
 
 
 class TestViewpoints:
