@@ -7,24 +7,23 @@ pixel distance.  Distances feed a reciprocal similarity with an epsilon
 floor, a k-medoids clustering of viewpoints, and per-image alignment to
 the nearest medoid.
 
-Each search rotates an image once per grid angle into a (T, 1600)
-frame stack.  One kernel gives the (q, T) distances from q targets to
-a stack; its stacked vector products sum exactly as ``np.linalg.norm``
-does.  ``align_to_medoid`` takes the first minimum over (cluster,
-angle), so ties go to the lowest cluster, then the earliest angle.
+A list of images goes through the grid into one (n, T, 1600) frame
+stack, one sparse product per angle for all images of a shape.
+``dissimilarity_matrix`` takes every distance from one matrix product
+over the stack, within its stated tolerance; ``pairwise_similarity`` and
+``align_to_medoid`` keep an exact kernel whose stacked vector products
+sum as ``np.linalg.norm`` does.  ``align_to_medoid`` takes the first
+minimum over (cluster, angle): ties go to the lowest cluster, then angle.
 
 Bilinear sampling is a linear operator on the flattened pixels.  A
-plan is a ``scipy.sparse.csr_array`` of shape (output pixels, h * w)
-whose row holds the weights of an output pixel's in-frame source
-corners; it depends only on the image shape and the angle (or the
-resize target), never on the pixels.  Plans are built once and kept in
-two LRU caches of ``PLAN_CACHE_SIZE`` entries each, keyed by (shape,
-angle) and (shape, target shape), so a grid search rotates every image
-through the same few plans.  A plan takes 60-71 bytes per output pixel
-(~250 KB for a 64x64 rotation, ~113 KB for a 64x64 -> 40x40 resize),
-and its arrays are read-only.  The CSR product sums each row's corners
-from zero in (dy, dx) order, as sampling is defined, so results are
-bit-identical to sampling directly.
+plan is a read-only ``scipy.sparse.csr_array`` of shape (output pixels,
+h * w) whose row holds the weights of an output pixel's in-frame source
+corners.  Plans are kept in two LRU caches of ``PLAN_CACHE_SIZE``
+entries, keyed by (shape, angle) and (shape, target shape); one takes
+60-71 bytes per output pixel (~250 KB for a 64x64 rotation).  The CSR
+product sums each row's corners from zero in (dy, dx) order, as
+sampling is defined, in every column of a stack, so results are
+bit-identical to sampling one image directly.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,9 +155,22 @@ def rotate_resize(image, theta_deg: float, size: int = WORK_SIZE) -> np.ndarray:
     return resize_image(rotate_image(image, theta_deg), size, size)
 
 
-def _frames(pixels: np.ndarray, theta_grid) -> np.ndarray:
-    """(T, s) stack: ``pixels`` at each grid angle in the working square, flattened."""
-    return np.stack([rotate_resize(pixels, t).ravel() for t in theta_grid])
+def _frames(images, theta_grid) -> np.ndarray:
+    """(n, T, s) stack: each image at each grid angle in the working square, flattened.
+
+    Images of one shape are the columns of one matrix, rotated (and
+    resized) by one product per angle, bit-identical to ``rotate_resize``.
+    """
+    out = np.empty((len(images), len(theta_grid), WORK_SIZE * WORK_SIZE))
+    for h, w in dict.fromkeys(px.shape for px in images):
+        idx = [i for i, px in enumerate(images) if px.shape == (h, w)]
+        cols = np.stack([images[i].ravel() for i in idx], axis=1)
+        for ti, theta in enumerate(theta_grid):
+            f = _rotation_plan(h, w, float(theta)) @ cols
+            if (h, w) != (WORK_SIZE, WORK_SIZE):
+                f = _resize_plan(h, w, WORK_SIZE, WORK_SIZE) @ f
+            out[idx, ti] = f.T
+    return out
 
 
 def _distances(targets: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -177,8 +190,8 @@ def pairwise_similarity(a, b, theta_grid, epsilon=DEFAULT_EPSILON) -> float:
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
     grid = _theta_grid(theta_grid)
     a, b = _pixels(a, "image a"), _pixels(b, "image b")
-    d_ab = _distances(rotate_resize(a, 0.0).ravel()[None], _frames(b, grid)).min()
-    d_ba = _distances(rotate_resize(b, 0.0).ravel()[None], _frames(a, grid)).min()
+    d_ab = _distances(_frames([a], [0.0])[0], _frames([b], grid)[0]).min()
+    d_ba = _distances(_frames([b], [0.0])[0], _frames([a], grid)[0]).min()
     return float(0.5 * (1.0 / (epsilon + d_ab) + 1.0 / (epsilon + d_ba)))
 
 
@@ -187,23 +200,23 @@ def dissimilarity_matrix(images, theta_grid, epsilon=DEFAULT_EPSILON) -> np.ndar
 
     Off-diagonal entries are epsilon plus the average of the two
     directional minima; the diagonal is zero by convention so that
-    trivial clusterings have zero cost.
+    trivial clusterings have zero cost.  Each d^2 = |a|^2 + |b|^2 - 2 a.b,
+    a.b from one matrix product, is off by at most ~2e-13 (|a|^2 + |b|^2).
     """
     if not epsilon > 0:
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
     grid = _theta_grid(theta_grid)
     n = len(images)
+    if n == 0:
+        raise InvalidInputError("dissimilarity_matrix needs at least one image")
     pixels = [_pixels(img, f"image at position {i}") for i, img in enumerate(images)]
-    base = np.stack([rotate_resize(px, 0.0).ravel() for px in pixels])
-    rots = np.stack([_frames(px, grid) for px in pixels])  # (n, T, s)
+    base = _frames(pixels, [0.0])[:, 0]  # (n, s) canonical frames
+    rots = _frames(pixels, grid).reshape(n * grid.size, -1)  # (n * T, s)
     base_sq = np.einsum("is,is->i", base, base)
-    rot_sq = np.einsum("its,its->it", rots, rots)
-    dm = np.zeros((n, n))
-    for i in range(n):
-        # directional distance from i's canonical frame to every rotation of j
-        d2 = base_sq[i] + rot_sq - 2.0 * (rots @ base[i])
-        np.maximum(d2, 0.0, out=d2)
-        dm[i] = np.sqrt(d2.min(axis=1))
+    rot_sq = np.einsum("rs,rs->r", rots, rots)
+    # d2[i, j * T + t]: from i's canonical frame to j's frame at angle t
+    d2 = base_sq[:, None] + rot_sq - 2.0 * (base @ rots.T)
+    dm = np.sqrt(np.maximum(d2.reshape(n, n, grid.size).min(axis=2), 0.0))
     sym = 0.5 * (dm + dm.T) + epsilon
     np.fill_diagonal(sym, 0.0)
     return sym
@@ -255,14 +268,10 @@ def k_medoids(images, k, theta_grid, seed, max_iter=100, epsilon=DEFAULT_EPSILON
         dist_to_medoids = dm[:, medoids]  # (n, k)
         assign = dist_to_medoids.argmin(axis=1)
         cost_history.append(float(dist_to_medoids[np.arange(n), assign].sum()))
-        new_medoids = []
-        for ci in range(k):
+        new_medoids = list(medoids)  # an empty cluster keeps its medoid
+        for ci in np.unique(assign):
             members = np.flatnonzero(assign == ci)
-            if members.size == 0:
-                new_medoids.append(medoids[ci])
-                continue
-            within = dm[np.ix_(members, members)].sum(axis=1)
-            new_medoids.append(int(members[int(within.argmin())]))
+            new_medoids[ci] = int(members[dm[np.ix_(members, members)].sum(axis=1).argmin()])
         if new_medoids == medoids:
             break
         medoids = new_medoids
@@ -285,7 +294,7 @@ def align_to_medoid(image, model: ViewpointModel):
     """
     px = _pixels(image)
     thumbs = np.stack(model.thumbnails).reshape(len(model.thumbnails), -1)
-    dist = _distances(thumbs, _frames(px, model.theta_grid))  # (cluster, angle)
+    dist = _distances(thumbs, _frames([px], model.theta_grid)[0])  # (cluster, angle)
     cluster, ti = np.unravel_index(int(dist.argmin()), dist.shape)
     theta = float(model.theta_grid[ti])
     return rotate_image(px, theta), int(cluster), theta
@@ -298,21 +307,13 @@ def read_pgm(path) -> np.ndarray:
     """Read a binary (P5) PGM into floats in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = []
-    i = 0
-    while len(tokens) < 4 and i < len(data):
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < len(data) and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(data) and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
+    tokens, i = [], 0
+    for m in re.finditer(rb"\s+|#[^\r\n]*|([^\s#]+)", data):  # space, comment or token
+        if len(tokens) == 4:
+            break
+        if m[1]:
+            tokens.append(m[1])
+        i = m.end()
     if len(tokens) < 4 or tokens[0] != b"P5":
         raise InvalidInputError(f"{path}: not a binary PGM (P5) file")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])

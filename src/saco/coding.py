@@ -27,8 +27,9 @@ wherever p < m, lambda2 > 0 and every weight is > 0; other rows (a zero
 weight arises when epsilon = 0 and the query sits on an atom) solve
 ``D^T D + lambda2 diag(w)^2`` by Cholesky, stacked into one call per
 block of ``SOLVE_BLOCK_DOUBLES``.  ISTA updates the whole batch, freezing
-each row at its own stopping test.  A row's saco1 code does not depend
-on how rows are batched.
+each row at its own stopping test; a row's step is 1 / (lambda_max(D^T D)
++ lambda2 max_j w_j^2), from one eigensolve per encoder.  A row's saco1
+code does not depend on how rows are batched.
 
 Every public entry checks its input by one rule, in ``_rows``, naming the
 first bad row.  Scalars are checked as their accepted range, so NaN
@@ -239,16 +240,6 @@ def _saco2_rows(X, dictionary: Dictionary, W, lambda1, lambda2, outer=None) -> n
     return soft_threshold(U, lambda1)
 
 
-def _lipschitz(G, W, lambda2) -> np.ndarray:
-    """Per row, the largest eigenvalue of D^T D + lambda2 diag(w)^2.
-
-    One ``eigvalsh`` when every row shares its weights, else one per row.
-    """
-    if (W == W[0]).all():
-        return np.full(len(W), np.linalg.eigvalsh(G + lambda2 * np.diag(W[0] * W[0]))[-1])
-    return np.array([np.linalg.eigvalsh(G + lambda2 * np.diag(w * w))[-1] for w in W])
-
-
 def _kkt_rows(X, D, A, W, lambda1, lambda2) -> np.ndarray:
     """Per row, the infinity norm of the optimality-condition violation."""
     grad = (A @ D.T - X) @ D + lambda2 * (W * W) * A
@@ -258,16 +249,18 @@ def _kkt_rows(X, D, A, W, lambda1, lambda2) -> np.ndarray:
     return res.max(axis=1)
 
 
-def _ista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, tol, max_iter, lip=None):
-    """ISTA on every row at once, each with step 1 / its own Lipschitz constant.
+def _ista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, tol, max_iter, lmax):
+    """ISTA on every row at once, each with step 1 / its own Lipschitz bound.
 
-    Returns (codes, converged, iterations, kkt).  ``lip`` is a constant
-    shared by every row, when the caller already knows it.
+    A row's bound is ``lmax + lambda2 * max_j w_j^2``, with ``lmax`` the
+    largest eigenvalue of D^T D; by Weyl's inequality it is at least the
+    largest eigenvalue of D^T D + lambda2 diag(w)^2.  Returns (codes,
+    converged, iterations, kkt).
     """
     D = dictionary.matrix
     G = dictionary.gram()
     n, m = W.shape
-    lips = np.full(n, lip) if lip is not None else _lipschitz(G, W, lambda2)
+    lips = lmax + lambda2 * (W * W).max(axis=1)
     A = np.zeros((n, m))
     iterations = np.zeros(n, dtype=np.int64)
     # an all-zero dictionary has nothing to fit: a = 0 is optimal
@@ -343,14 +336,13 @@ class Encoder:
         if not (self.tol > 0 and self.max_iter >= 1):
             raise InvalidInputError(f"bad solver settings tol={self.tol}, max_iter={self.max_iter}")
         D = self.dictionary.matrix
-        self.omega = self.sigma_lower = self._outer = self._lip = None
+        self.omega = self.sigma_lower = self._outer = self._lmax = None
         if self.method == "saco1":
             self.omega, self.sigma_lower = _pseudo_inverse(D)
         elif self.method == "saco2" and D.shape[0] < D.shape[1] and self.lambda2 > 0:
             self._outer = _atom_outer(D)
-        elif self.method == "iterative" and self.lambda2 == 0:
-            # without the ridge term the weights leave the ISTA step unchanged
-            self._lip = np.linalg.eigvalsh(self.dictionary.gram())[-1]
+        elif self.method == "iterative":
+            self._lmax = np.linalg.eigvalsh(self.dictionary.gram())[-1]
 
     def code(self, X, W=None):
         """Code an (N, p) batch at explicit (N, m) weights, all ones for None.
@@ -379,7 +371,7 @@ class Encoder:
             codes = _saco2_rows(X, d, W, self.lambda1, self.lambda2, self._outer)
             return codes, CodingDiagnostics(n)
         A, converged, iterations, kkt = _ista_rows(X, d, W, self.lambda1, self.lambda2, self.tol,
-                                                   self.max_iter, self._lip)
+                                                   self.max_iter, self._lmax)
         return A, CodingDiagnostics(n, int((~converged).sum()), int(iterations.max()),
                                     float(kkt.max()))
 

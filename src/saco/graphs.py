@@ -123,6 +123,14 @@ def _ranked(X: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int):
     return cand[take], d2[take]
 
 
+def _coinciding(X: np.ndarray, flagged: np.ndarray, reach: np.ndarray, lo: int = 0):
+    """Flagged rows of a block from row ``lo``, grouped by point and reach to share a ranking."""
+    groups = {}
+    for r in np.flatnonzero(flagged):
+        groups.setdefault((X[lo + r].tobytes(), reach[r]), []).append(r)
+    return map(np.array, groups.values())
+
+
 def _tree_knn(X: np.ndarray, k: int):
     """(cols, d^2), each (m, k), by the tie rule, from a k-d tree.
 
@@ -130,9 +138,8 @@ def _tree_knn(X: np.ndarray, k: int):
     among them; their d^2 is recomputed directly.  When another of them
     agrees with a row's k-th value within the tree's rounding, the row's
     boundary may tie: it is re-ranked over the tree's ball around it,
-    which holds every point at least as close as its k-th.  Flagged rows
-    with the same point and reach share one ball and one ranking, so the
-    copies of a duplicated point cost one re-ranking, not one each.
+    which holds every point at least as close as its k-th.  Coinciding
+    flagged rows share one ball, which holds all of them.
     """
     from scipy.spatial import cKDTree  # lazy: importing it costs ~0.12 s
 
@@ -146,10 +153,7 @@ def _tree_knn(X: np.ndarray, k: int):
     cols = np.take_along_axis(cand, pos, 1)
     # the tree's distances and direct d^2 differ by rounding alone
     reach = vals.max(axis=1) * (1.0 + 8.0 * (p + 3) * _EPS)
-    shared = {}
-    for i in np.flatnonzero(nxt <= reach):
-        shared.setdefault((X[i].tobytes(), reach[i]), []).append(i)
-    for rows in map(np.array, shared.values()):
+    for rows in _coinciding(X, nxt <= reach, reach):
         ball = tree.query_ball_point(X[rows[0]], np.sqrt(reach[rows[0]]), return_sorted=True)
         cols[rows], vals[rows] = _ranked(X, rows, np.asarray(ball), k)
     return cols, vals
@@ -161,8 +165,9 @@ def _dense_block(X: np.ndarray, sq: np.ndarray, err: np.ndarray, lo: int, hi: in
     The expansion |x|^2 + |y|^2 - 2 x.y ranks the block.  When another
     value lies within twice a row's rounding bound ``err`` of its k-th,
     the row's boundary may tie: it is re-ranked by direct d^2 over every
-    point in that window.  Each (hi - lo, m) temporary is dropped as
-    soon as it is used, so at most two are alive at once.
+    point in that window (coinciding rows: over their windows and selves).
+    Each (hi - lo, m) temporary is dropped as soon as it is used, so at
+    most two are alive at once.
     """
     d2 = sq[lo:hi, None] + sq[None, :]
     g = X[lo:hi] @ X.T
@@ -173,8 +178,10 @@ def _dense_block(X: np.ndarray, sq: np.ndarray, err: np.ndarray, lo: int, hi: in
     d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
     cols, vals, nxt = _smallest(d2, k)
     reach = vals.max(axis=1) + 2.0 * err[lo:hi]
-    for r in np.flatnonzero(nxt <= reach):
-        cols[r], vals[r] = _ranked(X, np.array([lo + r]), np.flatnonzero(d2[r] <= reach[r]), k)
+    for rows in _coinciding(X, nxt <= reach, reach, lo):
+        window = (d2[rows] <= reach[rows, None]).any(axis=0)
+        window[lo + rows] = True
+        cols[rows], vals[rows] = _ranked(X, lo + rows, np.flatnonzero(window), k)
     return cols, vals
 
 

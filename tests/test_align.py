@@ -311,10 +311,11 @@ BAD_GRIDS = {
 
 
 def forbid_rotations(monkeypatch):
+    """Fail on the first rotation plan lookup: every rotation, one image or a stack, makes one."""
     def fail(*args, **kwargs):
         raise AssertionError("rotated before the input was checked")
 
-    monkeypatch.setattr(al, "rotate_resize", fail)
+    monkeypatch.setattr(al, "_rotation_plan", fail)
 
 
 @pytest.fixture()
@@ -397,6 +398,10 @@ class TestEntryChecks:
                                                     r"2-D array, got shape \(5,\)"):
             al.dissimilarity_matrix(images, al.default_theta_grid())
 
+    def test_empty_list_is_rejected(self, no_rotations):
+        with pytest.raises(InvalidInputError, match="dissimilarity_matrix needs at least one image"):
+            al.dissimilarity_matrix([], al.default_theta_grid())
+
     @pytest.mark.parametrize("seed", [-1, 1.5, "0", None, True])
     def test_k_medoids_rejects_bad_seed(self, seed, no_rotations):
         with pytest.raises(InvalidInputError, match=r"seed must be a non-negative integer, got "):
@@ -434,6 +439,22 @@ class TestDissimilarityMatrix:
         np.testing.assert_array_equal(np.diag(dm), np.zeros(5))
         off = dm[~np.eye(5, dtype=bool)]
         assert np.all(off >= al.DEFAULT_EPSILON)
+
+    def test_mixed_shapes(self):
+        rng = np.random.default_rng(22)
+        imgs = [rng.uniform(size=shape) for shape in [(12, 12), (20, 16), (40, 40), (12, 12)]]
+        grid = al.default_theta_grid(30.0)
+        frames = al._frames(imgs, grid)
+        assert frames.shape == (4, grid.size, al.WORK_SIZE * al.WORK_SIZE)
+        for img, stack in zip(imgs, frames):
+            for theta, frame in zip(grid, stack):
+                assert frame.tobytes() == al.rotate_resize(img, theta).ravel().tobytes()
+        dm = al.dissimilarity_matrix(imgs, grid, epsilon=1e-6)
+        for i in range(4):
+            for j in range(i + 1, 4):
+                expected = 1e-6 + 0.5 * (directional_distance(imgs[i], imgs[j], grid)
+                                         + directional_distance(imgs[j], imgs[i], grid))
+                assert dm[i, j] == pytest.approx(expected, rel=1e-9)
 
     def test_accepts_labeled_images(self):
         imgs = random_images(12, n=3)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import saco
+import saco.graphs as graphs
 from saco.errors import DegenerateInputError, InvalidInputError
 from saco.graphs import (
     TREE_MAX_DIM,
@@ -166,6 +167,21 @@ class TestTieRule:
     @pytest.mark.parametrize("p", [TREE_MAX_DIM, TREE_MAX_DIM + 1])
     def test_duplicated_rows_on_both_paths(self, p):
         assert_matches_oracle(with_duplicates(np.random.default_rng(p), 40, p), 6)
+
+    @pytest.mark.parametrize("p", [TREE_MAX_DIM, TREE_MAX_DIM + 1])
+    def test_copies_share_one_ranking(self, p, monkeypatch):
+        # 20 distinct points, 12 copies each: every row's k-th neighbour ties
+        points = np.repeat(np.random.default_rng(p).normal(size=(20, p)), 12, axis=0)
+        ranked, calls = graphs._ranked, []
+
+        def counted(*args):
+            calls.append(args[1])
+            return ranked(*args)
+
+        monkeypatch.setattr(graphs, "_ranked", counted)
+        assert_matches_oracle(points, 6)
+        assert len(calls) == 20
+        assert sorted(np.concatenate(calls).tolist()) == list(range(len(points)))
 
     @pytest.mark.parametrize("p", [TREE_MAX_DIM, TREE_MAX_DIM + 1])
     @settings(max_examples=15, deadline=None)
