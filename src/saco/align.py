@@ -42,6 +42,7 @@ from .errors import InvalidInputError
 
 WORK_SIZE = 40
 DEFAULT_EPSILON = 1e-6
+KMEDOIDS_MAX_ITER = 100
 # sampling plans kept per kind: the default 36-angle grid at one image shape
 # fits with room to spare
 PLAN_CACHE_SIZE = 48
@@ -150,9 +151,9 @@ def resize_image(image, out_h: int, out_w: int) -> np.ndarray:
     return (_resize_plan(*img.shape, out_h, out_w) @ img.ravel()).reshape(out_h, out_w)
 
 
-def rotate_resize(image, theta_deg: float, size: int = WORK_SIZE) -> np.ndarray:
-    """Rotate about the center, then resize to the working square."""
-    return resize_image(rotate_image(image, theta_deg), size, size)
+def rotate_resize(image, theta_deg: float) -> np.ndarray:
+    """Rotate about the center, then resize to the WORK_SIZE working square."""
+    return resize_image(rotate_image(image, theta_deg), WORK_SIZE, WORK_SIZE)
 
 
 def _frames(images, theta_grid) -> np.ndarray:
@@ -243,10 +244,11 @@ class ViewpointModel:
         self.theta_grid = _theta_grid(self.theta_grid)
 
 
-def k_medoids(images, k, theta_grid, seed, max_iter=100, epsilon=DEFAULT_EPSILON):
+def k_medoids(images, k, theta_grid, seed, epsilon=DEFAULT_EPSILON):
     """Voronoi-iteration k-medoids on rotation-search dissimilarities.
 
-    Returns (model, assignments, cost_history).  Initial medoids are a
+    Returns (model, assignments, cost_history) once the medoids stop
+    moving, or after ``KMEDOIDS_MAX_ITER`` rounds.  Initial medoids are a
     seeded draw; assignment ties go to the lowest cluster index and
     medoid-update ties to the lowest member index, so runs are fully
     reproducible.  The cost history never increases.
@@ -256,15 +258,13 @@ def k_medoids(images, k, theta_grid, seed, max_iter=100, epsilon=DEFAULT_EPSILON
         raise InvalidInputError(f"k must be in [1, {n}], got {k}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be >= 1, got {max_iter}")
     grid = _theta_grid(theta_grid)
     dm = dissimilarity_matrix(images, grid, epsilon)
     rng = np.random.default_rng(seed)
     medoids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
     cost_history = []
     assign = None
-    for _ in range(max_iter):
+    for _ in range(KMEDOIDS_MAX_ITER):
         dist_to_medoids = dm[:, medoids]  # (n, k)
         assign = dist_to_medoids.argmin(axis=1)
         cost_history.append(float(dist_to_medoids[np.arange(n), assign].sum()))

@@ -2,8 +2,11 @@
 
 Per image, patch codes are average-pooled to one fixed-length feature,
 classified by a one-vs-rest linear SVM trained with deterministic
-full-batch subgradient descent.  A reconstruction-residual baseline
-classifies single patches from per-class partial reconstructions.
+full-batch subgradient descent.  The SVM works on whole batches:
+``svm_train`` steps every class at once, and ``svm_predict`` scores an
+(N, dim) feature matrix into (N,) classes and (N, C) scores.  A
+reconstruction-residual baseline classifies single patches from
+per-class partial reconstructions.
 ``run_pipeline`` chains candidate sampling, affinity graphs, greedy
 exemplar selection, spatially weighted coding, pooling, and the SVM.
 """
@@ -20,6 +23,9 @@ from .data import Dictionary, sample_candidates
 from .errors import InvalidInputError, PipelineStageError
 from .graphs import build_feature_affinity, build_spatial_affinity
 from .selection import ObjectiveWeights, SelectionResult, lazy_greedy
+
+# the residual baseline's l1 penalty, at uniform atom weights
+RESIDUAL_LAMBDA1 = 0.01
 
 
 def pool_codes(codes) -> np.ndarray:
@@ -53,8 +59,9 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300):
 
     The per-class objective is 0.5*reg*||w||^2 plus the mean hinge loss;
     epoch t takes one subgradient step of size 1/(reg*t) from a zero
-    start.  Training draws nothing at random: full-batch steps make it
-    deterministic and invariant to duplicating the training set.
+    start, for every class at once.  Training draws nothing at random:
+    full-batch steps make it deterministic and invariant to duplicating
+    the training set.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -70,44 +77,41 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300):
         n_classes = int(y.max()) + 1
     _reject_rows(y >= n_classes, f"label out of range for {n_classes} classes")
     n, dim = X.shape
+    Y = np.where(y[:, None] == np.arange(n_classes), 1.0, -1.0)
     W = np.zeros((n_classes, dim))
     B = np.zeros(n_classes)
     for t in range(1, epochs + 1):
         step = 1.0 / (reg * t)
-        for c in range(n_classes):
-            y_c = np.where(y == c, 1.0, -1.0)
-            margins = y_c * (X @ W[c] + B[c])
-            viol = margins < 1.0
-            grad_w = reg * W[c] - (y_c[viol, None] * X[viol]).sum(axis=0) / n
-            grad_b = -y_c[viol].sum() / n
-            W[c] -= step * grad_w
-            B[c] -= step * grad_b
+        # each margin violator contributes its target sign, the rest 0
+        V = np.where(Y * (X @ W.T + B) < 1.0, Y, 0.0)
+        W -= step * (reg * W - V.T @ X / n)
+        B -= step * (-V.sum(axis=0) / n)
     return LinearSvmModel(W, B)
 
 
-def svm_scores(model: LinearSvmModel, feature) -> np.ndarray:
-    f = np.asarray(feature, dtype=np.float64)
-    if f.shape != (model.weights.shape[1],):
-        raise InvalidInputError(
-            f"feature dim {f.shape} does not match model dim {model.weights.shape[1]}"
-        )
-    return model.weights @ f + model.biases
+def svm_predict(model: LinearSvmModel, features):
+    """Score an (N, dim) batch: (classes (N,), scores (N, C)), ties to the lowest class.
+
+    Rejects a batch of the wrong width, or a non-finite row by naming it.
+    """
+    F = np.asarray(features, dtype=np.float64)
+    dim = model.weights.shape[1]
+    if F.ndim != 2 or F.shape[1] != dim:
+        raise InvalidInputError(f"features {F.shape} do not match model rows of width {dim}")
+    _reject_rows(~np.isfinite(F).all(axis=1), "non-finite features")
+    # one matrix-vector product per row, as scoring a single row computes it
+    scores = np.matmul(model.weights, F[:, :, None])[:, :, 0] + model.biases
+    return scores.argmax(axis=1), scores
 
 
-def svm_predict(model: LinearSvmModel, feature):
-    """Return (class, scores); argmax ties go to the lowest class index."""
-    scores = svm_scores(model, feature)
-    return int(scores.argmax()), scores
-
-
-def _label_groups(dictionary: Dictionary) -> list[np.ndarray]:
-    """Atom indices of each class 0..max label; every class needs at least one atom."""
+def _residual_coder(dictionary: Dictionary):
+    """The residual rule's uniform-weight coder, and the atoms of each class 0..max label."""
     labels = dictionary.atom_labels
     groups = [np.flatnonzero(labels == c) for c in range(int(labels.max()) + 1)]
     empty = [c for c, g in enumerate(groups) if not g.size]
     if empty:
         raise InvalidInputError(f"every class needs at least one atom; classes {empty} have none")
-    return groups
+    return Encoder(dictionary, "iterative", RESIDUAL_LAMBDA1, 0.0), groups
 
 
 def _class_residuals(X, encoder: Encoder, class_groups) -> np.ndarray:
@@ -122,17 +126,15 @@ def _class_residuals(X, encoder: Encoder, class_groups) -> np.ndarray:
     return residuals
 
 
-def src_classify(x, dictionary: Dictionary, lambda1=0.01):
+def src_classify(x, dictionary: Dictionary):
     """Classify one patch by smallest per-class reconstruction residual.
 
-    Codes ``x`` over the whole dictionary with uniform weights, then for
-    each class (the atoms' labels) keeps only that class's coefficients
-    and measures ||x - D_c a_c||.  Returns (class, residuals); ties go to
-    the lowest class index.
+    Codes ``x`` over the whole dictionary with uniform weights at
+    ``RESIDUAL_LAMBDA1``, then for each class (the atoms' labels) keeps
+    only that class's coefficients and measures ||x - D_c a_c||.
+    Returns (class, residuals); ties go to the lowest class index.
     """
-    groups = _label_groups(dictionary)
-    encoder = Encoder(dictionary, "iterative", lambda1, 0.0)
-    residuals = _class_residuals([x], encoder, groups)[0]
+    residuals = _class_residuals([x], *_residual_coder(dictionary))[0]
     return int(residuals.argmin()), residuals
 
 
@@ -260,34 +262,21 @@ def run_pipeline(train_images, test_images, cfg: PipelineConfig) -> PipelineResu
     model = _stage("svm", svm_train, train_feats, train_labels, n_classes, cfg.svm_reg,
                    cfg.svm_epochs)
 
-    predictions = []
+    classes, scores = svm_predict(model, test_feats)
+    predictions = [PredictionRow(img.image_id, img.label, int(c), s)
+                   for img, c, s in zip(test_images, classes, scores)]
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    hits = 0
-    for img, feat in zip(test_images, test_feats):
-        pred, scores = svm_predict(model, feat)
-        predictions.append(PredictionRow(img.image_id, img.label, pred, scores))
-        confusion[img.label, pred] += 1
-        hits += int(pred == img.label)
-    accuracy = hits / len(test_images)
-    return PipelineResult(
-        config=cfg,
-        selection=selection,
-        dictionary=dictionary,
-        predictions=predictions,
-        accuracy=accuracy,
-        confusion=confusion,
-        train_features=train_feats,
-        model=model,
-        coding=coding,
-    )
+    np.add.at(confusion, (test_labels, classes), 1)
+    accuracy = float(np.mean(classes == test_labels))
+    return PipelineResult(config=cfg, selection=selection, dictionary=dictionary,
+                          predictions=predictions, accuracy=accuracy, confusion=confusion,
+                          train_features=train_feats, model=model, coding=coding)
 
 
-def src_image_accuracy(test_images, dictionary: Dictionary, cfg: PipelineConfig,
-                       lambda1=0.01) -> float:
+def src_image_accuracy(test_images, dictionary: Dictionary, cfg: PipelineConfig) -> float:
     """Residual-baseline accuracy: per image, average per-class residuals
     over its sampled patches and pick the smallest."""
-    groups = _label_groups(dictionary)
-    encoder = Encoder(dictionary, "iterative", lambda1, 0.0)
+    encoder, groups = _residual_coder(dictionary)
     hits = 0
     for img in test_images:
         X = sample_candidates([img], cfg.patches_per_image, [cfg.seed, 3]).features

@@ -225,11 +225,15 @@ def cmd_predict(args) -> int:
     pairs = _read_image_labels(args.images)
     if len(feats) != len(pairs):
         raise InvalidInputError(f"{len(feats)} feature rows vs {len(pairs)} labeled images")
-    predictions = [PredictionRow(image_id, true_label, *svm_predict(model, f))
-                   for (image_id, true_label), f in zip(pairs, feats)]
+    try:
+        classes, scores = svm_predict(model, feats)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{args.features}: {exc}") from None
+    predictions = [PredictionRow(image_id, true_label, int(c), s)
+                   for (image_id, true_label), c, s in zip(pairs, classes, scores)]
     _write_predictions(args.out, cfg, predictions)
-    n_hit = sum(row.predicted == row.true_label for row in predictions)
-    print(f"accuracy {n_hit / len(pairs):.4f} on {len(pairs)} images -> {args.out}")
+    accuracy = np.mean(classes == [true_label for _, true_label in pairs])
+    print(f"accuracy {accuracy:.4f} on {len(pairs)} images -> {args.out}")
     return 0
 
 

@@ -27,13 +27,14 @@ wherever p < m, lambda2 > 0 and every weight is > 0; other rows (a zero
 weight arises when epsilon = 0 and the query sits on an atom) solve
 ``D^T D + lambda2 diag(w)^2`` by Cholesky, stacked into one call per
 block of ``SOLVE_BLOCK_DOUBLES``.  ISTA updates the whole batch, freezing
-each row at its own stopping test; a row's step is 1 / (lambda_max(D^T D)
+each row once no coefficient moves by ``ISTA_TOL`` (or, unconverged, after
+``ISTA_MAX_ITER`` iterations); a row's step is 1 / (lambda_max(D^T D)
 + lambda2 max_j w_j^2), from one eigensolve per encoder.  A row's saco1
 code does not depend on how rows are batched.
 
 Every public entry checks its input by one rule, in ``_rows``, naming the
 first bad row.  Scalars are checked as their accepted range, so NaN
-fails: lambda1 and lambda2 finite and >= 0, tol > 0, max_iter >= 1.
+fails: lambda1 and lambda2 finite and >= 0.
 """
 
 from __future__ import annotations
@@ -55,6 +56,10 @@ CODERS = ("saco1", "saco2", "iterative")
 
 # doubles one batched solve may stack: 128 systems of 64 x 64
 SOLVE_BLOCK_DOUBLES = 128 * 64 * 64
+
+# ISTA's stopping test (largest coefficient step) and iteration cap
+ISTA_TOL = 1e-6
+ISTA_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -249,7 +254,7 @@ def _kkt_rows(X, D, A, W, lambda1, lambda2) -> np.ndarray:
     return res.max(axis=1)
 
 
-def _ista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, tol, max_iter, lmax):
+def _ista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, lmax):
     """ISTA on every row at once, each with step 1 / its own Lipschitz bound.
 
     A row's bound is ``lmax + lambda2 * max_j w_j^2``, with ``lmax`` the
@@ -271,12 +276,12 @@ def _ista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, tol, max_iter, lm
     w2 = lambda2 * W[rows] * W[rows]
     dtx = X[rows] @ D
     a = A[rows]
-    for it in range(1, max_iter + 1):
+    for it in range(1, ISTA_MAX_ITER + 1):
         if not rows.size:
             break
         grad = a @ G + w2 * a - dtx
         a_next = soft_threshold(a - step * grad, thresh)
-        done = np.abs(a_next - a).max(axis=1) < tol
+        done = np.abs(a_next - a).max(axis=1) < ISTA_TOL
         a = a_next
         iterations[rows] = it
         if done.any():
@@ -315,10 +320,10 @@ class Encoder:
     """Codes batches of patch features against one dictionary.
 
     ``weights`` of None gives every atom weight 1, and ``encode`` then
-    needs no locations.  ``tol`` and ``max_iter`` apply to the iterative
-    coder only.  A saco1 encoder holds ``omega`` (the pseudo-inverse) and
-    ``sigma_lower`` (its smallest singular value on R^p, see
-    ``bound_check``); it needs an under-complete, full-rank dictionary.
+    needs no locations.  A saco1 encoder holds ``omega`` (the
+    pseudo-inverse) and ``sigma_lower`` (its smallest singular value on
+    R^p, see ``bound_check``); it needs an under-complete, full-rank
+    dictionary.
     """
 
     dictionary: Dictionary
@@ -326,15 +331,11 @@ class Encoder:
     lambda1: float = 0.1
     lambda2: float = 1.0
     weights: SpatialWeightConfig | None = None
-    tol: float = 1e-6
-    max_iter: int = 1000
 
     def __post_init__(self):
         if self.method not in CODERS:
             raise InvalidConfigError(f"unknown coder '{self.method}'")
         _check_lambdas(self.lambda1, self.lambda2)
-        if not (self.tol > 0 and self.max_iter >= 1):
-            raise InvalidInputError(f"bad solver settings tol={self.tol}, max_iter={self.max_iter}")
         D = self.dictionary.matrix
         self.omega = self.sigma_lower = self._outer = self._lmax = None
         if self.method == "saco1":
@@ -370,8 +371,7 @@ class Encoder:
         if self.method == "saco2":
             codes = _saco2_rows(X, d, W, self.lambda1, self.lambda2, self._outer)
             return codes, CodingDiagnostics(n)
-        A, converged, iterations, kkt = _ista_rows(X, d, W, self.lambda1, self.lambda2, self.tol,
-                                                   self.max_iter, self._lmax)
+        A, converged, iterations, kkt = _ista_rows(X, d, W, self.lambda1, self.lambda2, self._lmax)
         return A, CodingDiagnostics(n, int((~converged).sum()), int(iterations.max()),
                                     float(kkt.max()))
 

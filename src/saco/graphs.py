@@ -66,14 +66,13 @@ class AffinityGraph:
     def to_dense(self) -> np.ndarray:
         return self._csr.toarray()
 
-    def check_valid(self, atol=0.0) -> None:
-        """Assert symmetry, non-negativity and zero diagonal."""
+    def check_valid(self) -> None:
+        """Assert exact symmetry, non-negativity and zero diagonal."""
         if self._csr.nnz and self._csr.data.min() < 0:
             raise InvalidInputError("negative affinity entry")
         if np.any(self._csr.diagonal() != 0):
             raise InvalidInputError("nonzero diagonal entry")
-        diff = self._csr - self._csr.T
-        if diff.nnz and np.max(np.abs(diff.data)) > atol:
+        if np.any((self._csr - self._csr.T).data):
             raise InvalidInputError("asymmetric affinity matrix")
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 from .data import PatchSet
 from .errors import InvalidInputError
 
@@ -39,7 +41,8 @@ def svg_scatter(patches, selected_ids=(), title="patch layout") -> str:
         f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
         f'<rect x="{_PAD}" y="{_PAD}" width="{_SIZE - 2 * _PAD}" height="{_SIZE - 2 * _PAD}" '
         f'fill="none" stroke="#888888" stroke-width="1"/>',
-        f'<text x="{_PAD}" y="{_PAD - 12}" font-family="monospace" font-size="13">{title}</text>',
+        f'<text x="{_PAD}" y="{_PAD - 12}" font-family="monospace" font-size="13">'
+        f'{escape(title)}</text>',
     ]
     for (x, y), label in zip(patches.coords.tolist(), labels):
         parts.append(

@@ -266,7 +266,6 @@ class TestResize:
     def test_rotate_resize_shape(self):
         img = random_images(5, n=1, size=17)[0]
         assert al.rotate_resize(img, 30.0).shape == (al.WORK_SIZE, al.WORK_SIZE)
-        assert al.rotate_resize(img, 30.0, size=8).shape == (8, 8)
 
 
 class TestPairwiseSimilarity:
@@ -337,12 +336,6 @@ class TestThetaGridChecks:
             al.k_medoids(imgs, 2, grid, seed=0)
         with pytest.raises(InvalidInputError, match="theta grid"):
             al.ViewpointModel([0], [np.zeros((40, 40))], grid)
-
-    @pytest.mark.parametrize("max_iter", [0, -1])
-    def test_k_medoids_rejects_max_iter_below_one(self, max_iter, no_rotations):
-        imgs = random_images(20, n=3)
-        with pytest.raises(InvalidInputError, match="max_iter"):
-            al.k_medoids(imgs, 2, al.default_theta_grid(90.0), seed=0, max_iter=max_iter)
 
 
 class TestNonFinitePixels:

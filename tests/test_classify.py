@@ -31,8 +31,7 @@ class TestSvm:
     def test_separates_clean_clusters(self):
         X, y = separable_problem()
         model = cl.svm_train(X, y, reg=0.1, epochs=200)
-        preds = [cl.svm_predict(model, x)[0] for x in X]
-        assert preds == list(y)
+        assert [cl.svm_predict(model, x[None])[0][0] for x in X] == list(y)
 
     def test_deterministic(self):
         X, y = separable_problem(1)
@@ -74,13 +73,14 @@ class TestSvm:
         y = rng.integers(0, 3, size=30)
         model = cl.svm_train(X, y, n_classes=4, epochs=20)
         assert model.weights.shape == (4, 5)
-        assert cl.svm_scores(model, X[0]).shape == (4,)
+        classes, scores = cl.svm_predict(model, X[:1])
+        assert classes.shape == (1,) and scores.shape == (1, 4)
 
     def test_tie_goes_to_lowest_class(self):
         model = cl.LinearSvmModel(np.zeros((3, 2)), np.zeros(3))
-        pred, scores = cl.svm_predict(model, np.array([0.4, -0.2]))
-        assert pred == 0
-        np.testing.assert_array_equal(scores, np.zeros(3))
+        pred, scores = cl.svm_predict(model, np.array([[0.4, -0.2]]))
+        assert pred.tolist() == [0]
+        np.testing.assert_array_equal(scores, np.zeros((1, 3)))
 
     def test_validation(self):
         X, y = separable_problem(5)
@@ -97,7 +97,7 @@ class TestSvm:
             cl.svm_train(X, y[:-1])
         model = cl.svm_train(X, y, epochs=5)
         with pytest.raises(InvalidInputError):
-            cl.svm_scores(model, np.zeros(3))
+            cl.svm_predict(model, np.zeros((1, 3)))
 
     def test_bad_training_rows_named(self):
         X, y = separable_problem(6)
@@ -116,6 +116,42 @@ class TestSvm:
         # labels 0..2 for 2 classes: rows of class 2 would only ever be negatives
         with pytest.raises(InvalidInputError, match="row 50: label out of range for 2 classes"):
             cl.svm_train(X, y, n_classes=2)
+
+    def test_matches_the_per_class_reference(self):
+        """One update per epoch for all classes is the per-class loop, reordered."""
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(45, 6)) + np.repeat(np.eye(3, 6) * 2.0, 15, axis=0)
+        y = np.repeat(np.arange(3), 15)
+        reg, epochs = 0.05, 120
+        n = len(X)
+        W, B = np.zeros((3, 6)), np.zeros(3)
+        for t in range(1, epochs + 1):
+            step = 1.0 / (reg * t)
+            for c in range(3):
+                y_c = np.where(y == c, 1.0, -1.0)
+                viol = y_c * (X @ W[c] + B[c]) < 1.0
+                W[c] -= step * (reg * W[c] - (y_c[viol, None] * X[viol]).sum(axis=0) / n)
+                B[c] -= step * (-y_c[viol].sum() / n)
+        model = cl.svm_train(X, y, reg=reg, epochs=epochs)
+        np.testing.assert_allclose(model.weights, W, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.biases, B, rtol=0, atol=1e-12)
+
+    def test_batch_scores_are_the_one_row_scores(self):
+        X, y = separable_problem(8)
+        model = cl.svm_train(X, y, reg=0.1, epochs=50)
+        classes, scores = cl.svm_predict(model, X)
+        for f, c, s in zip(X, classes, scores):
+            assert (s == model.weights @ f + model.biases).all()
+            assert c == s.argmax()
+
+    def test_predict_rejects_bad_rows_naming_them(self):
+        X, y = separable_problem(9)
+        model = cl.svm_train(X, y, epochs=5)
+        X[2, 1] = np.nan
+        with pytest.raises(InvalidInputError, match="row 2: non-finite features"):
+            cl.svm_predict(model, X)
+        with pytest.raises(InvalidInputError, match="width 2"):
+            cl.svm_predict(model, X[0])  # one row, not a 1-row batch
 
     @pytest.mark.parametrize("weights, biases", [
         (np.zeros((3, 2)), np.zeros(1)),              # one bias for three classes
@@ -145,7 +181,7 @@ class TestSrcClassify:
         true = seed % 2
         x = np.zeros(4)
         x[2 * true : 2 * true + 2] = coeff
-        pred, residuals = cl.src_classify(x, d, lambda1=0.01)
+        pred, residuals = cl.src_classify(x, d)
         assert pred == true
         assert residuals[true] < 0.1
         assert residuals[1 - true] == pytest.approx(np.linalg.norm(x), abs=1e-9)

@@ -375,6 +375,20 @@ class TestTrainPredict:
                 f"model {prefix}, which expects rows of width 3") in err
         assert not out.exists()
 
+    def test_predict_rejects_a_non_finite_feature_row_naming_it(self, tmp_path, capsys):
+        feats, images = pooled_problem(tmp_path)
+        prefix = tmp_path / "model"
+        run_ok(capsys, ["train", "--features", str(feats), "--images", str(images),
+                        "--out", str(prefix)])
+        X = read_tensor(feats)
+        X[2, 1] = np.nan
+        write_tensor(feats, X)
+        out = tmp_path / "pred.csv"
+        err = run_fail(capsys, ["predict", "--model", str(prefix), "--features", str(feats),
+                                "--images", str(images), "--out", str(out)])
+        assert f"InvalidInputError: {feats}: row 2: non-finite features" in err
+        assert not out.exists()
+
     def test_bad_image_header(self, tmp_path, capsys):
         feats, images = pooled_problem(tmp_path)
         for text, line, detail in [
@@ -485,15 +499,18 @@ class TestPlotLayout:
         sel = tmp_path / "sel.csv"
         run_ok(capsys, select_args(blob_dataset, sel, k=3))
         out = tmp_path / "layout.svg"
-        run_ok(capsys, [
-            "plot-layout",
-            "--features", str(blob_dataset / "candidates_features.skt"),
-            "--patches", str(blob_dataset / "candidates_patches.csv"),
-            "--selection", str(sel), "--out", str(out), "--title", "demo",
-        ])
-        root = ET.parse(out).getroot()
-        assert root.tag.endswith("svg")
-        assert len(list(root.iter())) > 10
+        # markup characters in a title are written escaped
+        for title in ("demo", "A & B", "x < y"):
+            run_ok(capsys, [
+                "plot-layout",
+                "--features", str(blob_dataset / "candidates_features.skt"),
+                "--patches", str(blob_dataset / "candidates_patches.csv"),
+                "--selection", str(sel), "--out", str(out), "--title", title,
+            ])
+            root = ET.parse(out).getroot()
+            assert root.tag.endswith("svg")
+            assert len(list(root.iter())) > 10
+            assert title in [el.text for el in root.iter() if el.tag.endswith("text")]
 
     def test_selection_rings_row_positions_not_the_id_column(self, tmp_path, capsys):
         # selection ids are row positions; this file's id column is 10-13

@@ -48,6 +48,13 @@ def make_dictionary(seed, p, m, orthonormal=False):
     return Dictionary(atoms)
 
 
+@pytest.fixture
+def tight_ista(monkeypatch):
+    """ISTA stops at a 1e-12 step, within 20000 iterations."""
+    monkeypatch.setattr(cd, "ISTA_TOL", 1e-12)
+    monkeypatch.setattr(cd, "ISTA_MAX_ITER", 20000)
+
+
 def code_one(encoder, x, w=None):
     """One patch coded as a 1-row batch: (code, diagnostics)."""
     codes, diag = encoder.code([x], None if w is None else [w])
@@ -79,14 +86,15 @@ class TestSaco1:
         np.testing.assert_allclose(a, [0.4, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_matches_iterative_solver_orthonormal(self, seed):
+    def test_matches_iterative_solver_orthonormal(self, seed, monkeypatch):
+        monkeypatch.setattr(cd, "ISTA_TOL", 1e-12)
+        monkeypatch.setattr(cd, "ISTA_MAX_ITER", 5000)
         d = make_dictionary(seed, p=12, m=6, orthonormal=True)
         rng = np.random.default_rng([seed, 78])
         x = rng.normal(size=12)
         w = rng.uniform(0.1, 2.0, size=6)
         direct, _ = code_one(cd.Encoder(d, "saco1", 0.15), x, w)
-        iterative, diag = code_one(cd.Encoder(d, "iterative", 0.15, 0.0, tol=1e-12,
-                                              max_iter=5000), x, w)
+        iterative, diag = code_one(cd.Encoder(d, "iterative", 0.15, 0.0), x, w)
         assert diag.unconverged == 0
         np.testing.assert_allclose(direct, iterative, atol=1e-9)
         assert kkt_violation(x, d.matrix, direct, w, 0.15) < 1e-9
@@ -167,41 +175,44 @@ class TestSaco2:
 class TestIterativeSolvers:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("lam2", [0.0, 0.3])
-    def test_satisfies_optimality_conditions(self, seed, lam2):
+    def test_satisfies_optimality_conditions(self, seed, lam2, tight_ista):
         d = make_dictionary(seed + 50, p=9, m=7)
         rng = np.random.default_rng([seed, 79])
         x = rng.normal(size=9)
         w = rng.uniform(0.1, 2.0, size=7)
-        a, diag = code_one(cd.Encoder(d, "iterative", 0.2, lam2, tol=1e-12, max_iter=20000),
-                           x, w)
+        a, diag = code_one(cd.Encoder(d, "iterative", 0.2, lam2), x, w)
         assert diag.unconverged == 0
         assert kkt_violation(x, d.matrix, a, w, 0.2, lam2) < 1e-6
         assert diag.worst_kkt == pytest.approx(
             kkt_violation(x, d.matrix, a, w, 0.2, lam2), abs=1e-12
         )
 
-    def test_objective_never_increases(self):
+    def test_objective_never_increases(self, monkeypatch):
         d = make_dictionary(4, p=8, m=5)
         rng = np.random.default_rng(7)
         x = rng.normal(size=8)
         w = np.ones(5)
-        a, diag = code_one(cd.Encoder(d, "iterative", 0.3, 0.0, tol=1e-10, max_iter=2000), x, w)
+        enc = cd.Encoder(d, "iterative", 0.3, 0.0)
+        monkeypatch.setattr(cd, "ISTA_TOL", 1e-10)
+        monkeypatch.setattr(cd, "ISTA_MAX_ITER", 2000)
+        a, diag = code_one(enc, x, w)
         assert diag.unconverged == 0 and diag.max_iterations > 10
         # ISTA is deterministic from a zero start, so a run capped at k
         # iterations stops at the k-th iterate of the full run; check the
         # zero start, the first 150 iterates and the last
-        capped = [code_one(cd.Encoder(d, "iterative", 0.3, 0.0, tol=1e-10, max_iter=k), x, w)[0]
-                  for k in [*range(1, 151), diag.max_iterations]]
+        capped = []
+        for k in [*range(1, 151), diag.max_iterations]:
+            monkeypatch.setattr(cd, "ISTA_MAX_ITER", k)
+            capped.append(code_one(enc, x, w)[0])
         hist = [0.5 * x @ x] + [objective(x, d.matrix, c, w, 0.3) for c in capped]
         assert np.all(np.diff(hist) <= 1e-12)
         np.testing.assert_array_equal(capped[-1], a)
 
-    def test_zero_penalty_reaches_least_squares(self):
+    def test_zero_penalty_reaches_least_squares(self, tight_ista):
         d = make_dictionary(5, p=8, m=4)
         rng = np.random.default_rng(8)
         target = d.matrix @ rng.normal(size=4)
-        a, _ = code_one(cd.Encoder(d, "iterative", 0.0, 0.0, tol=1e-12, max_iter=20000),
-                        target, np.ones(4))
+        a, _ = code_one(cd.Encoder(d, "iterative", 0.0, 0.0), target, np.ones(4))
         assert np.linalg.norm(target - d.matrix @ a) < 1e-6
 
     def test_huge_penalty_gives_zero_code(self):
@@ -210,13 +221,6 @@ class TestIterativeSolvers:
         a, diag = code_one(cd.Encoder(d, "iterative", 1e6, 0.0), rng.normal(size=8), np.ones(4))
         np.testing.assert_array_equal(a, np.zeros(4))
         assert diag.unconverged == 0
-
-    def test_rejects_bad_settings(self):
-        d = make_dictionary(7, p=6, m=3)
-        with pytest.raises(InvalidInputError):
-            cd.Encoder(d, "iterative", 0.1, 0.0, tol=0.0)
-        with pytest.raises(InvalidInputError):
-            cd.Encoder(d, "iterative", 0.1, 0.0, max_iter=0)
 
 
 class TestCoderBuild:
@@ -402,12 +406,11 @@ class TestEncoder:
                                    ref[0], rtol=1e-12, atol=1e-12 * np.abs(ref[0]).max())
 
     @pytest.mark.parametrize("method", ["saco1", "saco2", "iterative"])
-    def test_batch_slicing_does_not_change_codes(self, method):
+    def test_batch_slicing_does_not_change_codes(self, method, tight_ista):
         # saco1 needs p >= m; the push-through needs p < m
         p, m = (12, 6) if method == "saco1" else (8, 20)
         d, X, coords = batch_problem(5, p=p, m=m, n=29)
-        enc = cd.Encoder(d, method, 0.1, 0.5, cd.SpatialWeightConfig(), tol=1e-12,
-                         max_iter=20000)
+        enc = cd.Encoder(d, method, 0.1, 0.5, cd.SpatialWeightConfig())
         whole, _ = enc.encode(X, coords)
         for size in (1, 7):
             parts = np.vstack([enc.encode(X[i:i + size], coords[i:i + size])[0]
@@ -419,25 +422,24 @@ class TestEncoder:
 
     @pytest.mark.parametrize("lam2", [0.0, 0.4])
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_batched_ista_matches_one_row_solver(self, lam2, weighted):
+    def test_batched_ista_matches_one_row_solver(self, lam2, weighted, tight_ista):
         d, X, coords = batch_problem(6, p=8, m=12, n=17)
         cfg = cd.SpatialWeightConfig(epsilon=0.2) if weighted else None
-        codes, diag = cd.Encoder(d, "iterative", 0.2, lam2, cfg, tol=1e-12,
-                                 max_iter=20000).encode(X, coords)
+        codes, diag = cd.Encoder(d, "iterative", 0.2, lam2, cfg).encode(X, coords)
         W = cd.spatial_weights(coords, d, cfg) if weighted else np.ones((17, 12))
-        one = cd.Encoder(d, "iterative", 0.2, lam2, tol=1e-12, max_iter=20000)
+        one = cd.Encoder(d, "iterative", 0.2, lam2)
         rows = [code_one(one, x, w) for x, w in zip(X, W)]
         np.testing.assert_allclose(codes, [a for a, _ in rows], rtol=0, atol=1e-10)
         assert diag.unconverged == 0
         assert diag.max_iterations == max(r.max_iterations for _, r in rows)
         assert diag.worst_kkt == pytest.approx(max(r.worst_kkt for _, r in rows), abs=1e-12)
 
-    def test_explicit_weights_with_ridge_get_their_own_step(self):
+    def test_explicit_weights_with_ridge_get_their_own_step(self, tight_ista):
         # with lambda2 > 0 the ISTA step depends on the weights: reusing the
         # all-ones step overshoots at weights up to 10 and never converges
         d, X, _ = batch_problem(9, p=8, m=12, n=10)
         W = np.random.default_rng(9).uniform(0.5, 10.0, size=(10, 12))
-        enc = cd.Encoder(d, "iterative", 0.2, 1.0, tol=1e-12, max_iter=20000)
+        enc = cd.Encoder(d, "iterative", 0.2, 1.0)
         codes, diag = enc.code(X, W)
         assert diag.unconverged == 0
         assert max(kkt_violation(x, d.matrix, a, w, 0.2, 1.0)
@@ -445,10 +447,11 @@ class TestEncoder:
         np.testing.assert_allclose(codes, [code_one(enc, x, w)[0] for x, w in zip(X, W)],
                                    rtol=0, atol=1e-10)
 
-    def test_max_iter_one_reports_every_row_unconverged(self):
+    def test_max_iter_one_reports_every_row_unconverged(self, monkeypatch):
         d, X, coords = batch_problem(7)
-        codes, diag = cd.Encoder(d, "iterative", 0.01, 1.0, cd.SpatialWeightConfig(),
-                                 max_iter=1).encode(X, coords)
+        monkeypatch.setattr(cd, "ISTA_MAX_ITER", 1)
+        codes, diag = cd.Encoder(d, "iterative", 0.01, 1.0,
+                                 cd.SpatialWeightConfig()).encode(X, coords)
         assert (diag.rows, diag.unconverged, diag.max_iterations) == (30, 30, 1)
         assert diag.worst_kkt > 0
         total = cd.CodingDiagnostics()
@@ -471,8 +474,6 @@ class TestEncoder:
             enc.encode(X, coords)
         with pytest.raises(InvalidConfigError):
             cd.Encoder(d, "fista")
-        with pytest.raises(InvalidInputError):
-            cd.Encoder(d, "iterative", max_iter=0)
         # saco1 builds Omega, so over-complete dictionaries fail at build time
         with pytest.raises(InvalidInputError, match="under-complete"):
             cd.Encoder(d, "saco1")
@@ -480,8 +481,7 @@ class TestEncoder:
 
 # -- one input rule behind every entry ---------------------------------------
 
-SCALARS = {"lambda1": 0.1, "lambda2": 1.0, "tol": 1e-6, "weight_scale": 0.5,
-           "weight_epsilon": 0.1}
+SCALARS = {"lambda1": 0.1, "lambda2": 1.0, "weight_scale": 0.5, "weight_epsilon": 0.1}
 
 
 def _weights(s):
@@ -489,13 +489,12 @@ def _weights(s):
 
 
 def _encode(method):
-    return lambda d, X, W, C, s: cd.Encoder(d, method, s["lambda1"], s["lambda2"], _weights(s),
-                                            s["tol"]).encode(X, C)
+    return lambda d, X, W, C, s: cd.Encoder(d, method, s["lambda1"], s["lambda2"],
+                                            _weights(s)).encode(X, C)
 
 
 def _code(method):
-    return lambda d, X, W, C, s: cd.Encoder(d, method, s["lambda1"], s["lambda2"],
-                                            tol=s["tol"]).code(X, W)
+    return lambda d, X, W, C, s: cd.Encoder(d, method, s["lambda1"], s["lambda2"]).code(X, W)
 
 
 # entry -> (the row the table corrupts, the inputs it reads, a call on a
@@ -503,15 +502,15 @@ def _code(method):
 # an entry named by its coder codes X at the explicit weights W, and the
 # one-row entries read row 0
 ENTRIES = {
-    **{f"Encoder.encode[{m}]": (2, "X C lambda1 lambda2 tol weight_scale weight_epsilon",
+    **{f"Encoder.encode[{m}]": (2, "X C lambda1 lambda2 weight_scale weight_epsilon",
                                 _encode(m)) for m in cd.CODERS},
-    **{m: (2, "X W lambda1 lambda2 tol", _code(m)) for m in cd.CODERS},
+    **{m: (2, "X W lambda1 lambda2", _code(m)) for m in cd.CODERS},
     # the one-patch weighted l1 and l2-l1 problems as a one-row batch, and
     # dense saco1 as a 2 x 2 feature map coded cell by cell in C order
-    "solve_weighted_l1": (0, "X W lambda1 tol", lambda d, X, W, C, s: cd.Encoder(
-        d, "iterative", s["lambda1"], 0.0, tol=s["tol"]).code(X[:1], W[:1])),
-    "solve_weighted_l2_l1": (0, "X W lambda1 lambda2 tol", lambda d, X, W, C, s: cd.Encoder(
-        d, "iterative", s["lambda1"], s["lambda2"], tol=s["tol"]).code(X[:1], W[:1])),
+    "solve_weighted_l1": (0, "X W lambda1", lambda d, X, W, C, s: cd.Encoder(
+        d, "iterative", s["lambda1"], 0.0).code(X[:1], W[:1])),
+    "solve_weighted_l2_l1": (0, "X W lambda1 lambda2", lambda d, X, W, C, s: cd.Encoder(
+        d, "iterative", s["lambda1"], s["lambda2"]).code(X[:1], W[:1])),
     "dense_saco1": (2, "X W lambda1", lambda d, X, W, C, s: cd.Encoder(
         d, "saco1", s["lambda1"]).code(X.reshape(2, 2, -1).reshape(4, -1),
                                        W.reshape(2, 2, -1).reshape(4, -1))),
