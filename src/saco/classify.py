@@ -114,16 +114,16 @@ def _residual_coder(dictionary: Dictionary):
     return Encoder(dictionary, "iterative", RESIDUAL_LAMBDA1, 0.0), groups
 
 
-def _class_residuals(X, encoder: Encoder, class_groups) -> np.ndarray:
+def _class_residuals(X, encoder: Encoder, class_groups):
     """(N, C) norms ||x - D_c a_c||, coding with ``encoder`` then keeping
-    only class c's coefficients."""
+    only class c's coefficients, and the coder's diagnostics."""
     X = np.asarray(X, dtype=np.float64)
-    codes, _ = encoder.code(X)
+    codes, diag = encoder.code(X)
     D = encoder.dictionary.matrix
     residuals = np.empty((len(X), len(class_groups)))
     for c, idx in enumerate(class_groups):
         residuals[:, c] = np.linalg.norm(X - codes[:, idx] @ D[:, idx].T, axis=1)
-    return residuals
+    return residuals, diag
 
 
 def src_classify(x, dictionary: Dictionary):
@@ -134,8 +134,8 @@ def src_classify(x, dictionary: Dictionary):
     only that class's coefficients and measures ||x - D_c a_c||.
     Returns (class, residuals); ties go to the lowest class index.
     """
-    residuals = _class_residuals([x], *_residual_coder(dictionary))[0]
-    return int(residuals.argmin()), residuals
+    residuals, _ = _class_residuals([x], *_residual_coder(dictionary))
+    return int(residuals[0].argmin()), residuals[0]
 
 
 # -- end-to-end pipeline ------------------------------------------------------
@@ -273,13 +273,21 @@ def run_pipeline(train_images, test_images, cfg: PipelineConfig) -> PipelineResu
                           train_features=train_feats, model=model, coding=coding)
 
 
-def src_image_accuracy(test_images, dictionary: Dictionary, cfg: PipelineConfig) -> float:
+def src_image_accuracy(test_images, dictionary: Dictionary, cfg: PipelineConfig,
+                       diagnostics: CodingDiagnostics | None = None) -> float:
     """Residual-baseline accuracy: per image, average per-class residuals
-    over its sampled patches and pick the smallest."""
+    over its sampled patches and pick the smallest.
+
+    Each image's patches are coded as one batch; each batch's
+    diagnostics are added to ``diagnostics`` when given.
+    """
     encoder, groups = _residual_coder(dictionary)
     hits = 0
     for img in test_images:
         X = sample_candidates([img], cfg.patches_per_image, [cfg.seed, 3]).features
-        totals = _class_residuals(X, encoder, groups).sum(axis=0)
+        residuals, diag = _class_residuals(X, encoder, groups)
+        if diagnostics is not None:
+            diagnostics.add(diag)
+        totals = residuals.sum(axis=0)
         hits += int(int(totals.argmin()) == img.label)
     return hits / len(test_images)

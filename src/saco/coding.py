@@ -10,7 +10,8 @@ higher sparsity (or ridge) price.  Three coders produce codes:
   ``0.5 ||Omega x - a||^2 + lambda1 ||diag(w) a||_1``.
 * ``saco2``: ridge pre-solve ``u = (D^T D + lambda2 diag(w)^2)^-1 D^T x``
   followed by a uniform soft-threshold at ``lambda1``.
-* ``iterative``: proximal gradient (ISTA) for
+* ``iterative``: accelerated proximal gradient (monotone FISTA with
+  restart) for
   ``0.5 ||x - D a||^2 + 0.5 lambda2 ||diag(w) a||^2 + lambda1 ||diag(w) a||_1``.
 
 With an orthonormal dictionary the proxy objective coincides with the
@@ -26,11 +27,13 @@ D^T)^-1`` with ``L = lambda2 diag(w)^2``, a p x p system per row,
 wherever p < m, lambda2 > 0 and every weight is > 0; other rows (a zero
 weight arises when epsilon = 0 and the query sits on an atom) solve
 ``D^T D + lambda2 diag(w)^2`` by Cholesky, stacked into one call per
-block of ``SOLVE_BLOCK_DOUBLES``.  ISTA updates the whole batch, freezing
-each row once no coefficient moves by ``ISTA_TOL`` (or, unconverged, after
-``ISTA_MAX_ITER`` iterations); a row's step is 1 / (lambda_max(D^T D)
-+ lambda2 max_j w_j^2), from one eigensolve per encoder.  A row's saco1
-code does not depend on how rows are batched.
+block of ``SOLVE_BLOCK_DOUBLES``.  FISTA updates the whole batch and never
+raises a row's objective; each row freezes once its KKT residual is at
+most ``FISTA_KKT_TOL`` times ||D^T x||_inf (tested every
+``FISTA_KKT_EVERY`` iterations), or stops unconverged at the
+``FISTA_MAX_ITER`` cap.  A row's step is 1 / (lambda_max(D^T D) + lambda2
+max_j w_j^2), from one eigensolve per encoder.  A row's saco1 code does
+not depend on how rows are batched.
 
 Every public entry checks its input by one rule, in ``_rows``, naming the
 first bad row.  Scalars are checked as their accepted range, so NaN
@@ -57,9 +60,12 @@ CODERS = ("saco1", "saco2", "iterative")
 # doubles one batched solve may stack: 128 systems of 64 x 64
 SOLVE_BLOCK_DOUBLES = 128 * 64 * 64
 
-# ISTA's stopping test (largest coefficient step) and iteration cap
-ISTA_TOL = 1e-6
-ISTA_MAX_ITER = 1000
+# the iterative coder's stop: a row converges once its KKT residual is at
+# most FISTA_KKT_TOL ||D^T x||_inf, tested every FISTA_KKT_EVERY iterations
+# and at the FISTA_MAX_ITER cap
+FISTA_KKT_TOL = 1e-3
+FISTA_KKT_EVERY = 10
+FISTA_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -245,53 +251,86 @@ def _saco2_rows(X, dictionary: Dictionary, W, lambda1, lambda2, outer=None) -> n
     return soft_threshold(U, lambda1)
 
 
-def _kkt_rows(X, D, A, W, lambda1, lambda2) -> np.ndarray:
-    """Per row, the infinity norm of the optimality-condition violation."""
-    grad = (A @ D.T - X) @ D + lambda2 * (W * W) * A
+def _kkt_rows(R, D, A, W, lambda1, lambda2) -> np.ndarray:
+    """Per row, the infinity norm of the optimality-condition violation.
+
+    ``R`` holds each row's residual ``a D^T - x``.
+    """
+    grad = R @ D + lambda2 * (W * W) * A
     thresh = lambda1 * W
     res = np.where(A != 0, np.abs(grad + thresh * np.sign(A)),
                    np.maximum(0.0, np.abs(grad) - thresh))
     return res.max(axis=1)
 
 
-def _ista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, lmax):
-    """ISTA on every row at once, each with step 1 / its own Lipschitz bound.
-
-    A row's bound is ``lmax + lambda2 * max_j w_j^2``, with ``lmax`` the
-    largest eigenvalue of D^T D; by Weyl's inequality it is at least the
-    largest eigenvalue of D^T D + lambda2 diag(w)^2.  Returns (codes,
+def _fista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, lmax):
+    """Monotone FISTA with restart on every row at once; returns (codes,
     converged, iterations, kkt).
+
+    A row's step is 1 / (``lmax`` + lambda2 max_j w_j^2), with ``lmax`` the
+    largest eigenvalue of D^T D; by Weyl's inequality that bound is at
+    least the largest eigenvalue of D^T D + lambda2 diag(w)^2.  Each
+    iteration takes the proximal-gradient step z from the momentum point
+    y and moves the code a to z only when F(z) <= F(a); otherwise y
+    restarts at a with no momentum, so F never increases.  F(z) - F(a)
+    is summed from the differences z - a and D(z - a), not taken between
+    two values of F, so its rounding error shrinks with the step: near
+    the optimum the objective, not rounding, decides each restart.  The
+    residual ``a D^T - x`` and the momentum point's are updated by those
+    differences and the residual is recomputed from the code every
+    ``FISTA_KKT_EVERY`` iterations, so rounding does not build up; an
+    iteration costs two (N, m) x (m, p) products and no Gram product.
+    Every ``FISTA_KKT_EVERY`` iterations and at the ``FISTA_MAX_ITER``
+    cap, a row whose KKT residual is at most ``FISTA_KKT_TOL``
+    ||D^T x||_inf freezes as converged.
     """
     D = dictionary.matrix
-    G = dictionary.gram()
     n, m = W.shape
     lips = lmax + lambda2 * (W * W).max(axis=1)
     A = np.zeros((n, m))
+    kkt = np.zeros(n)
     iterations = np.zeros(n, dtype=np.int64)
     # an all-zero dictionary has nothing to fit: a = 0 is optimal
     converged = lips <= 0
     rows = np.flatnonzero(~converged)
+    x, w = X[rows], W[rows]
     step = 1.0 / lips[rows, None]
-    thresh = step * lambda1 * W[rows]
-    w2 = lambda2 * W[rows] * W[rows]
-    dtx = X[rows] @ D
-    a = A[rows]
-    for it in range(1, ISTA_MAX_ITER + 1):
+    thresh = step * lambda1 * w
+    w2 = lambda2 * w * w
+    tol = FISTA_KKT_TOL * np.abs(x @ D).max(axis=1)
+    a = y = np.zeros((len(rows), m))
+    ra = ry = -x
+    t = np.ones(len(rows))
+    for it in range(1, FISTA_MAX_ITER + 1):
         if not rows.size:
             break
-        grad = a @ G + w2 * a - dtx
-        a_next = soft_threshold(a - step * grad, thresh)
-        done = np.abs(a_next - a).max(axis=1) < ISTA_TOL
-        a = a_next
-        iterations[rows] = it
-        if done.any():
-            A[rows] = a
-            converged[rows[done]] = True
-            keep = ~done
-            rows, a, step, thresh, w2, dtx = (
-                rows[keep], a[keep], step[keep], thresh[keep], w2[keep], dtx[keep])
-    A[rows] = a
-    return A, converged, iterations, _kkt_rows(X, D, A, W, lambda1, lambda2)
+        z = soft_threshold(y - step * (ry @ D + w2 * y), thresh)
+        dz = z - a
+        dr = dz @ D.T
+        rise = (np.einsum("ij,ij->i", dr, ra + 0.5 * dr)
+                + lambda1 * np.einsum("ij,ij->i", w, np.abs(z) - np.abs(a)))
+        if lambda2:
+            rise += 0.5 * np.einsum("ij,ij->i", w2 * dz, z + a)
+        take = rise <= 0
+        t_next = np.where(take, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t)), 1.0)
+        beta = np.where(take, (t - 1.0) / t_next, 0.0)[:, None]
+        if not take.all():
+            back = ~take
+            z[back], dz[back], dr[back] = a[back], 0.0, 0.0
+        a, ra, t = z, ra + dr, t_next
+        if it % FISTA_KKT_EVERY == 0 or it == FISTA_MAX_ITER:
+            ra = a @ D.T - x
+            res = _kkt_rows(ra, D, a, w, lambda1, lambda2)
+            A[rows], kkt[rows], iterations[rows] = a, res, it
+            done = res <= tol
+            if done.any():
+                converged[rows[done]] = True
+                keep = ~done
+                rows, x, w, step, thresh, w2, tol = (
+                    rows[keep], x[keep], w[keep], step[keep], thresh[keep], w2[keep], tol[keep])
+                a, ra, t, dz, dr, beta = a[keep], ra[keep], t[keep], dz[keep], dr[keep], beta[keep]
+        y, ry = a + beta * dz, ra + beta * dr
+    return A, converged, iterations, kkt
 
 
 @dataclass
@@ -371,7 +410,7 @@ class Encoder:
         if self.method == "saco2":
             codes = _saco2_rows(X, d, W, self.lambda1, self.lambda2, self._outer)
             return codes, CodingDiagnostics(n)
-        A, converged, iterations, kkt = _ista_rows(X, d, W, self.lambda1, self.lambda2, self._lmax)
+        A, converged, iterations, kkt = _fista_rows(X, d, W, self.lambda1, self.lambda2, self._lmax)
         return A, CodingDiagnostics(n, int((~converged).sum()), int(iterations.max()),
                                     float(kkt.max()))
 

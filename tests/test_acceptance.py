@@ -199,8 +199,8 @@ def test_criterion_4_large_scale_runtime():
 
 def test_criterion_5_coding_correctness(monkeypatch):
     # the iterative solver runs to a tight stop, well inside the 1e-8 bound
-    monkeypatch.setattr(cd, "ISTA_TOL", 1e-12)
-    monkeypatch.setattr(cd, "ISTA_MAX_ITER", 5000)
+    monkeypatch.setattr(cd, "FISTA_KKT_TOL", 1e-12)
+    monkeypatch.setattr(cd, "FISTA_MAX_ITER", 5000)
     worst_kkt = 0.0
     worst_vs_iterative = 0.0
     worst_vs_closed_form = 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import saco.classify as cl
+import saco.coding as cd
 from saco.coding import CodingDiagnostics
 from saco.config import PipelineConfig
 from saco.data import Dictionary, Patch
@@ -290,3 +291,15 @@ class TestPipeline:
         r = cl.run_pipeline(train, test, cfg)
         acc = cl.src_image_accuracy(test, r.dictionary, cfg)
         assert 0.0 <= acc <= 1.0
+
+    def test_src_baseline_adds_its_coder_diagnostics(self):
+        train, test, _ = tiny_dataset()
+        cfg = tiny_config()
+        r = cl.run_pipeline(train, test, cfg)
+        diag = CodingDiagnostics(rows=5)
+        acc = cl.src_image_accuracy(test, r.dictionary, cfg, diag)
+        assert acc == cl.src_image_accuracy(test, r.dictionary, cfg)
+        assert diag.rows == 5 + len(test) * cfg.patches_per_image
+        assert diag.unconverged == 0
+        assert 0 < diag.max_iterations <= cd.FISTA_MAX_ITER
+        assert diag.worst_kkt > 0

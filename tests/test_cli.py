@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import saco.align as al
+import saco.coding as cd
 from saco.cli import main
 from saco.selection import naive_greedy
 from saco.tensorio import read_tensor, write_tensor
@@ -178,25 +179,46 @@ class TestSelect:
         assert any(ln.startswith("# lambda_s = 0.5") for ln in out.read_text().splitlines())
 
 
+def code_args(data, sel, out, extra=()):
+    return [
+        "code",
+        "--dict-features", str(data / "candidates_features.skt"),
+        "--dict-patches", str(data / "candidates_patches.csv"),
+        "--selection", str(sel),
+        "--query-features", str(data / "candidates_features.skt"),
+        "--query-patches", str(data / "candidates_patches.csv"),
+        "--out", str(out), "--seed", "0", *extra,
+    ]
+
+
 class TestCode:
     def test_codes_against_selected_dictionary(self, blob_dataset, tmp_path, capsys):
         sel = tmp_path / "sel.csv"
         run_ok(capsys, select_args(blob_dataset, sel, k=2))
         out = tmp_path / "codes.skt"
-        run_ok(capsys, [
-            "code",
-            "--dict-features", str(blob_dataset / "candidates_features.skt"),
-            "--dict-patches", str(blob_dataset / "candidates_patches.csv"),
-            "--selection", str(sel),
-            "--query-features", str(blob_dataset / "candidates_features.skt"),
-            "--query-patches", str(blob_dataset / "candidates_patches.csv"),
-            "--out", str(out), "--seed", "0",
-        ])
+        run_ok(capsys, code_args(blob_dataset, sel, out))
         codes = read_tensor(out)
         assert codes.shape == (120, 2)
         assert np.all(np.isfinite(codes))
         sidecar = (str(out) + ".config.txt")
         assert "coder = saco2" in open(sidecar).read()
+
+    def test_warns_naming_the_unconverged_patches(self, blob_dataset, tmp_path, capsys,
+                                                  monkeypatch):
+        sel = tmp_path / "sel.csv"
+        run_ok(capsys, select_args(blob_dataset, sel, k=2))
+        monkeypatch.setattr(cd, "FISTA_MAX_ITER", 1)
+        assert main(code_args(blob_dataset, sel, tmp_path / "codes.skt",
+                              ["--set", "coder=iterative"])) == 0
+        err = capsys.readouterr().err
+        assert "warning: 120 of 120 patches stopped unconverged after 1 iterations" in err
+
+    @pytest.mark.parametrize("extra", [(), ("--set", "coder=iterative")])
+    def test_converged_codes_print_no_warning(self, blob_dataset, tmp_path, capsys, extra):
+        sel = tmp_path / "sel.csv"
+        run_ok(capsys, select_args(blob_dataset, sel, k=2))
+        assert main(code_args(blob_dataset, sel, tmp_path / "codes.skt", extra)) == 0
+        assert "warning" not in capsys.readouterr().err
 
 
 # file text, the line an error must name, and what it must say

@@ -50,9 +50,10 @@ def make_dictionary(seed, p, m, orthonormal=False):
 
 @pytest.fixture
 def tight_ista(monkeypatch):
-    """ISTA stops at a 1e-12 step, within 20000 iterations."""
-    monkeypatch.setattr(cd, "ISTA_TOL", 1e-12)
-    monkeypatch.setattr(cd, "ISTA_MAX_ITER", 20000)
+    """The iterative coder stops at a KKT residual of 1e-12 ||D^T x||_inf,
+    within 20000 iterations."""
+    monkeypatch.setattr(cd, "FISTA_KKT_TOL", 1e-12)
+    monkeypatch.setattr(cd, "FISTA_MAX_ITER", 20000)
 
 
 def code_one(encoder, x, w=None):
@@ -87,8 +88,8 @@ class TestSaco1:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_iterative_solver_orthonormal(self, seed, monkeypatch):
-        monkeypatch.setattr(cd, "ISTA_TOL", 1e-12)
-        monkeypatch.setattr(cd, "ISTA_MAX_ITER", 5000)
+        monkeypatch.setattr(cd, "FISTA_KKT_TOL", 1e-12)
+        monkeypatch.setattr(cd, "FISTA_MAX_ITER", 5000)
         d = make_dictionary(seed, p=12, m=6, orthonormal=True)
         rng = np.random.default_rng([seed, 78])
         x = rng.normal(size=12)
@@ -193,16 +194,16 @@ class TestIterativeSolvers:
         x = rng.normal(size=8)
         w = np.ones(5)
         enc = cd.Encoder(d, "iterative", 0.3, 0.0)
-        monkeypatch.setattr(cd, "ISTA_TOL", 1e-10)
-        monkeypatch.setattr(cd, "ISTA_MAX_ITER", 2000)
+        monkeypatch.setattr(cd, "FISTA_KKT_TOL", 1e-10)
+        monkeypatch.setattr(cd, "FISTA_MAX_ITER", 2000)
         a, diag = code_one(enc, x, w)
         assert diag.unconverged == 0 and diag.max_iterations > 10
-        # ISTA is deterministic from a zero start, so a run capped at k
+        # FISTA is deterministic from a zero start, so a run capped at k
         # iterations stops at the k-th iterate of the full run; check the
         # zero start, the first 150 iterates and the last
         capped = []
         for k in [*range(1, 151), diag.max_iterations]:
-            monkeypatch.setattr(cd, "ISTA_MAX_ITER", k)
+            monkeypatch.setattr(cd, "FISTA_MAX_ITER", k)
             capped.append(code_one(enc, x, w)[0])
         hist = [0.5 * x @ x] + [objective(x, d.matrix, c, w, 0.3) for c in capped]
         assert np.all(np.diff(hist) <= 1e-12)
@@ -221,6 +222,30 @@ class TestIterativeSolvers:
         a, diag = code_one(cd.Encoder(d, "iterative", 1e6, 0.0), rng.normal(size=8), np.ones(4))
         np.testing.assert_array_equal(a, np.zeros(4))
         assert diag.unconverged == 0
+
+    def test_correlated_atoms_converge_below_plain_ista(self):
+        # 48 atoms in 16 dimensions drawn around 6 shared directions, as
+        # patch dictionaries are: D^T D is singular and badly conditioned
+        # on each support, so a plain ISTA's 1000 iterations stop short
+        rng = np.random.default_rng(11)
+        p, m, lam1 = 16, 48, 0.01
+        D = rng.normal(size=(p, 6))[:, rng.integers(0, 6, size=m)] + 0.3 * rng.normal(size=(p, m))
+        D /= np.linalg.norm(D, axis=0)
+        d = Dictionary([Patch(i, D[:, i], (0.5, 0.5), i % 3, 0) for i in range(m)])
+        X = rng.normal(size=(40, p))
+        codes, diag = cd.Encoder(d, "iterative", lam1, 0.0).code(X)
+        assert diag.rows == 40 and diag.unconverged == 0
+        tol = cd.FISTA_KKT_TOL * np.abs(X @ D).max(axis=1)
+        kkt = [kkt_violation(x, D, a, np.ones(m), lam1) for x, a in zip(X, codes)]
+        assert np.all(kkt <= tol * (1 + 1e-9))
+        # reference: ISTA from zero, step 1 / lambda_max(D^T D), 1000 iterations
+        step = 1.0 / np.linalg.eigvalsh(D.T @ D)[-1]
+        ista = np.zeros((40, m))
+        for _ in range(1000):
+            ista = cd.soft_threshold(ista - step * (ista @ D.T - X) @ D, step * lam1)
+        w = np.ones(m)
+        for x, a, ref in zip(X, codes, ista):
+            assert objective(x, D, a, w, lam1) <= objective(x, D, ref, w, lam1)
 
 
 class TestCoderBuild:
@@ -435,7 +460,7 @@ class TestEncoder:
         assert diag.worst_kkt == pytest.approx(max(r.worst_kkt for _, r in rows), abs=1e-12)
 
     def test_explicit_weights_with_ridge_get_their_own_step(self, tight_ista):
-        # with lambda2 > 0 the ISTA step depends on the weights: reusing the
+        # with lambda2 > 0 the FISTA step depends on the weights: reusing the
         # all-ones step overshoots at weights up to 10 and never converges
         d, X, _ = batch_problem(9, p=8, m=12, n=10)
         W = np.random.default_rng(9).uniform(0.5, 10.0, size=(10, 12))
@@ -449,7 +474,7 @@ class TestEncoder:
 
     def test_max_iter_one_reports_every_row_unconverged(self, monkeypatch):
         d, X, coords = batch_problem(7)
-        monkeypatch.setattr(cd, "ISTA_MAX_ITER", 1)
+        monkeypatch.setattr(cd, "FISTA_MAX_ITER", 1)
         codes, diag = cd.Encoder(d, "iterative", 0.01, 1.0,
                                  cd.SpatialWeightConfig()).encode(X, coords)
         assert (diag.rows, diag.unconverged, diag.max_iterations) == (30, 30, 1)
