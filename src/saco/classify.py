@@ -60,8 +60,8 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300):
     The per-class objective is 0.5*reg*||w||^2 plus the mean hinge loss;
     epoch t takes one subgradient step of size 1/(reg*t) from a zero
     start, for every class at once.  Training draws nothing at random:
-    full-batch steps make it deterministic and invariant to duplicating
-    the training set.
+    full-batch steps make it deterministic for a fixed numpy/BLAS build
+    and BLAS thread count, and invariant to duplicating the training set.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
@@ -223,8 +223,10 @@ def encode_images(images, encoder: Encoder, cfg: PipelineConfig, seed_key: int,
 def run_pipeline(train_images, test_images, cfg: PipelineConfig) -> PipelineResult:
     """Select a dictionary on train data, code both splits, train, predict.
 
-    Deterministic given ``cfg.seed``: sampling, selection and training
-    derive every random draw from it.  Stage failures re-raise as
+    Deterministic given ``cfg.seed`` for a fixed numpy/BLAS build and
+    BLAS thread count: sampling, selection and training derive every
+    random draw from it, and another thread count can change scores in
+    their last bits.  Stage failures re-raise as
     ``PipelineStageError`` naming the stage.
     """
     if not train_images or not test_images:

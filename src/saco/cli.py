@@ -5,7 +5,8 @@ plot-layout.  All but plot-layout take ``--seed`` (falling back to the
 ``SACO_SEED`` environment variable); select, code, train, predict and
 pipeline also read an optional flat key-value file plus repeated ``--set
 key=value`` overrides.  Every artifact header echoes the resolved
-configuration, and identical seeds produce byte-identical artifacts.
+configuration, and identical seeds produce byte-identical artifacts for
+a fixed numpy/BLAS build and BLAS thread count.
 """
 
 from __future__ import annotations

@@ -24,14 +24,20 @@ One patch is a 1-row batch; a dense (H, W, p) feature map is
 ``code(fmap.reshape(-1, p), weights.reshape(-1, m))``.  saco2 uses the
 push-through identity ``(D^T D + L)^-1 D^T = L^-1 D^T (I_p + D L^-1
 D^T)^-1`` with ``L = lambda2 diag(w)^2``, a p x p system per row,
-wherever p < m, lambda2 > 0 and every weight is > 0; other rows (a zero
-weight arises when epsilon = 0 and the query sits on an atom) solve
-``D^T D + lambda2 diag(w)^2`` by Cholesky, stacked into one call per
-block of ``SOLVE_BLOCK_DOUBLES``.  FISTA updates the whole batch and never
-raises a row's objective; each row freezes once its KKT residual is at
-most ``FISTA_KKT_TOL`` times ||D^T x||_inf (tested every
-``FISTA_KKT_EVERY`` iterations), or stops unconverged at the
-``FISTA_MAX_ITER`` cap.  A row's step is 1 / (lambda_max(D^T D) + lambda2
+wherever p < m, lambda2 > 0 and every weight is > 0.  The encoder keeps
+the atom outer products packed (``_atom_outer``: each lower triangle in
+``np.tril_indices`` order, LAPACK's upper-packed storage), so one GEMM
+per block gives every row's K = I_p + D L^-1 D^T ready for LAPACK's
+packed Cholesky ``dppsv``, one call per row; K is symmetric positive
+definite with eigenvalues >= 1.  A row whose K overflows, whose
+factorization fails or whose code is non-finite, and every row the
+push-through cannot take (a zero weight arises when epsilon = 0 and the
+query sits on an atom), solves ``D^T D + lambda2 diag(w)^2`` by
+Cholesky, stacked into one call per block of ``SOLVE_BLOCK_DOUBLES``.
+FISTA updates the whole batch and never raises a row's objective; each
+row freezes once its KKT residual is at most ``FISTA_KKT_TOL`` times
+||D^T x||_inf (tested every ``FISTA_KKT_EVERY`` iterations), or stops
+unconverged at the ``FISTA_MAX_ITER`` cap.  A row's step is 1 / (lambda_max(D^T D) + lambda2
 max_j w_j^2), from one eigensolve per encoder.  A row's saco1 code does
 not depend on how rows are batched.
 
@@ -47,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dppsv
 
 from .data import Dictionary
 from .errors import InvalidConfigError, InvalidInputError, LinearSolveError
@@ -57,7 +64,8 @@ WEIGHT_KERNELS = ("linear", "one-minus-gaussian")
 
 CODERS = ("saco1", "saco2", "iterative")
 
-# doubles one batched solve may stack: 128 systems of 64 x 64
+# doubles one block of systems may hold: 252 packed 64 x 64 push-through
+# systems, or 128 dense m x m Cholesky systems at m = 64
 SOLVE_BLOCK_DOUBLES = 128 * 64 * 64
 
 # the iterative coder's stop: a row converges once its KKT residual is at
@@ -87,7 +95,10 @@ class SpatialWeightConfig:
 
 def _weight_rows(coords, atom_coords, config: SpatialWeightConfig) -> np.ndarray:
     """(N, m) weights from each of N query locations to each atom location."""
-    d = np.linalg.norm(atom_coords[None, :, :] - coords[:, None, :], axis=2)
+    # the Euclidean norm over (dx, dy), summed as np.linalg.norm sums it
+    dx = atom_coords[None, :, 0] - coords[:, None, 0]
+    dy = atom_coords[None, :, 1] - coords[:, None, 1]
+    d = np.sqrt(dx * dx + dy * dy)
     if config.kernel == "linear":
         return config.epsilon + d / config.scale
     return config.epsilon + 1.0 - np.exp(-(d * d) / (2.0 * config.scale * config.scale))
@@ -180,14 +191,20 @@ def _saco1_rows(X, omega, lambda1, W) -> np.ndarray:
 
 
 def _atom_outer(D) -> np.ndarray:
-    """(m, p*p) outer products d_j d_j^T, so D diag(s) D^T = (s @ outer).reshape(p, p)."""
-    p, m = D.shape
-    return np.einsum("pm,qm->mpq", D, D).reshape(m, p * p)
+    """(m, p(p+1)/2) packed outer products d_j d_j^T.
+
+    Row j is the lower triangle of d_j d_j^T in ``np.tril_indices`` order,
+    which is LAPACK's upper-packed storage of that symmetric matrix, so
+    ``s @ outer`` is D diag(s) D^T packed for ``dppsv``.
+    """
+    lo, hi = np.tril_indices(D.shape[0])
+    return np.ascontiguousarray((D[lo] * D[hi]).T)
 
 
-def _blocks(rows, n):
-    """Split ``rows`` into runs whose n x n systems fit in SOLVE_BLOCK_DOUBLES."""
-    size = max(1, SOLVE_BLOCK_DOUBLES // (n * n))
+def _blocks(rows, doubles):
+    """Split ``rows`` into runs whose systems, ``doubles`` each, fit in
+    SOLVE_BLOCK_DOUBLES."""
+    size = max(1, SOLVE_BLOCK_DOUBLES // doubles)
     return [rows[lo:lo + size] for lo in range(0, rows.size, size)]
 
 
@@ -208,18 +225,29 @@ def _saco2_rows(X, dictionary: Dictionary, W, lambda1, lambda2, outer=None) -> n
     rows = np.flatnonzero(fast)
     if rows.size and outer is None:
         outer = _atom_outer(D)
-    eye = np.arange(p)
-    for blk in _blocks(rows, p):
-        K = (inv[blk] @ outer).reshape(len(blk), p, p)
-        K[:, eye, eye] += 1.0
-        v = np.linalg.solve(K, X[blk, :, None])[:, :, 0]
-        U[blk] = inv[blk] * (v @ D)
-    # rows the push-through cannot take, or where it lost finiteness, solve
-    # D^T D + lambda2 diag(w)^2 by Cholesky, one stacked call per block
+    # per row, K = I_p + D diag(inv) D^T in packed storage, solved by packed
+    # Cholesky; a row whose K overflows or whose factorization fails is
+    # marked non-finite and left to the m x m solve below
+    k_diag = np.arange(p) * (np.arange(p) + 3) // 2
+    for blk in _blocks(rows, p * (p + 1) // 2):
+        with np.errstate(over="ignore", invalid="ignore"):
+            K = inv[blk] @ outer
+            K[:, k_diag] += 1.0
+            v = X[blk]
+            ok = np.isfinite(K).all(axis=1)
+            for r in np.flatnonzero(ok):
+                # dppsv overwrites K[r] with its Cholesky factor: K is not read again
+                sol, info = dppsv(p, K[r], v[r, :, None], overwrite_b=1)
+                v[r], ok[r] = sol[:, 0], info == 0
+            v[~ok] = np.nan
+            U[blk] = inv[blk] * (v @ D)
+    # rows the push-through cannot take, or where it failed or lost
+    # finiteness, solve D^T D + lambda2 diag(w)^2 by Cholesky, one stacked
+    # call per block
     slow = ~fast
     slow[rows] = ~np.isfinite(U[rows]).all(axis=1)
     diag = np.arange(m)
-    for blk in _blocks(np.flatnonzero(slow), m):
+    for blk in _blocks(np.flatnonzero(slow), m * m):
         A = np.repeat(dictionary.gram()[None], len(blk), axis=0)
         A[:, diag, diag] += lambda2 * (W[blk] * W[blk])
         try:

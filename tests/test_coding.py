@@ -330,6 +330,18 @@ class TestSpatialWeights:
             assert w_near[0] == pytest.approx(0.05)
             assert np.all(w_far >= w_near)
 
+    @pytest.mark.parametrize("kernel", cd.WEIGHT_KERNELS)
+    def test_weights_equal_the_norm_form(self, kernel):
+        d = make_dictionary(15, p=4, m=9)
+        coords = np.random.default_rng(15).uniform(-1.0, 2.0, size=(40, 2))
+        cfg = cd.SpatialWeightConfig(kernel=kernel, epsilon=0.05, scale=0.3)
+        dist = np.linalg.norm(d.atom_coords[None, :, :] - coords[:, None, :], axis=2)
+        if kernel == "linear":
+            ref = cfg.epsilon + dist / cfg.scale
+        else:
+            ref = cfg.epsilon + 1.0 - np.exp(-(dist * dist) / (2.0 * cfg.scale * cfg.scale))
+        np.testing.assert_array_equal(cd.spatial_weights(coords, d, cfg), ref)
+
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
             cd.SpatialWeightConfig(kernel="cubic")
@@ -429,6 +441,63 @@ class TestEncoder:
         # one row at explicit weights runs the same kernel
         np.testing.assert_allclose(code_one(cd.Encoder(d, "saco2", 0.05, 0.7), X[0], W[0])[0],
                                    ref[0], rtol=1e-12, atol=1e-12 * np.abs(ref[0]).max())
+
+    def test_atom_outer_packs_each_outer_product(self):
+        D = make_dictionary(10, p=5, m=7).matrix
+        outer = cd._atom_outer(D)
+        assert outer.shape == (7, 15)
+        lo, hi = np.tril_indices(5)
+        for j in range(7):
+            full = np.zeros((5, 5))
+            full[lo, hi] = full[hi, lo] = outer[j]
+            np.testing.assert_array_equal(full, np.outer(D[:, j], D[:, j]))
+
+    def test_push_through_at_pipeline_shape_matches_reference(self):
+        # p = 64 features and m = 128 atoms, with more rows than one
+        # SOLVE_BLOCK_DOUBLES block of packed systems holds
+        p, m = 64, 128
+        n = cd.SOLVE_BLOCK_DOUBLES // (p * (p + 1) // 2) + 20
+        d, X, coords = batch_problem(11, p=p, m=m, n=n)
+        cfg = cd.SpatialWeightConfig()
+        codes, _ = cd.Encoder(d, "saco2", 0.05, 0.7, cfg).encode(X, coords)
+        ref = ridge_reference(X, d, cd.spatial_weights(coords, d, cfg), 0.05, 0.7)
+        np.testing.assert_allclose(codes, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("cols, w1, failure", [
+        # 1 / w^2 = 1e308 is finite, but K's first diagonal entry overflows
+        # while its other entries stay finite
+        ([[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]], 1e-154, "overflow"),
+        # K = 1e300 [[1, 1], [1, 1]] after rounding: Cholesky fails
+        ([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]], 1e-150, "info"),
+    ])
+    def test_failed_push_through_row_takes_the_cholesky_path(self, monkeypatch, cols, w1,
+                                                             failure):
+        d = Dictionary([Patch(i, c, (0.1 * i, 0.2), i % 2, 0) for i, c in enumerate(cols)])
+        X = np.array([[1.0, 1.0], [0.3, -2.0], [1.5, 0.5]])
+        W = np.array([[1.0, 0.5, 2.0], [w1, 1.0, 1.0], [0.7, 0.7, 0.7]])
+        infos = []
+
+        def spy(*args, **kwargs):
+            out = scipy.linalg.lapack.dppsv(*args, **kwargs)
+            infos.append(out[1])
+            return out
+
+        monkeypatch.setattr(cd, "dppsv", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            codes, _ = cd.Encoder(d, "saco2", 0.0, 1.0).code(X, W)
+        # an overflowing K never reaches dppsv; a failed factorization reports it
+        assert infos == ([0, 0] if failure == "overflow" else [0, 2, 0])
+        np.testing.assert_allclose(codes, ridge_reference(X, d, W, 0.0, 1.0), rtol=1e-12)
+
+    def test_failed_push_through_row_is_named_when_cholesky_fails_too(self):
+        # atoms 0 and 2 coincide and both weigh 1e-154 in row 1: K overflows,
+        # and D^T D + lambda2 diag(w)^2 is singular after rounding
+        d = Dictionary([Patch(i, c, (0.1 * i, 0.2), i % 2, 0)
+                        for i, c in enumerate([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])])
+        W = np.array([[1.0, 0.5, 2.0], [1e-154, 1.0, 1e-154], [0.7, 0.7, 0.7]])
+        with pytest.raises(LinearSolveError, match="ridge system of row 1 singular"):
+            cd.Encoder(d, "saco2", 0.0, 1.0).code(np.ones((3, 2)), W)
 
     @pytest.mark.parametrize("method", ["saco1", "saco2", "iterative"])
     def test_batch_slicing_does_not_change_codes(self, method, tight_ista):
