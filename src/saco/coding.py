@@ -21,29 +21,32 @@ reconstruction objective, so ``saco1`` and the iterative solver agree.
 it codes an (N, p) batch at explicit (N, m) weights (``code``) or at
 (N, 2) locations (``encode``) and returns ``(codes, CodingDiagnostics)``.
 One patch is a 1-row batch; a dense (H, W, p) feature map is
-``code(fmap.reshape(-1, p), weights.reshape(-1, m))``.  saco2 uses the
+``code(fmap.reshape(-1, p), weights.reshape(-1, m))``.
+
+saco2 solves every row by one kernel, ``_cholesky_rows``: LAPACK's packed
+Cholesky ``dppsv``, one call per row, on a symmetric matrix stored as its
+lower triangle in ``np.tril_indices`` order (LAPACK's upper-packed
+storage).  Where p < m and every lambda2 w_j^2 is > 0, a row takes the
 push-through identity ``(D^T D + L)^-1 D^T = L^-1 D^T (I_p + D L^-1
-D^T)^-1`` with ``L = lambda2 diag(w)^2``, a p x p system per row,
-wherever p < m, lambda2 > 0 and every weight is > 0.  The encoder keeps
-the atom outer products packed (``_atom_outer``: each lower triangle in
-``np.tril_indices`` order, LAPACK's upper-packed storage), so one GEMM
-per block gives every row's K = I_p + D L^-1 D^T ready for LAPACK's
-packed Cholesky ``dppsv``, one call per row; K is symmetric positive
-definite with eigenvalues >= 1.  A row whose K overflows, whose
-factorization fails or whose code is non-finite, and every row the
-push-through cannot take (a zero weight arises when epsilon = 0 and the
-query sits on an atom), solves ``D^T D + lambda2 diag(w)^2`` by
-Cholesky, stacked into one call per block of ``SOLVE_BLOCK_DOUBLES``.
-FISTA updates the whole batch and never raises a row's objective; each
-row freezes once its KKT residual is at most ``FISTA_KKT_TOL`` times
-||D^T x||_inf (tested every ``FISTA_KKT_EVERY`` iterations), or stops
-unconverged at the ``FISTA_MAX_ITER`` cap.  A row's step is 1 / (lambda_max(D^T D) + lambda2
-max_j w_j^2), from one eigensolve per encoder.  A row's saco1 code does
-not depend on how rows are batched.
+D^T)^-1``, ``L = lambda2 diag(w)^2``: one GEMM per block against the
+packed atom outer products (``_atom_outer``) gives every row's K = I_p +
+D L^-1 D^T, with eigenvalues >= 1.  Every other row, and a push-through
+row whose K overflows, fails to factor or gives a non-finite code,
+solves the packed m x m system ``D^T D + L``.  A failed m x m row raises
+``LinearSolveError`` and a row whose ``dppcon`` rcond is below LAPACK's
+eps warns with ``LinAlgWarning``, each naming the row; ``dppcon`` runs
+only on rows that a Weyl bound, from the encoder's extreme eigenvalues
+of D^T D, cannot clear.  FISTA updates the whole batch and never raises
+a row's objective; each row freezes once its KKT residual is at most
+``FISTA_KKT_TOL`` times ||D^T x||_inf (tested every ``FISTA_KKT_EVERY``
+iterations), or stops unconverged at the ``FISTA_MAX_ITER`` cap.  A
+row's step is 1 / (lambda_max(D^T D) + lambda2 max_j w_j^2).  A row's
+saco1 code does not depend on how rows are batched.
 
 Every public entry checks its input by one rule, in ``_rows``, naming the
 first bad row.  Scalars are checked as their accepted range, so NaN
-fails: lambda1 and lambda2 finite and >= 0.
+fails: lambda1 and lambda2 finite and >= 0.  saco2 and the iterative
+coder also need every lambda2 w_j^2 finite, checked in ``Encoder._code``.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dppsv
+from scipy.linalg.lapack import dlamch, dppcon, dppsv, dpptrf
 
 from .data import Dictionary
 from .errors import InvalidConfigError, InvalidInputError, LinearSolveError
@@ -64,8 +67,8 @@ WEIGHT_KERNELS = ("linear", "one-minus-gaussian")
 
 CODERS = ("saco1", "saco2", "iterative")
 
-# doubles one block of systems may hold: 252 packed 64 x 64 push-through
-# systems, or 128 dense m x m Cholesky systems at m = 64
+# doubles one block of packed systems may hold: 252 at 64 x 64, 1747 at
+# 24 x 24, 20 at 224 x 224
 SOLVE_BLOCK_DOUBLES = 128 * 64 * 64
 
 # the iterative coder's stop: a row converges once its KKT residual is at
@@ -202,98 +205,87 @@ def _atom_outer(D) -> np.ndarray:
 
 
 def _blocks(rows, doubles):
-    """Split ``rows`` into runs whose systems, ``doubles`` each, fit in
-    SOLVE_BLOCK_DOUBLES."""
+    """Split ``rows`` into runs whose systems, ``doubles`` each, fit in SOLVE_BLOCK_DOUBLES."""
     size = max(1, SOLVE_BLOCK_DOUBLES // doubles)
     return [rows[lo:lo + size] for lo in range(0, rows.size, size)]
 
 
-def _worst_system(A):
-    """Index and condition number of the worst-conditioned of stacked systems."""
-    cond = np.linalg.cond(A)
-    k = int(cond.argmax())
-    return k, cond[k]
+def _cholesky_rows(K, V, n) -> np.ndarray:
+    """Solve each packed n x n system K[r] v = V[r] by ``dppsv``, into V; returns
+    the rows solved (K[r] finite, factorized, solution finite).  K may be overwritten."""
+    ok = np.isfinite(K).all(axis=1)
+    for r in np.flatnonzero(ok):
+        sol, info = dppsv(n, K[r], V[r, :, None], overwrite_b=1)
+        V[r], ok[r] = sol[:, 0], info == 0
+    return ok & np.isfinite(V).all(axis=1)
 
 
-def _saco2_rows(X, dictionary: Dictionary, W, lambda1, lambda2, outer=None) -> np.ndarray:
-    D = dictionary.matrix
+def _saco2_rows(X, D, G, ridge, lambda1, outer, spectrum) -> np.ndarray:
+    """saco2 codes at ``ridge`` = lambda2 w^2; ``outer`` = ``_atom_outer(D)``
+    when p < m; ``spectrum`` = (lambda_min, lambda_max) of G = D^T D."""
     p, m = D.shape
     U = np.empty((len(X), m))
     with np.errstate(divide="ignore", over="ignore"):
-        inv = 1.0 / (lambda2 * W * W)
-    fast = np.isfinite(inv).all(axis=1) if p < m else np.zeros(len(X), dtype=bool)
-    rows = np.flatnonzero(fast)
-    if rows.size and outer is None:
-        outer = _atom_outer(D)
-    # per row, K = I_p + D diag(inv) D^T in packed storage, solved by packed
-    # Cholesky; a row whose K overflows or whose factorization fails is
-    # marked non-finite and left to the m x m solve below
+        inv = 1.0 / ridge
+    slow = ~np.isfinite(inv).all(axis=1) if p < m else np.ones(len(X), dtype=bool)
+    # per row, packed K = I_p + D diag(inv) D^T; a row whose K overflows,
+    # fails to factor or gives a non-finite code takes the m x m solve
     k_diag = np.arange(p) * (np.arange(p) + 3) // 2
-    for blk in _blocks(rows, p * (p + 1) // 2):
+    for blk in _blocks(np.flatnonzero(~slow), p * (p + 1) // 2):
         with np.errstate(over="ignore", invalid="ignore"):
             K = inv[blk] @ outer
             K[:, k_diag] += 1.0
             v = X[blk]
-            ok = np.isfinite(K).all(axis=1)
-            for r in np.flatnonzero(ok):
-                # dppsv overwrites K[r] with its Cholesky factor: K is not read again
-                sol, info = dppsv(p, K[r], v[r, :, None], overwrite_b=1)
-                v[r], ok[r] = sol[:, 0], info == 0
-            v[~ok] = np.nan
+            ok = _cholesky_rows(K, v, p)
             U[blk] = inv[blk] * (v @ D)
-    # rows the push-through cannot take, or where it failed or lost
-    # finiteness, solve D^T D + lambda2 diag(w)^2 by Cholesky, one stacked
-    # call per block
-    slow = ~fast
-    slow[rows] = ~np.isfinite(U[rows]).all(axis=1)
-    diag = np.arange(m)
-    for blk in _blocks(np.flatnonzero(slow), m * m):
-        A = np.repeat(dictionary.gram()[None], len(blk), axis=0)
-        A[:, diag, diag] += lambda2 * (W[blk] * W[blk])
-        try:
-            # SciPy's stacked solve names the wrong slice in its warning, so
-            # record it and warn again naming the row
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", scipy.linalg.LinAlgWarning)
-                U[blk] = scipy.linalg.solve(A, D.T @ X[blk, :, None], assume_a="pos")[:, :, 0]
-        except scipy.linalg.LinAlgError as exc:
-            k, cond = _worst_system(A)
-            raise LinearSolveError(
-                f"ridge system of row {blk[k]} singular, condition estimate {cond:.3e}"
-            ) from exc
-        for w in caught:
-            if issubclass(w.category, scipy.linalg.LinAlgWarning):
-                k, cond = _worst_system(A)
-                warnings.warn(
-                    f"ill-conditioned ridge system of row {blk[k]}, condition estimate "
-                    f"{cond:.3e}", scipy.linalg.LinAlgWarning, stacklevel=4,
-                )
-            else:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-        bad = np.flatnonzero(~np.isfinite(U[blk]).all(axis=1))
+        slow[blk] = ~ok | ~np.isfinite(U[blk]).all(axis=1)
+    # the other rows solve D^T D + diag(ridge), packed the same way
+    lo, hi = np.tril_indices(m)
+    a_diag = np.arange(m) * (np.arange(m) + 3) // 2
+    lmin, lmax = spectrum
+    eps = dlamch("E")
+    for blk in _blocks(np.flatnonzero(slow), m * (m + 1) // 2):
+        r = ridge[blk]
+        A = np.repeat(G[lo, hi][None], len(blk), axis=0)
+        A[:, a_diag] += r
+        # by Weyl, cond_1(A) <= m (lmax + max r) / (lmin + min r); with lmin
+        # lowered by slack = m eps (lmax + max r), the rounding of eigvalsh and
+        # of the ridge, a row whose bound stays below 1 / eps needs no dppcon
+        slack = m * eps * (lmax + r.max(axis=1))
+        rcond = np.full(len(blk), np.inf)
+        for k in np.flatnonzero(2 * slack >= lmin + r.min(axis=1)):
+            factor, info = dpptrf(m, A[k])
+            if info == 0:
+                rcond[k] = dppcon(m, factor, np.abs(G + np.diag(r[k])).sum(axis=0).max())[0]
+        V = X[blk] @ D
+        bad = np.flatnonzero(~_cholesky_rows(A, V, m))
         if bad.size:
-            raise LinearSolveError(
-                f"ridge solve of row {blk[bad[0]]} produced non-finite values, condition "
-                f"estimate {np.linalg.cond(A[bad[0]]):.3e}"
-            )
+            k = bad[0]
+            raise LinearSolveError(f"ridge system of row {blk[k]} singular or overflowing, "
+                                   f"condition estimate {np.linalg.cond(G + np.diag(r[k])):.3e}")
+        for k in np.flatnonzero(rcond < eps):
+            warnings.warn(f"ill-conditioned ridge system of row {blk[k]}, condition estimate "
+                          f"{np.linalg.cond(G + np.diag(r[k])):.3e}", scipy.linalg.LinAlgWarning,
+                          stacklevel=4)
+        U[blk] = V
     return soft_threshold(U, lambda1)
 
 
-def _kkt_rows(R, D, A, W, lambda1, lambda2) -> np.ndarray:
+def _kkt_rows(R, D, A, W, ridge, lambda1) -> np.ndarray:
     """Per row, the infinity norm of the optimality-condition violation.
 
-    ``R`` holds each row's residual ``a D^T - x``.
+    ``R`` holds each row's residual ``a D^T - x``, ``ridge`` its lambda2 w^2.
     """
-    grad = R @ D + lambda2 * (W * W) * A
+    grad = R @ D + ridge * A
     thresh = lambda1 * W
     res = np.where(A != 0, np.abs(grad + thresh * np.sign(A)),
                    np.maximum(0.0, np.abs(grad) - thresh))
     return res.max(axis=1)
 
 
-def _fista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, lmax):
-    """Monotone FISTA with restart on every row at once; returns (codes,
-    converged, iterations, kkt).
+def _fista_rows(X, dictionary: Dictionary, W, ridge, lambda1, lmax):
+    """Monotone FISTA with restart on every row at once, at ``ridge`` =
+    lambda2 w^2 per row; returns (codes, converged, iterations, kkt).
 
     A row's step is 1 / (``lmax`` + lambda2 max_j w_j^2), with ``lmax`` the
     largest eigenvalue of D^T D; by Weyl's inequality that bound is at
@@ -314,7 +306,7 @@ def _fista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, lmax):
     """
     D = dictionary.matrix
     n, m = W.shape
-    lips = lmax + lambda2 * (W * W).max(axis=1)
+    lips = lmax + ridge.max(axis=1)
     A = np.zeros((n, m))
     kkt = np.zeros(n)
     iterations = np.zeros(n, dtype=np.int64)
@@ -324,7 +316,7 @@ def _fista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, lmax):
     x, w = X[rows], W[rows]
     step = 1.0 / lips[rows, None]
     thresh = step * lambda1 * w
-    w2 = lambda2 * w * w
+    w2, ridged = ridge[rows], ridge.any()
     tol = FISTA_KKT_TOL * np.abs(x @ D).max(axis=1)
     a = y = np.zeros((len(rows), m))
     ra = ry = -x
@@ -337,7 +329,7 @@ def _fista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, lmax):
         dr = dz @ D.T
         rise = (np.einsum("ij,ij->i", dr, ra + 0.5 * dr)
                 + lambda1 * np.einsum("ij,ij->i", w, np.abs(z) - np.abs(a)))
-        if lambda2:
+        if ridged:
             rise += 0.5 * np.einsum("ij,ij->i", w2 * dz, z + a)
         take = rise <= 0
         t_next = np.where(take, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t)), 1.0)
@@ -348,7 +340,7 @@ def _fista_rows(X, dictionary: Dictionary, W, lambda1, lambda2, lmax):
         a, ra, t = z, ra + dr, t_next
         if it % FISTA_KKT_EVERY == 0 or it == FISTA_MAX_ITER:
             ra = a @ D.T - x
-            res = _kkt_rows(ra, D, a, w, lambda1, lambda2)
+            res = _kkt_rows(ra, D, a, w, w2, lambda1)
             A[rows], kkt[rows], iterations[rows] = a, res, it
             done = res <= tol
             if done.any():
@@ -404,13 +396,15 @@ class Encoder:
             raise InvalidConfigError(f"unknown coder '{self.method}'")
         _check_lambdas(self.lambda1, self.lambda2)
         D = self.dictionary.matrix
-        self.omega = self.sigma_lower = self._outer = self._lmax = None
+        self.omega = self.sigma_lower = self._outer = self._spectrum = None
         if self.method == "saco1":
             self.omega, self.sigma_lower = _pseudo_inverse(D)
-        elif self.method == "saco2" and D.shape[0] < D.shape[1] and self.lambda2 > 0:
+            return
+        # (lambda_min, lambda_max) of D^T D: saco2's conditioning gate and
+        # the iterative coder's step
+        self._spectrum = np.linalg.eigvalsh(self.dictionary.gram())[[0, -1]]
+        if self.method == "saco2" and D.shape[0] < D.shape[1] and self.lambda2 > 0:
             self._outer = _atom_outer(D)
-        elif self.method == "iterative":
-            self._lmax = np.linalg.eigvalsh(self.dictionary.gram())[-1]
 
     def code(self, X, W=None):
         """Code an (N, p) batch at explicit (N, m) weights, all ones for None.
@@ -435,10 +429,15 @@ class Encoder:
             return np.zeros((0, d.n_atoms)), CodingDiagnostics()
         if self.method == "saco1":
             return _saco1_rows(X, self.omega, self.lambda1, W), CodingDiagnostics(n)
+        with np.errstate(over="ignore"):
+            ridge = self.lambda2 * W * W
+        _reject_rows(~np.isfinite(ridge).all(axis=1), "lambda2 * weight^2 is not finite")
         if self.method == "saco2":
-            codes = _saco2_rows(X, d, W, self.lambda1, self.lambda2, self._outer)
+            codes = _saco2_rows(X, d.matrix, d.gram(), ridge, self.lambda1, self._outer,
+                                self._spectrum)
             return codes, CodingDiagnostics(n)
-        A, converged, iterations, kkt = _fista_rows(X, d, W, self.lambda1, self.lambda2, self._lmax)
+        A, converged, iterations, kkt = _fista_rows(X, d, W, ridge, self.lambda1,
+                                                    self._spectrum[1])
         return A, CodingDiagnostics(n, int((~converged).sum()), int(iterations.max()),
                                     float(kkt.max()))
 

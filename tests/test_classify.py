@@ -1,5 +1,10 @@
 """Pooling, the linear classifier, residual classification, and the pipeline."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -229,6 +234,31 @@ class TestPipeline:
         assert r1.confusion.sum() == len(test)
         # the diagonal carries exactly the hits
         assert np.trace(r1.confusion) == round(r1.accuracy * len(test))
+
+    def test_blas_thread_count_keeps_classes_and_scores(self):
+        # texture-d300's config at seed 1 (215 atoms): its scores differ in
+        # their last bits between one and two OpenBLAS threads
+        child = (
+            "from saco.classify import run_pipeline\n"
+            "from saco.config import PipelineConfig\n"
+            "from saco.synth import make_spatial_texture\n"
+            "train, test, _ = make_spatial_texture(noise=0.15, seed=1)\n"
+            "cfg = PipelineConfig(seed=1, dict_size=300, candidates_per_image=120,\n"
+            "                     patches_per_image=120, svm_reg=1e-4, svm_epochs=1000)\n"
+            "print('\\n'.join(run_pipeline(train, test, cfg).predictions_csv_lines()))\n"
+        )
+        src = str(Path(cl.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                                 text=True, check=True).stdout
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            runs.append(([r[2] for r in rows], np.array([r[3:] for r in rows], dtype=float)))
+        (classes1, scores1), (classes2, scores2) = runs
+        assert len(classes1) == 60 and classes1 == classes2
+        np.testing.assert_allclose(scores2, scores1, rtol=1e-12, atol=0)
 
     def test_random_selection_branch(self):
         train, test, _ = tiny_dataset()

@@ -148,8 +148,7 @@ class TestSaco2:
     def test_ill_conditioned_row_warning_names_the_row(self):
         # a tiny atom orthogonal to the other: with epsilon = 0 the query on
         # it (row 2) has weight 0 and the diagonal system diag(~1, 1e-18),
-        # which Cholesky solves exactly but SciPy's stacked solve reports
-        # as "slice 0"
+        # which Cholesky solves exactly and dppcon reports at rcond ~1e-19
         d = Dictionary([Patch(0, [1.0, 0.0, 0.0], (0.9, 0.9), 0, 0),
                         Patch(1, [0.0, 1e-9, 0.0], (0.1, 0.1), 1, 0)])
         coords = np.array([[0.5, 0.5], [0.9, 0.2], [0.1, 0.1], [0.3, 0.8]])
@@ -166,6 +165,59 @@ class TestSaco2:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             enc.encode(np.ones((3, 3)), coords[[0, 1, 3]])
+
+    def test_every_ill_conditioned_row_warns_naming_it(self):
+        # the tiny atom of the test above, queried at rows 1 and 3 of one block
+        d = Dictionary([Patch(0, [1.0, 0.0, 0.0], (0.9, 0.9), 0, 0),
+                        Patch(1, [0.0, 1e-9, 0.0], (0.1, 0.1), 1, 0)])
+        coords = np.array([[0.5, 0.5], [0.1, 0.1], [0.9, 0.2], [0.1, 0.1]])
+        enc = cd.Encoder(d, "saco2", 0.1, 1.0, cd.SpatialWeightConfig(epsilon=0.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            enc.encode(np.ones((4, 3)), coords)
+        assert [w.category for w in caught] == [scipy.linalg.LinAlgWarning] * 2
+        assert [str(w.message).split(",")[0] for w in caught] == [
+            "ill-conditioned ridge system of row 1", "ill-conditioned ridge system of row 3"]
+
+    def test_conditioning_gate_skips_only_rows_dppcon_would_pass(self, monkeypatch):
+        # nearly singular dictionaries and tiny ridges put rows on both sides
+        # of the Weyl bound; every row it clears must have rcond >= eps
+        checked = []
+
+        def spy(n, ap, *args, **kwargs):
+            checked.append(n)
+            return scipy.linalg.lapack.dpptrf(n, ap, *args, **kwargs)
+
+        monkeypatch.setattr(cd, "dpptrf", spy)
+        eps = scipy.linalg.lapack.dlamch("E")
+        p, m = 8, 6
+        lo, hi = np.tril_indices(m)
+        cleared = gated = 0
+        for seed in range(4):
+            rng = np.random.default_rng([seed, 5])
+            u, _ = np.linalg.qr(rng.normal(size=(p, m)))
+            v, _ = np.linalg.qr(rng.normal(size=(m, m)))
+            D = u @ np.diag(np.logspace(0, -rng.uniform(6, 9), m)) @ v.T
+            d = Dictionary([Patch(i, D[:, i], (0.5, 0.5), 0, 0) for i in range(m)])
+            for lam2 in np.logspace(-17, -12, 6):
+                enc = cd.Encoder(d, "saco2", 0.0, lam2)
+                for w in rng.uniform(0.5, 2.0, size=(10, m)):
+                    checked.clear()
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                        try:
+                            code_one(enc, rng.normal(size=p), w)
+                        except LinearSolveError:
+                            assert checked, "a row the bound cleared failed"
+                    if checked:
+                        gated += 1
+                        continue
+                    cleared += 1
+                    A = d.gram() + np.diag(lam2 * w * w)
+                    factor, info = scipy.linalg.lapack.dpptrf(m, A[lo, hi])
+                    rcond, _ = scipy.linalg.lapack.dppcon(m, factor, np.abs(A).sum(axis=0).max())
+                    assert info == 0 and rcond >= eps
+        assert cleared > 50 and gated > 50
 
     def test_rejects_negative_penalties(self):
         d = make_dictionary(3, p=6, m=3)
@@ -442,6 +494,17 @@ class TestEncoder:
         np.testing.assert_allclose(code_one(cd.Encoder(d, "saco2", 0.05, 0.7), X[0], W[0])[0],
                                    ref[0], rtol=1e-12, atol=1e-12 * np.abs(ref[0]).max())
 
+    def test_ridge_path_matches_reference_over_blocks(self):
+        # p >= m: every row takes the packed m x m solve, over more rows
+        # than one SOLVE_BLOCK_DOUBLES block holds
+        p, m = 64, 24
+        n = cd.SOLVE_BLOCK_DOUBLES // (m * (m + 1) // 2) + 20
+        d, X, coords = batch_problem(12, p=p, m=m, n=n)
+        cfg = cd.SpatialWeightConfig()
+        codes, _ = cd.Encoder(d, "saco2", 0.05, 0.7, cfg).encode(X, coords)
+        ref = ridge_reference(X, d, cd.spatial_weights(coords, d, cfg), 0.05, 0.7)
+        np.testing.assert_allclose(codes, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
     def test_atom_outer_packs_each_outer_product(self):
         D = make_dictionary(10, p=5, m=7).matrix
         outer = cd._atom_outer(D)
@@ -486,8 +549,9 @@ class TestEncoder:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             codes, _ = cd.Encoder(d, "saco2", 0.0, 1.0).code(X, W)
-        # an overflowing K never reaches dppsv; a failed factorization reports it
-        assert infos == ([0, 0] if failure == "overflow" else [0, 2, 0])
+        # an overflowing K never reaches dppsv; a failed factorization reports
+        # it; the last call solves row 1's m x m system
+        assert infos == ([0, 0, 0] if failure == "overflow" else [0, 2, 0, 0])
         np.testing.assert_allclose(codes, ridge_reference(X, d, W, 0.0, 1.0), rtol=1e-12)
 
     def test_failed_push_through_row_is_named_when_cholesky_fails_too(self):
@@ -553,6 +617,24 @@ class TestEncoder:
         total.add(cd.CodingDiagnostics(5))
         assert (total.rows, total.unconverged, total.max_iterations) == (35, 30, 1)
         assert total.worst_kkt == diag.worst_kkt
+
+    @pytest.mark.parametrize("method", ["saco2", "iterative"])
+    def test_overflowing_ridge_rejected_naming_the_row(self, method):
+        # lambda2 w^2 overflows at a finite weight: explicit weights of 1e200,
+        # or locations at weight_scale 1e-160 off the atoms' common location
+        rng = np.random.default_rng(13)
+        d = Dictionary([Patch(i, rng.normal(size=8), (0.5, 0.5), i % 2, 0) for i in range(4)])
+        X = rng.normal(size=(3, 8))
+        W = np.ones((3, 4))
+        W[2, 1] = 1e200
+        with pytest.raises(InvalidInputError, match="row 2: lambda2"):
+            cd.Encoder(d, method, 0.1, 1.0).code(X, W)
+        coords = np.array([[0.5, 0.5], [0.5, 0.5], [0.2, 0.9]])
+        enc = cd.Encoder(d, method, 0.1, 1.0, cd.SpatialWeightConfig(epsilon=0.0, scale=1e-160))
+        with pytest.raises(InvalidInputError, match="row 2: lambda2"):
+            enc.encode(X, coords)
+        # saco1 has no ridge: it codes the same batch
+        assert np.isfinite(cd.Encoder(d, "saco1", 0.1, 1.0).code(X, W)[0]).all()
 
     def test_rejects_bad_batches(self):
         d, X, coords = batch_problem(8)

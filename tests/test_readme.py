@@ -1,7 +1,8 @@
 """README.md's examples run as written, so the documented API and CLI cannot drift.
 
 Every ```python block runs, and so does every `saco` command of the CLI
-quick start, in order, in one temporary directory.
+quick start, in order, in one temporary directory.  The Install section's
+requirements line states pyproject.toml's.
 """
 
 import re
@@ -13,6 +14,7 @@ import pytest
 from saco import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PYPROJECT = README.with_name("pyproject.toml")
 
 
 def python_blocks():
@@ -54,3 +56,14 @@ def test_cli_quick_start_runs(tmp_path, monkeypatch, capsys):
     for command in commands:
         rc = cli.main(shlex.split(command)[1:])
         assert rc == 0, f"{command!r} exited {rc}: {capsys.readouterr().err}"
+
+
+def test_requirements_line_matches_pyproject():
+    readme = README.read_text(encoding="utf-8")
+    line = re.search(r"^Requires Python (.*?)\.$", readme, re.S | re.M)[1]
+    stated = dict(re.findall(r"(\w+) >= ([\d.]+)", line))
+    project = PYPROJECT.read_text(encoding="utf-8")
+    deps = re.search(r"^dependencies = \[(.*?)\]", project, re.S | re.M)[1]
+    assert stated == dict(re.findall(r'"(\w+)>=([\d.]+)"', deps))
+    python = re.search(r'^requires-python = ">=([\d.]+)"', project, re.M)[1]
+    assert line.startswith(f"{python}+,")
