@@ -7,13 +7,17 @@ pixel distance.  Distances feed a reciprocal similarity with an epsilon
 floor, a k-medoids clustering of viewpoints, and per-image alignment to
 the nearest medoid.
 
-A list of images goes through the grid into one (n, T, 1600) frame
-stack, one sparse product per angle for all images of a shape.
-``dissimilarity_matrix`` takes every distance from one matrix product
-over the stack, within its stated tolerance; ``pairwise_similarity`` and
-``align_to_medoid`` keep an exact kernel whose stacked vector products
-sum as ``np.linalg.norm`` does.  ``align_to_medoid`` takes the first
-minimum over (cluster, angle): ties go to the lowest cluster, then angle.
+A list of images goes through the grid one angle at a time: the images
+of one shape are the columns of one matrix, rotated (and resized) by one
+sparse product per angle.  ``dissimilarity_matrix`` streams those
+products: each angle's (1600, n_g) frames go into one matrix product
+against the (n, 1600) canonical frames and a running minimum, so it
+holds O(n^2 + 1600 n) doubles however many angles the grid has, and its
+distances are within its stated tolerance.  ``pairwise_similarity`` and
+``align_to_medoid`` collect one image's (T, 1600) frames and keep an
+exact kernel whose stacked vector products sum as ``np.linalg.norm``
+does.  ``align_to_medoid`` takes the first minimum over (cluster,
+angle): ties go to the lowest cluster, then angle.
 
 Bilinear sampling is a linear operator on the flattened pixels.  A
 plan is a read-only ``scipy.sparse.csr_array`` of shape (output pixels,
@@ -156,20 +160,33 @@ def rotate_resize(image, theta_deg: float) -> np.ndarray:
     return resize_image(rotate_image(image, theta_deg), WORK_SIZE, WORK_SIZE)
 
 
-def _frames(images, theta_grid) -> np.ndarray:
-    """(n, T, s) stack: each image at each grid angle in the working square, flattened.
+def _sampled(images, theta_grid):
+    """Per image shape: (indices, generator of their (s, n_g) frames at each grid angle).
 
-    Images of one shape are the columns of one matrix, rotated (and
-    resized) by one product per angle, bit-identical to ``rotate_resize``.
+    The n_g images of one shape are the columns of one matrix, rotated
+    (and resized) by one product per angle; column c of the frames is
+    image ``indices[c]`` in the working square, flattened (s =
+    WORK_SIZE^2), bit-identical to ``rotate_resize``.
     """
+    for shape in dict.fromkeys(px.shape for px in images):
+        idx = [i for i, px in enumerate(images) if px.shape == shape]
+        yield idx, _rotated(np.stack([images[i].ravel() for i in idx], axis=1), shape, theta_grid)
+
+
+def _rotated(cols: np.ndarray, shape, theta_grid):
+    """The (s, n_g) frames of the flattened images ``cols``, one grid angle at a time."""
+    for theta in theta_grid:
+        f = _rotation_plan(*shape, float(theta)) @ cols
+        if shape != (WORK_SIZE, WORK_SIZE):
+            f = _resize_plan(*shape, WORK_SIZE, WORK_SIZE) @ f
+        yield f
+
+
+def _frames(images, theta_grid) -> np.ndarray:
+    """(n, T, s) stack: each image at each grid angle in the working square, flattened."""
     out = np.empty((len(images), len(theta_grid), WORK_SIZE * WORK_SIZE))
-    for h, w in dict.fromkeys(px.shape for px in images):
-        idx = [i for i, px in enumerate(images) if px.shape == (h, w)]
-        cols = np.stack([images[i].ravel() for i in idx], axis=1)
-        for ti, theta in enumerate(theta_grid):
-            f = _rotation_plan(h, w, float(theta)) @ cols
-            if (h, w) != (WORK_SIZE, WORK_SIZE):
-                f = _resize_plan(h, w, WORK_SIZE, WORK_SIZE) @ f
+    for idx, frames in _sampled(images, theta_grid):
+        for ti, f in enumerate(frames):
             out[idx, ti] = f.T
     return out
 
@@ -196,28 +213,41 @@ def pairwise_similarity(a, b, theta_grid, epsilon=DEFAULT_EPSILON) -> float:
     return float(0.5 * (1.0 / (epsilon + d_ab) + 1.0 / (epsilon + d_ba)))
 
 
+def _min_sq_distances(images, grid) -> np.ndarray:
+    """(n, n) d2[i, j]: min over grid angles of |canonical frame of i - frame of j|^2."""
+    base = _frames(images, [0.0])[:, 0]
+    base_sq = np.einsum("is,is->i", base, base)
+    d2 = np.empty((len(images), len(images)))
+    for idx, frames in _sampled(images, grid):
+        best = np.full((len(images), len(idx)), np.inf)
+        for f in frames:
+            part = base_sq[:, None] + np.einsum("sj,sj->j", f, f)
+            part -= 2.0 * (base @ f)
+            np.minimum(best, part, out=best)
+        d2[:, idx] = best
+    return d2
+
+
 def dissimilarity_matrix(images, theta_grid, epsilon=DEFAULT_EPSILON) -> np.ndarray:
     """Symmetric rotation-search dissimilarities with a zero diagonal.
 
     Off-diagonal entries are epsilon plus the average of the two
     directional minima; the diagonal is zero by convention so that
-    trivial clusterings have zero cost.  Each d^2 = |a|^2 + |b|^2 - 2 a.b,
-    a.b from one matrix product, is off by at most ~2e-13 (|a|^2 + |b|^2).
+    trivial clusterings have zero cost.  The grid is searched one angle
+    at a time: the frames of all images of one shape at that angle go
+    into one matrix product against the canonical frames and a running
+    minimum.  Neither every frame nor every distance is held at once, so
+    working memory is O(n^2 + n s) doubles, s = WORK_SIZE^2, whatever
+    the grid size.  Each d^2 = |a|^2 + |b|^2 - 2 a.b, a.b from that
+    product, is off by at most ~2e-13 (|a|^2 + |b|^2).
     """
     if not epsilon > 0:
         raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
     grid = _theta_grid(theta_grid)
-    n = len(images)
-    if n == 0:
+    if len(images) == 0:
         raise InvalidInputError("dissimilarity_matrix needs at least one image")
     pixels = [_pixels(img, f"image at position {i}") for i, img in enumerate(images)]
-    base = _frames(pixels, [0.0])[:, 0]  # (n, s) canonical frames
-    rots = _frames(pixels, grid).reshape(n * grid.size, -1)  # (n * T, s)
-    base_sq = np.einsum("is,is->i", base, base)
-    rot_sq = np.einsum("rs,rs->r", rots, rots)
-    # d2[i, j * T + t]: from i's canonical frame to j's frame at angle t
-    d2 = base_sq[:, None] + rot_sq - 2.0 * (base @ rots.T)
-    dm = np.sqrt(np.maximum(d2.reshape(n, n, grid.size).min(axis=2), 0.0))
+    dm = np.sqrt(np.maximum(_min_sq_distances(pixels, grid), 0.0))
     sym = 0.5 * (dm + dm.T) + epsilon
     np.fill_diagonal(sym, 0.0)
     return sym

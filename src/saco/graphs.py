@@ -23,10 +23,20 @@ directly.  Two paths find the neighbours:
   values, from direct d^2.
 
 Both paths give the same sparsity pattern; the tree's direct d^2 moves
-graph values by at most ~1e-14 from the expansion's.  At M = 7200,
-k = 50 on Gaussian points (one thread), the tree takes 0.40 s against
-the dense path's 0.54 s at p = 8, 0.62 s against 0.56 s at p = 10 and
-3.0 s against 0.56 s at p = 64, hence the threshold.
+graph values by at most ~1e-14 from the expansion's.  Both take their
+rows in blocks sized in doubles: a block's largest temporary holds at
+most ``KNN_BLOCK_DOUBLES`` (2^20, 8 MiB), so a dense block has
+KNN_BLOCK_DOUBLES // m rows (145 at m = 7200) and a block of the tree
+path's d^2 gather KNN_BLOCK_DOUBLES // ((k + 2) p).  A dense row's
+neighbours come in ascending column order and do not depend on the
+block size; its expansion values can, in the last bits, since numpy
+hands a one-row product to gemv and a whole X @ X.T to syrk.
+
+At m = 7200, k = 50 on Gaussian points (one thread, medians of 5), the
+tree takes 0.51 s against the dense path's 0.61 s at p = 7, 0.60 s
+against 0.58-0.66 s at p = 8, 0.65 s against 0.53 s at p = 9 and 4.7 s
+against 0.76 s at p = 64: the paths cross at p = 8, where they tie,
+hence the threshold.
 """
 
 from __future__ import annotations
@@ -40,7 +50,9 @@ from .errors import DegenerateInputError, InvalidInputError
 MEDIAN_SAMPLE_PAIRS = 1000
 # points of at most this many dimensions get their neighbours from a k-d tree
 TREE_MAX_DIM = 8
-_CHUNK = 512
+# doubles (8 MiB) in the largest temporary of one block of rows: (rows, m) on
+# the dense path, (rows, k + 2, p) in the tree path's d^2 gather
+KNN_BLOCK_DOUBLES = 1 << 20
 _EPS = np.finfo(np.float64).eps
 
 
@@ -92,9 +104,17 @@ def _median_pairwise_distance(X: np.ndarray) -> float:
     return float(np.median(d))
 
 
+def _block_rows(doubles_per_row: int) -> int:
+    """Rows per block, at least one, whose largest temporary fits in ``KNN_BLOCK_DOUBLES``."""
+    return max(1, KNN_BLOCK_DOUBLES // doubles_per_row)
+
+
 def _sq_dist(X: np.ndarray, i, cols: np.ndarray) -> np.ndarray:
     """sum((X[cols] - X[i]) ** 2) over the coordinates, as the tie rule computes d^2."""
-    return ((X[cols] - X[i]) ** 2).sum(-1)
+    diff = X[cols]
+    diff -= X[i]
+    diff *= diff
+    return diff.sum(-1)
 
 
 def _smallest(d2: np.ndarray, k: int):
@@ -145,8 +165,9 @@ def _tree_knn(X: np.ndarray, k: int):
     m, p = X.shape
     tree = cKDTree(X)
     _, cand = tree.query(X, k=min(k + 2, m))
-    d2 = np.concatenate([_sq_dist(X, np.arange(lo, min(lo + _CHUNK, m))[:, None],
-                                  cand[lo:lo + _CHUNK]) for lo in range(0, m, _CHUNK)])
+    rows = _block_rows(cand.shape[1] * p)
+    d2 = np.concatenate([_sq_dist(X, np.arange(lo, min(lo + rows, m))[:, None],
+                                  cand[lo:lo + rows]) for lo in range(0, m, rows)])
     d2[cand == np.arange(m)[:, None]] = np.inf  # self goes by index, not by position
     pos, vals, nxt = _smallest(d2, k)
     cols = np.take_along_axis(cand, pos, 1)
@@ -181,11 +202,16 @@ def _dense_block(X: np.ndarray, sq: np.ndarray, err: np.ndarray, lo: int, hi: in
         window = (d2[rows] <= reach[rows, None]).any(axis=0)
         window[lo + rows] = True
         cols[rows], vals[rows] = _ranked(X, lo + rows, np.flatnonzero(window), k)
-    return cols, vals
+    order = np.argsort(cols, axis=1)  # by column, whatever order the rows were found in
+    return np.take_along_axis(cols, order, 1), np.take_along_axis(vals, order, 1)
 
 
 def _dense_knn(X: np.ndarray, k: int):
-    """(cols, d^2), each (m, k), by the tie rule, from dense blocks of rows."""
+    """(cols, d^2), each (m, k), by the tie rule, from dense blocks of rows.
+
+    Each row's neighbours come in ascending column order, so the columns
+    do not depend on the block size.
+    """
     m, p = X.shape
     sq = np.einsum("ij,ij->i", X, X)
     # bound on |expansion - direct d^2| for every pair in row i
@@ -193,8 +219,9 @@ def _dense_knn(X: np.ndarray, k: int):
     # the outputs exist before the first block, so no array that outlives a
     # block is placed in the space its temporaries free (peak RSS grows if so)
     cols, vals = np.empty((m, k), dtype=np.intp), np.empty((m, k))
-    for lo in range(0, m, _CHUNK):
-        hi = min(lo + _CHUNK, m)
+    rows = _block_rows(m)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
         cols[lo:hi], vals[lo:hi] = _dense_block(X, sq, err, lo, hi, k)
     return cols, vals
 

@@ -1,6 +1,7 @@
 """Rotation search, viewpoint clustering, and PGM round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -457,6 +458,68 @@ class TestDissimilarityMatrix:
             al.dissimilarity_matrix(wrapped, grid),
             al.dissimilarity_matrix(imgs, grid),
         )
+
+
+def stacked_dissimilarity(images, theta_grid, epsilon=al.DEFAULT_EPSILON):
+    """Every (image, angle) frame in one (n, T, s) stack and one matrix product:
+    the reference for the streamed search."""
+    pixels = [al._pixels(img) for img in images]
+    n, grid = len(pixels), np.asarray(theta_grid, dtype=np.float64)
+    base = al._frames(pixels, [0.0])[:, 0]
+    rots = al._frames(pixels, grid).reshape(n * grid.size, -1)
+    d2 = (base ** 2).sum(1)[:, None] + (rots ** 2).sum(1) - 2.0 * (base @ rots.T)
+    dm = np.sqrt(np.maximum(d2.reshape(n, n, grid.size).min(axis=2), 0.0))
+    sym = 0.5 * (dm + dm.T) + epsilon
+    np.fill_diagonal(sym, 0.0)
+    return sym
+
+
+def viewpoint_pixels(per_view, seed=0):
+    return [img.pixels for img in make_viewpoints(per_view=per_view, seed=seed)[0]]
+
+
+class TestStreamedSearch:
+    """The rotation search holds one angle's frames at a time."""
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        images = viewpoint_pixels(30)
+        peaks = {}
+        for step in (90.0, 10.0):  # 4 and 36 angles
+            grid = al.default_theta_grid(step)
+            al.dissimilarity_matrix(images, grid)  # the plans are cached before measuring
+            tracemalloc.start()
+            try:
+                al.dissimilarity_matrix(images, grid)
+                peaks[step] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10.0] <= 1.5 * peaks[90.0]
+
+    @pytest.mark.parametrize("kind", ["viewpoints", "random"])
+    def test_k_medoids_matches_stacked_reference(self, kind, monkeypatch):
+        k, images = (2, viewpoint_pixels(30, seed=1)) if kind == "viewpoints" else (3, random_images(23, n=9))
+        grid = al.default_theta_grid()
+        streamed = [al.k_medoids(images, k, grid, seed=s)[:2] for s in range(3)]
+        monkeypatch.setattr(al, "dissimilarity_matrix", stacked_dissimilarity)
+        for s, (model, assign) in enumerate(streamed):
+            ref_model, ref_assign = al.k_medoids(images, k, grid, seed=s)[:2]
+            assert model.medoid_ids == ref_model.medoid_ids
+            np.testing.assert_array_equal(assign, ref_assign)
+
+    @pytest.mark.parametrize("shapes", [[(12, 12)] * 6, [(12, 12), (20, 16), (40, 40), (12, 12),
+                                                         (64, 64), (20, 16)]],
+                             ids=["random", "mixed-shapes"])
+    def test_stated_tolerance_holds(self, shapes):
+        """Each d^2 is within 2e-13 (|a|^2 + |b|^2) of the direct sum of squares."""
+        rng = np.random.default_rng(24)
+        images = [rng.uniform(size=shape) for shape in shapes]
+        grid = al.default_theta_grid()
+        base = al._frames(images, [0.0])[:, 0]
+        rots = al._frames(images, grid)
+        direct = np.array([((rots - a) ** 2).sum(-1).min(-1) for a in base])
+        scale = (base ** 2).sum(-1)[:, None] + (rots ** 2).sum(-1).max(-1)
+        got = al._min_sq_distances(images, grid)
+        assert np.all(np.abs(got - direct) <= 2e-13 * scale)
 
 
 class TestKMedoids:

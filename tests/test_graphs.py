@@ -196,6 +196,69 @@ class TestTieRule:
                                    rtol=1e-12, atol=1e-12)
 
 
+def clustered_64d(rng):
+    """Six tight clusters of 40 points in 64 dimensions, plus exact copies of three points."""
+    centers = 4.0 * rng.normal(size=(6, 64))
+    points = centers.repeat(40, axis=0) + 0.3 * rng.normal(size=(240, 64))
+    return np.concatenate([points, points[[0, 41, 82]]])
+
+
+BLOCK_INSTANCES = {
+    "lattice": lambda: np.stack(np.meshgrid(np.arange(12.0), np.arange(12.0)), -1).reshape(-1, 2) / 11,
+    "duplicates": lambda: with_duplicates(np.random.default_rng(4), 40, TREE_MAX_DIM + 1),
+    "clustered-64d": lambda: clustered_64d(np.random.default_rng(5)),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_INSTANCES))
+def test_block_size_leaves_neighbours_unchanged(name, monkeypatch):
+    """One row, a few rows or every row in a block: the same neighbours on both paths.
+
+    The tree path's values are direct d^2, so they are bit-identical too.
+    The dense path's come from the block's matrix product, which numpy
+    hands to gemv for one row and to syrk for a whole X @ X.T, so they
+    may move within the expansion's rounding bound.
+    """
+    points = BLOCK_INSTANCES[name]()
+    m, p = points.shape
+    k = 6
+    sq = (points ** 2).sum(1)
+    err = 6.0 * (p + 2) * np.finfo(float).eps * (sq + sq.max())
+    per_row = {_tree_knn: (k + 2) * p, _dense_knn: m}  # doubles per block row
+    results = {}
+    for knn in (_tree_knn, _dense_knn):
+        for rows in (1, 3, m):
+            monkeypatch.setattr(graphs, "KNN_BLOCK_DOUBLES", rows * per_row[knn])
+            results[knn, rows] = knn(points, k)
+    for knn in (_tree_knn, _dense_knn):
+        cols, d2 = results[knn, m]
+        assert cols.shape == d2.shape == (m, k)
+        np.testing.assert_array_equal(np.sort(cols, axis=1), np.sort(results[_tree_knn, m][0], axis=1))
+        direct = ((points[cols] - points[:, None]) ** 2).sum(-1)
+        for rows in (1, 3, m):
+            got_cols, got_d2 = results[knn, rows]
+            assert got_cols.tobytes() == cols.tobytes()
+            if knn is _tree_knn:
+                assert got_d2.tobytes() == d2.tobytes()
+            assert np.all(np.abs(got_d2 - direct) <= err[:, None])
+
+
+def test_dense_blocks_are_counted_in_doubles(monkeypatch):
+    """A dense block holds KNN_BLOCK_DOUBLES // m rows: 145 at m = 7200 for 2^20 doubles."""
+    assert graphs._block_rows(7200) == 145
+    blocks = []
+    dense_block = graphs._dense_block
+
+    def spy(X, sq, err, lo, hi, k):
+        blocks.append(hi - lo)
+        return dense_block(X, sq, err, lo, hi, k)
+
+    monkeypatch.setattr(graphs, "_dense_block", spy)
+    monkeypatch.setattr(graphs, "KNN_BLOCK_DOUBLES", 10 * 300 + 299)
+    _dense_knn(np.random.default_rng(6).normal(size=(300, 16)), 5)
+    assert blocks == [10] * 30
+
+
 def test_import_leaves_scipy_spatial_unloaded():
     """The k-d tree is imported on first use, keeping it out of ``import saco``."""
     src = str(Path(saco.__file__).resolve().parent.parent)
