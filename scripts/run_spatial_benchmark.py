@@ -18,6 +18,7 @@ import numpy as np
 
 from saco.classify import run_pipeline, src_image_accuracy
 from saco.config import PipelineConfig
+from saco.data import write_lines
 from saco.synth import make_spatial_texture
 
 
@@ -85,10 +86,8 @@ def main(argv=None):
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
         for tag, result in (("aware", aware), ("blind", blind)):
-            (args.out / f"predictions_{tag}.csv").write_text(
-                "\n".join(result.predictions_csv_lines()) + "\n")
-            (args.out / f"report_{tag}.txt").write_text(
-                "\n".join(result.report_lines()) + "\n")
+            write_lines(args.out / f"predictions_{tag}.csv", result.predictions_csv_lines())
+            write_lines(args.out / f"report_{tag}.txt", result.report_lines())
         print(f"wrote artifacts to {args.out}")
     return 0
 

@@ -4,9 +4,10 @@ Subcommands: gen, select, code, train, predict, pipeline, bench-greedy,
 plot-layout.  All but plot-layout take ``--seed`` (falling back to the
 ``SACO_SEED`` environment variable); select, code, train, predict and
 pipeline also read an optional flat key-value file plus repeated ``--set
-key=value`` overrides.  Every artifact header echoes the resolved
-configuration, and identical seeds produce byte-identical artifacts for
-a fixed numpy/BLAS build and BLAS thread count.
+key=value`` overrides, and ``--seed`` overrides both.  Every artifact
+header echoes the resolved configuration, and identical seeds produce
+byte-identical artifacts for a fixed numpy/BLAS build and BLAS thread
+count.  Every text artifact is written by ``data.write_lines``.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .data import (
     pool_patches,
     read_csv_rows,
     save_patches,
+    write_lines,
 )
 from .errors import InvalidConfigError, InvalidInputError
 from .graphs import build_feature_affinity, build_spatial_affinity
@@ -65,7 +67,8 @@ def _resolve_seed(args) -> int:
 def _resolve_config(args) -> PipelineConfig:
     mapping = read_config_file(args.config) if args.config else {}
     mapping = apply_overrides(mapping, args.set)
-    if "seed" not in mapping:
+    # --seed is the last override; SACO_SEED only fills in a seed given nowhere
+    if args.seed is not None or "seed" not in mapping:
         mapping["seed"] = str(_resolve_seed(args))
     return PipelineConfig.from_mapping(mapping)
 
@@ -105,19 +108,15 @@ def cmd_gen(args) -> int:
         _write_pool_files(out, "test", test, comments)
     elif args.kind == "viewpoints":
         images, labels, rotations = synth.make_viewpoints(args.per_view, seed=seed)
-        with open(out / "images.csv", "w", encoding="utf-8") as fh:
-            for line in comments:
-                fh.write(f"# {line}\n")
-            fh.write("image_id,view,rotation_deg,file\n")
-            for img, lab, rot in zip(images, labels, rotations):
-                name = f"img_{img.image_id:03d}.pgm"
-                al.write_pgm(out / name, img.pixels)
-                fh.write(f"{img.image_id},{lab},{rot!r},{name}\n")
+        rows = ["image_id,view,rotation_deg,file"]
+        for img, lab, rot in zip(images, labels, rotations):
+            name = f"img_{img.image_id:03d}.pgm"
+            al.write_pgm(out / name, img.pixels)
+            rows.append(f"{img.image_id},{lab},{rot!r},{name}")
+        write_lines(out / "images.csv", rows, comments)
     else:  # pragma: no cover - argparse restricts choices
         raise InvalidConfigError(f"unknown generator '{args.kind}'")
-    with open(out / "manifest.txt", "w", encoding="utf-8") as fh:
-        for line in comments:
-            fh.write(line + "\n")
+    write_lines(out / "manifest.txt", comments)
     print(f"wrote {args.kind} dataset to {out}")
     return 0
 
@@ -157,8 +156,7 @@ def cmd_code(args) -> int:
               f"{diag.max_iterations} iterations (worst KKT residual {diag.worst_kkt:.3e})",
               file=sys.stderr)
     write_tensor(args.out, codes)
-    with open(str(args.out) + ".config.txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(cfg.echo_lines()) + "\n")
+    write_lines(str(args.out) + ".config.txt", cfg.echo_lines())
     print(f"coded {len(queries)} patches over {dictionary.n_atoms} atoms -> {args.out}")
     return 0
 
@@ -189,11 +187,8 @@ def cmd_train(args) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_tensor(str(prefix) + ".w.skt", model.weights)
     write_tensor(str(prefix) + ".b.skt", model.biases)
-    with open(str(prefix) + ".meta.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"n_classes = {model.n_classes}\n")
-        fh.write(f"dim = {model.weights.shape[1]}\n")
-        for line in cfg.echo_lines():
-            fh.write(line + "\n")
+    write_lines(str(prefix) + ".meta.txt", [f"n_classes = {model.n_classes}",
+                                            f"dim = {model.weights.shape[1]}", *cfg.echo_lines()])
     print(f"trained {model.n_classes}-class model -> {prefix}.*")
     return 0
 
@@ -205,13 +200,6 @@ def _load_model(prefix) -> LinearSvmModel:
         return LinearSvmModel(*map(read_tensor, paths))
     except InvalidInputError as exc:
         raise InvalidInputError(f"model {prefix}: {exc}") from None
-
-
-def _write_predictions(path, cfg: PipelineConfig, predictions) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in cfg.echo_lines():
-            fh.write(f"# {line}\n")
-        fh.write("\n".join(predictions_csv_lines(predictions)) + "\n")
 
 
 def cmd_predict(args) -> int:
@@ -232,7 +220,7 @@ def cmd_predict(args) -> int:
         raise InvalidInputError(f"{args.features}: {exc}") from None
     predictions = [PredictionRow(image_id, true_label, int(c), s)
                    for (image_id, true_label), c, s in zip(pairs, classes, scores)]
-    _write_predictions(args.out, cfg, predictions)
+    write_lines(args.out, predictions_csv_lines(predictions), cfg.echo_lines())
     accuracy = np.mean(classes == [true_label for _, true_label in pairs])
     print(f"accuracy {accuracy:.4f} on {len(pairs)} images -> {args.out}")
     return 0
@@ -257,15 +245,10 @@ def cmd_pipeline(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if result.selection is not None:
         result.selection.write_csv(out / "selection.csv", header_comments=cfg.echo_lines())
-    save_patches(
-        out / "dictionary_patches.csv",
-        out / "dictionary_features.skt",
-        result.dictionary.atoms,
-        header_comments=cfg.echo_lines(),
-    )
-    _write_predictions(out / "predictions.csv", cfg, result.predictions)
-    with open(out / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(result.report_lines()) + "\n")
+    save_patches(out / "dictionary_patches.csv", out / "dictionary_features.skt",
+                 result.dictionary.atoms, cfg.echo_lines())
+    write_lines(out / "predictions.csv", result.predictions_csv_lines(), cfg.echo_lines())
+    write_lines(out / "report.txt", result.report_lines())
     print(f"pipeline accuracy {result.accuracy:.4f} -> {out}")
     return 0
 

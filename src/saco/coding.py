@@ -239,14 +239,16 @@ def _saco2_rows(X, D, G, ridge, lambda1, outer, spectrum) -> np.ndarray:
             ok = _cholesky_rows(K, v, p)
             U[blk] = inv[blk] * (v @ D)
         slow[blk] = ~ok | ~np.isfinite(U[blk]).all(axis=1)
+    if not slow.any():
+        return soft_threshold(U, lambda1)
     # the other rows solve D^T D + diag(ridge), packed the same way
-    lo, hi = np.tril_indices(m)
+    g_packed = G[np.tril_indices(m)]
     a_diag = np.arange(m) * (np.arange(m) + 3) // 2
     lmin, lmax = spectrum
     eps = dlamch("E")
     for blk in _blocks(np.flatnonzero(slow), m * (m + 1) // 2):
         r = ridge[blk]
-        A = np.repeat(G[lo, hi][None], len(blk), axis=0)
+        A = np.repeat(g_packed[None], len(blk), axis=0)
         A[:, a_diag] += r
         # by Weyl, cond_1(A) <= m (lmax + max r) / (lmin + min r); with lmin
         # lowered by slack = m eps (lmax + max r), the rounding of eigvalsh and

@@ -8,6 +8,12 @@ selection CSVs name a patch by its row position 0..M-1.  ``ps[i]`` is a
 Patch CSVs have the header ``id,image_id,label,x,y``; the features
 travel in a tensor file in the same row order.
 
+Files cross the boundary in three pairs: CSVs and other text artifacts
+through ``read_csv_rows`` and ``write_lines`` (here), feature tensors
+through ``tensorio.read_tensor`` and ``write_tensor``, and images through
+``align.read_pgm`` and ``write_pgm``.  Config files are read by
+``config.read_config_file``.
+
 Input is validated once, where it enters, by vectorized checks that name
 the bad row: ``PatchSet`` (row counts, finite features, coordinates in
 [0,1]^2, ids and labels >= 0; from ``load_patches`` also the CSV line),
@@ -191,6 +197,13 @@ def read_csv_rows(path, header: str, types):
         raise InvalidInputError(f"{path}: empty file, header required")
 
 
+def write_lines(path, lines, comments=()) -> None:
+    """Write one ``# {c}`` line per comment, then ``lines``, each ending in a newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(f"# {c}\n" for c in comments)
+        fh.writelines(f"{line}\n" for line in lines)
+
+
 def _read_patch_files(csv_path, tensor_path):
     """Line numbers, id/image id/label columns, (M, 2) coords and (M, p) features."""
     # np.int64 makes a value past its range a malformed row, not an error later
@@ -215,13 +228,11 @@ def load_patches(csv_path, tensor_path) -> PatchSet:
 def save_patches(csv_path, tensor_path, patches, header_comments=()) -> None:
     """Write patches as a metadata CSV and its aligned feature tensor."""
     patches = PatchSet.of(patches)
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        for line in header_comments:
-            fh.write(f"# {line}\n")
-        fh.write(PATCH_CSV_HEADER + "\n")
-        for pid, image_id, label, (x, y) in zip(patches.ids.tolist(), patches.image_ids.tolist(),
-                                                patches.labels.tolist(), patches.coords.tolist()):
-            fh.write(f"{pid},{image_id},{label},{x!r},{y!r}\n")
+    rows = zip(patches.ids.tolist(), patches.image_ids.tolist(), patches.labels.tolist(),
+               patches.coords.tolist())
+    write_lines(csv_path, [PATCH_CSV_HEADER, *(f"{pid},{image_id},{label},{x!r},{y!r}"
+                                               for pid, image_id, label, (x, y) in rows)],
+                header_comments)
     write_tensor(tensor_path, patches.features)
 
 
@@ -263,6 +274,8 @@ def sample_candidates(images, per_image, seed) -> PatchSet:
         raise InvalidInputError(f"per_image must be >= 1, got {per_image}")
 
     seed_parts = [int(s) for s in np.atleast_1d(seed)]
+    if min(seed_parts, default=0) < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {seed}")
     sampled = []
     for img in images:
         n = len(img.features)

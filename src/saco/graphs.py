@@ -185,7 +185,8 @@ def _dense_block(X: np.ndarray, sq: np.ndarray, err: np.ndarray, lo: int, hi: in
     The expansion |x|^2 + |y|^2 - 2 x.y ranks the block.  When another
     value lies within twice a row's rounding bound ``err`` of its k-th,
     the row's boundary may tie: it is re-ranked by direct d^2 over every
-    point in that window (coinciding rows: over their windows and selves).
+    point in that window (coinciding rows: over the union of their windows,
+    which holds each of them, as their expansion d^2 is within ``err`` of 0).
     Each (hi - lo, m) temporary is dropped as soon as it is used, so at
     most two are alive at once.
     """
@@ -200,7 +201,6 @@ def _dense_block(X: np.ndarray, sq: np.ndarray, err: np.ndarray, lo: int, hi: in
     reach = vals.max(axis=1) + 2.0 * err[lo:hi]
     for rows in _coinciding(X, nxt <= reach, reach, lo):
         window = (d2[rows] <= reach[rows, None]).any(axis=0)
-        window[lo + rows] = True
         cols[rows], vals[rows] = _ranked(X, lo + rows, np.flatnonzero(window), k)
     order = np.argsort(cols, axis=1)  # by column, whatever order the rows were found in
     return np.take_along_axis(cols, order, 1), np.take_along_axis(vals, order, 1)

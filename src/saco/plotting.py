@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
-from .data import PatchSet
+from .data import PatchSet, write_lines
 from .errors import InvalidInputError
 
 PALETTE = [
@@ -69,6 +69,4 @@ def svg_scatter(patches, selected_ids=(), title="patch layout") -> str:
 
 
 def write_svg_scatter(path, patches, selected_ids=(), title="patch layout") -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg_scatter(patches, selected_ids, title))
-        fh.write("\n")
+    write_lines(path, [svg_scatter(patches, selected_ids, title)])

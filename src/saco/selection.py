@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PatchSet, read_csv_rows
+from .data import PatchSet, read_csv_rows, write_lines
 from .errors import InvalidInputError
 
 SELECTION_CSV_HEADER = "step,patch_id,gain,evaluations"
@@ -391,12 +391,10 @@ class SelectionResult:
         return float(sum(self.gains))
 
     def write_csv(self, path, header_comments=()) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for line in header_comments:
-                fh.write(f"# {line}\n")
-            fh.write(SELECTION_CSV_HEADER + "\n")
-            for s, (pid, g, evals) in enumerate(zip(self.ids, self.gains, self.cumulative_evals)):
-                fh.write(f"{s},{pid},{float(g)!r},{evals}\n")
+        rows = enumerate(zip(self.ids, self.gains, self.cumulative_evals))
+        write_lines(path, [SELECTION_CSV_HEADER, *(f"{s},{pid},{float(g)!r},{evals}"
+                                                   for s, (pid, g, evals) in rows)],
+                    header_comments)
 
 
 def read_selection_ids(path, n_patches: int) -> list[int]:

@@ -30,6 +30,8 @@ def clustered_instance(seed, m) -> PatchSet:
 
     Locations are uniform on the unit square.
     """
+    if m < 1:
+        raise InvalidInputError(f"need at least 1 candidate, got m={m}")
     rng = np.random.default_rng([seed, 303])
     centers = rng.normal(0.0, 1.0, size=(3 * 4, 6))
     labels = rng.integers(0, 3, size=m)

@@ -167,6 +167,27 @@ class TestSelect:
                                            extra=["--set", "warp=9"]))
         assert "unknown config key" in err
 
+    @pytest.mark.parametrize("given, env, want", [
+        (["--config", "run.cfg", "--seed", "5"], None, 5),
+        (["--set", "seed=3", "--seed", "5"], None, 5),
+        (["--config", "run.cfg"], "7", 3),
+        ([], "7", 7),
+    ], ids=["flag-over-config", "flag-over-set", "config-over-env", "env-fallback"])
+    def test_seed_precedence(self, blob_dataset, tmp_path, capsys, monkeypatch, given, env, want):
+        # --seed wins over --config and --set; SACO_SEED only fills in a missing seed
+        (tmp_path / "run.cfg").write_text("seed = 3\n")
+        if env is not None:
+            monkeypatch.setenv("SACO_SEED", env)
+        out = tmp_path / "s.csv"
+        run_ok(capsys, [
+            "select", "--features", str(blob_dataset / "candidates_features.skt"),
+            "--patches", str(blob_dataset / "candidates_patches.csv"), "--k", "3",
+            "--out", str(out), "--set", "k_nn=8",
+            *[str(tmp_path / a) if a == "run.cfg" else a for a in given],
+        ])
+        seeds = [ln for ln in out.read_text().splitlines() if ln.startswith("# seed = ")]
+        assert seeds == [f"# seed = {want}"]
+
     def test_config_file_applies(self, blob_dataset, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k_nn = 8\nlambda_s = 0.5\n")

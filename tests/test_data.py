@@ -10,8 +10,10 @@ from saco.data import (
     PatchSet,
     load_image_pools,
     load_patches,
+    read_csv_rows,
     sample_candidates,
     save_patches,
+    write_lines,
 )
 from saco.errors import InvalidInputError
 
@@ -235,6 +237,10 @@ class TestSampleCandidates:
         out = sample_candidates([pool], per_image=4, seed=0)
         assert all(p.coord == (0.5, 0.5) for p in out)
 
+    def test_negative_seed_part_is_rejected(self):
+        with pytest.raises(InvalidInputError, match=r"seed must be non-negative, got \[3, -1\]"):
+            sample_candidates(self._pools(), per_image=5, seed=[3, -1])
+
     def test_oversampling_with_replacement(self):
         pool = ImageFeatures(image_id=0, label=0,
                              features=np.arange(6.0).reshape(3, 2),
@@ -273,3 +279,12 @@ class TestDictionary:
         d = Dictionary(atoms)
         np.testing.assert_allclose(d.atom_coords, [[0.1, 0.2], [0.3, 0.4]])
         assert list(d.atom_labels) == [2, 1]
+
+
+def test_write_lines_writes_comments_then_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    write_lines(path, ["a,b", "1,2.5"], comments=["seed = 3"])
+    assert path.read_bytes() == b"# seed = 3\na,b\n1,2.5\n"
+    assert list(read_csv_rows(path, "a,b", (int, float))) == [(3, (1, 2.5))]
+    write_lines(path, iter(["only"]))
+    assert path.read_bytes() == b"only\n"

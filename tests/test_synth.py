@@ -8,6 +8,12 @@ import saco.synth as sy
 from saco.errors import InvalidInputError
 
 
+@pytest.mark.parametrize("m", [0, -3])
+def test_clustered_instance_needs_a_candidate(m):
+    with pytest.raises(InvalidInputError, match=f"need at least 1 candidate, got m={m}"):
+        sy.clustered_instance(0, m)
+
+
 class TestBlobs2d:
     def test_pools_are_labeled_point_clouds(self):
         pools = sy.make_blobs2d(3, 50, seed=1)
