@@ -23,9 +23,7 @@ from .selection import (
     ObjectiveWeights,
     SelectionResult,
     SelectionState,
-    brute_force_opt,
     lazy_greedy,
-    naive_greedy,
 )
 from .tensorio import read_tensor, write_tensor
 
@@ -52,11 +50,9 @@ __all__ = [
     "SpatialWeightConfig",
     "TensorFormatError",
     "bound_check",
-    "brute_force_opt",
     "build_feature_affinity",
     "build_spatial_affinity",
     "lazy_greedy",
-    "naive_greedy",
     "read_tensor",
     "soft_threshold",
     "spatial_weights",

@@ -69,7 +69,7 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300):
         raise InvalidInputError(f"features {X.shape} / labels {y.shape} mismatch")
     _reject_rows(~np.isfinite(X).all(axis=1), "non-finite features")
     _reject_rows(y < 0, "negative label")
-    if not (reg > 0 and epochs >= 1):
+    if not (0 < reg < np.inf and epochs >= 1):
         raise InvalidInputError(f"bad SVM settings reg={reg}, epochs={epochs}")
     if np.unique(y).size < 2:
         raise InvalidInputError("SVM training needs at least two classes present")

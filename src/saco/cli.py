@@ -8,6 +8,12 @@ key=value`` overrides, and ``--seed`` overrides both.  Every artifact
 header echoes the resolved configuration, and identical seeds produce
 byte-identical artifacts for a fixed numpy/BLAS build and BLAS thread
 count.  Every text artifact is written by ``data.write_lines``.
+
+select and pipeline pick exemplars by ``selection.lazy_greedy``, which
+returns naive greedy's selection at any weights: a stale entry's key, its
+submodular gains as last scored plus lambda_d (max_c |moved ∩ c|/M - 1)
++ lambda_c (H_b(min(q, 1/2)) - 1) over the patches it would move, bounds
+its later gains.  bench-greedy exits 1 if ``naive_greedy`` differs: a bug.
 """
 
 from __future__ import annotations
@@ -131,9 +137,8 @@ def cmd_select(args) -> int:
     S = build_feature_affinity(patches, k_nn=cfg.k_nn)
     L = build_spatial_affinity(patches, k_nn=cfg.k_nn, sigma=cfg.spatial_sigma)
     weights = ObjectiveWeights(cfg.lambda_s, cfg.lambda_d, cfg.lambda_b, cfg.lambda_c)
-    runner = naive_greedy if args.algorithm == "naive" else lazy_greedy
-    result = runner(patches, S, L, weights, args.k)
-    result.write_csv(args.out, header_comments=[f"algorithm = {args.algorithm}"] + cfg.echo_lines())
+    result = lazy_greedy(patches, S, L, weights, args.k)
+    result.write_csv(args.out, header_comments=cfg.echo_lines())
     print(f"selected {len(result.ids)} exemplars -> {args.out}")
     return 0
 
@@ -274,8 +279,6 @@ def cmd_bench_greedy(args) -> int:
         naive_s = time.perf_counter() - t0
         print(f"naive      {len(naive.ids):8d}  {naive.n_evaluations:10d}  {naive_s:8.2f}")
         if naive.ids != lazy.ids:
-            # possible only off the submodular regime (lambda_d or lambda_c > 0),
-            # where lazy greedy's stale bounds are not guaranteed upper bounds
             lazy_ids, naive_ids = lazy.ids + ["none"], naive.ids + ["none"]
             step = next(s for s, (a, b) in enumerate(zip(lazy_ids, naive_ids)) if a != b)
             print(f"error: lazy and naive selections diverge at step {step}: "
@@ -338,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--patches", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--algorithm", choices=["lazy", "naive"], default="lazy")
     p.add_argument("--out", required=True)
     common(p)
     p.set_defaults(fn=cmd_select)

@@ -90,8 +90,8 @@ class SpatialWeightConfig:
     def __post_init__(self):
         if self.kernel not in WEIGHT_KERNELS:
             raise InvalidConfigError(f"unknown weight_kernel '{self.kernel}'")
-        if not self.scale > 0:
-            raise InvalidConfigError(f"weight_scale must be > 0, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise InvalidConfigError(f"weight_scale must be finite and > 0, got {self.scale}")
         if not 0 <= self.epsilon < np.inf:
             raise InvalidConfigError(f"weight_epsilon must be finite and >= 0, got {self.epsilon}")
 

@@ -93,8 +93,8 @@ class PipelineConfig:
             if getattr(self, name) < 1:
                 raise InvalidConfigError(f"{name} must be >= 1")
         for name in ("spatial_sigma", "svm_reg"):
-            if not getattr(self, name) > 0:
-                raise InvalidConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+            if not 0 < (v := getattr(self, name)) < float("inf"):
+                raise InvalidConfigError(f"{name} must be finite and > 0, got {v}")
         # the stages' own checks, run here so a bad value fails before any work
         SpatialWeightConfig(self.weight_kernel, self.weight_epsilon, self.weight_scale)
         try:

@@ -18,14 +18,16 @@ sparse graph) go to the lowest exemplar id, so evaluation from scratch
 and incremental bookkeeping agree exactly.
 
 ``naive_greedy`` re-scores every candidate each round and stops early
-when the best marginal gain is negative.  ``lazy_greedy`` keeps stale
-upper bounds in a max-heap and only re-scores candidates that surface.
-With ``lambda_d = lambda_c = 0`` the objective is submodular, gains only
-shrink as the selection grows, and both produce identical selections,
-including tie handling, and bit-identical gains.  The purity and entropy
-terms are not submodular: with either weight > 0 a re-scored gain can
-exceed its stale bound, so the two selections may differ.  They agree
-on the instances tested, but that is observed, not guaranteed.
+when the best marginal gain is negative; tests and ``saco bench-greedy``
+check against it.  ``lazy_greedy`` keeps a max-heap of upper bounds,
+re-scores only candidates that surface, and returns naive greedy's
+selection, ties included, with bit-identical gains, at any weights.  A
+stale entry's key holds at every later step, rounding included: the
+coverage, spatial and balance gains as last scored (these terms are
+submodular), plus ``lambda_d * (max_c |moved ∩ c| / M - 1)`` and
+``lambda_c * (H_b(min(q, 1/2)) - 1)``, where moved, the patches that
+would join the candidate's cluster, only shrinks as the selection
+grows, q = |moved| / M and H_b is the binary entropy.
 
 ``SelectionState.gains`` is the one scorer, in every weight regime.  It
 scores a batch of candidates in one vectorized pass over the CSR rows
@@ -40,7 +42,6 @@ re-scoring entries one at a time.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -55,23 +56,6 @@ SELECTION_CSV_HEADER = "step,patch_id,gain,evaluations"
 # M=10000 selection benchmark runs slower
 _RESCORE_BATCH = 28
 
-__all__ = [
-    "ObjectiveWeights",
-    "SelectionState",
-    "SelectionResult",
-    "term_representative",
-    "term_spatial",
-    "term_discriminative",
-    "term_balance",
-    "term_compact",
-    "evaluate",
-    "evaluate_ids",
-    "marginal_gain",
-    "add_exemplar",
-    "naive_greedy",
-    "lazy_greedy",
-    "brute_force_opt",
-]
 
 
 @dataclass(frozen=True)
@@ -102,6 +86,35 @@ def _row_entries(graph, rows: np.ndarray):
     offsets = np.cumsum(lengths) - lengths  # row starts in the gathered arrays
     pos = np.arange(int(lengths.sum())) + np.repeat(starts - offsets, lengths)
     return lengths, csr.indices[pos], csr.data[pos]
+
+
+def _weighted_sum(weights, cover, spatial, purity, balance, entropy):
+    """cover + lambda_s*spatial + lambda_d*purity + lambda_b*balance + lambda_c*entropy, in
+    that order; a term of weight 0 is skipped (the same bits as adding it times 0)."""
+    total = cover
+    for lam, term in ((weights.lambda_s, spatial), (weights.lambda_d, purity),
+                      (weights.lambda_b, balance), (weights.lambda_c, entropy)):
+        if lam:
+            total = total + lam * term
+    return total
+
+
+def _entropy_gain_bounds(xlogx):
+    """Per count k = 0..M of moved patches, a float >= every entropy gain
+    ``SelectionState._cluster_gains`` computes, now or later, for a
+    candidate that moves k patches now; ``xlogx[k]`` is (k/M) log(k/M).
+
+    Moving the share q = k / M into a new cluster raises the entropy by at
+    most H_b(q) <= H_b(min(q, 1/2)), and k only shrinks.  Slack, u = 2^-53:
+    ``xlogx[k]`` is within 3u of exact (``math.log`` within one ulp), so
+    each of the <= k + 2 summed terms carries <= 7u; their exact sizes add
+    up to < 2 log M + 1, so summation adds <= (k + 1)(2 log M + 1)u; H_b
+    and the final sum add <= 9u.
+    """
+    m = len(xlogx) - 1
+    k = np.arange(m + 1)
+    h = np.where(2 * k < m, -(xlogx + xlogx[::-1]), math.log(2.0))
+    return h + (k + 2) * (10.0 + 2.0 * math.log(m)) * (np.finfo(np.float64).eps / 2) - 1.0
 
 
 def _coverage_gains(graph, rows: np.ndarray, best: np.ndarray) -> np.ndarray:
@@ -159,6 +172,7 @@ class SelectionState:
         # x log x of every cluster share k / m, k = 0..m, by math.log: numpy's
         # vectorized log can differ from it in the last bit
         self._xlogx = np.array([_xlogx(k / self.m) for k in range(self.m + 1)])
+        self._entropy_bound = _entropy_gain_bounds(self._xlogx)
 
     @classmethod
     def for_patches(cls, patches, n_classes=None) -> "SelectionState":
@@ -170,39 +184,52 @@ class SelectionState:
         """Marginal gains of the unselected candidates ``B`` (1-D ids), in order.
 
         The batch is scored in one vectorized pass over the CSR rows of
-        the two graphs; a term of weight 0 is skipped, which gives the
-        same bits as adding it times 0.  A candidate's gain depends only
-        on its own rows, never on the rest of the batch.
+        the two graphs.  A candidate's gain depends only on its own rows,
+        never on the rest of the batch.
+        """
+        return self._scored(B, S, L, weights)[0]
+
+    def _scored(self, B, S, L, weights: ObjectiveWeights):
+        """(gains, bounds) of the unselected candidates ``B``: ``bounds[i]`` is
+        >= every gain of ``B[i]`` at this or a later state, rounding included.
+
+        Coverage, spatial and balance gains only shrink, in floats too; the
+        bounds replace the purity and entropy gains by ``_cluster_gains``'s
+        bounds and sum in the same order, and rounding is monotone.
         """
         B = np.asarray(B, dtype=np.int64)
-        total = _coverage_gains(S, B, self.best_feature_sim)
-        if weights.lambda_s:
-            total = total + weights.lambda_s * _coverage_gains(L, B, self.best_spatial_sim)
-        if weights.lambda_d or weights.lambda_c:
-            gain_d, gain_c = self._cluster_gains(B, S)
-        if weights.lambda_d:
-            total = total + weights.lambda_d * gain_d
+        cover = _coverage_gains(S, B, self.best_feature_sim)
+        spatial = _coverage_gains(L, B, self.best_spatial_sim) if weights.lambda_s else None
+        balance = None
         if weights.lambda_b:
             # math.log per class: numpy's log can differ in the last bit
             n_sel = self.per_class_selected.tolist()
             gain_b = np.array([math.log(n + 2.0) - math.log(n + 1.0) for n in n_sel])
-            total = total + weights.lambda_b * gain_b[self.labels[B]]
-        if weights.lambda_c:
-            total = total + weights.lambda_c * gain_c
-        return total
+            balance = gain_b[self.labels[B]]
+        if not (weights.lambda_d or weights.lambda_c):
+            total = _weighted_sum(weights, cover, spatial, None, balance, None)
+            return total, total
+        gain_d, gain_c, bound_d, bound_c = self._cluster_gains(B, S)
+        return (_weighted_sum(weights, cover, spatial, gain_d, balance, gain_c),
+                _weighted_sum(weights, cover, spatial, bound_d, balance, bound_c))
 
     def _cluster_gains(self, B, S):
-        """Purity and entropy gains of the candidates ``B``.
+        """Purity and entropy gains of the candidates ``B``, and bounds on both.
 
         A candidate takes over the patches it improves or ties at a lower
         id than their owner, plus the zero-affinity mass if it would be
         the new lowest id.  Grouping those patches by (candidate, old
         owner) gives each owner's class counts before and after.
+
+        The moved patches form the candidate's cluster, and old clusters
+        only lose patches, so max_c |moved ∩ c| / M - 1, by the same float
+        operations, bounds the purity gain now and later.
         """
         n, m, C = len(B), self.m, self.n_classes
         if not self.selected:
             # one cluster of every patch: the pool's purity, zero entropy
-            return np.full(n, self.uncovered_counts.max() / m - 1.0), np.full(n, -1.0)
+            purity = np.full(n, self.uncovered_counts.max() / m - 1.0)
+            return purity, np.full(n, -1.0), purity, np.full(n, self._entropy_bound[m])
         lengths, idx, val = _row_entries(S, B)
         old = self.best_feature_sim[idx]
         seg = np.repeat(np.arange(n), lengths)
@@ -218,6 +245,7 @@ class SelectionState:
         zero[~lowest] = 0
         mseg, mcls = seg[moved], cls[moved]
         new = np.bincount(mseg * C + mcls, minlength=n * C).reshape(n, C) + zero
+        top, n_new = new.max(axis=1), new.sum(axis=1)
 
         keys = np.concatenate([mseg * m + owner[moved],
                                np.flatnonzero(lowest) * m + self.min_selected])
@@ -227,7 +255,7 @@ class SelectionState:
         gseg, gown = np.divmod(groups, m)
         before = self.cluster_counts[gown]
         after = before - leave
-        purity = new.max(axis=1) + np.bincount(
+        purity = top + np.bincount(
             gseg, weights=after.max(axis=1) - before.max(axis=1), minlength=n)
 
         # per candidate: the new cluster's -x log x, then each old owner's
@@ -235,9 +263,10 @@ class SelectionState:
         xl = self._xlogx
         heads = np.arange(n) + np.searchsorted(gseg, np.arange(n))
         parts = np.empty(n + groups.size)
-        parts[heads] = -xl[new.sum(axis=1)]
+        parts[heads] = -xl[n_new]
         parts[np.arange(groups.size) + gseg + 1] = xl[before.sum(axis=1)] - xl[after.sum(axis=1)]
-        return purity / m - 1.0, np.add.reduceat(parts, heads) - 1.0
+        return (purity / m - 1.0, np.add.reduceat(parts, heads) - 1.0,
+                top / m - 1.0, self._entropy_bound[n_new])
 
     def add(self, e: int, S, L) -> None:
         """Commit the unselected candidate ``e`` into the selection."""
@@ -260,26 +289,6 @@ class SelectionState:
         self.per_class_selected[labels[e]] += 1
         self.selected.append(e)
         self.is_selected[e] = True
-
-
-def _unselected(state: SelectionState, candidate: int) -> int:
-    if not 0 <= candidate < state.m:
-        raise InvalidInputError(f"candidate {candidate} out of range")
-    if state.is_selected[candidate]:
-        raise InvalidInputError(f"candidate {candidate} already selected")
-    return int(candidate)
-
-
-def marginal_gain(state: SelectionState, candidate: int, S, L, weights) -> float:
-    """Gain of adding ``candidate``; equals the evaluation difference up to rounding."""
-    return float(state.gains([_unselected(state, candidate)], S, L, weights)[0])
-
-
-def add_exemplar(state: SelectionState, candidate: int, S, L, weights) -> float:
-    """Commit ``candidate`` into the selection; returns its gain."""
-    gain = marginal_gain(state, candidate, S, L, weights)
-    state.add(int(candidate), S, L)
-    return gain
 
 
 # -- from-scratch evaluation ------------------------------------------------
@@ -400,15 +409,17 @@ class SelectionResult:
 def read_selection_ids(path, n_patches: int) -> list[int]:
     """Patch row positions, in selection order, from a CSV written by ``write_csv``.
 
-    Every id must index one of ``n_patches`` rows; errors name the
-    file and line.
+    Every id must index one of ``n_patches`` rows, at most once; errors
+    name the file and line.
     """
-    ids = []
+    lines: dict[int, int] = {}  # patch id -> the line that holds it
     for ln, (_, pid, _, _) in read_csv_rows(path, SELECTION_CSV_HEADER, (int, int, float, int)):
         if not 0 <= pid < n_patches:
             raise InvalidInputError(f"{path}:{ln}: patch id {pid} outside [0, {n_patches})")
-        ids.append(pid)
-    return ids
+        if pid in lines:
+            raise InvalidInputError(f"{path}:{ln}: patch id {pid} repeats line {lines[pid]}")
+        lines[pid] = ln
+    return list(lines)
 
 
 def _greedy_state(patches, k) -> SelectionState:
@@ -445,61 +456,49 @@ def naive_greedy(patches, S, L, weights, k) -> SelectionResult:
 
 
 def lazy_greedy(patches, S, L, weights, k) -> SelectionResult:
-    """Greedy with stale upper bounds on a max-heap.
+    """``naive_greedy``'s ids and bit-identical gains, at any weights, from a
+    max-heap of upper bounds.
 
-    Heap entries are (-gain, id, step_computed); an entry whose gain was
-    computed at the current step is exact and can be accepted as soon as
-    it surfaces.  While the top is stale, the stale entries on top (up
-    to ``_RESCORE_BATCH``, stopping at the first fresh one) are
-    re-scored in one call and pushed back.  The (gain, lowest-id) pop
-    order reproduces the naive tie-breaking exactly.  When
-    ``lambda_d = lambda_c = 0`` the selection equals ``naive_greedy``'s,
-    with bit-identical gains.  Otherwise a stale entry may understate a
-    gain, and the two can diverge.  ``n_evaluations`` counts every
-    candidate scored, including batch members that never surface.
+    The candidates scored at this step compete on their exact gains; every
+    other one sits in the heap ``stale``, keyed on a bound on its gain
+    that holds at every later step (see the module docstring).  The best
+    fresh candidate, the lowest id on ties, is committed once its gain
+    beats every stale key (is higher, or equal at a lower id); until then
+    up to ``_RESCORE_BATCH`` stale entries that beat it are re-scored in
+    one call.  After a commit the other fresh candidates go stale.  Stops
+    like ``naive_greedy``.  ``n_evaluations`` counts every candidate
+    scored, including batch members that never surface.
     """
     state = _greedy_state(patches, k)
-    scores = state.gains(np.arange(state.m), S, L, weights)
-    heap = [(-g, i, 0) for i, g in enumerate(scores.tolist())]
-    heapq.heapify(heap)
-    n_evals = state.m
-
+    stale: list = []  # (-bound, id) of the candidates scored before this step
+    fresh: list = []  # (-bound, id) of the candidates scored at this step
+    best = None  # (-gain, id) of the best of them
+    batch = list(range(state.m))
+    n_evals = 0
     gains: list[float] = []
     cumulative_evals: list[int] = []
-    while heap and len(state.selected) < k:
-        step = len(state.selected)
-        if heap[0][2] == step:
-            neg_g, cand, _ = heapq.heappop(heap)
-            if -neg_g < 0:
-                break
-            state.add(cand, S, L)
-            gains.append(float(-neg_g))
-            cumulative_evals.append(n_evals)
+    while batch:
+        scores, bounds = state._scored(batch, S, L, weights)
+        n_evals += len(batch)
+        fresh.extend(zip((-bounds).tolist(), batch))
+        top = min(zip((-scores).tolist(), batch))
+        best = top if best is None else min(best, top)
+        batch = []
+        while stale and len(batch) < _RESCORE_BATCH and stale[0] < best:
+            batch.append(heapq.heappop(stale)[1])
+        if batch:
             continue
-        stale = []
-        while heap and heap[0][2] != step and len(stale) < _RESCORE_BATCH:
-            stale.append(heapq.heappop(heap)[1])
-        n_evals += len(stale)
-        for cand, g in zip(stale, state.gains(stale, S, L, weights).tolist()):
-            heapq.heappush(heap, (-g, cand, step))
+        neg_g, cand = best
+        if -neg_g < 0:
+            break
+        state.add(cand, S, L)
+        gains.append(-neg_g)
+        cumulative_evals.append(n_evals)
+        if len(state.selected) == k:
+            break
+        for item in fresh:
+            if item[1] != cand:
+                heapq.heappush(stale, item)
+        fresh, best = [], None
+        batch = [heapq.heappop(stale)[1] for _ in range(min(_RESCORE_BATCH, len(stale)))]
     return SelectionResult(list(state.selected), gains, n_evals, cumulative_evals)
-
-
-def brute_force_opt(patches, S, L, weights, k):
-    """Exhaustive maximum of the objective over subsets of size <= k.
-
-    Guarded to small instances; returns (ids, value) with the first
-    maximizer in (size, lexicographic) enumeration order.
-    """
-    labels = PatchSet.of(patches).labels
-    m = len(labels)
-    if math.comb(m, min(k, m)) > 1_000_000:
-        raise InvalidInputError(f"C({m},{k}) too large for exhaustive search")
-    best_ids: tuple[int, ...] = ()
-    best_val = 0.0
-    for size in range(1, min(k, m) + 1):
-        for combo in itertools.combinations(range(m), size):
-            v = evaluate_ids(combo, S, L, labels, weights)
-            if v > best_val:
-                best_val, best_ids = v, combo
-    return list(best_ids), best_val

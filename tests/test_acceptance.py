@@ -28,7 +28,7 @@ from saco.data import Dictionary, Patch
 from saco.graphs import build_feature_affinity, build_spatial_affinity
 from saco.synth import clustered_instance, make_spatial_texture, make_viewpoints
 
-from conftest import make_graphs, make_patches
+from conftest import brute_force_opt, make_graphs, make_patches
 
 
 def verdict(n, ok, detail):
@@ -62,7 +62,6 @@ def test_criterion_1_diminishing_returns_suite():
     violations = {k: 0 for k in asserted}
     monotone_violations = {k: 0 for k in monotone_terms}
     audit_violations = 0  # discriminative term: logged only
-    w = sel.ObjectiveWeights()
     n_triples = 0
     for seed in range(50):
         patches = make_patches(seed, m=24, clustered=(seed % 2 == 0))
@@ -79,16 +78,16 @@ def test_criterion_1_diminishing_returns_suite():
             state = sel.SelectionState.for_patches(patches)
             at_a = at_b = None
             for t in range(b):
-                sel.add_exemplar(state, int(perm[t]), S, L, w)
+                state.add(int(perm[t]), S, L)
                 if t + 1 == a:
                     at_a = _term_snapshot(state, S, L)
             at_b = _term_snapshot(state, S, L)
-            sel.add_exemplar(state, x, S, L, w)
+            state.add(x, S, L)
             at_bx = _term_snapshot(state, S, L)
             state = sel.SelectionState.for_patches(patches)
             for t in range(a):
-                sel.add_exemplar(state, int(perm[t]), S, L, w)
-            sel.add_exemplar(state, x, S, L, w)
+                state.add(int(perm[t]), S, L)
+            state.add(x, S, L)
             at_ax = _term_snapshot(state, S, L)
 
             for key in asserted:
@@ -148,7 +147,7 @@ def test_criterion_2_approximation_bound():
         L = build_spatial_affinity(patches, k_nn=6)
         w = sel.ObjectiveWeights(lambda_d=0.0, lambda_c=0.0)
         greedy = sel.naive_greedy(patches, S, L, w, 4)
-        _, opt = sel.brute_force_opt(patches, S, L, w, 4)
+        _, opt = brute_force_opt(patches, S, L, w, 4)
         ok &= greedy.objective() >= bound * opt - 1e-9
         worst = min(worst, greedy.objective() / opt)
     verdict(2, ok, f"25 instances |V|=12 K=4: worst greedy/optimal ratio "

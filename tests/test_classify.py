@@ -94,7 +94,7 @@ class TestSvm:
             cl.svm_train(X, np.zeros(len(X), dtype=int))  # single class
         with pytest.raises(InvalidInputError):
             cl.svm_train(np.zeros((0, 2)), [])  # no rows: no classes present
-        for reg in (0.0, float("nan")):
+        for reg in (0.0, float("nan"), float("inf")):
             with pytest.raises(InvalidInputError):
                 cl.svm_train(X, y, reg=reg)
         with pytest.raises(InvalidInputError):

@@ -142,7 +142,7 @@ class TestSelect:
         assert "selected 5 exemplars" in stdout
         lines = out.read_text().splitlines()
         comments = [ln for ln in lines if ln.startswith("#")]
-        assert "# algorithm = lazy" in comments
+        assert not any(ln.startswith("# algorithm") for ln in comments)
         assert any(ln.startswith("# k_nn = 8") for ln in comments)
         data_rows = [ln for ln in lines if ln and not ln.startswith("#")][1:]
         assert len(data_rows) == 5
@@ -249,6 +249,8 @@ BAD_SELECTIONS = {
                         "patch id 120 outside [0, 120)"),
     "missing header": ("0,4,0.5,3\n", 1, "expected header"),
     "malformed row": ("step,patch_id,gain,evaluations\n0,x,0.5,3\n", 2, "malformed row"),
+    "repeated id": ("step,patch_id,gain,evaluations\n0,5,0.5,3\n1,7,0.4,6\n2,5,0.3,9\n", 4,
+                    "patch id 5 repeats line 2"),
 }
 
 
@@ -515,8 +517,8 @@ class TestBenchGreedy:
         assert "identical selections" in stdout
 
     def test_divergence_names_the_step(self, capsys, monkeypatch):
-        # off the submodular regime lazy and naive greedy may pick differently;
-        # a naive run whose third pick differs stands in for such an instance
+        # lazy greedy returns naive greedy's selection at any weights, so a
+        # naive run whose third pick differs stands in for a broken lazy greedy
         picks = []
 
         def diverging_naive(*args):

