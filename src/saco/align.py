@@ -3,9 +3,10 @@
 Images are compared at a canonical 40x40 working size: one image is
 rotated through a grid of angles (bilinear, about the image center,
 zero padding), resized, and matched against the other by Euclidean
-pixel distance.  Distances feed a reciprocal similarity with an epsilon
-floor, a k-medoids clustering of viewpoints, and per-image alignment to
-the nearest medoid.
+pixel distance.  Distances feed a k-medoids clustering of viewpoints
+and per-image alignment to the nearest medoid.  Every off-diagonal
+dissimilarity is at least ``DEFAULT_EPSILON``, so a medoid stays in its
+own cluster even when another image is identical to it.
 
 A list of images goes through the grid one angle at a time: the images
 of one shape are the columns of one matrix, rotated (and resized) by one
@@ -13,11 +14,11 @@ sparse product per angle.  ``dissimilarity_matrix`` streams those
 products: each angle's (1600, n_g) frames go into one matrix product
 against the (n, 1600) canonical frames and a running minimum, so it
 holds O(n^2 + 1600 n) doubles however many angles the grid has, and its
-distances are within its stated tolerance.  ``pairwise_similarity`` and
-``align_to_medoid`` collect one image's (T, 1600) frames and keep an
-exact kernel whose stacked vector products sum as ``np.linalg.norm``
-does.  ``align_to_medoid`` takes the first minimum over (cluster,
-angle): ties go to the lowest cluster, then angle.
+distances are within its stated tolerance.  ``align_to_medoid``
+collects one image's (T, 1600) frames and keeps an exact kernel whose
+stacked vector products sum as ``np.linalg.norm`` does; it takes the
+first minimum over (cluster, angle): ties go to the lowest cluster, then
+angle.
 
 Bilinear sampling is a linear operator on the flattened pixels.  A
 plan is a read-only ``scipy.sparse.csr_array`` of shape (output pixels,
@@ -197,22 +198,6 @@ def _distances(targets: np.ndarray, frames: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
 
 
-def pairwise_similarity(a, b, theta_grid, epsilon=DEFAULT_EPSILON) -> float:
-    """Reciprocal of the best rotation-search distance, both directions.
-
-    Returns the average of 1/(epsilon + min_theta ||A - R_theta(B)||)
-    and the same with the roles swapped.  Identical images score
-    exactly 1/epsilon when the grid contains 0.
-    """
-    if not epsilon > 0:
-        raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
-    grid = _theta_grid(theta_grid)
-    a, b = _pixels(a, "image a"), _pixels(b, "image b")
-    d_ab = _distances(_frames([a], [0.0])[0], _frames([b], grid)[0]).min()
-    d_ba = _distances(_frames([b], [0.0])[0], _frames([a], grid)[0]).min()
-    return float(0.5 * (1.0 / (epsilon + d_ab) + 1.0 / (epsilon + d_ba)))
-
-
 def _min_sq_distances(images, grid) -> np.ndarray:
     """(n, n) d2[i, j]: min over grid angles of |canonical frame of i - frame of j|^2."""
     base = _frames(images, [0.0])[:, 0]
@@ -228,11 +213,11 @@ def _min_sq_distances(images, grid) -> np.ndarray:
     return d2
 
 
-def dissimilarity_matrix(images, theta_grid, epsilon=DEFAULT_EPSILON) -> np.ndarray:
+def dissimilarity_matrix(images, theta_grid) -> np.ndarray:
     """Symmetric rotation-search dissimilarities with a zero diagonal.
 
-    Off-diagonal entries are epsilon plus the average of the two
-    directional minima; the diagonal is zero by convention so that
+    Off-diagonal entries are ``DEFAULT_EPSILON`` plus the average of the
+    two directional minima; the diagonal is zero by convention so that
     trivial clusterings have zero cost.  The grid is searched one angle
     at a time: the frames of all images of one shape at that angle go
     into one matrix product against the canonical frames and a running
@@ -241,14 +226,12 @@ def dissimilarity_matrix(images, theta_grid, epsilon=DEFAULT_EPSILON) -> np.ndar
     the grid size.  Each d^2 = |a|^2 + |b|^2 - 2 a.b, a.b from that
     product, is off by at most ~2e-13 (|a|^2 + |b|^2).
     """
-    if not epsilon > 0:
-        raise InvalidInputError(f"epsilon must be > 0, got {epsilon}")
     grid = _theta_grid(theta_grid)
     if len(images) == 0:
         raise InvalidInputError("dissimilarity_matrix needs at least one image")
     pixels = [_pixels(img, f"image at position {i}") for i, img in enumerate(images)]
     dm = np.sqrt(np.maximum(_min_sq_distances(pixels, grid), 0.0))
-    sym = 0.5 * (dm + dm.T) + epsilon
+    sym = 0.5 * (dm + dm.T) + DEFAULT_EPSILON
     np.fill_diagonal(sym, 0.0)
     return sym
 
@@ -274,7 +257,7 @@ class ViewpointModel:
         self.theta_grid = _theta_grid(self.theta_grid)
 
 
-def k_medoids(images, k, theta_grid, seed, epsilon=DEFAULT_EPSILON):
+def k_medoids(images, k, theta_grid, seed):
     """Voronoi-iteration k-medoids on rotation-search dissimilarities.
 
     Returns (model, assignments, cost_history) once the medoids stop
@@ -289,7 +272,7 @@ def k_medoids(images, k, theta_grid, seed, epsilon=DEFAULT_EPSILON):
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     grid = _theta_grid(theta_grid)
-    dm = dissimilarity_matrix(images, grid, epsilon)
+    dm = dissimilarity_matrix(images, grid)
     rng = np.random.default_rng(seed)
     medoids = sorted(int(i) for i in rng.choice(n, size=k, replace=False))
     cost_history = []
@@ -357,8 +340,8 @@ def read_pgm(path) -> np.ndarray:
 
 
 def write_pgm(path, image) -> None:
-    """Write floats in [0, 1] as a binary (P5) PGM with maxval 255."""
-    img = _as_image(image)
+    """Write finite floats in [0, 1] as a binary (P5) PGM with maxval 255."""
+    img = _pixels(image)
     quant = np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)
     h, w = quant.shape
     with open(path, "wb") as fh:

@@ -376,10 +376,23 @@ def evaluate(state: SelectionState, S, L, weights: ObjectiveWeights) -> float:
     )
 
 
+def _check_graph_sizes(m: int, S, L) -> None:
+    if S.n != m or L.n != m:
+        raise InvalidInputError(f"feature graph has {S.n} nodes and spatial graph {L.n} "
+                                f"for {m} patches")
+
+
 def evaluate_ids(ids, S, L, labels, weights: ObjectiveWeights) -> float:
-    """Objective value of an explicit id set, via a throwaway state."""
+    """Objective value of an explicit id set, via a throwaway state: ids are
+    distinct patch positions, and each graph has one node per patch."""
     state = SelectionState(labels)
+    _check_graph_sizes(state.m, S, L)
     state.selected = [int(i) for i in ids]
+    for pos, i in enumerate(state.selected):
+        if not 0 <= i < state.m:
+            raise InvalidInputError(f"patch id {i} outside [0, {state.m})")
+        if i in state.selected[:pos]:
+            raise InvalidInputError(f"patch id {i} repeats")
     # evaluation only reads `selected`/labels, never the incremental caches
     return evaluate(state, S, L, weights)
 
@@ -422,10 +435,12 @@ def read_selection_ids(path, n_patches: int) -> list[int]:
     return list(lines)
 
 
-def _greedy_state(patches, k) -> SelectionState:
+def _greedy_state(patches, S, L, k) -> SelectionState:
     if k < 1:
         raise InvalidInputError(f"K must be >= 1, got {k}")
-    return SelectionState.for_patches(patches)
+    state = SelectionState.for_patches(patches)
+    _check_graph_sizes(state.m, S, L)
+    return state
 
 
 def naive_greedy(patches, S, L, weights, k) -> SelectionResult:
@@ -436,7 +451,7 @@ def naive_greedy(patches, S, L, weights, k) -> SelectionResult:
     committed gain equals, up to rounding, the difference of
     ``evaluate_ids`` on the selection before and after it.
     """
-    state = _greedy_state(patches, k)
+    state = _greedy_state(patches, S, L, k)
     gains: list[float] = []
     cumulative_evals: list[int] = []
     n_evals = 0
@@ -469,7 +484,7 @@ def lazy_greedy(patches, S, L, weights, k) -> SelectionResult:
     like ``naive_greedy``.  ``n_evaluations`` counts every candidate
     scored, including batch members that never surface.
     """
-    state = _greedy_state(patches, k)
+    state = _greedy_state(patches, S, L, k)
     stale: list = []  # (-bound, id) of the candidates scored before this step
     fresh: list = []  # (-bound, id) of the candidates scored at this step
     best = None  # (-gain, id) of the best of them

@@ -78,12 +78,6 @@ def directional_distance(a, b, grid):
     return reference_min_rotation_distance(al.rotate_resize(a, 0.0), b, grid)[0]
 
 
-def reference_pairwise_similarity(a, b, grid):
-    eps = al.DEFAULT_EPSILON
-    return 0.5 * (1.0 / (eps + directional_distance(a, b, grid))
-                  + 1.0 / (eps + directional_distance(b, a, grid)))
-
-
 def reference_align_to_medoid(px, model):
     """The (cluster, angle) scan as a double loop: the reference for align_to_medoid."""
     rotated40 = [al.rotate_resize(px, t) for t in model.theta_grid]
@@ -269,37 +263,6 @@ class TestResize:
         assert al.rotate_resize(img, 30.0).shape == (al.WORK_SIZE, al.WORK_SIZE)
 
 
-class TestPairwiseSimilarity:
-    def test_identical_images_hit_epsilon_ceiling(self):
-        img = random_images(6, n=1)[0]
-        grid = al.default_theta_grid(90.0)
-        assert al.pairwise_similarity(img, img, grid, epsilon=1e-6) == 1e6
-
-    def test_symmetric(self):
-        a, b = random_images(7, n=2)
-        grid = al.default_theta_grid(45.0)
-        assert al.pairwise_similarity(a, b, grid) == al.pairwise_similarity(b, a, grid)
-
-    def test_more_similar_scores_higher(self):
-        a, b = random_images(8, n=2)
-        near = a + 0.01 * (b - a)
-        grid = al.default_theta_grid(90.0)
-        assert al.pairwise_similarity(a, near, grid) > al.pairwise_similarity(a, b, grid)
-
-    def test_validation(self):
-        a, b = random_images(9, n=2)
-        grid = al.default_theta_grid(90.0)
-        for epsilon in (0.0, float("nan")):
-            with pytest.raises(InvalidInputError, match="epsilon"):
-                al.pairwise_similarity(a, b, grid, epsilon=epsilon)
-            with pytest.raises(InvalidInputError, match="epsilon"):
-                al.dissimilarity_matrix([a, b], grid, epsilon=epsilon)
-            with pytest.raises(InvalidInputError, match="epsilon"):
-                al.k_medoids([a, b], 1, grid, seed=0, epsilon=epsilon)
-        with pytest.raises(InvalidInputError):
-            al.pairwise_similarity(a, b, np.array([]))
-
-
 BAD_GRIDS = {
     "empty": [],
     "360": [0.0, 90.0, 360.0],
@@ -329,8 +292,6 @@ class TestThetaGridChecks:
     @pytest.mark.parametrize("grid", list(BAD_GRIDS.values()), ids=list(BAD_GRIDS))
     def test_rejected_up_front(self, grid, no_rotations):
         imgs = random_images(19, n=3)
-        with pytest.raises(InvalidInputError, match="theta grid"):
-            al.pairwise_similarity(imgs[0], imgs[1], grid)
         with pytest.raises(InvalidInputError, match="theta grid"):
             al.dissimilarity_matrix(imgs, grid)
         with pytest.raises(InvalidInputError, match="theta grid"):
@@ -364,11 +325,6 @@ class TestNonFinitePixels:
         wrapped[2].pixels[1, 1] = np.nan
         with pytest.raises(InvalidInputError, match="image 102: non-finite pixel nan"):
             al.k_medoids(wrapped, 2, al.default_theta_grid(), seed=0)
-
-    def test_pairwise_similarity(self, images, no_rotations):
-        images[1][2, 2] = np.inf
-        with pytest.raises(InvalidInputError, match="image b: non-finite pixel inf"):
-            al.pairwise_similarity(images[0], images[1], al.default_theta_grid())
 
     def test_align_to_medoid(self, images, monkeypatch):
         model, _, _ = al.k_medoids(images, 2, al.default_theta_grid(), seed=0)
@@ -414,7 +370,7 @@ class TestDissimilarityMatrix:
     def test_matches_direct_search(self):
         imgs = random_images(10, n=4)
         grid = al.default_theta_grid(90.0)
-        dm = al.dissimilarity_matrix(imgs, grid, epsilon=1e-6)
+        dm = al.dissimilarity_matrix(imgs, grid)
         for i in range(4):
             for j in range(4):
                 if i == j:
@@ -443,7 +399,7 @@ class TestDissimilarityMatrix:
         for img, stack in zip(imgs, frames):
             for theta, frame in zip(grid, stack):
                 assert frame.tobytes() == al.rotate_resize(img, theta).ravel().tobytes()
-        dm = al.dissimilarity_matrix(imgs, grid, epsilon=1e-6)
+        dm = al.dissimilarity_matrix(imgs, grid)
         for i in range(4):
             for j in range(i + 1, 4):
                 expected = 1e-6 + 0.5 * (directional_distance(imgs[i], imgs[j], grid)
@@ -460,7 +416,7 @@ class TestDissimilarityMatrix:
         )
 
 
-def stacked_dissimilarity(images, theta_grid, epsilon=al.DEFAULT_EPSILON):
+def stacked_dissimilarity(images, theta_grid):
     """Every (image, angle) frame in one (n, T, s) stack and one matrix product:
     the reference for the streamed search."""
     pixels = [al._pixels(img) for img in images]
@@ -469,7 +425,7 @@ def stacked_dissimilarity(images, theta_grid, epsilon=al.DEFAULT_EPSILON):
     rots = al._frames(pixels, grid).reshape(n * grid.size, -1)
     d2 = (base ** 2).sum(1)[:, None] + (rots ** 2).sum(1) - 2.0 * (base @ rots.T)
     dm = np.sqrt(np.maximum(d2.reshape(n, n, grid.size).min(axis=2), 0.0))
-    sym = 0.5 * (dm + dm.T) + epsilon
+    sym = 0.5 * (dm + dm.T) + al.DEFAULT_EPSILON
     np.fill_diagonal(sym, 0.0)
     return sym
 
@@ -562,6 +518,17 @@ class TestKMedoids:
         assert sorted(model.medoid_ids) == [0, 1, 2, 3]
         assert hist[-1] == 0.0
 
+    def test_duplicate_image_keeps_its_own_cluster(self):
+        # 40x40 images of quarter steps: the frames at angle 0 are the images
+        # themselves and their distances are exact, so the duplicates are at
+        # distance 0 but for the floor
+        rng = np.random.default_rng(25)
+        imgs = [rng.integers(0, 5, size=(al.WORK_SIZE, al.WORK_SIZE)) / 4.0 for _ in range(5)]
+        imgs[3] = imgs[1].copy()
+        _, assign, hist = al.k_medoids(imgs, 5, al.default_theta_grid(90.0), seed=0)
+        np.testing.assert_array_equal(assign, np.arange(5))
+        assert hist[-1] == 0.0
+
 
 class TestAlignToMedoid:
     @pytest.fixture()
@@ -601,14 +568,6 @@ class TestAlignToMedoid:
 class TestSearchMatchesReference:
     """The frame-stack search returns the one-rotation-at-a-time loops' bits."""
 
-    def test_pairwise_similarity(self, kind):
-        imgs = search_inputs(kind)
-        grid = al.default_theta_grid()
-        for a, b in zip(imgs, imgs[1:]):
-            got = al.pairwise_similarity(a, b, grid)
-            assert type(got) is float
-            assert got == reference_pairwise_similarity(a, b, grid)
-
     def test_align_to_medoid(self, kind):
         imgs = search_inputs(kind)
         model, _, _ = al.k_medoids(imgs, 2, al.default_theta_grid(), seed=0)
@@ -641,6 +600,14 @@ class TestPgm:
         path = tmp_path / "img.pgm"
         al.write_pgm(path, np.array([[-0.5, 2.0]]))
         np.testing.assert_array_equal(al.read_pgm(path), [[0.0, 1.0]])
+
+    def test_rejects_non_finite_pixel_before_writing(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        img = np.full((4, 6), 0.5)
+        img[2, 5] = np.nan
+        with pytest.raises(InvalidInputError, match="image: non-finite pixel nan at row 2, column 5"):
+            al.write_pgm(path, img)
+        assert not path.exists()
 
     def test_comments_and_whitespace(self, tmp_path):
         path = tmp_path / "img.pgm"

@@ -281,6 +281,20 @@ def test_k_must_be_positive(small_instance):
         sel.naive_greedy(patches, S, L, sel.ObjectiveWeights(), 0)
 
 
+@pytest.mark.parametrize("driver", [sel.lazy_greedy, sel.naive_greedy], ids=["lazy", "naive"])
+@pytest.mark.parametrize("m_graph", [40, 20])
+def test_graph_size_must_match_the_patches(driver, m_graph):
+    patches = make_patches(12, m=30)
+    S, L = make_graphs(patches)
+    other = make_graphs(make_patches(13, m=m_graph))[0]
+    with pytest.raises(InvalidInputError, match=f"feature graph has {m_graph} nodes and "
+                                                f"spatial graph 30 for 30 patches"):
+        driver(patches, other, L, sel.ObjectiveWeights(), 5)
+    with pytest.raises(InvalidInputError, match=f"feature graph has 30 nodes and "
+                                                f"spatial graph {m_graph} for 30 patches"):
+        driver(patches, S, other, sel.ObjectiveWeights(), 5)
+
+
 def test_monotone_weights_select_exactly_k(small_instance):
     patches, S, L = small_instance
     w = sel.ObjectiveWeights(lambda_d=0.0, lambda_c=0.0)

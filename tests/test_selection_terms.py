@@ -219,6 +219,35 @@ class TestMarginalGain:
         np.testing.assert_array_equal(st.cluster_of, before_cluster)
 
 
+class TestEvaluateIds:
+    @pytest.fixture()
+    def instance(self):
+        patches = make_patches(4, m=30)
+        S, L = make_graphs(patches)
+        return S, L, [p.label for p in patches]
+
+    @pytest.mark.parametrize("ids, message", [
+        ([0, -1], r"patch id -1 outside \[0, 30\)"),
+        ([0, 31], r"patch id 31 outside \[0, 30\)"),
+        ([3, 3], r"patch id 3 repeats"),
+    ], ids=["negative", "out-of-range", "repeated"])
+    def test_bad_id_is_named(self, instance, ids, message):
+        S, L, labels = instance
+        with pytest.raises(InvalidInputError, match=message):
+            sel.evaluate_ids(ids, S, L, labels, sel.ObjectiveWeights())
+
+    @pytest.mark.parametrize("m_graph", [40, 20])
+    def test_graph_size_must_match_the_labels(self, instance, m_graph):
+        S, L, labels = instance
+        other = make_graphs(make_patches(5, m=m_graph))[0]
+        with pytest.raises(InvalidInputError, match=f"feature graph has {m_graph} nodes and "
+                                                    f"spatial graph 30 for 30 patches"):
+            sel.evaluate_ids([0], other, L, labels, sel.ObjectiveWeights())
+        with pytest.raises(InvalidInputError, match=f"feature graph has 30 nodes and "
+                                                    f"spatial graph {m_graph} for 30 patches"):
+            sel.evaluate_ids([0], S, other, labels, sel.ObjectiveWeights())
+
+
 class TestObjectiveWeights:
     def test_defaults_are_one(self):
         w = sel.ObjectiveWeights()

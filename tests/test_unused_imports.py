@@ -8,11 +8,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "saco").glob("*.py"))
-FILES = sorted(
-    p for p in [*(ROOT / "src" / "saco").glob("*.py"), *(ROOT / "tests").glob("*.py"),
-                *(ROOT / "scripts").glob("*.py")]
-    if p.name != "__init__.py"  # re-exports
-)
+FILES = sorted([*PACKAGE, *(ROOT / "tests").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
 
 
 def imported_names(tree):
