@@ -283,6 +283,8 @@ def src_image_accuracy(test_images, dictionary: Dictionary, cfg: PipelineConfig,
     Each image's patches are coded as one batch; each batch's
     diagnostics are added to ``diagnostics`` when given.
     """
+    if not test_images:
+        raise InvalidInputError("need a non-empty test image list")
     encoder, groups = _residual_coder(dictionary)
     hits = 0
     for img in test_images:

@@ -247,7 +247,11 @@ def pool_patches(pools) -> PatchSet:
 
 def load_image_pools(csv_path, tensor_path) -> list[ImageFeatures]:
     """One pool per image id, in order of first appearance; coordinates keep their units."""
-    _, _, image_ids, labels, coords, feats = _read_patch_files(csv_path, tensor_path)
+    lines, ids, image_ids, labels, coords, feats = _read_patch_files(csv_path, tensor_path)
+    negative = (ids < 0) | (image_ids < 0) | (labels < 0)
+    if negative.any():
+        raise InvalidInputError(f"{csv_path}:{lines[negative.argmax()]}: negative id, "
+                                "image id or label")
     _, first = np.unique(image_ids, return_index=True)
     pools = []
     for image_id in image_ids[np.sort(first)].tolist():

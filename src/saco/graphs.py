@@ -75,18 +75,6 @@ class AffinityGraph:
         lo, hi = self._csr.indptr[i], self._csr.indptr[i + 1]
         return self._csr.indices[lo:hi], self._csr.data[lo:hi]
 
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
-    def check_valid(self) -> None:
-        """Assert exact symmetry, non-negativity and zero diagonal."""
-        if self._csr.nnz and self._csr.data.min() < 0:
-            raise InvalidInputError("negative affinity entry")
-        if np.any(self._csr.diagonal() != 0):
-            raise InvalidInputError("nonzero diagonal entry")
-        if np.any((self._csr - self._csr.T).data):
-            raise InvalidInputError("asymmetric affinity matrix")
-
 
 def _median_pairwise_distance(X: np.ndarray) -> float:
     """Median Euclidean distance over a deterministic pair sample."""

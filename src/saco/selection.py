@@ -14,8 +14,10 @@ The objective over a selected set A combines five terms:
 
 The empty set scores 0.  Every patch is assigned to the exemplar with
 the highest feature affinity; ties (including the all-zero case on a
-sparse graph) go to the lowest exemplar id, so evaluation from scratch
-and incremental bookkeeping agree exactly.
+sparse graph) go to the lowest exemplar id.  ``objective_terms``
+evaluates the five terms from scratch, from the ids alone, by that same
+tie rule; it shares no state with the greedy engine it checks, and
+``evaluate_ids`` is their weighted sum.
 
 ``naive_greedy`` re-scores every candidate each round and stops early
 when the best marginal gain is negative; tests and ``saco bench-greedy``
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,21 +146,13 @@ class SelectionState:
     and per class, how many exemplars were picked.
     Patches with zero affinity to every exemplar sit in the cluster of
     the lowest selected id (the tie rule), and their per-class counts
-    are kept separately so gains stay cheap to evaluate.
+    are kept separately so gains stay cheap to evaluate.  ``labels``, one
+    class id >= 0 per patch, are checked by the greedy drivers.
     """
 
-    def __init__(self, labels, n_classes=None):
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.ndim != 1 or len(labels) == 0:
-            raise InvalidInputError("labels must be a non-empty 1-D sequence")
-        if labels.min() < 0:
-            raise InvalidInputError("negative class label")
-        if n_classes is None:
-            n_classes = int(labels.max()) + 1
-        elif labels.max() >= n_classes:
-            raise InvalidInputError(f"label {labels.max()} out of range for {n_classes} classes")
-        self.labels = labels
-        self.n_classes = int(n_classes)
+    def __init__(self, labels):
+        self.labels = labels = np.asarray(labels, dtype=np.int64)
+        self.n_classes = int(labels.max()) + 1
         self.m = len(labels)
         self.selected: list[int] = []
         self.is_selected = np.zeros(self.m, dtype=bool)
@@ -173,10 +168,6 @@ class SelectionState:
         # vectorized log can differ from it in the last bit
         self._xlogx = np.array([_xlogx(k / self.m) for k in range(self.m + 1)])
         self._entropy_bound = _entropy_gain_bounds(self._xlogx)
-
-    @classmethod
-    def for_patches(cls, patches, n_classes=None) -> "SelectionState":
-        return cls(PatchSet.of(patches).labels, n_classes)
 
     # -- incremental engine -------------------------------------------------
 
@@ -312,89 +303,65 @@ def _best_rows(G, ids):
     return best, owner
 
 
-def _cluster_counts(ids, S, labels, n_classes):
-    """(len(ids), n_classes) class counts of the patches each of ``ids`` owns.
-
-    Owners follow the lowest-id tie rule: the first maximum over the
-    rows in ascending id order.
-    """
-    counts = np.zeros((len(ids), n_classes), dtype=np.int64)
-    np.add.at(counts, (_best_rows(S, ids)[1], labels), 1)
-    return counts
-
-
-def term_representative(state: SelectionState, S) -> float:
-    """Feature facility location, recomputed from the selected ids."""
-    if not state.selected:
-        return 0.0
-    return float(_best_rows(S, state.selected)[0].sum())
-
-
-def term_spatial(state: SelectionState, L) -> float:
-    """Spatial facility location, recomputed from the selected ids."""
-    if not state.selected:
-        return 0.0
-    return float(_best_rows(L, state.selected)[0].sum())
-
-
-def term_discriminative(state: SelectionState, S) -> float:
-    """Purity of the induced clusters minus the selection size."""
-    if not state.selected:
-        return 0.0
-    counts = _cluster_counts(state.selected, S, state.labels, state.n_classes)
-    return float(counts.max(axis=1).sum()) / state.m - len(state.selected)
-
-
-def term_balance(state: SelectionState) -> float:
-    """sum_c log(1 + #selected exemplars of class c)."""
-    if not state.selected:
-        return 0.0
-    hist = np.bincount(state.labels[state.selected], minlength=state.n_classes)
-    return float(np.log(hist + 1.0).sum())
-
-
-def term_compact(state: SelectionState, S) -> float:
-    """Entropy of the cluster-size distribution minus the selection size."""
-    if not state.selected:
-        return 0.0
-    counts = _cluster_counts(state.selected, S, state.labels, state.n_classes)
-    p = counts.sum(axis=1) / state.m
-    ent = -sum(_xlogx(v) for v in p.tolist())
-    return ent - len(state.selected)
-
-
-def evaluate(state: SelectionState, S, L, weights: ObjectiveWeights) -> float:
-    """Full objective recomputed from scratch (0 for the empty set)."""
-    if not state.selected:
-        return 0.0
-    return (
-        term_representative(state, S)
-        + weights.lambda_s * term_spatial(state, L)
-        + weights.lambda_d * term_discriminative(state, S)
-        + weights.lambda_b * term_balance(state)
-        + weights.lambda_c * term_compact(state, S)
-    )
-
-
-def _check_graph_sizes(m: int, S, L) -> None:
-    if S.n != m or L.n != m:
+def _checked_labels(labels, S, L) -> np.ndarray:
+    """``labels`` as a 1-D int64 array of class ids >= 0, one per node of each graph."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.ndim != 1 or len(labels) == 0:
+        raise InvalidInputError("labels must be a non-empty 1-D sequence")
+    if labels.min() < 0:
+        raise InvalidInputError("negative class label")
+    if S.n != len(labels) or L.n != len(labels):
         raise InvalidInputError(f"feature graph has {S.n} nodes and spatial graph {L.n} "
-                                f"for {m} patches")
+                                f"for {len(labels)} patches")
+    return labels
+
+
+def objective_terms(ids, S, L, labels) -> dict[str, float]:
+    """The five terms of the objective at the selection ``ids``, from scratch.
+
+    Keyed representative (feature coverage), spatial, discriminative
+    (cluster purity), balance and compact (assignment entropy), each as
+    the module docstring defines it.  ``ids`` are distinct integer patch
+    positions, and each graph has one node per entry of ``labels``;
+    errors name the bad id.  Every term of the empty set is 0.
+    """
+    labels = _checked_labels(labels, S, L)
+    m = len(labels)
+    selected: list[int] = []
+    for i in ids:
+        try:
+            pid = operator.index(i)
+        except TypeError:
+            raise InvalidInputError(f"patch id {i} is not an integer") from None
+        if not 0 <= pid < m:
+            raise InvalidInputError(f"patch id {pid} outside [0, {m})")
+        if pid in selected:
+            raise InvalidInputError(f"patch id {pid} repeats")
+        selected.append(pid)
+    if not selected:
+        return dict.fromkeys(("representative", "spatial", "discriminative", "balance",
+                              "compact"), 0.0)
+    n, n_classes = len(selected), int(labels.max()) + 1
+    best, owner = _best_rows(S, selected)
+    # class counts of the patches each exemplar owns, one row per sorted id
+    counts = np.bincount(owner * n_classes + labels,
+                         minlength=n * n_classes).reshape(n, n_classes)
+    per_class = np.bincount(labels[selected], minlength=n_classes)
+    return {
+        "representative": float(best.sum()),
+        "spatial": float(_best_rows(L, selected)[0].sum()),
+        "discriminative": float(counts.max(axis=1).sum()) / m - n,
+        "balance": float(np.log(per_class + 1.0).sum()),
+        "compact": -sum(_xlogx(p) for p in (counts.sum(axis=1) / m).tolist()) - n,
+    }
 
 
 def evaluate_ids(ids, S, L, labels, weights: ObjectiveWeights) -> float:
-    """Objective value of an explicit id set, via a throwaway state: ids are
-    distinct patch positions, and each graph has one node per patch."""
-    state = SelectionState(labels)
-    _check_graph_sizes(state.m, S, L)
-    state.selected = [int(i) for i in ids]
-    for pos, i in enumerate(state.selected):
-        if not 0 <= i < state.m:
-            raise InvalidInputError(f"patch id {i} outside [0, {state.m})")
-        if i in state.selected[:pos]:
-            raise InvalidInputError(f"patch id {i} repeats")
-    # evaluation only reads `selected`/labels, never the incremental caches
-    return evaluate(state, S, L, weights)
+    """The objective at the selection ``ids``: the weighted sum of ``objective_terms``."""
+    t = objective_terms(ids, S, L, labels)
+    return (t["representative"] + weights.lambda_s * t["spatial"]
+            + weights.lambda_d * t["discriminative"] + weights.lambda_b * t["balance"]
+            + weights.lambda_c * t["compact"])
 
 
 # -- greedy drivers ---------------------------------------------------------
@@ -438,9 +405,7 @@ def read_selection_ids(path, n_patches: int) -> list[int]:
 def _greedy_state(patches, S, L, k) -> SelectionState:
     if k < 1:
         raise InvalidInputError(f"K must be >= 1, got {k}")
-    state = SelectionState.for_patches(patches)
-    _check_graph_sizes(state.m, S, L)
-    return state
+    return SelectionState(_checked_labels(PatchSet.of(patches).labels, S, L))
 
 
 def naive_greedy(patches, S, L, weights, k) -> SelectionResult:

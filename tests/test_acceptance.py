@@ -39,20 +39,11 @@ def verdict(n, ok, detail):
 # -- 1: diminishing returns, term by term ---------------------------------------
 
 
-def _term_snapshot(state, S, L):
-    rep = sel.term_representative(state, S)
-    spa = sel.term_spatial(state, L)
-    bal = sel.term_balance(state)
-    com = sel.term_compact(state, S)
-    dis = sel.term_discriminative(state, S)
-    return {
-        "representative": rep,
-        "spatial": spa,
-        "balance": bal,
-        "compact": com,
-        "discriminative": dis,
-        "weighted_sum": rep + spa + bal + com,
-    }
+def _term_snapshot(ids, S, L, labels):
+    terms = sel.objective_terms(ids, S, L, labels)
+    rep, spa = terms["representative"], terms["spatial"]
+    bal, com = terms["balance"], terms["compact"]
+    return {**terms, "weighted_sum": rep + spa + bal + com}
 
 
 def test_criterion_1_diminishing_returns_suite():
@@ -74,21 +65,11 @@ def test_criterion_1_diminishing_returns_suite():
             b = int(rng.integers(2, 23))
             a = int(rng.integers(1, b))
             x = int(perm[b])
-            # one chain pass covers A, B and B+x; a second covers A+x
-            state = sel.SelectionState.for_patches(patches)
-            at_a = at_b = None
-            for t in range(b):
-                state.add(int(perm[t]), S, L)
-                if t + 1 == a:
-                    at_a = _term_snapshot(state, S, L)
-            at_b = _term_snapshot(state, S, L)
-            state.add(x, S, L)
-            at_bx = _term_snapshot(state, S, L)
-            state = sel.SelectionState.for_patches(patches)
-            for t in range(a):
-                state.add(int(perm[t]), S, L)
-            state.add(x, S, L)
-            at_ax = _term_snapshot(state, S, L)
+            chain_a, chain_b = perm[:a].tolist(), perm[:b].tolist()
+            at_a = _term_snapshot(chain_a, S, L, labels)
+            at_b = _term_snapshot(chain_b, S, L, labels)
+            at_bx = _term_snapshot(chain_b + [x], S, L, labels)
+            at_ax = _term_snapshot(chain_a + [x], S, L, labels)
 
             for key in asserted:
                 gain_a = at_ax[key] - at_a[key]

@@ -204,6 +204,12 @@ class TestSrcClassify:
         with pytest.raises(InvalidInputError, match=r"classes \[1\] have none"):
             cl.src_image_accuracy(test, d, tiny_config())
 
+    def test_empty_image_list_rejected(self):
+        eye = np.eye(8)
+        d = Dictionary([Patch(i, eye[i], (0.3, 0.3), i % 2, 0) for i in range(4)])
+        with pytest.raises(InvalidInputError, match="non-empty test image list"):
+            cl.src_image_accuracy([], d, tiny_config())
+
 
 def tiny_dataset():
     return make_spatial_texture(

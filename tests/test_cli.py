@@ -503,6 +503,24 @@ class TestPipeline:
         assert "InvalidConfigError: seed must be a non-negative integer, got -1" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("column", [0, 1, 2], ids=["id", "image_id", "label"])
+    def test_negative_field_names_the_file_and_line(self, texture_dirs, tmp_path, capsys,
+                                                    column):
+        # every row of image 0 gets a negative id, image id or label; its first
+        # row is line 4, after two comment lines and the header
+        csv = texture_dirs / "train_patches.csv"
+        lines = csv.read_text().splitlines(keepends=True)
+        for ln in range(4, len(lines) + 1):
+            fields = lines[ln - 1].split(",")
+            if fields[1] == "0":
+                fields[column] = "-1"
+                lines[ln - 1] = ",".join(fields)
+        csv.write_text("".join(lines))
+        err = run_fail(capsys, ["pipeline", "--train-dir", str(texture_dirs),
+                                "--test-dir", str(texture_dirs), "--out", str(tmp_path / "run"),
+                                *self.PIPE_SETS])
+        assert f"{csv}:4: negative id, image id or label" in err
+
     def test_missing_dir(self, tmp_path, capsys):
         err = run_fail(capsys, ["pipeline", "--train-dir", str(tmp_path / "none"),
                                 "--test-dir", str(tmp_path / "none"),

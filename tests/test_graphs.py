@@ -49,7 +49,7 @@ class TestFeatureAffinity:
         patches = make_patches(5, m=40, dim=3)
         pts = np.array([p.features for p in patches])
         sigma = median_sigma_oracle(pts)
-        got = build_feature_affinity(patches, k_nn=7).to_dense()
+        got = build_feature_affinity(patches, k_nn=7).csr.toarray()
         want = dense_knn_gaussian(pts, 7, sigma)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -57,14 +57,14 @@ class TestFeatureAffinity:
         # 60 patches give 1770 pairs, more than the 1000-pair median sample
         patches = make_patches(6, m=60, dim=3)
         pts = np.array([p.features for p in patches])
-        got = build_feature_affinity(patches, k_nn=5).to_dense()
+        got = build_feature_affinity(patches, k_nn=5).csr.toarray()
         want = dense_knn_gaussian(pts, 5, _median_pairwise_distance(pts))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_k_clipped_to_pool(self):
         patches = make_patches(7, m=5)
         g = build_feature_affinity(patches, k_nn=50)
-        dense = g.to_dense()
+        dense = g.csr.toarray()
         off_diag = dense[~np.eye(5, dtype=bool)]
         assert (off_diag > 0).all()
 
@@ -85,14 +85,14 @@ class TestSpatialAffinity:
     def test_matches_dense_oracle_with_fixed_sigma(self):
         patches = make_patches(10, m=30)
         pts = np.array([p.coord for p in patches])
-        got = build_spatial_affinity(patches, k_nn=6).to_dense()
+        got = build_spatial_affinity(patches, k_nn=6).csr.toarray()
         want = dense_knn_gaussian(pts, 6, 0.25)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_sigma_override(self):
         patches = make_patches(11, m=20)
         pts = np.array([p.coord for p in patches])
-        got = build_spatial_affinity(patches, k_nn=4, sigma=0.1).to_dense()
+        got = build_spatial_affinity(patches, k_nn=4, sigma=0.1).csr.toarray()
         want = dense_knn_gaussian(pts, 4, 0.1)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -108,31 +108,28 @@ class TestGraphStructure:
         return build_feature_affinity(make_patches(12, m=35, dim=4), k_nn=6)
 
     def test_symmetric(self, graph):
-        d = graph.to_dense()
+        d = graph.csr.toarray()
         np.testing.assert_array_equal(d, d.T)
 
     def test_zero_diagonal(self, graph):
-        assert (np.diag(graph.to_dense()) == 0).all()
+        assert (np.diag(graph.csr.toarray()) == 0).all()
 
     def test_nonnegative_bounded(self, graph):
-        d = graph.to_dense()
+        d = graph.csr.toarray()
         assert (d >= 0).all() and (d <= 1.0).all()
 
     def test_row_view_matches_dense(self, graph):
-        d = graph.to_dense()
+        d = graph.csr.toarray()
         for i in range(graph.n):
             idx, val = graph.row(i)
             row = np.zeros(graph.n)
             row[idx] = val
             np.testing.assert_array_equal(row, d[i])
 
-    def test_check_valid_passes(self, graph):
-        graph.check_valid()
-
     def test_median_sample_is_deterministic(self):
         patches = make_patches(13, m=60, dim=3)
-        a = build_feature_affinity(patches, k_nn=5).to_dense()
-        b = build_feature_affinity(patches, k_nn=5).to_dense()
+        a = build_feature_affinity(patches, k_nn=5).csr.toarray()
+        b = build_feature_affinity(patches, k_nn=5).csr.toarray()
         np.testing.assert_array_equal(a, b)
 
 

@@ -77,7 +77,7 @@ def test_stale_keys_bound_every_later_gain(seed, lam, graph):
         S, L = make_graphs(patches, k_nn=6)
     m = len(patches)
     w = sel.ObjectiveWeights(*(lam * rng.uniform(0.0, 2.0, 4)))
-    state = sel.SelectionState.for_patches(patches)
+    state = sel.SelectionState(PatchSet.of(patches).labels)
     keys = np.full(m, np.inf)  # the least key each candidate has had so far
     for e in rng.permutation(m)[:int(rng.integers(1, m))]:
         pool = np.flatnonzero(~state.is_selected)
@@ -103,7 +103,7 @@ def test_batched_gains_equal_one_candidate_gains(seed, n_committed):
     S, L = make_graphs(patches, k_nn=6)
     for w in WEIGHTS:
         rng = np.random.default_rng([seed, n_committed])
-        state = sel.SelectionState.for_patches(patches)
+        state = sel.SelectionState(PatchSet.of(patches).labels)
         # exemplars from the upper half leave candidates below the lowest selected id
         for e in rng.choice(np.arange(25, 50), size=n_committed, replace=False):
             state.add(int(e), S, L)
@@ -128,7 +128,7 @@ def test_empty_rows_score_only_their_balance_term():
     patches = [Patch(i, np.zeros(2), (0.5, 0.5), i % 2, 0) for i in range(5)]
     balance = SUBMODULAR.lambda_b * (np.log(2.0) - np.log(1.0))
     for w in (SUBMODULAR, sel.ObjectiveWeights()):
-        state = sel.SelectionState.for_patches(patches)
+        state = sel.SelectionState(PatchSet.of(patches).labels)
         for committed in (None, 1):
             if committed is not None:
                 state.add(committed, S, S)
@@ -156,15 +156,16 @@ def test_stored_zero_affinity_is_not_a_tie():
     assert S.csr.nnz == 8
     patches = [Patch(i, np.zeros(2), (0.5, 0.5), i % 2, 0) for i in range(5)]
     w = sel.ObjectiveWeights()
-    state = sel.SelectionState.for_patches(patches)
+    state = sel.SelectionState(PatchSet.of(patches).labels)
     for e in (2, 0):
         state.add(e, S, S)
         batch = np.flatnonzero(~state.is_selected)
         np.testing.assert_allclose(state.gains(batch, S, S, w),
                                    scratch_gains(state, batch, S, S, w), rtol=0, atol=1e-9)
-        np.testing.assert_array_equal(
-            state.cluster_counts[sorted(state.selected)],
-            sel._cluster_counts(state.selected, S, state.labels, state.n_classes))
+        # from scratch: each patch counted at its first best exemplar in id order
+        scratch = np.zeros((len(state.selected), state.n_classes), dtype=np.int64)
+        np.add.at(scratch, (sel._best_rows(S, state.selected)[1], state.labels), 1)
+        np.testing.assert_array_equal(state.cluster_counts[sorted(state.selected)], scratch)
 
 
 def test_batched_lazy_equals_naive_exactly(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import saco.selection as sel
-from saco.data import Patch
+from saco.data import Patch, PatchSet
 from saco.errors import InvalidInputError
 from saco.graphs import AffinityGraph
 
@@ -17,11 +17,15 @@ def graph_from_dense(W):
     return AffinityGraph(sp.csr_matrix(np.asarray(W, dtype=np.float64)))
 
 
-def state_with(patches, S, L, ids, n_classes=3):
-    st = sel.SelectionState.for_patches(patches, n_classes=n_classes)
+def state_with(patches, S, L, ids):
+    st = sel.SelectionState(PatchSet.of(patches).labels)
     for e in ids:
         st.add(e, S, L)
     return st
+
+
+def terms(patches, S, L, ids):
+    return sel.objective_terms(ids, S, L, PatchSet.of(patches).labels)
 
 
 def dense_terms(S_dense, L_dense, labels, ids, n_classes):
@@ -53,35 +57,33 @@ def dense_terms(S_dense, L_dense, labels, ids, n_classes):
 class TestFrozenValues:
     def test_empty_set_is_zero(self, small_instance):
         patches, S, L = small_instance
-        st = sel.SelectionState.for_patches(patches, n_classes=3)
-        assert sel.term_representative(st, S) == 0.0
-        assert sel.term_spatial(st, L) == 0.0
-        assert sel.term_discriminative(st, S) == 0.0
-        assert sel.term_balance(st) == 0.0
-        assert sel.term_compact(st, S) == 0.0
-        assert sel.evaluate(st, S, L, sel.ObjectiveWeights()) == 0.0
+        t = terms(patches, S, L, [])
+        assert t["representative"] == 0.0
+        assert t["spatial"] == 0.0
+        assert t["discriminative"] == 0.0
+        assert t["balance"] == 0.0
+        assert t["compact"] == 0.0
+        labels = PatchSet.of(patches).labels
+        assert sel.evaluate_ids([], S, L, labels, sel.ObjectiveWeights()) == 0.0
 
     def test_all_ones_similarity_single_exemplar(self):
         W = np.ones((5, 5)) - np.eye(5)
         patches = [Patch(i, np.zeros(2), (0.5, 0.5), 0, 0) for i in range(5)]
         S = graph_from_dense(W)
-        st = state_with(patches, S, S, [2])
         # the exemplar's own row has a zero diagonal, so its self-similarity
         # contributes 0 and the other four patches contribute 1 each
-        assert sel.term_representative(st, S) == pytest.approx(4.0)
+        assert terms(patches, S, S, [2])["representative"] == pytest.approx(4.0)
 
     def test_balance_single_exemplar_log2(self, small_instance):
         patches, S, L = small_instance
-        st = state_with(patches, S, L, [0])
-        assert sel.term_balance(st) == pytest.approx(math.log(2.0))
+        assert terms(patches, S, L, [0])["balance"] == pytest.approx(math.log(2.0))
 
     def test_balance_counts_2_3_1(self):
         labels = [0, 0, 1, 1, 1, 2]
         patches = [Patch(i, np.eye(6)[i], (0.5, 0.5), labels[i], 0) for i in range(6)]
         S, L = make_graphs(patches, k_nn=5)
-        st = state_with(patches, S, L, list(range(6))[:6], n_classes=3)
         # select all six: per-class exemplar counts (2, 3, 1)
-        assert sel.term_balance(st) == pytest.approx(
+        assert terms(patches, S, L, list(range(6)))["balance"] == pytest.approx(
             math.log(3) + math.log(4) + math.log(2)
         )
 
@@ -94,8 +96,7 @@ class TestFrozenValues:
         labels = [0] * 4 + [1] * 4
         patches = [Patch(i, np.zeros(1), (0.5, 0.5), labels[i], 0) for i in range(8)]
         S = graph_from_dense(W)
-        st = state_with(patches, S, S, [0, 4], n_classes=2)
-        assert sel.term_discriminative(st, S) == pytest.approx(1.0 - 2.0)
+        assert terms(patches, S, S, [0, 4])["discriminative"] == pytest.approx(1.0 - 2.0)
 
     def test_discriminative_60_40_split(self):
         m = 100
@@ -103,17 +104,15 @@ class TestFrozenValues:
         W = np.ones((m, m)) - np.eye(m)
         patches = [Patch(i, np.zeros(1), (0.5, 0.5), labels[i], 0) for i in range(m)]
         S = graph_from_dense(W)
-        st = state_with(patches, S, S, [0], n_classes=2)
-        assert sel.term_discriminative(st, S) == pytest.approx(0.6 - 1.0)
+        assert terms(patches, S, S, [0])["discriminative"] == pytest.approx(0.6 - 1.0)
 
     def test_compact_single_cluster(self):
         m = 10
         W = np.ones((m, m)) - np.eye(m)
         patches = [Patch(i, np.zeros(1), (0.5, 0.5), 0, 0) for i in range(m)]
         S = graph_from_dense(W)
-        st = state_with(patches, S, S, [3], n_classes=1)
         # one cluster holding every patch: entropy 0, |A| = 1
-        assert sel.term_compact(st, S) == pytest.approx(-1.0)
+        assert terms(patches, S, S, [3])["compact"] == pytest.approx(-1.0)
 
     def test_compact_even_split(self):
         # two exemplars, each covering exactly half the patches
@@ -125,8 +124,7 @@ class TestFrozenValues:
         W = np.maximum(W, W.T)
         patches = [Patch(i, np.zeros(1), (0.5, 0.5), 0, 0) for i in range(6)]
         S = graph_from_dense(W)
-        st = state_with(patches, S, S, [0, 3], n_classes=1)
-        assert sel.term_compact(st, S) == pytest.approx(math.log(2.0) - 2.0)
+        assert terms(patches, S, S, [0, 3])["compact"] == pytest.approx(math.log(2.0) - 2.0)
 
 
 class TestDenseOracle:
@@ -137,13 +135,13 @@ class TestDenseOracle:
         S, L = make_graphs(patches, k_nn=6)
         n_sel = int(rng.integers(1, 9))
         ids = sorted(int(i) for i in rng.choice(30, size=n_sel, replace=False))
-        st = state_with(patches, S, L, ids)
-        want = dense_terms(S.to_dense(), L.to_dense(), [p.label for p in patches], ids, 3)
-        assert sel.term_representative(st, S) == pytest.approx(want["rep"], abs=1e-12)
-        assert sel.term_spatial(st, L) == pytest.approx(want["spa"], abs=1e-12)
-        assert sel.term_discriminative(st, S) == pytest.approx(want["dis"], abs=1e-12)
-        assert sel.term_balance(st) == pytest.approx(want["bal"], abs=1e-12)
-        assert sel.term_compact(st, S) == pytest.approx(want["com"], abs=1e-12)
+        t = terms(patches, S, L, ids)
+        want = dense_terms(S.csr.toarray(), L.csr.toarray(), [p.label for p in patches], ids, 3)
+        assert t["representative"] == pytest.approx(want["rep"], abs=1e-12)
+        assert t["spatial"] == pytest.approx(want["spa"], abs=1e-12)
+        assert t["discriminative"] == pytest.approx(want["dis"], abs=1e-12)
+        assert t["balance"] == pytest.approx(want["bal"], abs=1e-12)
+        assert t["compact"] == pytest.approx(want["com"], abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_state_invariants_after_adds(self, seed):
@@ -152,7 +150,7 @@ class TestDenseOracle:
         S, L = make_graphs(patches, k_nn=6)
         ids = [int(i) for i in rng.choice(25, size=6, replace=False)]
         st = state_with(patches, S, L, ids)
-        Sd, Ld = S.to_dense(), L.to_dense()
+        Sd, Ld = S.csr.toarray(), L.csr.toarray()
         sorted_ids = sorted(ids)
         np.testing.assert_allclose(st.best_feature_sim, Sd[sorted_ids].max(axis=0))
         np.testing.assert_allclose(st.best_spatial_sim, Ld[sorted_ids].max(axis=0))
@@ -196,7 +194,7 @@ class TestMarginalGain:
             lambda_b=float(rng.uniform(0, 2)),
             lambda_c=float(rng.uniform(0, 2)),
         )
-        st = sel.SelectionState.for_patches(patches, n_classes=3)
+        st = sel.SelectionState(labels)
         selected = []
         for e in [int(i) for i in rng.choice(28, size=7, replace=False)]:
             before = sel.evaluate_ids(selected, S, L, labels, w)
@@ -230,7 +228,8 @@ class TestEvaluateIds:
         ([0, -1], r"patch id -1 outside \[0, 30\)"),
         ([0, 31], r"patch id 31 outside \[0, 30\)"),
         ([3, 3], r"patch id 3 repeats"),
-    ], ids=["negative", "out-of-range", "repeated"])
+        ([0, 2.7], r"patch id 2.7 is not an integer"),
+    ], ids=["negative", "out-of-range", "repeated", "non-integer"])
     def test_bad_id_is_named(self, instance, ids, message):
         S, L, labels = instance
         with pytest.raises(InvalidInputError, match=message):
@@ -264,5 +263,6 @@ class TestObjectiveWeights:
     def test_zero_weights_reduce_to_representative(self, small_instance):
         patches, S, L = small_instance
         w = sel.ObjectiveWeights(0.0, 0.0, 0.0, 0.0)
-        st = state_with(patches, S, L, [1, 7])
-        assert sel.evaluate(st, S, L, w) == pytest.approx(sel.term_representative(st, S))
+        labels = PatchSet.of(patches).labels
+        assert sel.evaluate_ids([1, 7], S, L, labels, w) == pytest.approx(
+            terms(patches, S, L, [1, 7])["representative"])

@@ -13,15 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import saco.selection as sel
+from saco.data import PatchSet
 from conftest import make_graphs, make_patches
 
-TERMS = {
-    "representative": lambda state, S, L: sel.term_representative(state, S),
-    "spatial": lambda state, S, L: sel.term_spatial(state, L),
-    "balance": lambda state, S, L: sel.term_balance(state),
-    "discriminative": lambda state, S, L: sel.term_discriminative(state, S),
-    "compact": lambda state, S, L: sel.term_compact(state, S),
-}
 ASSERTED = ("balance", "representative", "spatial")
 
 
@@ -32,10 +26,7 @@ def _instance(seed, m=18):
 
 
 def _term_value(term, ids, patches, S, L):
-    state = sel.SelectionState.for_patches(patches)
-    for e in ids:
-        state.add(e, S, L)
-    return TERMS[term](state, S, L)
+    return sel.objective_terms(ids, S, L, PatchSet.of(patches).labels)[term]
 
 
 def _random_chain(rng, m):
