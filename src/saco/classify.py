@@ -246,6 +246,7 @@ def run_pipeline(train_images, test_images, cfg: PipelineConfig) -> PipelineResu
         S, L = _stage("graphs", _graphs)
         weights = ObjectiveWeights(cfg.lambda_s, cfg.lambda_d, cfg.lambda_b, cfg.lambda_c)
         selection = _stage("select", lazy_greedy, candidates, S, L, weights, cfg.dict_size)
+        del S, L  # coding needs only the chosen ids
         chosen = selection.ids
     else:
         rng = np.random.default_rng([cfg.seed, 1])

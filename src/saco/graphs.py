@@ -25,12 +25,16 @@ directly.  Two paths find the neighbours:
 Both paths give the same sparsity pattern; the tree's direct d^2 moves
 graph values by at most ~1e-14 from the expansion's.  Both take their
 rows in blocks sized in doubles: a block's largest temporary holds at
-most ``KNN_BLOCK_DOUBLES`` (2^20, 8 MiB), so a dense block has
-KNN_BLOCK_DOUBLES // m rows (145 at m = 7200) and a block of the tree
-path's d^2 gather KNN_BLOCK_DOUBLES // ((k + 2) p).  A dense row's
-neighbours come in ascending column order and do not depend on the
-block size; its expansion values can, in the last bits, since numpy
-hands a one-row product to gemv and a whole X @ X.T to syrk.
+most ``KNN_BLOCK_DOUBLES`` (2^18, 2 MiB), so a dense block has
+KNN_BLOCK_DOUBLES // m rows (36 at m = 7200), ranked in two buffers
+allocated once per graph, and a tree block KNN_BLOCK_DOUBLES //
+((k + 2) p), queried, gathered and ranked on its own.  Each block writes
+its rows into preallocated (m, k) outputs, neighbours in ascending
+column order, and the graph's CSR arrays are those outputs as they are;
+only the graph and its symmetrization grow with m.  A row's neighbours
+do not depend on the block size; its dense expansion values can, in the
+last bits, since numpy hands a one-row product to gemv and a whole
+X @ X.T to syrk.
 
 At m = 7200, k = 50 on Gaussian points (one thread, medians of 5), the
 tree takes 0.51 s against the dense path's 0.61 s at p = 7, 0.60 s
@@ -41,6 +45,8 @@ hence the threshold.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -50,9 +56,9 @@ from .errors import DegenerateInputError, InvalidInputError
 MEDIAN_SAMPLE_PAIRS = 1000
 # points of at most this many dimensions get their neighbours from a k-d tree
 TREE_MAX_DIM = 8
-# doubles (8 MiB) in the largest temporary of one block of rows: (rows, m) on
+# doubles (2 MiB) in the largest temporary of one block of rows: (rows, m) on
 # the dense path, (rows, k + 2, p) in the tree path's d^2 gather
-KNN_BLOCK_DOUBLES = 1 << 20
+KNN_BLOCK_DOUBLES = 1 << 18
 _EPS = np.finfo(np.float64).eps
 
 
@@ -130,7 +136,7 @@ def _ranked(X: np.ndarray, rows: np.ndarray, cand: np.ndarray, k: int):
     return cand[take], d2[take]
 
 
-def _coinciding(X: np.ndarray, flagged: np.ndarray, reach: np.ndarray, lo: int = 0):
+def _coinciding(X: np.ndarray, flagged: np.ndarray, reach: np.ndarray, lo: int):
     """Flagged rows of a block from row ``lo``, grouped by point and reach to share a ranking."""
     groups = {}
     for r in np.flatnonzero(flagged):
@@ -138,8 +144,14 @@ def _coinciding(X: np.ndarray, flagged: np.ndarray, reach: np.ndarray, lo: int =
     return map(np.array, groups.values())
 
 
-def _tree_knn(X: np.ndarray, k: int):
-    """(cols, d^2), each (m, k), by the tie rule, from a k-d tree.
+def _by_column(cols: np.ndarray, vals: np.ndarray):
+    """``cols`` and ``vals`` with each row's entries in ascending column order."""
+    order = np.argsort(cols, axis=1)
+    return np.take_along_axis(cols, order, 1), np.take_along_axis(vals, order, 1)
+
+
+def _tree_block(X: np.ndarray, tree, lo: int, hi: int, k: int):
+    """(cols, d^2) of rows lo..hi-1 by the tie rule, from the k-d tree ``tree``.
 
     The tree returns the k + 2 points nearest each row, self usually
     among them; their d^2 is recomputed directly.  When another of them
@@ -148,41 +160,53 @@ def _tree_knn(X: np.ndarray, k: int):
     which holds every point at least as close as its k-th.  Coinciding
     flagged rows share one ball, which holds all of them.
     """
-    from scipy.spatial import cKDTree  # lazy: importing it costs ~0.12 s
-
-    m, p = X.shape
-    tree = cKDTree(X)
-    _, cand = tree.query(X, k=min(k + 2, m))
-    rows = _block_rows(cand.shape[1] * p)
-    d2 = np.concatenate([_sq_dist(X, np.arange(lo, min(lo + rows, m))[:, None],
-                                  cand[lo:lo + rows]) for lo in range(0, m, rows)])
-    d2[cand == np.arange(m)[:, None]] = np.inf  # self goes by index, not by position
+    p = X.shape[1]
+    own = np.arange(lo, hi)[:, None]
+    cand = tree.query(X[lo:hi], k=min(k + 2, len(X)))[1]  # its distances are not kept
+    d2 = _sq_dist(X, own, cand)
+    d2[cand == own] = np.inf  # self goes by index, not by position
     pos, vals, nxt = _smallest(d2, k)
     cols = np.take_along_axis(cand, pos, 1)
     # the tree's distances and direct d^2 differ by rounding alone
     reach = vals.max(axis=1) * (1.0 + 8.0 * (p + 3) * _EPS)
-    for rows in _coinciding(X, nxt <= reach, reach):
-        ball = tree.query_ball_point(X[rows[0]], np.sqrt(reach[rows[0]]), return_sorted=True)
-        cols[rows], vals[rows] = _ranked(X, rows, np.asarray(ball), k)
+    for rows in _coinciding(X, nxt <= reach, reach, lo):
+        ball = tree.query_ball_point(X[lo + rows[0]], np.sqrt(reach[rows[0]]), return_sorted=True)
+        cols[rows], vals[rows] = _ranked(X, lo + rows, np.asarray(ball), k)
+    return _by_column(cols, vals)
+
+
+def _tree_knn(X: np.ndarray, k: int):
+    """(cols, d^2), each (m, k), by the tie rule, from a k-d tree queried in blocks of rows.
+
+    Each row's neighbours come in ascending column order.
+    """
+    from scipy.spatial import cKDTree  # lazy: importing it costs ~0.12 s
+
+    m, p = X.shape
+    tree = cKDTree(X)
+    cols, vals = np.empty((m, k), dtype=np.int32), np.empty((m, k))
+    rows = _block_rows(min(k + 2, m) * p)
+    for lo in range(0, m, rows):
+        hi = min(lo + rows, m)
+        cols[lo:hi], vals[lo:hi] = _tree_block(X, tree, lo, hi, k)
     return cols, vals
 
 
-def _dense_block(X: np.ndarray, sq: np.ndarray, err: np.ndarray, lo: int, hi: int, k: int):
+def _dense_block(X: np.ndarray, sq: np.ndarray, err: np.ndarray, lo: int, hi: int, k: int,
+                 d2: np.ndarray, g: np.ndarray):
     """(cols, d^2) of rows lo..hi-1 by the tie rule, from one dense block.
 
-    The expansion |x|^2 + |y|^2 - 2 x.y ranks the block.  When another
-    value lies within twice a row's rounding bound ``err`` of its k-th,
-    the row's boundary may tie: it is re-ranked by direct d^2 over every
-    point in that window (coinciding rows: over the union of their windows,
-    which holds each of them, as their expansion d^2 is within ``err`` of 0).
-    Each (hi - lo, m) temporary is dropped as soon as it is used, so at
-    most two are alive at once.
+    The expansion |x|^2 + |y|^2 - 2 x.y ranks the block, written into the
+    (hi - lo, m) buffers ``d2`` and ``g``.  When another value lies within
+    twice a row's rounding bound ``err`` of its k-th, the row's boundary
+    may tie: it is re-ranked by direct d^2 over every point in that window
+    (coinciding rows: over the union of their windows, which holds each of
+    them, as their expansion d^2 is within ``err`` of 0).
     """
-    d2 = sq[lo:hi, None] + sq[None, :]
-    g = X[lo:hi] @ X.T
+    np.add(sq[lo:hi, None], sq[None, :], out=d2)
+    np.matmul(X[lo:hi], X.T, out=g)
     g *= 2.0
     d2 -= g
-    del g
     np.maximum(d2, 0.0, out=d2)
     d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
     cols, vals, nxt = _smallest(d2, k)
@@ -190,15 +214,16 @@ def _dense_block(X: np.ndarray, sq: np.ndarray, err: np.ndarray, lo: int, hi: in
     for rows in _coinciding(X, nxt <= reach, reach, lo):
         window = (d2[rows] <= reach[rows, None]).any(axis=0)
         cols[rows], vals[rows] = _ranked(X, lo + rows, np.flatnonzero(window), k)
-    order = np.argsort(cols, axis=1)  # by column, whatever order the rows were found in
-    return np.take_along_axis(cols, order, 1), np.take_along_axis(vals, order, 1)
+    return _by_column(cols, vals)  # whatever order the rows were found in
 
 
 def _dense_knn(X: np.ndarray, k: int):
     """(cols, d^2), each (m, k), by the tie rule, from dense blocks of rows.
 
     Each row's neighbours come in ascending column order, so the columns
-    do not depend on the block size.
+    do not depend on the block size.  Every block reuses two (rows, m)
+    buffers: fresh ones per block would each be mapped, faulted in and
+    returned to the system again.
     """
     m, p = X.shape
     sq = np.einsum("ij,ij->i", X, X)
@@ -206,11 +231,12 @@ def _dense_knn(X: np.ndarray, k: int):
     err = 6.0 * (p + 2) * _EPS * (sq + sq.max())
     # the outputs exist before the first block, so no array that outlives a
     # block is placed in the space its temporaries free (peak RSS grows if so)
-    cols, vals = np.empty((m, k), dtype=np.intp), np.empty((m, k))
-    rows = _block_rows(m)
+    cols, vals = np.empty((m, k), dtype=np.int32), np.empty((m, k))
+    rows = min(_block_rows(m), m)
+    d2, g = np.empty((rows, m)), np.empty((rows, m))
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
-        cols[lo:hi], vals[lo:hi] = _dense_block(X, sq, err, lo, hi, k)
+        cols[lo:hi], vals[lo:hi] = _dense_block(X, sq, err, lo, hi, k, d2[:hi - lo], g[:hi - lo])
     return cols, vals
 
 
@@ -218,11 +244,24 @@ def _knn_gaussian(X: np.ndarray, k_nn: int, sigma: float) -> sp.csr_matrix:
     m, p = X.shape
     k = min(k_nn, m - 1)
     cols, d2 = (_tree_knn if p <= TREE_MAX_DIM else _dense_knn)(X, k)
-    mat = sp.coo_matrix(
-        (np.exp(-d2.ravel() / (2.0 * sigma * sigma)), (np.arange(m).repeat(k), cols.ravel())),
-        shape=(m, m),
-    ).tocsr()
+    # every row holds k distinct columns in ascending order: the CSR arrays as they are
+    data = d2.reshape(-1)
+    np.negative(data, out=data)
+    data /= 2.0 * sigma * sigma
+    np.exp(data, out=data)
+    mat = sp.csr_matrix((data, cols.reshape(-1), np.arange(0, m * k + 1, k)), shape=(m, m))
     return mat.maximum(mat.T)
+
+
+def _checked_patches(patches, k_nn) -> PatchSet:
+    """``patches`` as a ``PatchSet`` of at least 2, once ``k_nn`` is an integer >= 1."""
+    if len(patches) < 2:
+        raise InvalidInputError(f"need at least 2 patches, got {len(patches)}")
+    if isinstance(k_nn, bool) or not isinstance(k_nn, numbers.Integral):
+        raise InvalidInputError(f"k_nn must be an integer, got {k_nn!r}")
+    if k_nn < 1:
+        raise InvalidInputError(f"k_nn must be >= 1, got {k_nn}")
+    return PatchSet.of(patches)
 
 
 def build_feature_affinity(patches, k_nn=50) -> AffinityGraph:
@@ -230,11 +269,7 @@ def build_feature_affinity(patches, k_nn=50) -> AffinityGraph:
 
     The bandwidth is the median pairwise distance of a 1000-pair sample.
     """
-    if len(patches) < 2:
-        raise InvalidInputError(f"need at least 2 patches, got {len(patches)}")
-    if k_nn < 1:
-        raise InvalidInputError(f"k_nn must be >= 1, got {k_nn}")
-    X = PatchSet.of(patches).features
+    X = _checked_patches(patches, k_nn).features
     bw = _median_pairwise_distance(X)
     if bw <= 0.0:
         raise DegenerateInputError(f"kernel bandwidth sigma={bw} is unusable")
@@ -243,10 +278,7 @@ def build_feature_affinity(patches, k_nn=50) -> AffinityGraph:
 
 def build_spatial_affinity(patches, k_nn=50, sigma=0.25) -> AffinityGraph:
     """kNN Gaussian affinity over normalized patch coordinates."""
-    if len(patches) < 2:
-        raise InvalidInputError(f"need at least 2 patches, got {len(patches)}")
-    if k_nn < 1:
-        raise InvalidInputError(f"k_nn must be >= 1, got {k_nn}")
+    coords = _checked_patches(patches, k_nn).coords
     if not 0.0 < sigma < np.inf:
         raise DegenerateInputError(f"spatial sigma={sigma} is unusable")
-    return AffinityGraph(_knn_gaussian(PatchSet.of(patches).coords, k_nn, float(sigma)))
+    return AffinityGraph(_knn_gaussian(coords, k_nn, float(sigma)))

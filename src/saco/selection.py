@@ -32,19 +32,22 @@ would join the candidate's cluster, only shrinks as the selection
 grows, q = |moved| / M and H_b is the binary entropy.
 
 ``SelectionState.gains`` is the one scorer, in every weight regime.  It
-scores a batch of candidates in one vectorized pass over the CSR rows
-of the two graphs, and a candidate's gain never depends on the rest of
-its batch.  Naive greedy scores the whole pool at once; lazy greedy
-re-scores up to ``_RESCORE_BATCH`` stale heap entries per call (the
-exact half of "lazier than lazy" greedy).  Evaluation counts include
-every candidate scored, so a lazy run counts slightly more than one
-re-scoring entries one at a time.
+scores a batch of candidates in vectorized passes over the CSR rows of
+the two graphs, one block of candidates at a time, so no gathered array
+holds more than ``graphs.KNN_BLOCK_DOUBLES`` entries; a candidate's gain
+never depends on the rest of its batch or on the block size.  Naive
+greedy scores the whole pool each round, as does lazy greedy's first
+call; later lazy calls re-score up to ``_RESCORE_BATCH`` stale heap
+entries (the exact half of "lazier than lazy" greedy).  Evaluation
+counts include every candidate scored, so a lazy run counts slightly
+more than one re-scoring entries one at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -52,6 +55,7 @@ import numpy as np
 
 from .data import PatchSet, read_csv_rows, write_lines
 from .errors import InvalidInputError
+from .graphs import KNN_BLOCK_DOUBLES
 
 SELECTION_CSV_HEADER = "step,patch_id,gain,evaluations"
 # stale heap entries ``lazy_greedy`` re-scores per call: at 32 the evaluation
@@ -120,16 +124,17 @@ def _entropy_gain_bounds(xlogx):
     return h + (k + 2) * (10.0 + 2.0 * math.log(m)) * (np.finfo(np.float64).eps / 2) - 1.0
 
 
-def _coverage_gains(graph, rows: np.ndarray, best: np.ndarray) -> np.ndarray:
-    """Facility-location gain sum_j max(A_ij - best_j, 0) of each row i in ``rows``.
+def _coverage_gains(entries, best: np.ndarray) -> np.ndarray:
+    """Facility-location gain sum_j max(A_ij - best_j, 0) of each row i of ``entries``,
+    as ``_row_entries`` gathers them.
 
     Each row sums only its own entries, so a candidate's value does not
     depend on the rest of the batch.
     """
-    lengths, idx, val = _row_entries(graph, rows)
+    lengths, idx, val = entries
     gap = val - best[idx]
     np.maximum(gap, 0.0, out=gap)
-    out = np.zeros(len(rows))
+    out = np.zeros(len(lengths))
     # reduceat returns the element at a repeated offset, not 0: skip empty rows
     filled = lengths > 0
     if filled.any():
@@ -174,9 +179,9 @@ class SelectionState:
     def gains(self, B, S, L, weights: ObjectiveWeights) -> np.ndarray:
         """Marginal gains of the unselected candidates ``B`` (1-D ids), in order.
 
-        The batch is scored in one vectorized pass over the CSR rows of
-        the two graphs.  A candidate's gain depends only on its own rows,
-        never on the rest of the batch.
+        The batch is scored in blocks of vectorized passes over the CSR
+        rows of the two graphs.  A candidate's gain depends only on its
+        own rows, never on the rest of the batch or on the blocks.
         """
         return self._scored(B, S, L, weights)[0]
 
@@ -187,25 +192,44 @@ class SelectionState:
         Coverage, spatial and balance gains only shrink, in floats too; the
         bounds replace the purity and entropy gains by ``_cluster_gains``'s
         bounds and sum in the same order, and rounding is monotone.
+
+        ``B`` is scored in blocks of consecutive candidates: a block holds
+        ``KNN_BLOCK_DOUBLES`` // w of them, w the most stored entries one
+        candidate has in the graphs it reads, so no gathered array exceeds
+        ``KNN_BLOCK_DOUBLES`` entries.
         """
         B = np.asarray(B, dtype=np.int64)
-        cover = _coverage_gains(S, B, self.best_feature_sim)
-        spatial = _coverage_gains(L, B, self.best_spatial_sim) if weights.lambda_s else None
-        balance = None
+        graphs = (S, L) if weights.lambda_s else (S,)
+        width = sum(g.csr.indptr[B + 1] - g.csr.indptr[B] for g in graphs)
+        rows = max(1, KNN_BLOCK_DOUBLES // max(1, int(width.max(initial=0))))
+        gain_b = None
         if weights.lambda_b:
             # math.log per class: numpy's log can differ in the last bit
             n_sel = self.per_class_selected.tolist()
             gain_b = np.array([math.log(n + 2.0) - math.log(n + 1.0) for n in n_sel])
-            balance = gain_b[self.labels[B]]
+        gains, bounds = np.empty(len(B)), np.empty(len(B))
+        for lo in range(0, len(B), rows):
+            block = slice(lo, lo + rows)
+            gains[block], bounds[block] = self._scored_block(B[block], S, L, weights, gain_b)
+        return gains, bounds
+
+    def _scored_block(self, B, S, L, weights: ObjectiveWeights, gain_b):
+        """``_scored`` of one block, from one gather of its feature-graph rows."""
+        entries = _row_entries(S, B)
+        cover = _coverage_gains(entries, self.best_feature_sim)
+        spatial = (_coverage_gains(_row_entries(L, B), self.best_spatial_sim)
+                   if weights.lambda_s else None)
+        balance = None if gain_b is None else gain_b[self.labels[B]]
         if not (weights.lambda_d or weights.lambda_c):
             total = _weighted_sum(weights, cover, spatial, None, balance, None)
             return total, total
-        gain_d, gain_c, bound_d, bound_c = self._cluster_gains(B, S)
+        gain_d, gain_c, bound_d, bound_c = self._cluster_gains(B, entries)
         return (_weighted_sum(weights, cover, spatial, gain_d, balance, gain_c),
                 _weighted_sum(weights, cover, spatial, bound_d, balance, bound_c))
 
-    def _cluster_gains(self, B, S):
-        """Purity and entropy gains of the candidates ``B``, and bounds on both.
+    def _cluster_gains(self, B, entries):
+        """Purity and entropy gains of the candidates ``B``, and bounds on both;
+        ``entries`` are their feature-graph rows as ``_row_entries`` gathers them.
 
         A candidate takes over the patches it improves or ties at a lower
         id than their owner, plus the zero-affinity mass if it would be
@@ -221,7 +245,7 @@ class SelectionState:
             # one cluster of every patch: the pool's purity, zero entropy
             purity = np.full(n, self.uncovered_counts.max() / m - 1.0)
             return purity, np.full(n, -1.0), purity, np.full(n, self._entropy_bound[m])
-        lengths, idx, val = _row_entries(S, B)
+        lengths, idx, val = entries
         old = self.best_feature_sim[idx]
         seg = np.repeat(np.arange(n), lengths)
         owner = self.cluster_of[idx]
@@ -304,10 +328,21 @@ def _best_rows(G, ids):
 
 
 def _checked_labels(labels, S, L) -> np.ndarray:
-    """``labels`` as a 1-D int64 array of class ids >= 0, one per node of each graph."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1 or len(labels) == 0:
+    """``labels`` as a 1-D int64 array of class ids >= 0, one per node of each graph.
+
+    A label must be a whole number; errors name the position of the first
+    one that is not.
+    """
+    raw = np.asarray(labels)
+    if raw.ndim != 1 or len(raw) == 0:
         raise InvalidInputError("labels must be a non-empty 1-D sequence")
+    if raw.dtype.kind not in "iu":
+        whole = (np.isfinite(raw) & (raw == np.floor(raw)) if raw.dtype.kind == "f"
+                 else np.zeros(len(raw), dtype=bool))
+        if not whole.all():
+            pos = int(np.argmin(whole))
+            raise InvalidInputError(f"label {raw[pos].item()!r} at position {pos} is not an integer")
+    labels = raw.astype(np.int64)
     if labels.min() < 0:
         raise InvalidInputError("negative class label")
     if S.n != len(labels) or L.n != len(labels):
@@ -403,6 +438,8 @@ def read_selection_ids(path, n_patches: int) -> list[int]:
 
 
 def _greedy_state(patches, S, L, k) -> SelectionState:
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise InvalidInputError(f"K must be an integer, got {k!r}")
     if k < 1:
         raise InvalidInputError(f"K must be >= 1, got {k}")
     return SelectionState(_checked_labels(PatchSet.of(patches).labels, S, L))

@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -79,6 +80,14 @@ class TestFeatureAffinity:
         patches = make_patches(9, m=1)
         with pytest.raises(InvalidInputError):
             build_feature_affinity(patches, k_nn=3)
+
+
+@pytest.mark.parametrize("build", [build_feature_affinity, build_spatial_affinity],
+                         ids=["feature", "spatial"])
+@pytest.mark.parametrize("k_nn", [2.5, True, "3"])
+def test_k_nn_must_be_an_integer(build, k_nn):
+    with pytest.raises(InvalidInputError, match=re.escape(f"k_nn must be an integer, got {k_nn!r}")):
+        build(make_patches(9, m=20), k_nn=k_nn)
 
 
 class TestSpatialAffinity:
@@ -241,14 +250,14 @@ def test_block_size_leaves_neighbours_unchanged(name, monkeypatch):
 
 
 def test_dense_blocks_are_counted_in_doubles(monkeypatch):
-    """A dense block holds KNN_BLOCK_DOUBLES // m rows: 145 at m = 7200 for 2^20 doubles."""
-    assert graphs._block_rows(7200) == 145
+    """A dense block holds KNN_BLOCK_DOUBLES // m rows: 36 at m = 7200 for 2^18 doubles."""
+    assert graphs._block_rows(7200) == 36
     blocks = []
     dense_block = graphs._dense_block
 
-    def spy(X, sq, err, lo, hi, k):
+    def spy(X, sq, err, lo, hi, k, *buffers):
         blocks.append(hi - lo)
-        return dense_block(X, sq, err, lo, hi, k)
+        return dense_block(X, sq, err, lo, hi, k, *buffers)
 
     monkeypatch.setattr(graphs, "_dense_block", spy)
     monkeypatch.setattr(graphs, "KNN_BLOCK_DOUBLES", 10 * 300 + 299)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -184,6 +186,65 @@ def test_batched_lazy_equals_naive_exactly(monkeypatch):
     assert one_by_one.n_evaluations < lazy.n_evaluations < naive.n_evaluations
 
 
+@pytest.mark.parametrize("w", WEIGHTS, ids=["default", "random", "submodular"])
+def test_block_size_leaves_selection_unchanged(w, monkeypatch):
+    """Blocks of 1 or 7 candidates or the whole pool: the same ids, gains and counts.
+
+    A block holds KNN_BLOCK_DOUBLES // width candidates, width the most
+    stored entries one candidate has in the graphs it reads.
+    """
+    patches = make_patches(8, m=120, clustered=True)
+    S, L = make_graphs(patches, k_nn=8)
+    width = int((np.diff(S.csr.indptr) + np.diff(L.csr.indptr)).max())
+    scored_block = sel.SelectionState._scored_block
+    results = {}
+    for rows in (1, 7, len(patches)):
+        blocks = []
+
+        def spy(state, B, *args):
+            blocks.append(len(B))
+            return scored_block(state, B, *args)
+
+        monkeypatch.setattr(sel.SelectionState, "_scored_block", spy)
+        monkeypatch.setattr(sel, "KNN_BLOCK_DOUBLES", rows * width)
+        results[rows] = [driver(patches, S, L, w, 30) for driver in (sel.lazy_greedy, sel.naive_greedy)]
+        sizes = [min(rows, len(patches) - lo) for lo in range(0, len(patches), rows)]
+        assert blocks[:len(sizes)] == sizes  # lazy greedy's first call: the whole pool
+    for rows in (1, 7):
+        for got, want in zip(results[rows], results[len(patches)]):
+            assert got.ids == want.ids
+            assert [repr(g) for g in got.gains] == [repr(g) for g in want.gains]
+            assert got.n_evaluations == want.n_evaluations
+            assert got.cumulative_evals == want.cumulative_evals
+
+
+def test_graphs_and_first_scoring_peak_within_a_multiple_of_the_graphs():
+    """Both graphs at M = 10,000, k_nn = 50, and lazy greedy's first call, which
+    scores every candidate: traced numpy memory peaks below 2.7 times the two
+    graphs' bytes.  Each temporary is bounded by ``KNN_BLOCK_DOUBLES``, so the
+    peak is the graphs, their symmetrization and a fixed amount; it was 3.0
+    times the graphs with whole-pool temporaries.
+    """
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    m = 10_000
+    labels = rng.integers(0, 3, size=m)
+    centers = rng.normal(size=(12, 9))  # 9-D: the dense feature path, the tree spatial path
+    feats = centers[labels * 4 + rng.integers(0, 4, size=m)] + 0.25 * rng.normal(size=(m, 9))
+    patches = PatchSet(feats, rng.uniform(size=(m, 2)), labels, np.zeros(m, dtype=int))
+    make_graphs(patches[:100])  # imports the k-d tree outside the traced region
+    tracemalloc.start()
+    try:
+        S, L = make_graphs(patches, k_nn=50)
+        sel.lazy_greedy(patches, S, L, sel.ObjectiveWeights(), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    graph_bytes = sum(a.nbytes for g in (S, L) for a in (g.csr.data, g.csr.indices, g.csr.indptr))
+    assert peak < 2.7 * graph_bytes
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_patch_list_and_patch_set_select_alike(seed):
     patches = make_patches(seed, m=60, clustered=True)
@@ -280,6 +341,18 @@ def test_k_must_be_positive(small_instance):
     patches, S, L = small_instance
     with pytest.raises(InvalidInputError):
         sel.naive_greedy(patches, S, L, sel.ObjectiveWeights(), 0)
+
+
+@pytest.mark.parametrize("k", [2.5, True, "3"])
+@pytest.mark.parametrize("driver", [sel.lazy_greedy, sel.naive_greedy], ids=["lazy", "naive"])
+def test_k_must_be_an_integer(driver, k):
+    # at K = 2.5 lazy greedy picked all 60 patches and naive greedy 3
+    patches = make_patches(3, m=60)
+    S, L = make_graphs(patches)
+    with pytest.raises(InvalidInputError, match=re.escape(f"K must be an integer, got {k!r}")):
+        driver(patches, S, L, sel.ObjectiveWeights(), k)
+    assert driver(patches, S, L, sel.ObjectiveWeights(), np.int64(2)).ids == \
+        driver(patches, S, L, sel.ObjectiveWeights(), 2).ids
 
 
 @pytest.mark.parametrize("driver", [sel.lazy_greedy, sel.naive_greedy], ids=["lazy", "naive"])

@@ -235,6 +235,20 @@ class TestEvaluateIds:
         with pytest.raises(InvalidInputError, match=message):
             sel.evaluate_ids(ids, S, L, labels, sel.ObjectiveWeights())
 
+    @pytest.mark.parametrize("bad, message", [
+        (0.7, r"label 0\.7 at position 4 is not an integer"),
+        (float("nan"), r"label nan at position 4 is not an integer"),
+    ], ids=["fractional", "nan"])
+    def test_bad_label_is_named(self, instance, bad, message):
+        # labels + 0.7 once scored the same as the integer labels
+        S, L, labels = instance
+        w = sel.ObjectiveWeights()
+        whole = np.array(labels, dtype=float)
+        assert sel.evaluate_ids([0, 2], S, L, whole, w) == sel.evaluate_ids([0, 2], S, L, labels, w)
+        whole[4:] += bad
+        with pytest.raises(InvalidInputError, match=message):
+            sel.evaluate_ids([0, 2], S, L, whole, w)
+
     @pytest.mark.parametrize("m_graph", [40, 20])
     def test_graph_size_must_match_the_labels(self, instance, m_graph):
         S, L, labels = instance
