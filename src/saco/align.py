@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import re
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .data import LabeledImage
+from .data import LabeledImage, check_count
 from .errors import InvalidInputError
 
 WORK_SIZE = 40
@@ -267,10 +266,9 @@ def k_medoids(images, k, theta_grid, seed):
     reproducible.  The cost history never increases.
     """
     n = len(images)
-    if not 1 <= k <= n:
+    if check_count("k", k) > n:
         raise InvalidInputError(f"k must be in [1, {n}], got {k}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
+    check_count("seed", seed, low=0)
     grid = _theta_grid(theta_grid)
     dm = dissimilarity_matrix(images, grid)
     rng = np.random.default_rng(seed)

@@ -9,6 +9,8 @@ reconstruction-residual baseline classifies single patches from
 per-class partial reconstructions.
 ``run_pipeline`` chains candidate sampling, affinity graphs, greedy
 exemplar selection, spatially weighted coding, pooling, and the SVM.
+``_image_codes`` samples and codes images for pooling and the residual
+baseline; ``svm_train`` checks labels and epochs by ``saco.data``'s rules.
 """
 
 from __future__ import annotations
@@ -19,20 +21,13 @@ import numpy as np
 
 from .coding import CodingDiagnostics, Encoder, SpatialWeightConfig, _reject_rows
 from .config import PipelineConfig
-from .data import Dictionary, sample_candidates
+from .data import Dictionary, check_count, sample_candidates, whole_numbers
 from .errors import InvalidInputError, PipelineStageError
 from .graphs import build_feature_affinity, build_spatial_affinity
 from .selection import ObjectiveWeights, SelectionResult, lazy_greedy
 
 # the residual baseline's l1 penalty, at uniform atom weights
 RESIDUAL_LAMBDA1 = 0.01
-
-
-def pool_codes(codes) -> np.ndarray:
-    """Average-pool a non-empty list (or 2-D array) of equal-length code vectors."""
-    if len(codes) == 0:
-        raise InvalidInputError("cannot pool an empty code list")
-    return np.asarray(codes, dtype=np.float64).mean(axis=0)
 
 
 @dataclass
@@ -64,13 +59,15 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300):
     and BLAS thread count, and invariant to duplicating the training set.
     """
     X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    y, fractional = whole_numbers(labels)
     if X.ndim != 2 or y.shape != (len(X),):
         raise InvalidInputError(f"features {X.shape} / labels {y.shape} mismatch")
     _reject_rows(~np.isfinite(X).all(axis=1), "non-finite features")
+    _reject_rows(fractional, "label is not an integer")
     _reject_rows(y < 0, "negative label")
-    if not (0 < reg < np.inf and epochs >= 1):
-        raise InvalidInputError(f"bad SVM settings reg={reg}, epochs={epochs}")
+    check_count("epochs", epochs)
+    if not 0 < reg < np.inf:
+        raise InvalidInputError(f"SVM reg must be finite and > 0, got {reg}")
     if np.unique(y).size < 2:
         raise InvalidInputError("SVM training needs at least two classes present")
     if n_classes is None:
@@ -114,16 +111,13 @@ def _residual_coder(dictionary: Dictionary):
     return Encoder(dictionary, "iterative", RESIDUAL_LAMBDA1, 0.0), groups
 
 
-def _class_residuals(X, encoder: Encoder, class_groups):
-    """(N, C) norms ||x - D_c a_c||, coding with ``encoder`` then keeping
-    only class c's coefficients, and the coder's diagnostics."""
-    X = np.asarray(X, dtype=np.float64)
-    codes, diag = encoder.code(X)
-    D = encoder.dictionary.matrix
+def _class_residuals(X, codes, D, class_groups):
+    """(N, C) norms ||x - D_c a_c|| of the rows of ``X`` and their ``codes``
+    over the atoms ``D``, keeping only class c's coefficients."""
     residuals = np.empty((len(X), len(class_groups)))
     for c, idx in enumerate(class_groups):
         residuals[:, c] = np.linalg.norm(X - codes[:, idx] @ D[:, idx].T, axis=1)
-    return residuals, diag
+    return residuals
 
 
 def src_classify(x, dictionary: Dictionary):
@@ -134,8 +128,10 @@ def src_classify(x, dictionary: Dictionary):
     only that class's coefficients and measures ||x - D_c a_c||.
     Returns (class, residuals); ties go to the lowest class index.
     """
-    residuals, _ = _class_residuals([x], *_residual_coder(dictionary))
-    return int(residuals[0].argmin()), residuals[0]
+    encoder, groups = _residual_coder(dictionary)
+    X = np.asarray([x], dtype=np.float64)
+    residuals = _class_residuals(X, encoder.code(X)[0], dictionary.matrix, groups)[0]
+    return int(residuals.argmin()), residuals
 
 
 # -- end-to-end pipeline ------------------------------------------------------
@@ -203,20 +199,24 @@ def build_encoder(dictionary: Dictionary, cfg: PipelineConfig) -> Encoder:
     return Encoder(dictionary, cfg.coder, cfg.lambda1, cfg.lambda2, weights)
 
 
-def encode_images(images, encoder: Encoder, cfg: PipelineConfig, seed_key: int,
-                  diagnostics: CodingDiagnostics | None = None) -> np.ndarray:
-    """Sample, code and pool each image into one pooled feature row.
-
-    Each image's patches are coded as one batch; each batch's
-    diagnostics are added to ``diagnostics`` when given.
-    """
-    pooled = np.empty((len(images), encoder.dictionary.n_atoms))
-    for i, img in enumerate(images):
+def _image_codes(images, encoder: Encoder, cfg: PipelineConfig, seed_key: int,
+                 diagnostics: CodingDiagnostics | None):
+    """Yield each image's sampled patch features and their codes, coded as one
+    batch whose diagnostics are added to ``diagnostics`` when given."""
+    for img in images:
         patches = sample_candidates([img], cfg.patches_per_image, [cfg.seed, seed_key])
         codes, diag = encoder.encode(patches.features, patches.coords)
-        pooled[i] = pool_codes(codes)
         if diagnostics is not None:
             diagnostics.add(diag)
+        yield patches.features, codes
+
+
+def encode_images(images, encoder: Encoder, cfg: PipelineConfig, seed_key: int,
+                  diagnostics: CodingDiagnostics | None = None) -> np.ndarray:
+    """Each image's mean patch code, one pooled feature row per image."""
+    pooled = np.empty((len(images), encoder.dictionary.n_atoms))
+    for i, (_, codes) in enumerate(_image_codes(images, encoder, cfg, seed_key, diagnostics)):
+        pooled[i] = codes.mean(axis=0)
     return pooled
 
 
@@ -278,21 +278,17 @@ def run_pipeline(train_images, test_images, cfg: PipelineConfig) -> PipelineResu
 
 def src_image_accuracy(test_images, dictionary: Dictionary, cfg: PipelineConfig,
                        diagnostics: CodingDiagnostics | None = None) -> float:
-    """Residual-baseline accuracy: per image, average per-class residuals
-    over its sampled patches and pick the smallest.
+    """Residual-baseline accuracy: per image, sum per-class residuals over
+    its sampled patches and pick the smallest.
 
-    Each image's patches are coded as one batch; each batch's
-    diagnostics are added to ``diagnostics`` when given.
+    Images are sampled and coded as by ``encode_images``, at seed key 3.
     """
     if not test_images:
         raise InvalidInputError("need a non-empty test image list")
     encoder, groups = _residual_coder(dictionary)
     hits = 0
-    for img in test_images:
-        X = sample_candidates([img], cfg.patches_per_image, [cfg.seed, 3]).features
-        residuals, diag = _class_residuals(X, encoder, groups)
-        if diagnostics is not None:
-            diagnostics.add(diag)
-        totals = residuals.sum(axis=0)
+    for img, (X, codes) in zip(test_images,
+                               _image_codes(test_images, encoder, cfg, 3, diagnostics)):
+        totals = _class_residuals(X, codes, dictionary.matrix, groups).sum(axis=0)
         hits += int(int(totals.argmin()) == img.label)
     return hits / len(test_images)

@@ -41,7 +41,8 @@ a row's objective; each row freezes once its KKT residual is at most
 ``FISTA_KKT_TOL`` times ||D^T x||_inf (tested every ``FISTA_KKT_EVERY``
 iterations), or stops unconverged at the ``FISTA_MAX_ITER`` cap.  A
 row's step is 1 / (lambda_max(D^T D) + lambda2 max_j w_j^2).  A row's
-saco1 code does not depend on how rows are batched.
+saco1 code does not depend on how rows are batched.  saco2 solves its
+rows in blocks sized by ``data.block_rows``, the package's one budget.
 
 Every public entry checks its input by one rule, in ``_rows``, naming the
 first bad row.  Scalars are checked as their accepted range, so NaN
@@ -58,7 +59,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dlamch, dppcon, dppsv, dpptrf
 
-from .data import Dictionary
+from .data import Dictionary, block_rows
 from .errors import InvalidConfigError, InvalidInputError, LinearSolveError
 
 CONDITION_WARN_THRESHOLD = 1e8
@@ -66,10 +67,6 @@ CONDITION_WARN_THRESHOLD = 1e8
 WEIGHT_KERNELS = ("linear", "one-minus-gaussian")
 
 CODERS = ("saco1", "saco2", "iterative")
-
-# doubles one block of packed systems may hold: 252 at 64 x 64, 1747 at
-# 24 x 24, 20 at 224 x 224
-SOLVE_BLOCK_DOUBLES = 128 * 64 * 64
 
 # the iterative coder's stop: a row converges once its KKT residual is at
 # most FISTA_KKT_TOL ||D^T x||_inf, tested every FISTA_KKT_EVERY iterations
@@ -204,12 +201,6 @@ def _atom_outer(D) -> np.ndarray:
     return np.ascontiguousarray((D[lo] * D[hi]).T)
 
 
-def _blocks(rows, doubles):
-    """Split ``rows`` into runs whose systems, ``doubles`` each, fit in SOLVE_BLOCK_DOUBLES."""
-    size = max(1, SOLVE_BLOCK_DOUBLES // doubles)
-    return [rows[lo:lo + size] for lo in range(0, rows.size, size)]
-
-
 def _cholesky_rows(K, V, n) -> np.ndarray:
     """Solve each packed n x n system K[r] v = V[r] by ``dppsv``, into V; returns
     the rows solved (K[r] finite, factorized, solution finite).  K may be overwritten."""
@@ -231,7 +222,8 @@ def _saco2_rows(X, D, G, ridge, lambda1, outer, spectrum) -> np.ndarray:
     # per row, packed K = I_p + D diag(inv) D^T; a row whose K overflows,
     # fails to factor or gives a non-finite code takes the m x m solve
     k_diag = np.arange(p) * (np.arange(p) + 3) // 2
-    for blk in _blocks(np.flatnonzero(~slow), p * (p + 1) // 2):
+    fast, size = np.flatnonzero(~slow), block_rows(p * (p + 1) // 2)
+    for blk in (fast[lo:lo + size] for lo in range(0, fast.size, size)):
         with np.errstate(over="ignore", invalid="ignore"):
             K = inv[blk] @ outer
             K[:, k_diag] += 1.0
@@ -246,7 +238,8 @@ def _saco2_rows(X, D, G, ridge, lambda1, outer, spectrum) -> np.ndarray:
     a_diag = np.arange(m) * (np.arange(m) + 3) // 2
     lmin, lmax = spectrum
     eps = dlamch("E")
-    for blk in _blocks(np.flatnonzero(slow), m * (m + 1) // 2):
+    rows, size = np.flatnonzero(slow), block_rows(m * (m + 1) // 2)
+    for blk in (rows[lo:lo + size] for lo in range(0, rows.size, size)):
         r = ridge[blk]
         A = np.repeat(g_packed[None], len(blk), axis=0)
         A[:, a_diag] += r

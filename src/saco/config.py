@@ -11,6 +11,7 @@ import dataclasses
 from dataclasses import dataclass
 
 from .coding import CODERS, SpatialWeightConfig, _check_lambdas
+from .data import check_count
 from .errors import InvalidConfigError, InvalidInputError
 from .selection import ObjectiveWeights
 
@@ -86,18 +87,16 @@ class PipelineConfig:
             raise InvalidConfigError(f"unknown selection mode '{self.selection}'")
         if self.coder not in CODERS:
             raise InvalidConfigError(f"unknown coder '{self.coder}'")
-        if self.seed < 0:
-            raise InvalidConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        for name in ("candidates_per_image", "patches_per_image", "k_nn", "dict_size",
-                     "svm_epochs"):
-            if getattr(self, name) < 1:
-                raise InvalidConfigError(f"{name} must be >= 1")
         for name in ("spatial_sigma", "svm_reg"):
             if not 0 < (v := getattr(self, name)) < float("inf"):
                 raise InvalidConfigError(f"{name} must be finite and > 0, got {v}")
         # the stages' own checks, run here so a bad value fails before any work
         SpatialWeightConfig(self.weight_kernel, self.weight_epsilon, self.weight_scale)
         try:
+            check_count("seed", self.seed, low=0)
+            for name in ("candidates_per_image", "patches_per_image", "k_nn", "dict_size",
+                         "svm_epochs"):
+                check_count(name, getattr(self, name))
             ObjectiveWeights(self.lambda_s, self.lambda_d, self.lambda_b, self.lambda_c)
             _check_lambdas(self.lambda1, self.lambda2)
         except InvalidInputError as exc:

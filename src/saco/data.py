@@ -16,14 +16,17 @@ through ``tensorio.read_tensor`` and ``write_tensor``, and images through
 
 Input is validated once, where it enters, by vectorized checks that name
 the bad row: ``PatchSet`` (row counts, finite features, coordinates in
-[0,1]^2, ids and labels >= 0; from ``load_patches`` also the CSV line),
-``ImageFeatures`` (finite features and coordinates in any units, naming
-the image id), the CSV reader (header, field count, numbers) and every
-coding entry (finite features and locations, finite weights >= 0).
+[0,1]^2, ids and labels whole numbers >= 0; from ``load_patches`` also
+the CSV line), ``ImageFeatures`` (whole-number id and label, finite
+features and coordinates in any units, naming the image id), the CSV
+reader (header, field count, numbers) and every coding entry (finite
+features and locations, finite weights >= 0).  Other modules take three
+rules from here: ``check_count``, ``whole_numbers`` and ``block_rows``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +35,31 @@ from .errors import InvalidInputError
 from .tensorio import read_tensor, write_tensor
 
 PATCH_CSV_HEADER = "id,image_id,label,x,y"
+# doubles (2 MiB) in the largest temporary of one block of rows
+BLOCK_DOUBLES = 1 << 18
+
+
+def block_rows(doubles_per_row: int) -> int:
+    """Rows per block, at least one, whose largest temporary fits in ``BLOCK_DOUBLES``."""
+    return max(1, BLOCK_DOUBLES // doubles_per_row)
+
+
+def check_count(name, value, low=1):
+    """``value`` if it is an integer (a bool is not) >= ``low``, which is 0 for a seed."""
+    whole = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (whole and value >= low):
+        need = "a non-negative integer" if low == 0 else f">= {low}" if whole else "an integer"
+        raise InvalidInputError(f"{name} must be {need}, got {value!r}")
+    return value
+
+
+def whole_numbers(values):
+    """``values`` as int64, and a mask of the entries that are not whole numbers
+    (bools, strings, fractions, NaN, inf or past int64), which read 0."""
+    raw = np.asarray(values)
+    num = raw if raw.dtype.kind in "iuf" else np.full(raw.shape, np.nan)
+    whole = (num == np.floor(num)) & (np.abs(num) < 2.0 ** 63)
+    return np.where(whole, num, 0).astype(np.int64), ~whole
 
 
 @dataclass(frozen=True)
@@ -54,10 +82,9 @@ class PatchSet:
     def __init__(self, features, coords, labels, image_ids, ids=None, *, where=None):
         self.features = np.ascontiguousarray(features, dtype=np.float64)
         self.coords = np.ascontiguousarray(coords, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.image_ids = np.asarray(image_ids, dtype=np.int64)
         m = len(self.features)
-        self.ids = np.arange(m) if ids is None else np.asarray(ids, dtype=np.int64)
+        (self.labels, bad_label), (self.image_ids, bad_image), (self.ids, bad_id) = (
+            whole_numbers(a) for a in (labels, image_ids, np.arange(m) if ids is None else ids))
         shapes = [a.shape for a in (self.coords, self.labels, self.image_ids, self.ids)]
         if self.features.ndim != 2 or shapes != [(m, 2), (m,), (m,), (m,)]:
             raise InvalidInputError(f"patch arrays disagree: features {self.features.shape}; "
@@ -66,6 +93,7 @@ class PatchSet:
         for bad, what in (
             (~np.isfinite(self.features).all(axis=1), "non-finite features"),
             (~inside.all(axis=1), "coord {} outside [0,1]^2"),
+            (bad_label | bad_image | bad_id, "id, image id or label is not an integer"),
             ((self.labels < 0) | (self.ids < 0), "negative id or label"),
         ):
             if bad.any():
@@ -113,6 +141,10 @@ class ImageFeatures:
     coords: np.ndarray    # (n, 2), arbitrary units
 
     def __post_init__(self):
+        ints, fractional = whole_numbers([self.image_id, self.label])
+        if fractional.any():
+            raise InvalidInputError(f"image {self.image_id!r}: id and label must be integers")
+        self.image_id, self.label = ints.tolist()
         self.features = np.asarray(self.features, dtype=np.float64)
         self.coords = np.asarray(self.coords, dtype=np.float64)
         if self.features.ndim != 2 or self.coords.shape != (len(self.features), 2):
@@ -274,18 +306,16 @@ def sample_candidates(images, per_image, seed) -> PatchSet:
     """
     if not images:
         raise InvalidInputError("no images to sample from")
-    if per_image < 1:
-        raise InvalidInputError(f"per_image must be >= 1, got {per_image}")
-
-    seed_parts = [int(s) for s in np.atleast_1d(seed)]
-    if min(seed_parts, default=0) < 0:
-        raise InvalidInputError(f"seed must be non-negative, got {seed}")
+    check_count("per_image", per_image)
+    seed_parts, fractional = whole_numbers(np.atleast_1d(seed))
+    if fractional.any() or seed_parts.min(initial=0) < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
     sampled = []
     for img in images:
         n = len(img.features)
         if n == 0:
             raise InvalidInputError(f"image {img.image_id} has an empty pool")
-        rng = np.random.default_rng(seed_parts + [img.image_id])
+        rng = np.random.default_rng(seed_parts.tolist() + [img.image_id])
         chosen = rng.choice(n, size=per_image, replace=n < per_image)
         lo = img.coords.min(axis=0)
         span = img.coords.max(axis=0) - lo

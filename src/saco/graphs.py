@@ -24,10 +24,10 @@ directly.  Two paths find the neighbours:
 
 Both paths give the same sparsity pattern; the tree's direct d^2 moves
 graph values by at most ~1e-14 from the expansion's.  Both take their
-rows in blocks sized in doubles: a block's largest temporary holds at
-most ``KNN_BLOCK_DOUBLES`` (2^18, 2 MiB), so a dense block has
-KNN_BLOCK_DOUBLES // m rows (36 at m = 7200), ranked in two buffers
-allocated once per graph, and a tree block KNN_BLOCK_DOUBLES //
+rows in blocks by ``data.block_rows``, the one block budget: a block's
+largest temporary holds at most ``BLOCK_DOUBLES`` (2^18, 2 MiB), so a
+dense block has BLOCK_DOUBLES // m rows (36 at m = 7200), ranked in two
+buffers allocated once per graph, and a tree block BLOCK_DOUBLES //
 ((k + 2) p), queried, gathered and ranked on its own.  Each block writes
 its rows into preallocated (m, k) outputs, neighbours in ascending
 column order, and the graph's CSR arrays are those outputs as they are;
@@ -40,25 +40,20 @@ At m = 7200, k = 50 on Gaussian points (one thread, medians of 5), the
 tree takes 0.51 s against the dense path's 0.61 s at p = 7, 0.60 s
 against 0.58-0.66 s at p = 8, 0.65 s against 0.53 s at p = 9 and 4.7 s
 against 0.76 s at p = 64: the paths cross at p = 8, where they tie,
-hence the threshold.
+hence the threshold.  ``k_nn`` is checked by ``data.check_count``.
 """
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 import scipy.sparse as sp
 
-from .data import PatchSet
+from .data import PatchSet, block_rows, check_count
 from .errors import DegenerateInputError, InvalidInputError
 
 MEDIAN_SAMPLE_PAIRS = 1000
 # points of at most this many dimensions get their neighbours from a k-d tree
 TREE_MAX_DIM = 8
-# doubles (2 MiB) in the largest temporary of one block of rows: (rows, m) on
-# the dense path, (rows, k + 2, p) in the tree path's d^2 gather
-KNN_BLOCK_DOUBLES = 1 << 18
 _EPS = np.finfo(np.float64).eps
 
 
@@ -96,11 +91,6 @@ def _median_pairwise_distance(X: np.ndarray) -> float:
         j = (i + off) % m
         d = np.linalg.norm(X[i] - X[j], axis=1)
     return float(np.median(d))
-
-
-def _block_rows(doubles_per_row: int) -> int:
-    """Rows per block, at least one, whose largest temporary fits in ``KNN_BLOCK_DOUBLES``."""
-    return max(1, KNN_BLOCK_DOUBLES // doubles_per_row)
 
 
 def _sq_dist(X: np.ndarray, i, cols: np.ndarray) -> np.ndarray:
@@ -185,7 +175,7 @@ def _tree_knn(X: np.ndarray, k: int):
     m, p = X.shape
     tree = cKDTree(X)
     cols, vals = np.empty((m, k), dtype=np.int32), np.empty((m, k))
-    rows = _block_rows(min(k + 2, m) * p)
+    rows = block_rows(min(k + 2, m) * p)  # the (rows, k + 2, p) d^2 gather
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         cols[lo:hi], vals[lo:hi] = _tree_block(X, tree, lo, hi, k)
@@ -232,7 +222,7 @@ def _dense_knn(X: np.ndarray, k: int):
     # the outputs exist before the first block, so no array that outlives a
     # block is placed in the space its temporaries free (peak RSS grows if so)
     cols, vals = np.empty((m, k), dtype=np.int32), np.empty((m, k))
-    rows = min(_block_rows(m), m)
+    rows = min(block_rows(m), m)
     d2, g = np.empty((rows, m)), np.empty((rows, m))
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
@@ -257,10 +247,7 @@ def _checked_patches(patches, k_nn) -> PatchSet:
     """``patches`` as a ``PatchSet`` of at least 2, once ``k_nn`` is an integer >= 1."""
     if len(patches) < 2:
         raise InvalidInputError(f"need at least 2 patches, got {len(patches)}")
-    if isinstance(k_nn, bool) or not isinstance(k_nn, numbers.Integral):
-        raise InvalidInputError(f"k_nn must be an integer, got {k_nn!r}")
-    if k_nn < 1:
-        raise InvalidInputError(f"k_nn must be >= 1, got {k_nn}")
+    check_count("k_nn", k_nn)
     return PatchSet.of(patches)
 
 

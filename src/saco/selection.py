@@ -34,28 +34,27 @@ grows, q = |moved| / M and H_b is the binary entropy.
 ``SelectionState.gains`` is the one scorer, in every weight regime.  It
 scores a batch of candidates in vectorized passes over the CSR rows of
 the two graphs, one block of candidates at a time, so no gathered array
-holds more than ``graphs.KNN_BLOCK_DOUBLES`` entries; a candidate's gain
+holds more than ``data.BLOCK_DOUBLES`` entries; a candidate's gain
 never depends on the rest of its batch or on the block size.  Naive
 greedy scores the whole pool each round, as does lazy greedy's first
 call; later lazy calls re-score up to ``_RESCORE_BATCH`` stale heap
 entries (the exact half of "lazier than lazy" greedy).  Evaluation
 counts include every candidate scored, so a lazy run counts slightly
-more than one re-scoring entries one at a time.
+more than one re-scoring entries one at a time.  ``K`` is checked by
+``data.check_count`` and labels by ``data.whole_numbers``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PatchSet, read_csv_rows, write_lines
+from .data import PatchSet, block_rows, check_count, read_csv_rows, whole_numbers, write_lines
 from .errors import InvalidInputError
-from .graphs import KNN_BLOCK_DOUBLES
 
 SELECTION_CSV_HEADER = "step,patch_id,gain,evaluations"
 # stale heap entries ``lazy_greedy`` re-scores per call: at 32 the evaluation
@@ -194,14 +193,14 @@ class SelectionState:
         bounds and sum in the same order, and rounding is monotone.
 
         ``B`` is scored in blocks of consecutive candidates: a block holds
-        ``KNN_BLOCK_DOUBLES`` // w of them, w the most stored entries one
-        candidate has in the graphs it reads, so no gathered array exceeds
-        ``KNN_BLOCK_DOUBLES`` entries.
+        ``block_rows(w)`` of them, w the most stored entries one candidate
+        has in the graphs it reads, so no gathered array exceeds
+        ``BLOCK_DOUBLES`` entries.
         """
         B = np.asarray(B, dtype=np.int64)
         graphs = (S, L) if weights.lambda_s else (S,)
         width = sum(g.csr.indptr[B + 1] - g.csr.indptr[B] for g in graphs)
-        rows = max(1, KNN_BLOCK_DOUBLES // max(1, int(width.max(initial=0))))
+        rows = block_rows(max(1, int(width.max(initial=0))))
         gain_b = None
         if weights.lambda_b:
             # math.log per class: numpy's log can differ in the last bit
@@ -336,13 +335,10 @@ def _checked_labels(labels, S, L) -> np.ndarray:
     raw = np.asarray(labels)
     if raw.ndim != 1 or len(raw) == 0:
         raise InvalidInputError("labels must be a non-empty 1-D sequence")
-    if raw.dtype.kind not in "iu":
-        whole = (np.isfinite(raw) & (raw == np.floor(raw)) if raw.dtype.kind == "f"
-                 else np.zeros(len(raw), dtype=bool))
-        if not whole.all():
-            pos = int(np.argmin(whole))
-            raise InvalidInputError(f"label {raw[pos].item()!r} at position {pos} is not an integer")
-    labels = raw.astype(np.int64)
+    labels, fractional = whole_numbers(raw)
+    if fractional.any():
+        pos = int(fractional.argmax())
+        raise InvalidInputError(f"label {raw[pos].item()!r} at position {pos} is not an integer")
     if labels.min() < 0:
         raise InvalidInputError("negative class label")
     if S.n != len(labels) or L.n != len(labels):
@@ -438,10 +434,7 @@ def read_selection_ids(path, n_patches: int) -> list[int]:
 
 
 def _greedy_state(patches, S, L, k) -> SelectionState:
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise InvalidInputError(f"K must be an integer, got {k!r}")
-    if k < 1:
-        raise InvalidInputError(f"K must be >= 1, got {k}")
+    check_count("K", k)
     return SelectionState(_checked_labels(PatchSet.of(patches).labels, S, L))
 
 

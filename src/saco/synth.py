@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import ImageFeatures, LabeledImage, PatchSet
+from .data import ImageFeatures, LabeledImage, PatchSet, check_count
 from .errors import InvalidInputError
 
 
@@ -30,8 +30,7 @@ def clustered_instance(seed, m) -> PatchSet:
 
     Locations are uniform on the unit square.
     """
-    if m < 1:
-        raise InvalidInputError(f"need at least 1 candidate, got m={m}")
+    check_count("m", m)
     rng = np.random.default_rng([seed, 303])
     centers = rng.normal(0.0, 1.0, size=(3 * 4, 6))
     labels = rng.integers(0, 3, size=m)
@@ -47,8 +46,8 @@ def make_blobs2d(n_classes=3, points_per_class=100, spread=0.06, seed=0) -> list
     sit on a circle around (0.5, 0.5) with two satellite sub-blobs each,
     so neighboring classes overlap near the middle.
     """
-    if n_classes < 2 or points_per_class < 1:
-        raise InvalidInputError("need >= 2 classes and >= 1 point per class")
+    check_count("n_classes", n_classes, low=2)
+    check_count("points_per_class", points_per_class)
     rng = np.random.default_rng(seed)
     pools = []
     for c in range(n_classes):
@@ -83,8 +82,7 @@ def make_spatial_texture(n_classes=3, train_per_class=20, test_per_class=20,
     """
     if pool_size % 4 != 0:
         raise InvalidInputError(f"pool_size must be divisible by 4, got {pool_size}")
-    if feature_dim < 4:
-        raise InvalidInputError(f"feature_dim must be >= 4 (one per texture), got {feature_dim}")
+    check_count("feature_dim", feature_dim, low=4)  # one dimension per texture
     rng = np.random.default_rng(seed)
     prototypes = _orthonormal_rows(4, feature_dim, rng)
 
@@ -169,8 +167,8 @@ def make_viewpoints(per_view=30, size=64, seed=0):
     Returns (images, view_labels, rotations); image ``i`` shows view
     ``view_labels[i]`` rotated by ``rotations[i]`` degrees.
     """
-    if per_view < 1 or size < 8:
-        raise InvalidInputError("need per_view >= 1 and size >= 8")
+    check_count("per_view", per_view)
+    check_count("size", size, low=8)
     rng = np.random.default_rng(seed)
     images = []
     labels = []

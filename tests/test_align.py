@@ -511,6 +511,10 @@ class TestKMedoids:
             al.k_medoids(imgs, 0, grid, seed=0)
         with pytest.raises(InvalidInputError):
             al.k_medoids(imgs, 5, grid, seed=0)
+        # k = 1.5 once failed inside numpy's choice, and k = True ran as k = 1
+        for k in (1.5, True):
+            with pytest.raises(InvalidInputError, match=f"k must be an integer, got {k!r}"):
+                al.k_medoids(imgs, k, grid, seed=0)
 
     def test_k_equals_n_is_perfect(self):
         imgs = random_images(17, n=4)

@@ -12,16 +12,9 @@ import saco.classify as cl
 import saco.coding as cd
 from saco.coding import CodingDiagnostics
 from saco.config import PipelineConfig
-from saco.data import Dictionary, Patch
+from saco.data import Dictionary, Patch, sample_candidates
 from saco.errors import InvalidInputError, PipelineStageError
 from saco.synth import make_spatial_texture
-
-
-def test_pool_codes_is_mean():
-    pooled = cl.pool_codes([np.array([1.0, 2.0]), np.array([3.0, 6.0])])
-    np.testing.assert_array_equal(pooled, [2.0, 4.0])
-    with pytest.raises(InvalidInputError):
-        cl.pool_codes([])
 
 
 def separable_problem(seed=0, n=40):
@@ -99,6 +92,8 @@ class TestSvm:
                 cl.svm_train(X, y, reg=reg)
         with pytest.raises(InvalidInputError):
             cl.svm_train(X, y, epochs=0)
+        with pytest.raises(InvalidInputError, match="epochs must be an integer, got 2.5"):
+            cl.svm_train(X, y, epochs=2.5)
         with pytest.raises(InvalidInputError):
             cl.svm_train(X, y[:-1])
         model = cl.svm_train(X, y, epochs=5)
@@ -114,6 +109,15 @@ class TestSvm:
         X, y = separable_problem(6)
         y[4] = -1
         with pytest.raises(InvalidInputError, match="row 4: negative label"):
+            cl.svm_train(X, y)
+        # np.asarray(labels, dtype=np.int64) once trained the label 0.7 as class 0
+        X, y = separable_problem(6)
+        y = y.astype(float)
+        whole, ints = cl.svm_train(X, y, epochs=5), cl.svm_train(X, y.astype(int), epochs=5)
+        np.testing.assert_array_equal(whole.weights, ints.weights)
+        np.testing.assert_array_equal(whole.biases, ints.biases)
+        y[4] = 0.7
+        with pytest.raises(InvalidInputError, match="row 4: label is not an integer"):
             cl.svm_train(X, y)
 
     def test_label_beyond_n_classes_named(self):
@@ -307,6 +311,22 @@ class TestPipeline:
         r = cl.run_pipeline(train, train, cfg)
         feats = cl.encode_images(train[:3], cl.build_encoder(r.dictionary, cfg), cfg, seed_key=9)
         assert feats.shape == (3, r.dictionary.n_atoms)
+
+    def test_encode_images_row_is_the_mean_of_its_image_codes(self):
+        # each image's patches are sampled and coded as one batch, then averaged
+        train, _, _ = tiny_dataset()
+        cfg = tiny_config()
+        r = cl.run_pipeline(train, train, cfg)
+        encoder = cl.build_encoder(r.dictionary, cfg)
+        diag = CodingDiagnostics()
+        feats = cl.encode_images(train[:3], encoder, cfg, 9, diag)
+        for row, img in zip(feats, train[:3]):
+            patches = sample_candidates([img], cfg.patches_per_image, [cfg.seed, 9])
+            codes, _ = encoder.encode(patches.features, patches.coords)
+            np.testing.assert_array_equal(row, codes.mean(axis=0))
+            np.testing.assert_allclose(row, codes.sum(axis=0) / len(codes), rtol=1e-12)
+        assert diag.rows == 3 * cfg.patches_per_image
+        assert cl.encode_images([], encoder, cfg, 9).shape == (0, r.dictionary.n_atoms)
 
     def test_artifact_lines(self):
         train, test, _ = tiny_dataset()

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 import saco.coding as cd
+import saco.data
 from saco.data import Dictionary, Patch
 from saco.errors import InvalidConfigError, InvalidInputError, LinearSolveError
 
@@ -497,9 +498,9 @@ class TestEncoder:
 
     def test_ridge_path_matches_reference_over_blocks(self):
         # p >= m: every row takes the packed m x m solve, over more rows
-        # than one SOLVE_BLOCK_DOUBLES block holds
+        # than one BLOCK_DOUBLES block holds
         p, m = 64, 24
-        n = cd.SOLVE_BLOCK_DOUBLES // (m * (m + 1) // 2) + 20
+        n = saco.data.BLOCK_DOUBLES // (m * (m + 1) // 2) + 20
         d, X, coords = batch_problem(12, p=p, m=m, n=n)
         cfg = cd.SpatialWeightConfig()
         codes, _ = cd.Encoder(d, "saco2", 0.05, 0.7, cfg).encode(X, coords)
@@ -518,9 +519,9 @@ class TestEncoder:
 
     def test_push_through_at_pipeline_shape_matches_reference(self):
         # p = 64 features and m = 128 atoms, with more rows than one
-        # SOLVE_BLOCK_DOUBLES block of packed systems holds
+        # BLOCK_DOUBLES block of packed systems holds
         p, m = 64, 128
-        n = cd.SOLVE_BLOCK_DOUBLES // (p * (p + 1) // 2) + 20
+        n = saco.data.BLOCK_DOUBLES // (p * (p + 1) // 2) + 20
         d, X, coords = batch_problem(11, p=p, m=m, n=n)
         cfg = cd.SpatialWeightConfig()
         codes, _ = cd.Encoder(d, "saco2", 0.05, 0.7, cfg).encode(X, coords)

@@ -99,6 +99,22 @@ class TestPipelineConfig:
         with pytest.raises(InvalidConfigError):
             PipelineConfig(k_nn=-3)
 
+    @pytest.mark.parametrize("key", ["candidates_per_image", "patches_per_image", "k_nn",
+                                     "dict_size", "svm_epochs"])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_counts_must_be_integers(self, key, value):
+        # dict_size = 2.5 once failed only in the select stage, after sampling
+        # and both graphs; construction now fails before any stage runs
+        with pytest.raises(InvalidConfigError, match=f"{key} must be an integer, got {value!r}"):
+            PipelineConfig(**{key: value})
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # seed = 1.5 once ran as seed 1 while every artifact header echoed 1.5
+        with pytest.raises(InvalidConfigError,
+                           match=f"seed must be a non-negative integer, got {seed!r}"):
+            PipelineConfig(seed=seed)
+
     @pytest.mark.parametrize("key,value", [
         ("weight_kernel", "gauss"), ("weight_scale", 0.0), ("weight_epsilon", -0.1),
         ("spatial_sigma", 0.0), ("spatial_sigma", float("nan")), ("svm_reg", 0.0),

@@ -3,6 +3,10 @@ import re
 import numpy as np
 import pytest
 
+import saco.coding as cd
+import saco.data
+import saco.graphs as graphs
+import saco.selection as sel
 from saco.data import (
     Dictionary,
     ImageFeatures,
@@ -16,6 +20,8 @@ from saco.data import (
     write_lines,
 )
 from saco.errors import InvalidInputError
+
+from conftest import make_graphs, make_patches
 
 
 def _patch(i, feats, coord=(0.25, 0.75), label=0, image_id=0):
@@ -86,6 +92,22 @@ class TestPatchSet:
                   for name in ("features", "coords", "labels", "image_ids", "ids")}
         arrays[field][2] = value
         with pytest.raises(InvalidInputError, match=message):
+            PatchSet(**arrays)
+
+    @pytest.mark.parametrize("field", ["labels", "image_ids", "ids"])
+    @pytest.mark.parametrize("value", [2.9, np.nan])
+    def test_fractional_label_or_id_is_named(self, field, value):
+        # ids [2.9, 1, 2, 3] were truncated to [2, 1, 2, 3], a repeated id
+        ps = self._set()
+        arrays = {name: getattr(ps, name).astype(float)
+                  for name in ("features", "coords", "labels", "image_ids", "ids")}
+        whole = PatchSet(**arrays)  # whole numbers in a float array are kept
+        for name in ("labels", "image_ids", "ids"):
+            assert getattr(whole, name).dtype == np.int64
+            np.testing.assert_array_equal(getattr(whole, name), getattr(ps, name))
+        arrays[field][2] = value
+        with pytest.raises(InvalidInputError,
+                           match="patch row 2: id, image id or label is not an integer"):
             PatchSet(**arrays)
 
     def test_row_counts_must_agree(self):
@@ -169,6 +191,22 @@ def test_image_pool_with_a_nan_row_names_image_and_row():
         ImageFeatures(image_id=7, label=0, features=np.ones((4, 3)), coords=coords)
 
 
+@pytest.mark.parametrize("image_id, label", [(1.5, 0), (3, 0.5), (3, np.nan), ("4", 0)])
+def test_image_id_and_label_must_be_whole_numbers(image_id, label):
+    # an id of 1.5 failed later inside numpy's default_rng, and a label of
+    # 0.5 was sampled as class 0
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"image {image_id!r}: id and label must be integers")):
+        ImageFeatures(image_id, label, np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+def test_whole_float_image_id_and_label_become_ints():
+    pool = ImageFeatures(np.float64(2.0), 1.0, np.zeros((2, 3)), np.zeros((2, 2)))
+    assert (pool.image_id, pool.label) == (2, 1)
+    assert type(pool.image_id) is int and type(pool.label) is int
+    assert sample_candidates([pool], per_image=2, seed=0).image_ids.tolist() == [2, 2]
+
+
 def test_load_image_pools_rejects_mixed_labels(tmp_path):
     patches = [_patch(0, [0.0], image_id=5, label=0), _patch(1, [1.0], image_id=5, label=1)]
     csv, skt = tmp_path / "m.csv", tmp_path / "m.skt"
@@ -238,8 +276,24 @@ class TestSampleCandidates:
         assert all(p.coord == (0.5, 0.5) for p in out)
 
     def test_negative_seed_part_is_rejected(self):
-        with pytest.raises(InvalidInputError, match=r"seed must be non-negative, got \[3, -1\]"):
+        with pytest.raises(InvalidInputError, match=r"seed must be a non-negative integer, got \[3, -1\]"):
             sample_candidates(self._pools(), per_image=5, seed=[3, -1])
+
+    def test_fractional_seed_part_is_rejected(self):
+        # int() once truncated the part 1.5 to 1
+        with pytest.raises(InvalidInputError,
+                           match=r"seed must be a non-negative integer, got \[2, 1\.5\]"):
+            sample_candidates(self._pools(), per_image=5, seed=[2, 1.5])
+
+    @pytest.mark.parametrize("per_image, message", [
+        (2.5, "per_image must be an integer, got 2.5"),
+        (True, "per_image must be an integer, got True"),
+        (0, "per_image must be >= 1, got 0"),
+    ])
+    def test_per_image_must_be_a_count(self, per_image, message):
+        # 2.5 once failed inside numpy's choice, and True sampled one patch
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            sample_candidates(self._pools(), per_image=per_image, seed=0)
 
     def test_oversampling_with_replacement(self):
         pool = ImageFeatures(image_id=0, label=0,
@@ -288,3 +342,62 @@ def test_write_lines_writes_comments_then_lines(tmp_path):
     assert list(read_csv_rows(path, "a,b", (int, float))) == [(3, (1, 2.5))]
     write_lines(path, iter(["only"]))
     assert path.read_bytes() == b"only\n"
+
+
+def test_one_budget_sizes_graph_greedy_and_saco2_blocks(monkeypatch):
+    """``BLOCK_DOUBLES`` alone sizes the blocks of both neighbour searches,
+    greedy scoring and saco2's solves: a smaller budget moves all of them
+    and leaves their outputs equal."""
+    patches = make_patches(8, m=120, dim=12, clustered=True)  # dense features, tree locations
+    atoms = make_patches(9, m=20, dim=8)  # saco2 over p = 8 < m = 20: the push-through path
+    queries = np.random.default_rng(10).normal(size=(30, 8))
+    coords = np.random.default_rng(11).uniform(size=(30, 2))
+    encoder = cd.Encoder(Dictionary(atoms), "saco2", 0.05, 0.7, cd.SpatialWeightConfig())
+    blocks = {}
+
+    def spy(module, name, size):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            blocks.setdefault(name, []).append(size(*args))
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    spy(graphs, "_dense_block", lambda X, sq, err, lo, hi, *rest: hi - lo)
+    spy(graphs, "_tree_block", lambda X, tree, lo, hi, k: hi - lo)
+    spy(sel.SelectionState, "_scored_block", lambda state, B, *rest: len(B))
+    spy(cd, "_cholesky_rows", lambda K, V, n: len(K))
+
+    def run(graphs_for_greedy=None):
+        blocks.clear()
+        S, L = make_graphs(patches, k_nn=8)
+        chosen = sel.lazy_greedy(patches, *(graphs_for_greedy or (S, L)),
+                                 sel.ObjectiveWeights(), 10)
+        return (S, L), chosen, encoder.encode(queries, coords)[0]
+
+    graphs0, chosen, codes = run()
+    assert (blocks["_dense_block"], blocks["_tree_block"], blocks["_cholesky_rows"]) == \
+        ([120], [120], [30])
+    assert blocks["_scored_block"][0] == 120  # lazy greedy's first call: the whole pool
+    S, L = graphs0
+    width = int((np.diff(S.csr.indptr) + np.diff(L.csr.indptr)).max())
+    monkeypatch.setattr(saco.data, "BLOCK_DOUBLES", 360)
+    # the greedy run reads the first graphs: the dense path's values may move
+    # in their last bits with its block size
+    graphs2, chosen2, codes2 = run(graphs0)
+    # doubles per row: m = 120 dense, (k + 2) p = 20 tree, the widest
+    # candidate's stored entries, p (p + 1) / 2 = 36 packed K
+    assert blocks["_dense_block"] == [3] * 40
+    assert blocks["_tree_block"] == [18] * 6 + [12]
+    per = 360 // width
+    first = [min(per, 120 - lo) for lo in range(0, 120, per)]
+    assert blocks["_scored_block"][:len(first)] == first
+    assert blocks["_cholesky_rows"] == [10] * 3
+    for before, after in zip(graphs0, graphs2):
+        np.testing.assert_array_equal(after.csr.indptr, before.csr.indptr)
+        np.testing.assert_array_equal(after.csr.indices, before.csr.indices)
+        np.testing.assert_allclose(after.csr.data, before.csr.data, rtol=1e-13)
+    assert chosen2.ids == chosen.ids
+    assert [repr(g) for g in chosen2.gains] == [repr(g) for g in chosen.gains]
+    assert chosen2.n_evaluations == chosen.n_evaluations
+    assert codes2.tobytes() == codes.tobytes()

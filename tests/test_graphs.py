@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import saco
+import saco.data
 import saco.graphs as graphs
 from saco.errors import DegenerateInputError, InvalidInputError
 from saco.graphs import (
@@ -234,7 +235,7 @@ def test_block_size_leaves_neighbours_unchanged(name, monkeypatch):
     results = {}
     for knn in (_tree_knn, _dense_knn):
         for rows in (1, 3, m):
-            monkeypatch.setattr(graphs, "KNN_BLOCK_DOUBLES", rows * per_row[knn])
+            monkeypatch.setattr(saco.data, "BLOCK_DOUBLES", rows * per_row[knn])
             results[knn, rows] = knn(points, k)
     for knn in (_tree_knn, _dense_knn):
         cols, d2 = results[knn, m]
@@ -250,8 +251,8 @@ def test_block_size_leaves_neighbours_unchanged(name, monkeypatch):
 
 
 def test_dense_blocks_are_counted_in_doubles(monkeypatch):
-    """A dense block holds KNN_BLOCK_DOUBLES // m rows: 36 at m = 7200 for 2^18 doubles."""
-    assert graphs._block_rows(7200) == 36
+    """A dense block holds BLOCK_DOUBLES // m rows: 36 at m = 7200 for 2^18 doubles."""
+    assert saco.data.block_rows(7200) == 36
     blocks = []
     dense_block = graphs._dense_block
 
@@ -260,7 +261,7 @@ def test_dense_blocks_are_counted_in_doubles(monkeypatch):
         return dense_block(X, sq, err, lo, hi, k, *buffers)
 
     monkeypatch.setattr(graphs, "_dense_block", spy)
-    monkeypatch.setattr(graphs, "KNN_BLOCK_DOUBLES", 10 * 300 + 299)
+    monkeypatch.setattr(saco.data, "BLOCK_DOUBLES", 10 * 300 + 299)
     _dense_knn(np.random.default_rng(6).normal(size=(300, 16)), 5)
     assert blocks == [10] * 30
 

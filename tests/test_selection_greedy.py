@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import saco.data
 import saco.selection as sel
 from saco.data import Patch, PatchSet
 from saco.errors import InvalidInputError
@@ -190,7 +191,7 @@ def test_batched_lazy_equals_naive_exactly(monkeypatch):
 def test_block_size_leaves_selection_unchanged(w, monkeypatch):
     """Blocks of 1 or 7 candidates or the whole pool: the same ids, gains and counts.
 
-    A block holds KNN_BLOCK_DOUBLES // width candidates, width the most
+    A block holds BLOCK_DOUBLES // width candidates, width the most
     stored entries one candidate has in the graphs it reads.
     """
     patches = make_patches(8, m=120, clustered=True)
@@ -206,7 +207,7 @@ def test_block_size_leaves_selection_unchanged(w, monkeypatch):
             return scored_block(state, B, *args)
 
         monkeypatch.setattr(sel.SelectionState, "_scored_block", spy)
-        monkeypatch.setattr(sel, "KNN_BLOCK_DOUBLES", rows * width)
+        monkeypatch.setattr(saco.data, "BLOCK_DOUBLES", rows * width)
         results[rows] = [driver(patches, S, L, w, 30) for driver in (sel.lazy_greedy, sel.naive_greedy)]
         sizes = [min(rows, len(patches) - lo) for lo in range(0, len(patches), rows)]
         assert blocks[:len(sizes)] == sizes  # lazy greedy's first call: the whole pool
@@ -221,7 +222,7 @@ def test_block_size_leaves_selection_unchanged(w, monkeypatch):
 def test_graphs_and_first_scoring_peak_within_a_multiple_of_the_graphs():
     """Both graphs at M = 10,000, k_nn = 50, and lazy greedy's first call, which
     scores every candidate: traced numpy memory peaks below 2.7 times the two
-    graphs' bytes.  Each temporary is bounded by ``KNN_BLOCK_DOUBLES``, so the
+    graphs' bytes.  Each temporary is bounded by ``BLOCK_DOUBLES``, so the
     peak is the graphs, their symmetrization and a fixed amount; it was 3.0
     times the graphs with whole-pool temporaries.
     """

@@ -8,9 +8,14 @@ import saco.synth as sy
 from saco.errors import InvalidInputError
 
 
-@pytest.mark.parametrize("m", [0, -3])
-def test_clustered_instance_needs_a_candidate(m):
-    with pytest.raises(InvalidInputError, match=f"need at least 1 candidate, got m={m}"):
+@pytest.mark.parametrize("m, message", [
+    pytest.param(m, message, id=str(m)) for m, message in [
+        (0, "m must be >= 1, got 0"), (-3, "m must be >= 1, got -3"),
+        # m = 2.5 once failed inside numpy's integers
+        (2.5, "m must be an integer, got 2.5"), (True, "m must be an integer, got True")]
+])
+def test_clustered_instance_needs_a_candidate(m, message):
+    with pytest.raises(InvalidInputError, match=message):
         sy.clustered_instance(0, m)
 
 
