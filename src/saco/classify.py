@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coding import CodingDiagnostics, Encoder, SpatialWeightConfig, _reject_rows
+from .coding import CodingDiagnostics, Encoder, SpatialWeightConfig
 from .config import PipelineConfig
-from .data import Dictionary, check_count, sample_candidates, whole_numbers
+from .data import (Dictionary, check_count, check_scalar, reject_rows, sample_candidates,
+                   whole_numbers)
 from .errors import InvalidInputError, PipelineStageError
 from .graphs import build_feature_affinity, build_spatial_affinity
 from .selection import ObjectiveWeights, SelectionResult, lazy_greedy
@@ -62,17 +63,16 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300):
     y, fractional = whole_numbers(labels)
     if X.ndim != 2 or y.shape != (len(X),):
         raise InvalidInputError(f"features {X.shape} / labels {y.shape} mismatch")
-    _reject_rows(~np.isfinite(X).all(axis=1), "non-finite features")
-    _reject_rows(fractional, "label is not an integer")
-    _reject_rows(y < 0, "negative label")
+    reject_rows(~np.isfinite(X).all(axis=1), "non-finite features")
+    reject_rows(fractional, "label is not an integer")
+    reject_rows(y < 0, "negative label")
     check_count("epochs", epochs)
-    if not 0 < reg < np.inf:
-        raise InvalidInputError(f"SVM reg must be finite and > 0, got {reg}")
+    check_scalar("SVM reg", reg, positive=True)
     if np.unique(y).size < 2:
         raise InvalidInputError("SVM training needs at least two classes present")
     if n_classes is None:
         n_classes = int(y.max()) + 1
-    _reject_rows(y >= n_classes, f"label out of range for {n_classes} classes")
+    reject_rows(y >= n_classes, f"label out of range for {n_classes} classes")
     n, dim = X.shape
     Y = np.where(y[:, None] == np.arange(n_classes), 1.0, -1.0)
     W = np.zeros((n_classes, dim))
@@ -95,7 +95,7 @@ def svm_predict(model: LinearSvmModel, features):
     dim = model.weights.shape[1]
     if F.ndim != 2 or F.shape[1] != dim:
         raise InvalidInputError(f"features {F.shape} do not match model rows of width {dim}")
-    _reject_rows(~np.isfinite(F).all(axis=1), "non-finite features")
+    reject_rows(~np.isfinite(F).all(axis=1), "non-finite features")
     # one matrix-vector product per row, as scoring a single row computes it
     scores = np.matmul(model.weights, F[:, :, None])[:, :, 0] + model.biases
     return scores.argmax(axis=1), scores

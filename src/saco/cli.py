@@ -40,6 +40,7 @@ from .classify import (
 from .config import PipelineConfig, apply_overrides, read_config_file
 from .data import (
     Dictionary,
+    check_count,
     load_image_pools,
     load_patches,
     pool_patches,
@@ -55,19 +56,14 @@ from .tensorio import read_tensor, write_tensor
 
 
 def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        seed, name = args.seed, "--seed"
-    else:
-        env = os.environ.get("SACO_SEED")
-        if env is None:
-            return 0
+    seed, name = args.seed, "--seed"
+    if seed is None:
+        env, name = os.environ.get("SACO_SEED", "0"), "SACO_SEED"
         try:
-            seed, name = int(env), "SACO_SEED"
+            seed = int(env)
         except ValueError as exc:
             raise InvalidConfigError(f"SACO_SEED must be an integer, got '{env}'") from exc
-    if seed < 0:
-        raise InvalidConfigError(f"{name} must be a non-negative integer, got {seed}")
-    return seed
+    return check_count(name, seed, low=0, error=InvalidConfigError)
 
 
 def _resolve_config(args) -> PipelineConfig:

@@ -45,8 +45,8 @@ saco1 code does not depend on how rows are batched.  saco2 solves its
 rows in blocks sized by ``data.block_rows``, the package's one budget.
 
 Every public entry checks its input by one rule, in ``_rows``, naming the
-first bad row.  Scalars are checked as their accepted range, so NaN
-fails: lambda1 and lambda2 finite and >= 0.  saco2 and the iterative
+first bad row.  Scalars go through ``data.check_scalar``, so NaN and
+inf fail: lambda1 and lambda2 finite and >= 0.  saco2 and the iterative
 coder also need every lambda2 w_j^2 finite, checked in ``Encoder._code``.
 """
 
@@ -59,7 +59,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dlamch, dppcon, dppsv, dpptrf
 
-from .data import Dictionary, block_rows
+from .data import Dictionary, block_rows, check_scalar, reject_rows
 from .errors import InvalidConfigError, InvalidInputError, LinearSolveError
 
 CONDITION_WARN_THRESHOLD = 1e8
@@ -87,10 +87,8 @@ class SpatialWeightConfig:
     def __post_init__(self):
         if self.kernel not in WEIGHT_KERNELS:
             raise InvalidConfigError(f"unknown weight_kernel '{self.kernel}'")
-        if not 0 < self.scale < np.inf:
-            raise InvalidConfigError(f"weight_scale must be finite and > 0, got {self.scale}")
-        if not 0 <= self.epsilon < np.inf:
-            raise InvalidConfigError(f"weight_epsilon must be finite and >= 0, got {self.epsilon}")
+        check_scalar("weight_scale", self.scale, positive=True, error=InvalidConfigError)
+        check_scalar("weight_epsilon", self.epsilon, error=InvalidConfigError)
 
 
 def _weight_rows(coords, atom_coords, config: SpatialWeightConfig) -> np.ndarray:
@@ -102,11 +100,6 @@ def _weight_rows(coords, atom_coords, config: SpatialWeightConfig) -> np.ndarray
     if config.kernel == "linear":
         return config.epsilon + d / config.scale
     return config.epsilon + 1.0 - np.exp(-(d * d) / (2.0 * config.scale * config.scale))
-
-
-def _reject_rows(bad, what):
-    if bad.any():
-        raise InvalidInputError(f"row {bad.argmax()}: {what}")
 
 
 def _rows(d: Dictionary, X=None, W=None, coords=None):
@@ -131,11 +124,11 @@ def _rows(d: Dictionary, X=None, W=None, coords=None):
         rows.append(a)
     X, coords, W = rows
     if X is not None:
-        _reject_rows(~np.isfinite(X).all(axis=1), "non-finite features")
+        reject_rows(~np.isfinite(X).all(axis=1), "non-finite features")
     if coords is not None:
-        _reject_rows(~np.isfinite(coords).all(axis=1), "non-finite location")
+        reject_rows(~np.isfinite(coords).all(axis=1), "non-finite location")
     if W is not None:
-        _reject_rows(~((W >= 0) & (W < np.inf)).all(axis=1), "weights must be finite and >= 0")
+        reject_rows(~(np.isfinite(W) & (W >= 0)).all(axis=1), "weights must be finite and >= 0")
     return X, coords, W
 
 
@@ -147,12 +140,6 @@ def spatial_weights(coords, dictionary: Dictionary, config: SpatialWeightConfig)
 def soft_threshold(u, thresh):
     """Elementwise shrinkage: sign(u) * max(0, |u| - thresh)."""
     return np.sign(u) * np.maximum(0.0, np.abs(u) - thresh)
-
-
-def _check_lambdas(lambda1, lambda2):
-    for name, v in (("lambda1", lambda1), ("lambda2", lambda2)):
-        if not 0 <= v < np.inf:
-            raise InvalidInputError(f"{name} must be finite and >= 0, got {v}")
 
 
 def _pseudo_inverse(D):
@@ -389,7 +376,8 @@ class Encoder:
     def __post_init__(self):
         if self.method not in CODERS:
             raise InvalidConfigError(f"unknown coder '{self.method}'")
-        _check_lambdas(self.lambda1, self.lambda2)
+        for name in ("lambda1", "lambda2"):
+            check_scalar(name, getattr(self, name))
         D = self.dictionary.matrix
         self.omega = self.sigma_lower = self._outer = self._spectrum = None
         if self.method == "saco1":
@@ -426,7 +414,7 @@ class Encoder:
             return _saco1_rows(X, self.omega, self.lambda1, W), CodingDiagnostics(n)
         with np.errstate(over="ignore"):
             ridge = self.lambda2 * W * W
-        _reject_rows(~np.isfinite(ridge).all(axis=1), "lambda2 * weight^2 is not finite")
+        reject_rows(~np.isfinite(ridge).all(axis=1), "lambda2 * weight^2 is not finite")
         if self.method == "saco2":
             codes = _saco2_rows(X, d.matrix, d.gram(), ridge, self.lambda1, self._outer,
                                 self._spectrum)

@@ -10,10 +10,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-from .coding import CODERS, SpatialWeightConfig, _check_lambdas
-from .data import check_count
-from .errors import InvalidConfigError, InvalidInputError
-from .selection import ObjectiveWeights
+from .coding import CODERS, SpatialWeightConfig
+from .data import check_count, check_scalar
+from .errors import InvalidConfigError
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -87,20 +86,15 @@ class PipelineConfig:
             raise InvalidConfigError(f"unknown selection mode '{self.selection}'")
         if self.coder not in CODERS:
             raise InvalidConfigError(f"unknown coder '{self.coder}'")
-        for name in ("spatial_sigma", "svm_reg"):
-            if not 0 < (v := getattr(self, name)) < float("inf"):
-                raise InvalidConfigError(f"{name} must be finite and > 0, got {v}")
-        # the stages' own checks, run here so a bad value fails before any work
+        # every value meets its stage's rule here, so a bad value fails before any work
         SpatialWeightConfig(self.weight_kernel, self.weight_epsilon, self.weight_scale)
-        try:
-            check_count("seed", self.seed, low=0)
-            for name in ("candidates_per_image", "patches_per_image", "k_nn", "dict_size",
-                         "svm_epochs"):
-                check_count(name, getattr(self, name))
-            ObjectiveWeights(self.lambda_s, self.lambda_d, self.lambda_b, self.lambda_c)
-            _check_lambdas(self.lambda1, self.lambda2)
-        except InvalidInputError as exc:
-            raise InvalidConfigError(str(exc)) from exc
+        check_count("seed", self.seed, low=0, error=InvalidConfigError)
+        for name in ("candidates_per_image", "patches_per_image", "k_nn", "dict_size", "svm_epochs"):
+            check_count(name, getattr(self, name), error=InvalidConfigError)
+        for name in ("spatial_sigma", "svm_reg"):
+            check_scalar(name, getattr(self, name), positive=True, error=InvalidConfigError)
+        for name in ("lambda_s", "lambda_d", "lambda_b", "lambda_c", "lambda1", "lambda2"):
+            check_scalar(name, getattr(self, name), error=InvalidConfigError)
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str]) -> "PipelineConfig":

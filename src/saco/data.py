@@ -17,11 +17,13 @@ through ``tensorio.read_tensor`` and ``write_tensor``, and images through
 Input is validated once, where it enters, by vectorized checks that name
 the bad row: ``PatchSet`` (row counts, finite features, coordinates in
 [0,1]^2, ids and labels whole numbers >= 0; from ``load_patches`` also
-the CSV line), ``ImageFeatures`` (whole-number id and label, finite
-features and coordinates in any units, naming the image id), the CSV
-reader (header, field count, numbers) and every coding entry (finite
-features and locations, finite weights >= 0).  Other modules take three
-rules from here: ``check_count``, ``whole_numbers`` and ``block_rows``.
+the CSV line), ``ImageFeatures`` and ``LabeledImage`` (whole-number id
+and label, finite features and coordinates or pixels, naming the image),
+the CSV reader (header, field count, numbers) and every coding entry
+(finite features and locations, finite weights >= 0).  Other modules
+take five rules from here: ``check_count`` (counts, seeds),
+``check_scalar`` (finite scalars >= 0 or > 0), ``whole_numbers``,
+``reject_rows`` (the first bad row) and ``block_rows``.
 """
 
 from __future__ import annotations
@@ -44,13 +46,20 @@ def block_rows(doubles_per_row: int) -> int:
     return max(1, BLOCK_DOUBLES // doubles_per_row)
 
 
-def check_count(name, value, low=1):
-    """``value`` if it is an integer (a bool is not) >= ``low``, which is 0 for a seed."""
+def check_count(name, value, low=1, error=InvalidInputError, *, part_of=None):
+    """``value`` if it is an integer (a bool is not) >= ``low``, which is 0 for a seed;
+    an error shows ``part_of`` instead, the seed list that ``value`` is a part of."""
     whole = isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not (whole and value >= low):
         need = "a non-negative integer" if low == 0 else f">= {low}" if whole else "an integer"
-        raise InvalidInputError(f"{name} must be {need}, got {value!r}")
+        raise error(f"{name} must be {need}, got {value if part_of is None else part_of!r}")
     return value
+
+
+def check_scalar(name, value, positive=False, error=InvalidInputError):
+    """Raise ``error`` unless ``value`` is a finite number >= 0, or > 0 if ``positive``."""
+    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise error(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
 
 
 def whole_numbers(values):
@@ -59,7 +68,24 @@ def whole_numbers(values):
     raw = np.asarray(values)
     num = raw if raw.dtype.kind in "iuf" else np.full(raw.shape, np.nan)
     whole = (num == np.floor(num)) & (np.abs(num) < 2.0 ** 63)
+    # np.asarray([True, 0]) is int64, so a list's bools are found by type
+    if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
+        whole &= [not isinstance(v, (bool, np.bool_)) for v in values]
     return np.where(whole, num, 0).astype(np.int64), ~whole
+
+
+def reject_rows(bad, what):
+    """Raise ``InvalidInputError`` naming the first row that the mask ``bad`` marks."""
+    if bad.any():
+        raise InvalidInputError(f"row {bad.argmax()}: {what}")
+
+
+def _id_and_label(image_id, label):
+    """An image's id and label as Python ints; either one not whole is an error."""
+    ints, bad = whole_numbers([image_id, label])
+    if bad.any():
+        raise InvalidInputError(f"image {image_id!r}: id and label must be integers")
+    return ints.tolist()
 
 
 @dataclass(frozen=True)
@@ -141,10 +167,7 @@ class ImageFeatures:
     coords: np.ndarray    # (n, 2), arbitrary units
 
     def __post_init__(self):
-        ints, fractional = whole_numbers([self.image_id, self.label])
-        if fractional.any():
-            raise InvalidInputError(f"image {self.image_id!r}: id and label must be integers")
-        self.image_id, self.label = ints.tolist()
+        self.image_id, self.label = _id_and_label(self.image_id, self.label)
         self.features = np.asarray(self.features, dtype=np.float64)
         self.coords = np.asarray(self.coords, dtype=np.float64)
         if self.features.ndim != 2 or self.coords.shape != (len(self.features), 2):
@@ -166,6 +189,7 @@ class LabeledImage:
     label: int
 
     def __post_init__(self):
+        self.image_id, self.label = _id_and_label(self.image_id, self.label)
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
         if self.pixels.ndim != 2 or min(self.pixels.shape) < 1:
             raise InvalidInputError(f"image {self.image_id}: pixels must be a non-empty 2-D array")
@@ -307,15 +331,14 @@ def sample_candidates(images, per_image, seed) -> PatchSet:
     if not images:
         raise InvalidInputError("no images to sample from")
     check_count("per_image", per_image)
-    seed_parts, fractional = whole_numbers(np.atleast_1d(seed))
-    if fractional.any() or seed_parts.min(initial=0) < 0:
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
+    seed_parts = [check_count("seed", part, low=0, part_of=seed)
+                  for part in (seed if isinstance(seed, (list, tuple)) else [seed])]
     sampled = []
     for img in images:
         n = len(img.features)
         if n == 0:
             raise InvalidInputError(f"image {img.image_id} has an empty pool")
-        rng = np.random.default_rng(seed_parts.tolist() + [img.image_id])
+        rng = np.random.default_rng(seed_parts + [img.image_id])
         chosen = rng.choice(n, size=per_image, replace=n < per_image)
         lo = img.coords.min(axis=0)
         span = img.coords.max(axis=0) - lo

@@ -48,7 +48,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .data import PatchSet, block_rows, check_count
+from .data import PatchSet, block_rows, check_count, check_scalar
 from .errors import DegenerateInputError, InvalidInputError
 
 MEDIAN_SAMPLE_PAIRS = 1000
@@ -266,6 +266,5 @@ def build_feature_affinity(patches, k_nn=50) -> AffinityGraph:
 def build_spatial_affinity(patches, k_nn=50, sigma=0.25) -> AffinityGraph:
     """kNN Gaussian affinity over normalized patch coordinates."""
     coords = _checked_patches(patches, k_nn).coords
-    if not 0.0 < sigma < np.inf:
-        raise DegenerateInputError(f"spatial sigma={sigma} is unusable")
+    check_scalar("spatial sigma", sigma, positive=True, error=DegenerateInputError)
     return AffinityGraph(_knn_gaussian(coords, k_nn, float(sigma)))

@@ -53,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PatchSet, block_rows, check_count, read_csv_rows, whole_numbers, write_lines
+from .data import (PatchSet, block_rows, check_count, check_scalar, read_csv_rows,
+                   whole_numbers, write_lines)
 from .errors import InvalidInputError
 
 SELECTION_CSV_HEADER = "step,patch_id,gain,evaluations"
@@ -75,9 +76,7 @@ class ObjectiveWeights:
 
     def __post_init__(self):
         for name in ("lambda_s", "lambda_d", "lambda_b", "lambda_c"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
-                raise InvalidInputError(f"{name} must be finite and >= 0, got {v}")
+            check_scalar(name, getattr(self, name))
 
 
 def _xlogx(p: float) -> float:

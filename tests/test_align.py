@@ -1,6 +1,7 @@
 """Rotation search, viewpoint clustering, and PGM round trips."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -337,6 +338,20 @@ class TestNonFinitePixels:
         images[0][5, 5] = np.nan
         with pytest.raises(InvalidInputError, match="image 9: pixels must be finite"):
             LabeledImage(9, images[0], 0)
+
+
+@pytest.mark.parametrize("image_id, label", [(1.5, 0), (2, 0.5), (True, 0), (2, np.nan)])
+def test_labeled_image_id_and_label_must_be_whole_numbers(image_id, label):
+    # LabeledImage(1.5, pixels, 0.5) once constructed with id 1.5 and label 0.5
+    with pytest.raises(InvalidInputError,
+                       match=re.escape(f"image {image_id!r}: id and label must be integers")):
+        LabeledImage(image_id, np.ones((8, 8)), label)
+
+
+def test_labeled_image_keeps_whole_float_id_and_label_as_ints():
+    image = LabeledImage(np.float64(2.0), np.ones((8, 8)), 1.0)
+    assert (image.image_id, image.label) == (2, 1)
+    assert type(image.image_id) is int and type(image.label) is int
 
 
 class TestEntryChecks:

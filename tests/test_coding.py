@@ -703,6 +703,7 @@ BAD_INPUTS = {
     "nan feature": ("X", np.nan), "inf feature": ("X", np.inf), "nan weight": ("W", np.nan),
     "negative weight": ("W", -1.0), "inf weight": ("W", np.inf), "nan location": ("C", np.nan),
     **{f"nan {name}": (name, np.nan) for name in SCALARS},
+    **{f"inf {name}": (name, np.inf) for name in SCALARS},
 }
 
 

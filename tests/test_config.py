@@ -122,6 +122,7 @@ class TestPipelineConfig:
         ("lambda1", float("nan")), ("lambda2", float("nan")), ("weight_scale", float("nan")),
         ("weight_epsilon", float("nan")), ("svm_reg", float("inf")),
         ("spatial_sigma", float("inf")), ("weight_scale", float("inf")),
+        ("weight_epsilon", float("inf")), ("lambda1", float("inf")),
     ])
     def test_stage_values_rejected_at_construction(self, key, value):
         with pytest.raises(InvalidConfigError, match=key):

@@ -110,6 +110,15 @@ class TestPatchSet:
                            match="patch row 2: id, image id or label is not an integer"):
             PatchSet(**arrays)
 
+    @pytest.mark.parametrize("field", ["label", "image_id", "id"])
+    def test_bool_in_a_list_is_not_an_integer(self, field):
+        # a bool among the ints of a Python list once read as 0 or 1
+        rows = list(self._set())
+        rows[2] = Patch(**{**vars(rows[2]), field: True})
+        with pytest.raises(InvalidInputError,
+                           match="patch row 2: id, image id or label is not an integer"):
+            PatchSet.of(rows)
+
     def test_row_counts_must_agree(self):
         with pytest.raises(InvalidInputError, match="patch arrays disagree"):
             PatchSet(np.zeros((3, 2)), np.zeros((3, 2)), [0, 0], [0, 0, 0])
@@ -191,10 +200,12 @@ def test_image_pool_with_a_nan_row_names_image_and_row():
         ImageFeatures(image_id=7, label=0, features=np.ones((4, 3)), coords=coords)
 
 
-@pytest.mark.parametrize("image_id, label", [(1.5, 0), (3, 0.5), (3, np.nan), ("4", 0)])
+@pytest.mark.parametrize("image_id, label", [(1.5, 0), (3, 0.5), (3, np.nan), ("4", 0),
+                                             (True, 0), (3, False)])
 def test_image_id_and_label_must_be_whole_numbers(image_id, label):
     # an id of 1.5 failed later inside numpy's default_rng, and a label of
-    # 0.5 was sampled as class 0
+    # 0.5 was sampled as class 0; np.asarray([True, 0]) is an int64 array,
+    # so an id of True once became image 1
     with pytest.raises(InvalidInputError,
                        match=re.escape(f"image {image_id!r}: id and label must be integers")):
         ImageFeatures(image_id, label, np.zeros((2, 3)), np.zeros((2, 2)))

@@ -1,8 +1,10 @@
 """Rules the package applies in many places have one owner, ``saco.data``:
 ``check_count`` and ``whole_numbers``, the only code that needs the
-``numbers`` module, and the block budget ``BLOCK_DOUBLES`` with
-``block_rows``.  No other module imports ``numbers`` or defines a
-module-level ``*BLOCK_DOUBLES`` of its own."""
+``numbers`` module, ``check_scalar`` for finite scalars in a range, and the
+block budget ``BLOCK_DOUBLES`` with ``block_rows``.  No other module imports
+``numbers``, defines a module-level ``*BLOCK_DOUBLES`` of its own or compares
+a value against infinity, and no package module imports another one's
+underscore name."""
 
 import ast
 from pathlib import Path
@@ -11,12 +13,34 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "saco"
 OWNER = "data.py"
 
 
+def _is_inf(node):
+    """Whether ``node`` is ``np.inf``, ``numpy.inf``, ``math.inf`` or
+    ``float("inf")``, signed or not."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    if isinstance(node, ast.Attribute):
+        return node.attr == "inf" and isinstance(node.value, ast.Name) and \
+            node.value.id in ("np", "numpy", "math")
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and \
+        node.func.id == "float" and len(node.args) == 1 and \
+        isinstance(node.args[0], ast.Constant) and \
+        str(node.args[0].value).strip().lstrip("+-").lower() in ("inf", "infinity")
+
+
 def restated_rules(source):
-    """(rule, line) of every import of ``numbers`` and every module-level
-    assignment to a name ending in ``BLOCK_DOUBLES`` in ``source``, by line."""
+    """(rule, line) of every import of ``numbers``, every module-level
+    assignment to a name ending in ``BLOCK_DOUBLES``, every comparison
+    against an infinity constant and every import of an underscore name from
+    a package module (relative or ``saco.*``) in ``source``, by line."""
     tree = ast.parse(source)
     found = []
     for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(map(_is_inf, [node.left, *node.comparators])):
+            found.append(("inf", node.lineno))
+        elif isinstance(node, ast.ImportFrom) and \
+                (node.level or (node.module or "").split(".")[0] == "saco") and \
+                any(alias.name.startswith("_") for alias in node.names):
+            found.append(("private import", node.lineno))
         if isinstance(node, ast.Import):
             found += [("numbers", node.lineno) for alias in node.names
                       if alias.name.split(".")[0] == "numbers"]
@@ -37,10 +61,18 @@ def test_scan_finds_every_restated_rule():
     source = ("import numbers\nimport os, numbers.abc\nfrom numbers import Integral\n"
               "def f():\n    import numbers\n    LOCAL_BLOCK_DOUBLES = 3\n"
               "KNN_BLOCK_DOUBLES = 1 << 18\nA, SOLVE_BLOCK_DOUBLES = 1, 2\n"
-              "BLOCK_DOUBLES: int = 4\nfrom .data import BLOCK_DOUBLES\nfrom . import numbers\n")
+              "BLOCK_DOUBLES: int = 4\nfrom .data import BLOCK_DOUBLES\nfrom . import numbers\n"
+              "ok = 0 < v < np.inf\nif x >= -math.inf: pass\nf = float(' Inf ') == y\n"
+              "big = np.full(3, np.inf)\ng = v < float(1)\nh = numpy.inf != v\n"
+              "from .coding import Encoder, _reject_rows\nfrom . import _private\n"
+              "from saco.coding import _check\nfrom .data import check_count\n"
+              "from numpy import _core\nfrom __future__ import annotations\n")
     assert restated_rules(source) == [("numbers", 1), ("numbers", 2), ("numbers", 3),
                                       ("numbers", 5), ("BLOCK_DOUBLES", 7),
-                                      ("BLOCK_DOUBLES", 8), ("BLOCK_DOUBLES", 9)]
+                                      ("BLOCK_DOUBLES", 8), ("BLOCK_DOUBLES", 9),
+                                      ("inf", 12), ("inf", 13), ("inf", 14), ("inf", 17),
+                                      ("private import", 18), ("private import", 19),
+                                      ("private import", 20)]
 
 
 def test_each_rule_stays_with_its_owner():

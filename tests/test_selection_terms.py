@@ -227,9 +227,10 @@ class TestEvaluateIds:
     @pytest.mark.parametrize("ids, message", [
         ([0, -1], r"patch id -1 outside \[0, 30\)"),
         ([0, 31], r"patch id 31 outside \[0, 30\)"),
+        ([0, 30], r"patch id 30 outside \[0, 30\)"),
         ([3, 3], r"patch id 3 repeats"),
         ([0, 2.7], r"patch id 2.7 is not an integer"),
-    ], ids=["negative", "out-of-range", "repeated", "non-integer"])
+    ], ids=["negative", "out-of-range", "id-equals-m", "repeated", "non-integer"])
     def test_bad_id_is_named(self, instance, ids, message):
         S, L, labels = instance
         with pytest.raises(InvalidInputError, match=message):
