@@ -58,13 +58,6 @@ def default_theta_grid(step=10.0) -> np.ndarray:
     return np.arange(0.0, 360.0, step)
 
 
-def _as_image(image, name="image") -> np.ndarray:
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise InvalidInputError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
-    return arr
-
-
 def _pixels(image, name="image") -> np.ndarray:
     """The raster of a ``LabeledImage``, or ``image`` itself, as a finite 2-D float array.
 
@@ -72,7 +65,9 @@ def _pixels(image, name="image") -> np.ndarray:
     """
     if isinstance(image, LabeledImage):
         name, image = f"image {image.image_id}", image.pixels
-    arr = _as_image(image, name)
+    arr = np.asarray(image, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise InvalidInputError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
     bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
         r, c = bad[0]
@@ -97,8 +92,8 @@ def _sampling_plan(xs: np.ndarray, ys: np.ndarray, h: int, w: int) -> sp.csr_arr
     Row r of the (xs.size, h * w) result holds the in-frame corners of
     output pixel r in (dy, dx) order, which is ascending column order.
     Out-of-frame corners are dropped; in-frame corners of weight 0 are
-    kept, since they still decide the result for -0.0 and non-finite
-    pixels.
+    kept, since their signed-zero terms still decide the sign of a zero
+    result, as with -0.0 pixels.  (Non-finite pixels never get here.)
     """
     dx, dy = np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1])
     xs, ys = np.reshape(xs, (-1, 1)), np.reshape(ys, (-1, 1))
@@ -138,7 +133,7 @@ def _resize_plan(h: int, w: int, out_h: int, out_w: int) -> sp.csr_array:
 
 def rotate_image(image, theta_deg: float) -> np.ndarray:
     """Rotate by theta degrees about the center; bilinear, zero padding."""
-    img = _as_image(image)
+    img = _pixels(image)
     theta_deg = float(theta_deg)
     if not math.isfinite(theta_deg):
         raise InvalidInputError(f"rotation angle must be finite, got {theta_deg}")
@@ -147,7 +142,7 @@ def rotate_image(image, theta_deg: float) -> np.ndarray:
 
 def resize_image(image, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize with corner-aligned sampling (identity if same size)."""
-    img = _as_image(image)
+    img = _pixels(image)
     if out_h < 1 or out_w < 1:
         raise InvalidInputError(f"resize target must be at least 1x1, got {out_h}x{out_w}")
     if img.shape == (out_h, out_w):

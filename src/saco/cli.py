@@ -1,13 +1,15 @@
 """Command-line interface.
 
 Subcommands: gen, select, code, train, predict, pipeline, bench-greedy,
-plot-layout.  All but plot-layout take ``--seed`` (falling back to the
-``SACO_SEED`` environment variable); select, code, train, predict and
-pipeline also read an optional flat key-value file plus repeated ``--set
-key=value`` overrides, and ``--seed`` overrides both.  Every artifact
-header echoes the resolved configuration, and identical seeds produce
-byte-identical artifacts for a fixed numpy/BLAS build and BLAS thread
-count.  Every text artifact is written by ``data.write_lines``.
+plot-layout.  Each setting has one way in.  select, code, train and
+pipeline take every setting, the seed and select's K (``dict_size``)
+included, from an optional flat key-value file (``--config``) plus
+repeated ``--set key=value`` overrides, and echo the resolved
+configuration into their artifact headers.  gen and bench-greedy read no
+configuration and take ``--seed`` (default 0); predict and plot-layout
+take none of the three.  Identical settings produce byte-identical
+artifacts for a fixed numpy/BLAS build and BLAS thread count.  Every text
+artifact is written by ``data.write_lines``.
 
 select and pipeline pick exemplars by ``selection.lazy_greedy``, which
 returns naive greedy's selection at any weights: a stale entry's key, its
@@ -19,7 +21,6 @@ its later gains.  bench-greedy exits 1 if ``naive_greedy`` differs: a bug.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
@@ -55,24 +56,9 @@ from .selection import ObjectiveWeights, lazy_greedy, naive_greedy, read_selecti
 from .tensorio import read_tensor, write_tensor
 
 
-def _resolve_seed(args) -> int:
-    seed, name = args.seed, "--seed"
-    if seed is None:
-        env, name = os.environ.get("SACO_SEED", "0"), "SACO_SEED"
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise InvalidConfigError(f"SACO_SEED must be an integer, got '{env}'") from exc
-    return check_count(name, seed, low=0, error=InvalidConfigError)
-
-
 def _resolve_config(args) -> PipelineConfig:
     mapping = read_config_file(args.config) if args.config else {}
-    mapping = apply_overrides(mapping, args.set)
-    # --seed is the last override; SACO_SEED only fills in a seed given nowhere
-    if args.seed is not None or "seed" not in mapping:
-        mapping["seed"] = str(_resolve_seed(args))
-    return PipelineConfig.from_mapping(mapping)
+    return PipelineConfig.from_mapping(apply_overrides(mapping, args.set))
 
 
 def _require_files(*paths):
@@ -90,7 +76,7 @@ def _write_pool_files(out: Path, prefix: str, pools, comments):
 
 
 def cmd_gen(args) -> int:
-    seed = _resolve_seed(args)
+    seed = check_count("--seed", args.seed, low=0, error=InvalidConfigError)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     comments = [f"generator = {args.kind}", f"seed = {seed}"]
@@ -133,7 +119,7 @@ def cmd_select(args) -> int:
     S = build_feature_affinity(patches, k_nn=cfg.k_nn)
     L = build_spatial_affinity(patches, k_nn=cfg.k_nn, sigma=cfg.spatial_sigma)
     weights = ObjectiveWeights(cfg.lambda_s, cfg.lambda_d, cfg.lambda_b, cfg.lambda_c)
-    result = lazy_greedy(patches, S, L, weights, args.k)
+    result = lazy_greedy(patches, S, L, weights, cfg.dict_size)
     result.write_csv(args.out, header_comments=cfg.echo_lines())
     print(f"selected {len(result.ids)} exemplars -> {args.out}")
     return 0
@@ -204,7 +190,6 @@ def _load_model(prefix) -> LinearSvmModel:
 
 
 def cmd_predict(args) -> int:
-    cfg = _resolve_config(args)
     _require_files(args.features, args.images)
     model = _load_model(args.model)
     feats = read_tensor(args.features).astype(np.float64)
@@ -221,7 +206,7 @@ def cmd_predict(args) -> int:
         raise InvalidInputError(f"{args.features}: {exc}") from None
     predictions = [PredictionRow(image_id, true_label, int(c), s)
                    for (image_id, true_label), c, s in zip(pairs, classes, scores)]
-    write_lines(args.out, predictions_csv_lines(predictions), cfg.echo_lines())
+    write_lines(args.out, predictions_csv_lines(predictions))
     accuracy = np.mean(classes == [true_label for _, true_label in pairs])
     print(f"accuracy {accuracy:.4f} on {len(pairs)} images -> {args.out}")
     return 0
@@ -258,7 +243,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_bench_greedy(args) -> int:
-    seed = _resolve_seed(args)
+    seed = check_count("--seed", args.seed, low=0, error=InvalidConfigError)
     patches = synth.clustered_instance(seed, args.m)
     S = build_feature_affinity(patches, k_nn=args.k_nn)
     L = build_spatial_affinity(patches, k_nn=args.k_nn)
@@ -311,11 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def seed(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="random seed (falls back to SACO_SEED, then 0)")
+        p.add_argument("--seed", type=int, default=0, help="random seed")
 
-    def common(p):
-        seed(p)
+    def config(p):
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
@@ -333,12 +316,11 @@ def build_parser() -> argparse.ArgumentParser:
     seed(p)
     p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("select", help="greedy exemplar selection")
+    p = sub.add_parser("select", help="greedy selection of dict_size exemplars")
     p.add_argument("--features", required=True)
     p.add_argument("--patches", required=True)
-    p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    config(p)
     p.set_defaults(fn=cmd_select)
 
     p = sub.add_parser("code", help="code query patches over a dictionary")
@@ -349,14 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-features", required=True)
     p.add_argument("--query-patches", required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    config(p)
     p.set_defaults(fn=cmd_code)
 
     p = sub.add_parser("train", help="train the linear classifier on pooled features")
     p.add_argument("--features", required=True, help="pooled feature tensor, one row per image")
     p.add_argument("--images", required=True, help="CSV with header image_id,label")
     p.add_argument("--out", required=True, help="model file prefix")
-    common(p)
+    config(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("predict", help="score pooled features with a trained model")
@@ -364,14 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--images", required=True)
     p.add_argument("--out", required=True)
-    common(p)
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("pipeline", help="full select/code/train/predict run")
     p.add_argument("--train-dir", required=True)
     p.add_argument("--test-dir", required=True)
     p.add_argument("--out", required=True)
-    common(p)
+    config(p)
     p.set_defaults(fn=cmd_pipeline)
 
     p = sub.add_parser("bench-greedy", help="time greedy selection on a synthetic instance")

@@ -28,6 +28,7 @@ take five rules from here: ``check_count`` (counts, seeds),
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -57,9 +58,12 @@ def check_count(name, value, low=1, error=InvalidInputError, *, part_of=None):
 
 
 def check_scalar(name, value, positive=False, error=InvalidInputError):
-    """Raise ``error`` unless ``value`` is a finite number >= 0, or > 0 if ``positive``."""
-    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
-        raise error(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+    """Raise ``error`` unless ``value`` is a finite real number (a bool is not) >= 0,
+    or > 0 if ``positive``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        need = f"finite and {'>' if positive else '>='} 0" if real else "a number"
+        raise error(f"{name} must be {need}, got {value if real else repr(value)}")
 
 
 def whole_numbers(values):

@@ -334,6 +334,16 @@ class TestNonFinitePixels:
         with pytest.raises(InvalidInputError, match="image: non-finite pixel nan at row 0, column 7"):
             al.align_to_medoid(images[0], model)
 
+    @pytest.mark.parametrize("call", [lambda px: al.rotate_image(px, 10.0),
+                                      lambda px: al.resize_image(px, 5, 5),
+                                      lambda px: al.rotate_resize(px, 10.0)],
+                             ids=["rotate_image", "resize_image", "rotate_resize"])
+    def test_one_image_entries(self, call, no_rotations):
+        px = np.full((6, 8), 0.5)
+        px[4, 2] = np.inf
+        with pytest.raises(InvalidInputError, match="image: non-finite pixel inf at row 4, column 2"):
+            call(px)
+
     def test_labeled_image_rejects_at_construction(self, images):
         images[0][5, 5] = np.nan
         with pytest.raises(InvalidInputError, match="image 9: pixels must be finite"):

@@ -1,5 +1,6 @@
 """End-to-end command-line flows on temporary directories."""
 
+import argparse
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -7,14 +8,9 @@ import pytest
 
 import saco.align as al
 import saco.coding as cd
-from saco.cli import main
+from saco.cli import build_parser, main
 from saco.selection import naive_greedy
 from saco.tensorio import read_tensor, write_tensor
-
-
-@pytest.fixture(autouse=True)
-def isolated_env(monkeypatch):
-    monkeypatch.delenv("SACO_SEED", raising=False)
 
 
 def run_ok(capsys, argv):
@@ -30,6 +26,40 @@ def run_fail(capsys, argv):
     assert rc == 1
     assert captured.err.startswith("error: ")
     return captured.err
+
+
+# every option string of each subcommand, "--help" aside
+OPTIONS = {
+    "gen": "--kind --out --classes --points-per-class --train-per-class --test-per-class "
+           "--pool-size --feature-dim --per-view --seed",
+    "select": "--features --patches --out --config --set",
+    "code": "--dict-features --dict-patches --selection --query-features --query-patches --out "
+            "--config --set",
+    "train": "--features --images --out --config --set",
+    "predict": "--model --features --images --out",
+    "pipeline": "--train-dir --test-dir --out --config --set",
+    "bench-greedy": "--m --k --k-nn --lazy-only --seed",
+    "plot-layout": "--features --patches --selection --out --title",
+}
+# the required options of each subcommand, with placeholder values
+REQUIRED = {
+    "gen": ["--kind", "blobs2d", "--out", "x"],
+    "select": ["--features", "f", "--patches", "p", "--out", "o"],
+    "code": ["--dict-features", "f", "--dict-patches", "p", "--query-features", "f",
+             "--query-patches", "p", "--out", "o"],
+    "train": ["--features", "f", "--images", "i", "--out", "o"],
+    "predict": ["--model", "m", "--features", "f", "--images", "i", "--out", "o"],
+    "pipeline": ["--train-dir", "t", "--test-dir", "t", "--out", "o"],
+}
+
+
+def test_each_subcommand_takes_exactly_its_options():
+    # a new flag is a new option to test and document, so it shows up here
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(s for a in p._actions for s in a.option_strings
+                        if s not in ("-h", "--help")) for name, p in sub.choices.items()}
+    assert got == {name: sorted(options.split()) for name, options in OPTIONS.items()}
+    assert sum(map(len, got.values())) == 47
 
 
 def gen_blobs(capsys, out, seed=0, classes=3, points=40):
@@ -62,33 +92,22 @@ class TestGen:
             tmp_path / "b" / "candidates_features.skt"
         ).read_bytes()
 
-    def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
-        gen_blobs(capsys, tmp_path / "flag", seed=7)
-        monkeypatch.setenv("SACO_SEED", "7")
-        run_ok(capsys, ["gen", "--kind", "blobs2d", "--out", str(tmp_path / "env"),
-                        "--classes", "3", "--points-per-class", "40"])
-        assert (tmp_path / "flag" / "candidates_features.skt").read_bytes() == (
-            tmp_path / "env" / "candidates_features.skt"
-        ).read_bytes()
-
-    @pytest.mark.parametrize("option", [["--set", "seed=5"], ["--config", "run.cfg"]])
-    def test_config_options_are_usage_errors(self, tmp_path, capsys, option):
-        # gen reads no configuration, so it takes --seed only
+    @pytest.mark.parametrize("option", [
+        ["gen", "--set", "seed=5"], ["gen", "--config", "run.cfg"],
+        *[[command, "--seed", "5"] for command in ("select", "code", "train", "predict",
+                                                   "pipeline")],
+        ["predict", "--set", "seed=5"], ["predict", "--config", "run.cfg"],
+    ])
+    def test_config_options_are_usage_errors(self, tmp_path, capsys, monkeypatch, option):
+        # each setting has one way in: gen reads no configuration, so it takes
+        # --seed only; a command that reads one takes its seed from it; predict
+        # takes none, since nothing in a configuration changes a prediction
+        command, *flags = option
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["gen", "--kind", "blobs2d", "--out", str(tmp_path / "x"), *option])
+            main([command, *REQUIRED[command], *flags])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_bad_env_seed(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SACO_SEED", "lots")
-        err = run_fail(capsys, ["gen", "--kind", "blobs2d", "--out", str(tmp_path / "x")])
-        assert "SACO_SEED" in err
-
-    def test_negative_env_seed(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("SACO_SEED", "-3")
-        err = run_fail(capsys, ["gen", "--kind", "blobs2d", "--out", str(tmp_path / "x")])
-        assert "InvalidConfigError: SACO_SEED must be a non-negative integer, got -3" in err
-        assert not (tmp_path / "x").exists()
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         err = run_fail(capsys, ["gen", "--kind", "blobs2d", "--out", str(tmp_path / "x"),
@@ -129,23 +148,23 @@ def blob_dataset(tmp_path, capsys):
 def select_args(data, out, k=5, extra=()):
     return [
         "select", "--features", str(data / "candidates_features.skt"),
-        "--patches", str(data / "candidates_patches.csv"),
-        "--k", str(k), "--out", str(out), "--seed", "0",
-        "--set", "k_nn=8", *extra,
+        "--patches", str(data / "candidates_patches.csv"), "--out", str(out),
+        "--set", f"dict_size={k}", "--set", "k_nn=8", *extra,
     ]
 
 
 class TestSelect:
     def test_writes_selection_csv(self, blob_dataset, tmp_path, capsys):
         out = tmp_path / "sel.csv"
-        stdout = run_ok(capsys, select_args(blob_dataset, out))
-        assert "selected 5 exemplars" in stdout
+        stdout = run_ok(capsys, select_args(blob_dataset, out, k=3))
+        assert "selected 3 exemplars" in stdout
         lines = out.read_text().splitlines()
         comments = [ln for ln in lines if ln.startswith("#")]
         assert not any(ln.startswith("# algorithm") for ln in comments)
-        assert any(ln.startswith("# k_nn = 8") for ln in comments)
+        # the header names the K that ran
+        assert "# dict_size = 3" in comments and "# k_nn = 8" in comments
         data_rows = [ln for ln in lines if ln and not ln.startswith("#")][1:]
-        assert len(data_rows) == 5
+        assert len(data_rows) == 3
         for step, row in enumerate(data_rows):
             s, pid, gain, evals = row.split(",")
             assert int(s) == step
@@ -167,35 +186,14 @@ class TestSelect:
                                            extra=["--set", "warp=9"]))
         assert "unknown config key" in err
 
-    @pytest.mark.parametrize("given, env, want", [
-        (["--config", "run.cfg", "--seed", "5"], None, 5),
-        (["--set", "seed=3", "--seed", "5"], None, 5),
-        (["--config", "run.cfg"], "7", 3),
-        ([], "7", 7),
-    ], ids=["flag-over-config", "flag-over-set", "config-over-env", "env-fallback"])
-    def test_seed_precedence(self, blob_dataset, tmp_path, capsys, monkeypatch, given, env, want):
-        # --seed wins over --config and --set; SACO_SEED only fills in a missing seed
-        (tmp_path / "run.cfg").write_text("seed = 3\n")
-        if env is not None:
-            monkeypatch.setenv("SACO_SEED", env)
-        out = tmp_path / "s.csv"
-        run_ok(capsys, [
-            "select", "--features", str(blob_dataset / "candidates_features.skt"),
-            "--patches", str(blob_dataset / "candidates_patches.csv"), "--k", "3",
-            "--out", str(out), "--set", "k_nn=8",
-            *[str(tmp_path / a) if a == "run.cfg" else a for a in given],
-        ])
-        seeds = [ln for ln in out.read_text().splitlines() if ln.startswith("# seed = ")]
-        assert seeds == [f"# seed = {want}"]
-
     def test_config_file_applies(self, blob_dataset, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("k_nn = 8\nlambda_s = 0.5\n")
+        cfg.write_text("k_nn = 8\nlambda_s = 0.5\ndict_size = 3\n")
         out = tmp_path / "s.csv"
         run_ok(capsys, [
             "select", "--features", str(blob_dataset / "candidates_features.skt"),
             "--patches", str(blob_dataset / "candidates_patches.csv"),
-            "--k", "3", "--out", str(out), "--config", str(cfg),
+            "--out", str(out), "--config", str(cfg),
         ])
         assert any(ln.startswith("# lambda_s = 0.5") for ln in out.read_text().splitlines())
 
@@ -208,7 +206,7 @@ def code_args(data, sel, out, extra=()):
         "--selection", str(sel),
         "--query-features", str(data / "candidates_features.skt"),
         "--query-patches", str(data / "candidates_patches.csv"),
-        "--out", str(out), "--seed", "0", *extra,
+        "--out", str(out), *extra,
     ]
 
 
@@ -332,7 +330,7 @@ class TestTrainPredict:
         feats, images = pooled_problem(tmp_path)
         prefix = tmp_path / "model"
         run_ok(capsys, ["train", "--features", str(feats), "--images", str(images),
-                        "--out", str(prefix), "--seed", "0",
+                        "--out", str(prefix),
                         "--set", "svm_reg=0.1", "--set", "svm_epochs=150"])
         assert read_tensor(str(prefix) + ".w.skt").shape == (2, 2)
         meta = (tmp_path / "model.meta.txt").read_text()
@@ -341,9 +339,10 @@ class TestTrainPredict:
         out = tmp_path / "pred.csv"
         stdout = run_ok(capsys, ["predict", "--model", str(prefix),
                                  "--features", str(feats), "--images", str(images),
-                                 "--out", str(out), "--seed", "0"])
+                                 "--out", str(out)])
         assert "accuracy 1.0000" in stdout
-        rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+        # no configuration echoed: none could change a prediction
+        rows = out.read_text().splitlines()
         assert rows[0] == "image_id,true_label,pred_label,score_0,score_1"
         assert len(rows) == 61
 
@@ -468,11 +467,13 @@ class TestPipeline:
         out = tmp_path / "run"
         stdout = run_ok(capsys, ["pipeline", "--train-dir", str(texture_dirs),
                                  "--test-dir", str(texture_dirs), "--out", str(out),
-                                 "--seed", "0", *self.PIPE_SETS])
+                                 "--set", "seed=3", *self.PIPE_SETS])
         assert "pipeline accuracy" in stdout
         for name in ("selection.csv", "dictionary_patches.csv",
                      "dictionary_features.skt", "predictions.csv", "report.txt"):
             assert (out / name).exists(), name
+        for name in ("selection.csv", "dictionary_patches.csv", "predictions.csv"):
+            assert "# seed = 3" in (out / name).read_text().splitlines(), name
         report = (out / "report.txt").read_text()
         assert "accuracy = " in report
         assert "confusion_rows_true_cols_pred =" in report
@@ -482,7 +483,7 @@ class TestPipeline:
         for out in (a, b):
             run_ok(capsys, ["pipeline", "--train-dir", str(texture_dirs),
                             "--test-dir", str(texture_dirs), "--out", str(out),
-                            "--seed", "0", *self.PIPE_SETS])
+                            *self.PIPE_SETS])
         for name in ("selection.csv", "dictionary_features.skt",
                      "predictions.csv", "report.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name

@@ -704,6 +704,9 @@ BAD_INPUTS = {
     "negative weight": ("W", -1.0), "inf weight": ("W", np.inf), "nan location": ("C", np.nan),
     **{f"nan {name}": (name, np.nan) for name in SCALARS},
     **{f"inf {name}": (name, np.inf) for name in SCALARS},
+    **{f"bool {name}": (name, True) for name in SCALARS},
+    **{f"str {name}": (name, "x") for name in SCALARS},
+    **{f"None {name}": (name, None) for name in SCALARS},
 }
 
 

@@ -123,6 +123,9 @@ class TestPipelineConfig:
         ("weight_epsilon", float("nan")), ("svm_reg", float("inf")),
         ("spatial_sigma", float("inf")), ("weight_scale", float("inf")),
         ("weight_epsilon", float("inf")), ("lambda1", float("inf")),
+        ("lambda_s", True), ("svm_reg", True), ("weight_epsilon", True), ("lambda1", "x"),
+        ("spatial_sigma", "x"), ("weight_scale", "x"), ("lambda_d", None), ("svm_reg", None),
+        ("weight_epsilon", None),
     ])
     def test_stage_values_rejected_at_construction(self, key, value):
         with pytest.raises(InvalidConfigError, match=key):

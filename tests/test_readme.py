@@ -52,7 +52,6 @@ def test_cli_quick_start_runs(tmp_path, monkeypatch, capsys):
     # gen, select, plot-layout, gen, pipeline, bench-greedy
     assert len(commands) >= 6
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("SACO_SEED", raising=False)
     for command in commands:
         rc = cli.main(shlex.split(command)[1:])
         assert rc == 0, f"{command!r} exited {rc}: {capsys.readouterr().err}"
