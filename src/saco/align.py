@@ -8,27 +8,28 @@ and per-image alignment to the nearest medoid.  Every off-diagonal
 dissimilarity is at least ``DEFAULT_EPSILON``, so a medoid stays in its
 own cluster even when another image is identical to it.
 
-A list of images goes through the grid one angle at a time: the images
-of one shape are the columns of one matrix, rotated (and resized) by one
-sparse product per angle.  ``dissimilarity_matrix`` streams those
-products: each angle's (1600, n_g) frames go into one matrix product
-against the (n, 1600) canonical frames and a running minimum, so it
-holds O(n^2 + 1600 n) doubles however many angles the grid has, and its
-distances are within its stated tolerance.  ``align_to_medoid``
-collects one image's (T, 1600) frames and keeps an exact kernel whose
-stacked vector products sum as ``np.linalg.norm`` does; it takes the
-first minimum over (cluster, angle): ties go to the lowest cluster, then
-angle.
+A list of images goes through the grid in blocks, one angle at a time:
+the images of one shape are split evenly into the fewest blocks whose
+stacked pixels and frames fit in ``data.BLOCK_DOUBLES``, and a block's
+images are the columns of one matrix, rotated (and resized) by one sparse
+product per angle.  ``dissimilarity_matrix`` puts each block's frames at
+each angle into one matrix product against the (n, s) canonical frames,
+s = WORK_SIZE^2, and a running minimum, so it holds O(n^2 + s n) doubles
+plus one block, and its distances are within its stated tolerance.
+``align_to_medoid`` collects one image's (T, s) frames and keeps an exact
+kernel whose stacked vector products sum as ``np.linalg.norm`` does; it
+takes the first minimum over (cluster, angle): ties go to the lowest
+cluster, then angle.
 
 Bilinear sampling is a linear operator on the flattened pixels.  A
 plan is a read-only ``scipy.sparse.csr_array`` of shape (output pixels,
 h * w) whose row holds the weights of an output pixel's in-frame source
-corners.  Plans are kept in two LRU caches of ``PLAN_CACHE_SIZE``
-entries, keyed by (shape, angle) and (shape, target shape); one takes
-60-71 bytes per output pixel (~250 KB for a 64x64 rotation).  The CSR
-product sums each row's corners from zero in (dy, dx) order, as
-sampling is defined, in every column of a stack, so results are
-bit-identical to sampling one image directly.
+corners, with int32 indices where they fit.  Plans are kept in two LRU
+caches of ``PLAN_CACHE_SIZE`` entries, keyed by (shape, angle) and
+(shape, target shape); one takes 43-52 bytes per output pixel (~190 KB
+for a 64x64 rotation).  The CSR product sums each row's corners from
+zero in (dy, dx) order, as sampling is defined, in every column of a
+stack, so results are bit-identical to sampling one image directly.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import LabeledImage, check_count
+from .data import LabeledImage, block_rows, check_count
 from .errors import InvalidInputError
 
 WORK_SIZE = 40
@@ -102,8 +103,10 @@ def _sampling_plan(xs: np.ndarray, ys: np.ndarray, h: int, w: int) -> sp.csr_arr
     yi = np.floor(ys).astype(np.int64) + dy
     wgt = np.where(dx, fx, 1.0 - fx) * np.where(dy, fy, 1.0 - fy)
     valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-    indptr = np.r_[0, valid.sum(axis=1).cumsum()]
-    op = sp.csr_array((wgt[valid], (yi * w + xi)[valid], indptr), shape=(len(xs), h * w))
+    itype = np.int32 if max(h * w, valid.size) < 2 ** 31 else np.int64  # every index fits
+    indices, indptr = (yi * w + xi)[valid], np.r_[0, valid.sum(axis=1).cumsum()]
+    op = sp.csr_array((wgt[valid], indices.astype(itype), indptr.astype(itype)),
+                      shape=(len(xs), h * w))
     for arr in (op.data, op.indices, op.indptr):
         arr.flags.writeable = False
     return op
@@ -156,20 +159,26 @@ def rotate_resize(image, theta_deg: float) -> np.ndarray:
 
 
 def _sampled(images, theta_grid):
-    """Per image shape: (indices, generator of their (s, n_g) frames at each grid angle).
+    """Per block: (indices, generator of their (s, n_b) frames at each grid angle).
 
-    The n_g images of one shape are the columns of one matrix, rotated
-    (and resized) by one product per angle; column c of the frames is
-    image ``indices[c]`` in the working square, flattened (s =
-    WORK_SIZE^2), bit-identical to ``rotate_resize``.
+    The images of one shape are split evenly into the fewest blocks whose
+    stacked pixels and frames fit in ``BLOCK_DOUBLES`` (a narrow last block
+    could go to another BLAS kernel and round its distances otherwise).  A
+    block's images are the columns of one matrix, rotated (and resized) by
+    one product per angle; column c of the frames is image ``indices[c]``
+    in the working square, flattened (s = WORK_SIZE^2), bit-identical to
+    ``rotate_resize``.
     """
     for shape in dict.fromkeys(px.shape for px in images):
         idx = [i for i, px in enumerate(images) if px.shape == shape]
-        yield idx, _rotated(np.stack([images[i].ravel() for i in idx], axis=1), shape, theta_grid)
+        step = block_rows(max(math.prod(shape), WORK_SIZE * WORK_SIZE))
+        for block in np.array_split(idx, -(-len(idx) // step)):
+            cols = np.stack([images[i].ravel() for i in block], axis=1)
+            yield block, _rotated(cols, shape, theta_grid)
 
 
 def _rotated(cols: np.ndarray, shape, theta_grid):
-    """The (s, n_g) frames of the flattened images ``cols``, one grid angle at a time."""
+    """The (s, n_b) frames of the flattened images ``cols``, one grid angle at a time."""
     for theta in theta_grid:
         f = _rotation_plan(*shape, float(theta)) @ cols
         if shape != (WORK_SIZE, WORK_SIZE):
@@ -212,13 +221,15 @@ def dissimilarity_matrix(images, theta_grid) -> np.ndarray:
 
     Off-diagonal entries are ``DEFAULT_EPSILON`` plus the average of the
     two directional minima; the diagonal is zero by convention so that
-    trivial clusterings have zero cost.  The grid is searched one angle
-    at a time: the frames of all images of one shape at that angle go
+    trivial clusterings have zero cost.  The grid is searched one block
+    of same-shape images and one angle at a time: the block's frames go
     into one matrix product against the canonical frames and a running
     minimum.  Neither every frame nor every distance is held at once, so
-    working memory is O(n^2 + n s) doubles, s = WORK_SIZE^2, whatever
-    the grid size.  Each d^2 = |a|^2 + |b|^2 - 2 a.b, a.b from that
-    product, is off by at most ~2e-13 (|a|^2 + |b|^2).
+    working memory is O(n^2 + n s) doubles, s = WORK_SIZE^2, plus one
+    ``BLOCK_DOUBLES`` block, whatever the image and grid sizes.  Each
+    d^2 = |a|^2 + |b|^2 - 2 a.b, a.b from that product, is off by at most
+    ~2e-13 (|a|^2 + |b|^2); a block budget far from the default may move
+    it within that bound, as the BLAS rounds narrow products differently.
     """
     grid = _theta_grid(theta_grid)
     if len(images) == 0:

@@ -4,12 +4,13 @@ Subcommands: gen, select, code, train, predict, pipeline, bench-greedy,
 plot-layout.  Each setting has one way in.  select, code, train and
 pipeline take every setting, the seed and select's K (``dict_size``)
 included, from an optional flat key-value file (``--config``) plus
-repeated ``--set key=value`` overrides, and echo the resolved
-configuration into their artifact headers.  gen and bench-greedy read no
-configuration and take ``--seed`` (default 0); predict and plot-layout
-take none of the three.  Identical settings produce byte-identical
-artifacts for a fixed numpy/BLAS build and BLAS thread count.  Every text
-artifact is written by ``data.write_lines``.
+repeated ``--set key=value`` overrides, and echo the keys that produced
+an artifact into its header: code the coder's, train the SVM's, select
+and pipeline all (select rejects a non-greedy ``selection``).  gen and
+bench-greedy read no configuration and take ``--seed`` (default 0);
+predict and plot-layout take none of the three.  Identical settings
+produce byte-identical artifacts for a fixed numpy/BLAS build and BLAS
+thread count.  Every text artifact is written by ``data.write_lines``.
 
 select and pipeline pick exemplars by ``selection.lazy_greedy``, which
 returns naive greedy's selection at any weights: a stale entry's key, its
@@ -114,6 +115,9 @@ def cmd_gen(args) -> int:
 
 def cmd_select(args) -> int:
     cfg = _resolve_config(args)
+    if cfg.selection != "greedy":
+        raise InvalidConfigError(f"config key 'selection = {cfg.selection}': select always runs "
+                                 "greedy selection; the key applies to 'saco pipeline'")
     _require_files(args.features, args.patches)
     patches = load_patches(args.patches, args.features)
     S = build_feature_affinity(patches, k_nn=cfg.k_nn)
@@ -143,7 +147,9 @@ def cmd_code(args) -> int:
               f"{diag.max_iterations} iterations (worst KKT residual {diag.worst_kkt:.3e})",
               file=sys.stderr)
     write_tensor(args.out, codes)
-    write_lines(str(args.out) + ".config.txt", cfg.echo_lines())
+    keys = ("coder", "lambda1", "lambda2", "spatial_weighting", "weight_kernel",
+            "weight_epsilon", "weight_scale")  # the keys that produce a code
+    write_lines(str(args.out) + ".config.txt", cfg.echo_lines(keys))
     print(f"coded {len(queries)} patches over {dictionary.n_atoms} atoms -> {args.out}")
     return 0
 
@@ -174,8 +180,8 @@ def cmd_train(args) -> int:
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_tensor(str(prefix) + ".w.skt", model.weights)
     write_tensor(str(prefix) + ".b.skt", model.biases)
-    write_lines(str(prefix) + ".meta.txt", [f"n_classes = {model.n_classes}",
-                                            f"dim = {model.weights.shape[1]}", *cfg.echo_lines()])
+    meta = [f"n_classes = {model.n_classes}", f"dim = {model.weights.shape[1]}"]
+    write_lines(str(prefix) + ".meta.txt", meta + cfg.echo_lines(("svm_reg", "svm_epochs")))
     print(f"trained {model.n_classes}-class model -> {prefix}.*")
     return 0
 

@@ -124,5 +124,6 @@ class PipelineConfig:
             out[f.name] = str(v).lower() if isinstance(v, bool) else str(v)
         return out
 
-    def echo_lines(self) -> list[str]:
-        return [f"{k} = {v}" for k, v in sorted(self.as_mapping().items())]
+    def echo_lines(self, keys=None) -> list[str]:
+        mapping = self.as_mapping()
+        return [f"{k} = {mapping[k]}" for k in sorted(keys or mapping)]

@@ -23,7 +23,9 @@ the CSV reader (header, field count, numbers) and every coding entry
 (finite features and locations, finite weights >= 0).  Other modules
 take five rules from here: ``check_count`` (counts, seeds),
 ``check_scalar`` (finite scalars >= 0 or > 0), ``whole_numbers``,
-``reject_rows`` (the first bad row) and ``block_rows``.
+``reject_rows`` (the first bad row) and ``block_rows``, which sizes the
+blocks of graph building (``graphs``), greedy scoring (``selection``),
+saco2 solves (``coding``) and the rotation search (``align``).
 """
 
 from __future__ import annotations

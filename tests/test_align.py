@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import saco.align as al
+import saco.data
 from saco.data import LabeledImage
 from saco.errors import InvalidInputError
 from saco.synth import make_viewpoints
@@ -217,6 +218,13 @@ class TestSamplingPlans:
 
     def test_default_grid_fits_the_cache(self):
         assert al.default_theta_grid().size + 1 <= al.PLAN_CACHE_SIZE
+
+    def test_plans_store_int32_indices(self):
+        # int64 indices would take 61-71 bytes per output pixel
+        for theta in al.default_theta_grid():
+            op = al._rotation_plan(64, 64, float(theta))
+            assert op.indices.dtype == op.indptr.dtype == np.int32
+            assert op.data.nbytes + op.indices.nbytes + op.indptr.nbytes <= 52 * 64 * 64
 
     def test_plans_are_read_only(self):
         op = al._rotation_plan(6, 6, 30.0)
@@ -501,6 +509,64 @@ class TestStreamedSearch:
         scale = (base ** 2).sum(-1)[:, None] + (rots ** 2).sum(-1).max(-1)
         got = al._min_sq_distances(images, grid)
         assert np.all(np.abs(got - direct) <= 2e-13 * scale)
+
+
+class TestBlockedSearch:
+    """The search stacks and rotates each shape's images in blocks of at most
+    ``BLOCK_DOUBLES``; the block width changes no result beyond the stated
+    tolerance of the distances."""
+
+    @staticmethod
+    def run_search(images, grid):
+        model, assign, _ = al.k_medoids(images, 3, grid, seed=0)
+        return {"frames": al._frames(images, grid).tobytes(),
+                "d2": al._min_sq_distances(images, grid),
+                "medoids": model.medoid_ids, "assign": assign.tolist(),
+                "aligned": [(c, t, a.tobytes()) for a, c, t in
+                            (al.align_to_medoid(px, model) for px in images)]}
+
+    @pytest.mark.parametrize("kind", ["viewpoints", "mixed-shapes"])
+    def test_block_width_changes_no_result(self, kind, monkeypatch):
+        rng = np.random.default_rng(27)
+        images = (viewpoint_pixels(12) if kind == "viewpoints" else
+                  [rng.uniform(size=s) for s in [(12, 12), (20, 16), (64, 64), (40, 40)] * 6])
+        grid = al.default_theta_grid(30.0)
+        ref = self.run_search(images, grid)
+        base = al._frames(images, [0.0])[:, 0]
+        scale = (base ** 2).sum(-1)[:, None] + (al._frames(images, grid) ** 2).sum(-1).max(-1)
+        for doubles in (1, 7 * 64 * 64):  # one column; seven 64x64 columns
+            monkeypatch.setattr(saco.data, "BLOCK_DOUBLES", doubles)
+            got = self.run_search(images, grid)
+            for key in ("frames", "medoids", "assign", "aligned"):
+                assert got[key] == ref[key], (doubles, key)
+            # the BLAS may round a narrower product's a.b differently
+            assert np.all(np.abs(got["d2"] - ref["d2"]) <= 2e-13 * scale)
+
+    def test_default_blocks_match_one_unblocked_product(self, monkeypatch):
+        # 66 images of 64x64 take two blocks of 33 at the default budget; a
+        # leftover block of 2 would go to another BLAS kernel
+        images = viewpoint_pixels(33, seed=2)
+        grid = al.default_theta_grid(30.0)
+        blocked = al.dissimilarity_matrix(images, grid)
+        monkeypatch.setattr(saco.data, "BLOCK_DOUBLES", 1 << 40)
+        assert_bit_identical(blocked, al.dissimilarity_matrix(images, grid))
+
+    def test_no_stacked_block_exceeds_the_budget(self, monkeypatch):
+        sizes = []
+        rotated = al._rotated
+
+        def spy(cols, *args):
+            sizes.append(cols.size)
+            for f in rotated(cols, *args):
+                sizes.append(f.size)
+                yield f
+
+        monkeypatch.setattr(al, "_rotated", spy)
+        # 80 images of 64x64 and 170 of 12x12 stack to 4096 and 1600 doubles
+        # (their frames) a column
+        images = viewpoint_pixels(40) + random_images(28, n=170)
+        al.dissimilarity_matrix(images, al.default_theta_grid(90.0))
+        assert sizes and max(sizes) <= saco.data.BLOCK_DOUBLES
 
 
 class TestKMedoids:

@@ -186,6 +186,14 @@ class TestSelect:
                                            extra=["--set", "warp=9"]))
         assert "unknown config key" in err
 
+    def test_selection_key_is_rejected_naming_pipeline(self, blob_dataset, tmp_path, capsys):
+        # select once ran greedy under a "# selection = random" header
+        out = tmp_path / "s.csv"
+        err = run_fail(capsys, select_args(blob_dataset, out, extra=["--set", "selection=random"]))
+        assert err.startswith("error: InvalidConfigError: config key 'selection = random'")
+        assert "'saco pipeline'" in err and not out.exists()
+        run_ok(capsys, select_args(blob_dataset, out, extra=["--set", "selection=greedy"]))
+
     def test_config_file_applies(self, blob_dataset, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k_nn = 8\nlambda_s = 0.5\ndict_size = 3\n")
@@ -221,6 +229,20 @@ class TestCode:
         assert np.all(np.isfinite(codes))
         sidecar = (str(out) + ".config.txt")
         assert "coder = saco2" in open(sidecar).read()
+
+    def test_sidecar_echoes_only_the_coder_keys(self, blob_dataset, tmp_path, capsys):
+        # the seed and the selection keys do not change a code
+        sel = tmp_path / "sel.csv"
+        run_ok(capsys, select_args(blob_dataset, sel, k=2))
+        outs = [tmp_path / f"codes{seed}.skt" for seed in (0, 3)]
+        for seed, out in zip((0, 3), outs):
+            run_ok(capsys, code_args(blob_dataset, sel, out, ["--set", f"seed={seed}"]))
+        sidecars = [open(str(out) + ".config.txt", "rb").read() for out in outs]
+        assert sidecars[0] == sidecars[1]
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert sidecars[0].decode().splitlines() == [
+            "coder = saco2", "lambda1 = 0.1", "lambda2 = 1.0", "spatial_weighting = true",
+            "weight_epsilon = 0.1", "weight_kernel = linear", "weight_scale = 0.5"]
 
     def test_warns_naming_the_unconverged_patches(self, blob_dataset, tmp_path, capsys,
                                                   monkeypatch):
@@ -333,8 +355,8 @@ class TestTrainPredict:
                         "--out", str(prefix),
                         "--set", "svm_reg=0.1", "--set", "svm_epochs=150"])
         assert read_tensor(str(prefix) + ".w.skt").shape == (2, 2)
-        meta = (tmp_path / "model.meta.txt").read_text()
-        assert "n_classes = 2" in meta and "dim = 2" in meta
+        meta = (tmp_path / "model.meta.txt").read_text().splitlines()
+        assert meta == ["n_classes = 2", "dim = 2", "svm_epochs = 150", "svm_reg = 0.1"]
 
         out = tmp_path / "pred.csv"
         stdout = run_ok(capsys, ["predict", "--model", str(prefix),
