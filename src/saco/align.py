@@ -9,13 +9,13 @@ dissimilarity is at least ``DEFAULT_EPSILON``, so a medoid stays in its
 own cluster even when another image is identical to it.
 
 A list of images goes through the grid in blocks, one angle at a time:
-the images of one shape are split evenly into the fewest blocks whose
-stacked pixels and frames fit in ``data.BLOCK_DOUBLES``, and a block's
-images are the columns of one matrix, rotated (and resized) by one sparse
-product per angle.  ``dissimilarity_matrix`` puts each block's frames at
-each angle into one matrix product against the (n, s) canonical frames,
-s = WORK_SIZE^2, and a running minimum, so it holds O(n^2 + s n) doubles
-plus one block, and its distances are within its stated tolerance.
+the images of one shape walk by ``data.blocks``, max(h w, s) doubles an
+image, s = WORK_SIZE^2, and a block's images are the columns of one
+matrix, rotated (and resized) by one sparse product per angle.
+``dissimilarity_matrix`` puts each block's frames at each angle into one
+matrix product against the (n, s) canonical frames and a running
+minimum, so it holds O(n^2 + s n) doubles plus one block, and its
+distances are within its stated tolerance.
 ``align_to_medoid`` collects one image's (T, s) frames and keeps an exact
 kernel whose stacked vector products sum as ``np.linalg.norm`` does; it
 takes the first minimum over (cluster, angle): ties go to the lowest
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import LabeledImage, block_rows, check_count
+from .data import LabeledImage, blocks, check_count
 from .errors import InvalidInputError
 
 WORK_SIZE = 40
@@ -161,18 +161,16 @@ def rotate_resize(image, theta_deg: float) -> np.ndarray:
 def _sampled(images, theta_grid):
     """Per block: (indices, generator of their (s, n_b) frames at each grid angle).
 
-    The images of one shape are split evenly into the fewest blocks whose
-    stacked pixels and frames fit in ``BLOCK_DOUBLES`` (a narrow last block
-    could go to another BLAS kernel and round its distances otherwise).  A
-    block's images are the columns of one matrix, rotated (and resized) by
-    one product per angle; column c of the frames is image ``indices[c]``
-    in the working square, flattened (s = WORK_SIZE^2), bit-identical to
-    ``rotate_resize``.
+    The images of one shape walk by ``data.blocks``, the wider of an
+    image's pixels and frame a column.  A block's images are the columns of
+    one matrix, rotated (and resized) by one product per angle; column c of
+    the frames is image ``indices[c]`` in the working square, flattened
+    (s = WORK_SIZE^2), bit-identical to ``rotate_resize``.
     """
     for shape in dict.fromkeys(px.shape for px in images):
-        idx = [i for i, px in enumerate(images) if px.shape == shape]
-        step = block_rows(max(math.prod(shape), WORK_SIZE * WORK_SIZE))
-        for block in np.array_split(idx, -(-len(idx) // step)):
+        idx = np.array([i for i, px in enumerate(images) if px.shape == shape])
+        for span in blocks(len(idx), max(math.prod(shape), WORK_SIZE * WORK_SIZE)):
+            block = idx[span]
             cols = np.stack([images[i].ravel() for i in block], axis=1)
             yield block, _rotated(cols, shape, theta_grid)
 
@@ -228,8 +226,9 @@ def dissimilarity_matrix(images, theta_grid) -> np.ndarray:
     working memory is O(n^2 + n s) doubles, s = WORK_SIZE^2, plus one
     ``BLOCK_DOUBLES`` block, whatever the image and grid sizes.  Each
     d^2 = |a|^2 + |b|^2 - 2 a.b, a.b from that product, is off by at most
-    ~2e-13 (|a|^2 + |b|^2); a block budget far from the default may move
-    it within that bound, as the BLAS rounds narrow products differently.
+    ~2e-13 (|a|^2 + |b|^2).  At one BLAS thread the default budget gives
+    the bits of one unblocked product; more threads, or a budget far from
+    the default, may move them within that bound.
     """
     grid = _theta_grid(theta_grid)
     if len(images) == 0:

@@ -41,8 +41,8 @@ a row's objective; each row freezes once its KKT residual is at most
 ``FISTA_KKT_TOL`` times ||D^T x||_inf (tested every ``FISTA_KKT_EVERY``
 iterations), or stops unconverged at the ``FISTA_MAX_ITER`` cap.  A
 row's step is 1 / (lambda_max(D^T D) + lambda2 max_j w_j^2).  A row's
-saco1 code does not depend on how rows are batched.  saco2 solves its
-rows in blocks sized by ``data.block_rows``, the package's one budget.
+saco1 code does not depend on how rows are batched.  saco2 walks its
+rows by ``data.blocks``, p(p+1)/2 or m(m+1)/2 doubles a packed row.
 
 Every public entry checks its input by one rule, in ``_rows``, naming the
 first bad row.  Scalars go through ``data.check_scalar``, so NaN and
@@ -59,7 +59,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dlamch, dppcon, dppsv, dpptrf
 
-from .data import Dictionary, block_rows, check_scalar, reject_rows
+from .data import Dictionary, blocks, check_scalar, reject_rows
 from .errors import InvalidConfigError, InvalidInputError, LinearSolveError
 
 CONDITION_WARN_THRESHOLD = 1e8
@@ -209,8 +209,8 @@ def _saco2_rows(X, D, G, ridge, lambda1, outer, spectrum) -> np.ndarray:
     # per row, packed K = I_p + D diag(inv) D^T; a row whose K overflows,
     # fails to factor or gives a non-finite code takes the m x m solve
     k_diag = np.arange(p) * (np.arange(p) + 3) // 2
-    fast, size = np.flatnonzero(~slow), block_rows(p * (p + 1) // 2)
-    for blk in (fast[lo:lo + size] for lo in range(0, fast.size, size)):
+    fast = np.flatnonzero(~slow)
+    for blk in (fast[s] for s in blocks(fast.size, p * (p + 1) // 2)):
         with np.errstate(over="ignore", invalid="ignore"):
             K = inv[blk] @ outer
             K[:, k_diag] += 1.0
@@ -225,8 +225,8 @@ def _saco2_rows(X, D, G, ridge, lambda1, outer, spectrum) -> np.ndarray:
     a_diag = np.arange(m) * (np.arange(m) + 3) // 2
     lmin, lmax = spectrum
     eps = dlamch("E")
-    rows, size = np.flatnonzero(slow), block_rows(m * (m + 1) // 2)
-    for blk in (rows[lo:lo + size] for lo in range(0, rows.size, size)):
+    rows = np.flatnonzero(slow)
+    for blk in (rows[s] for s in blocks(rows.size, m * (m + 1) // 2)):
         r = ridge[blk]
         A = np.repeat(g_packed[None], len(blk), axis=0)
         A[:, a_diag] += r
@@ -400,9 +400,11 @@ class Encoder:
     def encode(self, X, coords=None):
         """``code`` an (N, p) batch at the ``weights`` of its (N, 2) ``coords``."""
         d = self.dictionary
-        if self.weights is None:
-            return self._code(_rows(d, X)[0])
         X, coords, _ = _rows(d, X, coords=coords)
+        if self.weights is None:
+            return self._code(X)
+        if coords is None:
+            raise InvalidInputError("coords are required: the encoder weighs atoms by location")
         return self._code(X, _rows(d, W=_weight_rows(coords, d.atom_coords, self.weights))[2])
 
     def _code(self, X, W=None):

@@ -23,9 +23,9 @@ the CSV reader (header, field count, numbers) and every coding entry
 (finite features and locations, finite weights >= 0).  Other modules
 take five rules from here: ``check_count`` (counts, seeds),
 ``check_scalar`` (finite scalars >= 0 or > 0), ``whole_numbers``,
-``reject_rows`` (the first bad row) and ``block_rows``, which sizes the
-blocks of graph building (``graphs``), greedy scoring (``selection``),
-saco2 solves (``coding``) and the rotation search (``align``).
+``reject_rows`` (the first bad row) and ``blocks``, the one block walk
+of graph building (``graphs``), greedy scoring (``selection``), saco2
+solves (``coding``) and the rotation search (``align``).
 """
 
 from __future__ import annotations
@@ -44,9 +44,15 @@ PATCH_CSV_HEADER = "id,image_id,label,x,y"
 BLOCK_DOUBLES = 1 << 18
 
 
-def block_rows(doubles_per_row: int) -> int:
-    """Rows per block, at least one, whose largest temporary fits in ``BLOCK_DOUBLES``."""
-    return max(1, BLOCK_DOUBLES // doubles_per_row)
+def blocks(n: int, doubles_per_row: int) -> list[slice]:
+    """``range(n)`` as slices, in order: the fewest blocks whose largest temporary,
+    ``doubles_per_row`` doubles a row, fits in ``BLOCK_DOUBLES``, sized as
+    ``np.array_split`` sizes them (larger first, each of at least one row), so no
+    narrow last block goes to another BLAS kernel and rounds differently."""
+    count = -(-n // max(1, BLOCK_DOUBLES // doubles_per_row))
+    size, extra = divmod(n, max(count, 1))
+    bounds = [b * size + min(b, extra) for b in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def check_count(name, value, low=1, error=InvalidInputError, *, part_of=None):
@@ -211,8 +217,9 @@ class Dictionary:
 
     def __init__(self, atoms):
         self.atoms = PatchSet.of(atoms)
-        if not len(self.atoms):
-            raise InvalidInputError("dictionary needs at least one atom")
+        if not len(self.atoms) or not self.atoms.features.shape[1]:
+            raise InvalidInputError(f"dictionary needs at least one atom of at least one "
+                                    f"feature, got features {self.atoms.features.shape}")
         self.matrix = np.ascontiguousarray(self.atoms.features.T)
         self.atom_coords = self.atoms.coords
         self.atom_labels = self.atoms.labels

@@ -23,18 +23,14 @@ directly.  Two paths find the neighbours:
   values, from direct d^2.
 
 Both paths give the same sparsity pattern; the tree's direct d^2 moves
-graph values by at most ~1e-14 from the expansion's.  Both take their
-rows in blocks by ``data.block_rows``, the one block budget: a block's
-largest temporary holds at most ``BLOCK_DOUBLES`` (2^18, 2 MiB), so a
-dense block has BLOCK_DOUBLES // m rows (36 at m = 7200), ranked in two
-buffers allocated once per graph, and a tree block BLOCK_DOUBLES //
-((k + 2) p), queried, gathered and ranked on its own.  Each block writes
-its rows into preallocated (m, k) outputs, neighbours in ascending
-column order, and the graph's CSR arrays are those outputs as they are;
-only the graph and its symmetrization grow with m.  A row's neighbours
-do not depend on the block size; its dense expansion values can, in the
-last bits, since numpy hands a one-row product to gemv and a whole
-X @ X.T to syrk.
+graph values by at most ~1e-14 from the expansion's.  Both walk their
+rows by ``data.blocks``, m doubles a dense row (ranked in two buffers
+allocated once per graph) and min(k + 2, m) p a tree row.  Each block
+writes its rows into preallocated (m, k) outputs, neighbours in
+ascending column order, and the graph's CSR arrays are those outputs as
+they are; only the graph and its symmetrization grow with m.  A row's
+neighbours do not depend on the block size; its dense expansion values
+can, in the last bits.
 
 At m = 7200, k = 50 on Gaussian points (one thread, medians of 5), the
 tree takes 0.51 s against the dense path's 0.61 s at p = 7, 0.60 s
@@ -48,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .data import PatchSet, block_rows, check_count, check_scalar
+from .data import PatchSet, blocks, check_count, check_scalar
 from .errors import DegenerateInputError, InvalidInputError
 
 MEDIAN_SAMPLE_PAIRS = 1000
@@ -175,10 +171,8 @@ def _tree_knn(X: np.ndarray, k: int):
     m, p = X.shape
     tree = cKDTree(X)
     cols, vals = np.empty((m, k), dtype=np.int32), np.empty((m, k))
-    rows = block_rows(min(k + 2, m) * p)  # the (rows, k + 2, p) d^2 gather
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        cols[lo:hi], vals[lo:hi] = _tree_block(X, tree, lo, hi, k)
+    for rows in blocks(m, min(k + 2, m) * p):  # the (rows, k + 2, p) d^2 gather
+        cols[rows], vals[rows] = _tree_block(X, tree, rows.start, rows.stop, k)
     return cols, vals
 
 
@@ -222,11 +216,11 @@ def _dense_knn(X: np.ndarray, k: int):
     # the outputs exist before the first block, so no array that outlives a
     # block is placed in the space its temporaries free (peak RSS grows if so)
     cols, vals = np.empty((m, k), dtype=np.int32), np.empty((m, k))
-    rows = min(block_rows(m), m)
-    d2, g = np.empty((rows, m)), np.empty((rows, m))
-    for lo in range(0, m, rows):
-        hi = min(lo + rows, m)
-        cols[lo:hi], vals[lo:hi] = _dense_block(X, sq, err, lo, hi, k, d2[:hi - lo], g[:hi - lo])
+    spans = blocks(m, m)
+    d2, g = np.empty((spans[0].stop, m)), np.empty((spans[0].stop, m))  # the largest block
+    for rows in spans:
+        lo, hi = rows.start, rows.stop
+        cols[rows], vals[rows] = _dense_block(X, sq, err, lo, hi, k, d2[:hi - lo], g[:hi - lo])
     return cols, vals
 
 

@@ -33,8 +33,7 @@ grows, q = |moved| / M and H_b is the binary entropy.
 
 ``SelectionState.gains`` is the one scorer, in every weight regime.  It
 scores a batch of candidates in vectorized passes over the CSR rows of
-the two graphs, one block of candidates at a time, so no gathered array
-holds more than ``data.BLOCK_DOUBLES`` entries; a candidate's gain
+the two graphs, in the blocks of ``data.blocks``; a candidate's gain
 never depends on the rest of its batch or on the block size.  Naive
 greedy scores the whole pool each round, as does lazy greedy's first
 call; later lazy calls re-score up to ``_RESCORE_BATCH`` stale heap
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (PatchSet, block_rows, check_count, check_scalar, read_csv_rows,
+from .data import (PatchSet, blocks, check_count, check_scalar, read_csv_rows,
                    whole_numbers, write_lines)
 from .errors import InvalidInputError
 
@@ -191,23 +190,20 @@ class SelectionState:
         bounds replace the purity and entropy gains by ``_cluster_gains``'s
         bounds and sum in the same order, and rounding is monotone.
 
-        ``B`` is scored in blocks of consecutive candidates: a block holds
-        ``block_rows(w)`` of them, w the most stored entries one candidate
-        has in the graphs it reads, so no gathered array exceeds
-        ``BLOCK_DOUBLES`` entries.
+        ``B`` is scored in ``data.blocks`` of consecutive candidates, each
+        as wide as the most stored entries one candidate has in the graphs
+        it reads.
         """
         B = np.asarray(B, dtype=np.int64)
         graphs = (S, L) if weights.lambda_s else (S,)
         width = sum(g.csr.indptr[B + 1] - g.csr.indptr[B] for g in graphs)
-        rows = block_rows(max(1, int(width.max(initial=0))))
         gain_b = None
         if weights.lambda_b:
             # math.log per class: numpy's log can differ in the last bit
             n_sel = self.per_class_selected.tolist()
             gain_b = np.array([math.log(n + 2.0) - math.log(n + 1.0) for n in n_sel])
         gains, bounds = np.empty(len(B)), np.empty(len(B))
-        for lo in range(0, len(B), rows):
-            block = slice(lo, lo + rows)
+        for block in blocks(len(B), max(1, int(width.max(initial=0)))):
             gains[block], bounds[block] = self._scored_block(B[block], S, L, weights, gain_b)
         return gains, bounds
 
@@ -389,9 +385,8 @@ def objective_terms(ids, S, L, labels) -> dict[str, float]:
 def evaluate_ids(ids, S, L, labels, weights: ObjectiveWeights) -> float:
     """The objective at the selection ``ids``: the weighted sum of ``objective_terms``."""
     t = objective_terms(ids, S, L, labels)
-    return (t["representative"] + weights.lambda_s * t["spatial"]
-            + weights.lambda_d * t["discriminative"] + weights.lambda_b * t["balance"]
-            + weights.lambda_c * t["compact"])
+    return _weighted_sum(weights, t["representative"], t["spatial"], t["discriminative"],
+                         t["balance"], t["compact"])
 
 
 # -- greedy drivers ---------------------------------------------------------

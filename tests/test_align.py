@@ -1,8 +1,12 @@
 """Rotation search, viewpoint clustering, and PGM round trips."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -542,14 +546,25 @@ class TestBlockedSearch:
             # the BLAS may round a narrower product's a.b differently
             assert np.all(np.abs(got["d2"] - ref["d2"]) <= 2e-13 * scale)
 
-    def test_default_blocks_match_one_unblocked_product(self, monkeypatch):
+    def test_default_blocks_match_one_unblocked_product(self, tmp_path):
         # 66 images of 64x64 take two blocks of 33 at the default budget; a
-        # leftover block of 2 would go to another BLAS kernel
-        images = viewpoint_pixels(33, seed=2)
-        grid = al.default_theta_grid(30.0)
-        blocked = al.dissimilarity_matrix(images, grid)
-        monkeypatch.setattr(saco.data, "BLOCK_DOUBLES", 1 << 40)
-        assert_bit_identical(blocked, al.dissimilarity_matrix(images, grid))
+        # leftover block of 2 would go to another BLAS kernel.  The bits hold
+        # at one BLAS thread (more threads may split the two products
+        # differently), so both run in an interpreter started with one.
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import numpy as np\n"
+                "import saco.align as al, saco.data\n"
+                "from saco.synth import make_viewpoints\n"
+                "images = [img.pixels for img in make_viewpoints(per_view=33, seed=2)[0]]\n"
+                "grid = al.default_theta_grid(30.0)\n"
+                "blocked = al.dissimilarity_matrix(images, grid)\n"
+                "saco.data.BLOCK_DOUBLES = 1 << 40\n"
+                "np.save(sys.argv[2], [blocked, al.dissimilarity_matrix(images, grid)])\n")
+        src, out = str(Path(al.__file__).resolve().parent.parent), tmp_path / "dm.npy"
+        subprocess.run([sys.executable, "-c", code, src, str(out)], check=True, timeout=600,
+                       env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        blocked, whole = np.load(out)
+        assert len(blocked) == 66
+        assert_bit_identical(blocked, whole)
 
     def test_no_stacked_block_exceeds_the_budget(self, monkeypatch):
         sizes = []

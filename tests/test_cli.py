@@ -291,6 +291,17 @@ def test_bad_selection_csv_names_file_and_line(blob_dataset, tmp_path, capsys, c
     assert f"{sel}:{line}: {detail}" in err
 
 
+def test_zero_width_dictionary_names_its_shape(tmp_path, capsys):
+    csv, skt = tmp_path / "p.csv", tmp_path / "f.skt"
+    csv.write_text("id,image_id,label,x,y\n" + "".join(f"{i},0,0,0.5,0.5\n" for i in range(4)))
+    write_tensor(skt, np.zeros((4, 0)))
+    err = run_fail(capsys, ["code", "--dict-features", str(skt), "--dict-patches", str(csv),
+                            "--query-features", str(skt), "--query-patches", str(csv),
+                            "--out", str(tmp_path / "c.skt")])
+    assert "got features (4, 0)" in err
+    assert not (tmp_path / "c.skt").exists()
+
+
 # patch row to corrupt, its new CSV text (None: a NaN feature row instead),
 # and what the error must say after naming the file and the row's line
 BAD_PATCH_FILES = {

@@ -1,5 +1,6 @@
 """Sparse-coding solvers against closed forms and an optimality oracle."""
 
+import re
 import warnings
 
 import numpy as np
@@ -655,6 +656,20 @@ class TestEncoder:
         # saco1 builds Omega, so over-complete dictionaries fail at build time
         with pytest.raises(InvalidInputError, match="under-complete"):
             cd.Encoder(d, "saco1")
+
+    def test_encode_checks_coords_with_and_without_weights(self):
+        d, X, coords = batch_problem(8, n=3)
+        with pytest.raises(InvalidInputError, match="coords are required"):
+            cd.Encoder(d, "saco2", 0.1, 1.0, cd.SpatialWeightConfig()).encode(X)
+        uniform = cd.Encoder(d, "saco2", 0.1, 1.0)
+        with pytest.raises(InvalidInputError, match=re.escape("coords (2, 2) do not match")):
+            uniform.encode(X, coords[:2])
+        coords[1, 0] = np.inf
+        with pytest.raises(InvalidInputError, match="row 1: non-finite location"):
+            uniform.encode(X, coords)
+        # coords that pass the check leave a uniform code as it was
+        coords[1, 0] = 0.5
+        assert uniform.encode(X, coords)[0].tobytes() == uniform.encode(X)[0].tobytes()
 
 
 # -- one input rule behind every entry ---------------------------------------

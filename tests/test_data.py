@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import saco.coding as cd
 import saco.data
@@ -334,6 +336,11 @@ class TestDictionary:
         with pytest.raises(InvalidInputError):
             Dictionary([])
 
+    def test_zero_width_dictionary_rejected(self):
+        atoms = PatchSet(np.zeros((3, 0)), np.full((3, 2), 0.5), [0, 1, 0], [0, 0, 0])
+        with pytest.raises(InvalidInputError, match=re.escape("got features (3, 0)")):
+            Dictionary(atoms)
+
     def test_mismatched_atom_dims_rejected(self):
         with pytest.raises(InvalidInputError):
             Dictionary([_patch(0, [1.0]), _patch(1, [1.0, 2.0])])
@@ -353,6 +360,19 @@ def test_write_lines_writes_comments_then_lines(tmp_path):
     assert list(read_csv_rows(path, "a,b", (int, float))) == [(3, (1, 2.5))]
     write_lines(path, iter(["only"]))
     assert path.read_bytes() == b"only\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 5000), width=st.integers(1, 2 * saco.data.BLOCK_DOUBLES))
+def test_blocks_split_rows_evenly_within_the_budget(n, width):
+    spans = saco.data.blocks(n, width)
+    assert all(span.step is None for span in spans)
+    assert [i for span in spans for i in range(span.start, span.stop)] == list(range(n))
+    assert len(spans) == -(-n // max(1, saco.data.BLOCK_DOUBLES // width))
+    sizes = [span.stop - span.start for span in spans]
+    if n:
+        assert sizes == [len(b) for b in np.array_split(np.arange(n), len(spans))]
+    assert all(size * width <= saco.data.BLOCK_DOUBLES for size in sizes if size > 1)
 
 
 def test_one_budget_sizes_graph_greedy_and_saco2_blocks(monkeypatch):
@@ -399,9 +419,9 @@ def test_one_budget_sizes_graph_greedy_and_saco2_blocks(monkeypatch):
     # doubles per row: m = 120 dense, (k + 2) p = 20 tree, the widest
     # candidate's stored entries, p (p + 1) / 2 = 36 packed K
     assert blocks["_dense_block"] == [3] * 40
-    assert blocks["_tree_block"] == [18] * 6 + [12]
+    assert blocks["_tree_block"] == [18] + [17] * 6
     per = 360 // width
-    first = [min(per, 120 - lo) for lo in range(0, 120, per)]
+    first = [len(b) for b in np.array_split(np.arange(120), -(-120 // per))]
     assert blocks["_scored_block"][:len(first)] == first
     assert blocks["_cholesky_rows"] == [10] * 3
     for before, after in zip(graphs0, graphs2):

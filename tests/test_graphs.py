@@ -250,9 +250,8 @@ def test_block_size_leaves_neighbours_unchanged(name, monkeypatch):
             assert np.all(np.abs(got_d2 - direct) <= err[:, None])
 
 
-def test_dense_blocks_are_counted_in_doubles(monkeypatch):
-    """A dense block holds BLOCK_DOUBLES // m rows: 36 at m = 7200 for 2^18 doubles."""
-    assert saco.data.block_rows(7200) == 36
+def spy_dense_blocks(monkeypatch):
+    """The row count of each dense block ``_dense_knn`` ranks, in order."""
     blocks = []
     dense_block = graphs._dense_block
 
@@ -261,9 +260,25 @@ def test_dense_blocks_are_counted_in_doubles(monkeypatch):
         return dense_block(X, sq, err, lo, hi, k, *buffers)
 
     monkeypatch.setattr(graphs, "_dense_block", spy)
+    return blocks
+
+
+def test_dense_blocks_are_counted_in_doubles(monkeypatch):
+    """A dense block holds BLOCK_DOUBLES // m rows: 36 at m = 7200 for 2^18 doubles."""
+    assert [s.stop - s.start for s in saco.data.blocks(7200, 7200)] == [36] * 200
+    blocks = spy_dense_blocks(monkeypatch)
     monkeypatch.setattr(saco.data, "BLOCK_DOUBLES", 10 * 300 + 299)
     _dense_knn(np.random.default_rng(6).normal(size=(300, 16)), 5)
     assert blocks == [10] * 30
+
+
+def test_dense_blocks_leave_no_narrow_tail(monkeypatch):
+    """301 rows at 10 a block are 31 blocks of 9 or 10 rows, not 30 of 10 and
+    one of 1, which numpy would hand to gemv instead of GEMM."""
+    blocks = spy_dense_blocks(monkeypatch)
+    monkeypatch.setattr(saco.data, "BLOCK_DOUBLES", 10 * 301)
+    _dense_knn(np.random.default_rng(6).normal(size=(301, 16)), 5)
+    assert sum(blocks) == 301 and len(blocks) == 31 and min(blocks) >= 9
 
 
 def test_import_leaves_scipy_spatial_unloaded():

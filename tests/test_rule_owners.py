@@ -1,10 +1,11 @@
 """Rules the package applies in many places have one owner, ``saco.data``:
 ``check_count`` and ``whole_numbers``, the only code that needs the
 ``numbers`` module, ``check_scalar`` for finite scalars in a range, and the
-block budget ``BLOCK_DOUBLES`` with ``block_rows``.  No other module imports
-``numbers``, defines a module-level ``*BLOCK_DOUBLES`` of its own or compares
-a value against infinity, and no package module imports another one's
-underscore name."""
+block budget ``BLOCK_DOUBLES`` with ``blocks``, the one walk over rows in
+blocks.  No other module imports ``numbers``, defines a module-level
+``*BLOCK_DOUBLES`` of its own, walks blocks itself (``np.array_split`` or a
+stepped ``range``) or compares a value against infinity, and no package
+module imports another one's underscore name."""
 
 import ast
 from pathlib import Path
@@ -29,7 +30,8 @@ def _is_inf(node):
 
 def restated_rules(source):
     """(rule, line) of every import of ``numbers``, every module-level
-    assignment to a name ending in ``BLOCK_DOUBLES``, every comparison
+    assignment to a name ending in ``BLOCK_DOUBLES``, every call of
+    ``array_split`` or of a three-argument ``range``, every comparison
     against an infinity constant and every import of an underscore name from
     a package module (relative or ``saco.*``) in ``source``, by line."""
     tree = ast.parse(source)
@@ -37,6 +39,11 @@ def restated_rules(source):
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare) and any(map(_is_inf, [node.left, *node.comparators])):
             found.append(("inf", node.lineno))
+        elif isinstance(node, ast.Call) and (
+                (isinstance(node.func, ast.Attribute) and node.func.attr == "array_split") or
+                (isinstance(node.func, ast.Name) and node.func.id == "range"
+                 and len(node.args) == 3)):
+            found.append(("block walk", node.lineno))
         elif isinstance(node, ast.ImportFrom) and \
                 (node.level or (node.module or "").split(".")[0] == "saco") and \
                 any(alias.name.startswith("_") for alias in node.names):
@@ -66,13 +73,16 @@ def test_scan_finds_every_restated_rule():
               "big = np.full(3, np.inf)\ng = v < float(1)\nh = numpy.inf != v\n"
               "from .coding import Encoder, _reject_rows\nfrom . import _private\n"
               "from saco.coding import _check\nfrom .data import check_count\n"
-              "from numpy import _core\nfrom __future__ import annotations\n")
+              "from numpy import _core\nfrom __future__ import annotations\n"
+              "for lo in range(0, m, rows): pass\nparts = np.array_split(idx, 3)\n"
+              "ok = range(0, m), np.arange(0, m, 2), range(m)\n")
     assert restated_rules(source) == [("numbers", 1), ("numbers", 2), ("numbers", 3),
                                       ("numbers", 5), ("BLOCK_DOUBLES", 7),
                                       ("BLOCK_DOUBLES", 8), ("BLOCK_DOUBLES", 9),
                                       ("inf", 12), ("inf", 13), ("inf", 14), ("inf", 17),
                                       ("private import", 18), ("private import", 19),
-                                      ("private import", 20)]
+                                      ("private import", 20), ("block walk", 24),
+                                      ("block walk", 25)]
 
 
 def test_each_rule_stays_with_its_owner():

@@ -191,8 +191,9 @@ def test_batched_lazy_equals_naive_exactly(monkeypatch):
 def test_block_size_leaves_selection_unchanged(w, monkeypatch):
     """Blocks of 1 or 7 candidates or the whole pool: the same ids, gains and counts.
 
-    A block holds BLOCK_DOUBLES // width candidates, width the most
-    stored entries one candidate has in the graphs it reads.
+    Blocks split the candidates evenly, at most BLOCK_DOUBLES // width a
+    block, width the most stored entries one candidate has in the graphs
+    it reads.
     """
     patches = make_patches(8, m=120, clustered=True)
     S, L = make_graphs(patches, k_nn=8)
@@ -209,7 +210,7 @@ def test_block_size_leaves_selection_unchanged(w, monkeypatch):
         monkeypatch.setattr(sel.SelectionState, "_scored_block", spy)
         monkeypatch.setattr(saco.data, "BLOCK_DOUBLES", rows * width)
         results[rows] = [driver(patches, S, L, w, 30) for driver in (sel.lazy_greedy, sel.naive_greedy)]
-        sizes = [min(rows, len(patches) - lo) for lo in range(0, len(patches), rows)]
+        sizes = [len(b) for b in np.array_split(range(len(patches)), -(-len(patches) // rows))]
         assert blocks[:len(sizes)] == sizes  # lazy greedy's first call: the whole pool
     for rows in (1, 7):
         for got, want in zip(results[rows], results[len(patches)]):
