@@ -6,7 +6,9 @@ zero padding), resized, and matched against the other by Euclidean
 pixel distance.  Distances feed a k-medoids clustering of viewpoints
 and per-image alignment to the nearest medoid.  Every off-diagonal
 dissimilarity is at least ``DEFAULT_EPSILON``, so a medoid stays in its
-own cluster even when another image is identical to it.
+own cluster even when another image is identical to it.  Images,
+thumbnails and the theta grid are checked by ``data.finite_array``;
+this module adds only non-empty rasters and angles in [0, 360).
 
 A list of images goes through the grid in blocks, one angle at a time:
 the images of one shape walk by ``data.blocks``, max(h w, s) doubles an
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import LabeledImage, blocks, check_count
+from .data import LabeledImage, blocks, check_count, finite_array, whole_numbers
 from .errors import InvalidInputError
 
 WORK_SIZE = 40
@@ -66,21 +68,17 @@ def _pixels(image, name="image") -> np.ndarray:
     """
     if isinstance(image, LabeledImage):
         name, image = f"image {image.image_id}", image.pixels
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+    arr = finite_array(name, image, (None, None))
+    if not arr.size:
         raise InvalidInputError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        r, c = bad[0]
-        raise InvalidInputError(f"{name}: non-finite pixel {arr[r, c]} at row {r}, column {c}")
     return arr
 
 
 def _theta_grid(theta_grid) -> np.ndarray:
     """The search grid as a non-empty 1-D float array of angles in [0, 360)."""
-    grid = np.asarray(theta_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size == 0:
-        raise InvalidInputError(f"theta grid must be a non-empty 1-D array, got shape {grid.shape}")
+    grid = finite_array("theta grid", theta_grid, (None,))
+    if not grid.size:
+        raise InvalidInputError("theta grid must hold at least one angle")
     bad = grid[~((grid >= 0) & (grid < 360))]
     if bad.size:
         raise InvalidInputError(f"theta grid angles must lie in [0, 360), got {bad[0]}")
@@ -146,8 +144,8 @@ def rotate_image(image, theta_deg: float) -> np.ndarray:
 def resize_image(image, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize with corner-aligned sampling (identity if same size)."""
     img = _pixels(image)
-    if out_h < 1 or out_w < 1:
-        raise InvalidInputError(f"resize target must be at least 1x1, got {out_h}x{out_w}")
+    check_count("out_h", out_h)
+    check_count("out_w", out_w)
     if img.shape == (out_h, out_w):
         return img.copy()
     return (_resize_plan(*img.shape, out_h, out_w) @ img.ravel()).reshape(out_h, out_w)
@@ -251,13 +249,17 @@ class ViewpointModel:
     def __post_init__(self):
         if len(self.medoid_ids) < 1:
             raise InvalidInputError("viewpoint model needs at least one medoid")
+        ids, bad = whole_numbers(self.medoid_ids)
+        bad |= ids < 0
+        if bad.any():
+            raise InvalidInputError(f"medoid id {self.medoid_ids[bad.argmax()]!r} at position "
+                                    f"{bad.argmax()} is not an integer >= 0")
+        self.medoid_ids = ids.tolist()
         if len(self.thumbnails) != len(self.medoid_ids):
             raise InvalidInputError(f"viewpoint model has {len(self.medoid_ids)} medoids but "
                                     f"{len(self.thumbnails)} thumbnails")
-        for i, thumb in enumerate(self.thumbnails):
-            if np.shape(thumb) != (WORK_SIZE, WORK_SIZE):
-                raise InvalidInputError(f"thumbnail {i} must be {WORK_SIZE}x{WORK_SIZE}, "
-                                        f"got shape {np.shape(thumb)}")
+        self.thumbnails = [finite_array(f"thumbnail {i}", thumb, (WORK_SIZE, WORK_SIZE))
+                           for i, thumb in enumerate(self.thumbnails)]
         self.theta_grid = _theta_grid(self.theta_grid)
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .coding import CodingDiagnostics, Encoder, SpatialWeightConfig
 from .config import PipelineConfig
-from .data import (Dictionary, check_count, check_scalar, reject_rows, sample_candidates,
-                   whole_numbers)
+from .data import (Dictionary, check_count, check_scalar, finite_array, reject_rows,
+                   sample_candidates, whole_numbers)
 from .errors import InvalidInputError, PipelineStageError
 from .graphs import build_feature_affinity, build_spatial_affinity
 from .selection import ObjectiveWeights, SelectionResult, lazy_greedy
@@ -39,11 +39,11 @@ class LinearSvmModel:
     biases: np.ndarray   # (C,)
 
     def __post_init__(self):
-        W = self.weights = np.asarray(self.weights, dtype=np.float64)
-        b = self.biases = np.asarray(self.biases, dtype=np.float64)
-        if W.ndim != 2 or b.shape != (len(W),) or not np.isfinite(W).all() & np.isfinite(b).all():
-            raise InvalidInputError(f"model needs finite (classes, dim) weights and one finite "
-                                    f"bias per class, got weights {W.shape}, biases {b.shape}")
+        W = self.weights = finite_array("weights", self.weights, (None, None))
+        if not W.size:
+            raise InvalidInputError(f"model needs at least one class and one weight column, "
+                                    f"got weights {W.shape}")
+        self.biases = finite_array("biases", self.biases, (len(W),))
 
     @property
     def n_classes(self) -> int:
@@ -59,19 +59,17 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300):
     full-batch steps make it deterministic for a fixed numpy/BLAS build
     and BLAS thread count, and invariant to duplicating the training set.
     """
-    X = np.asarray(features, dtype=np.float64)
+    X = finite_array("features", features, (None, None))
     y, fractional = whole_numbers(labels)
-    if X.ndim != 2 or y.shape != (len(X),):
-        raise InvalidInputError(f"features {X.shape} / labels {y.shape} mismatch")
-    reject_rows(~np.isfinite(X).all(axis=1), "non-finite features")
+    if y.shape != (len(X),):
+        raise InvalidInputError(f"labels {y.shape} must be one per row of features {X.shape}")
     reject_rows(fractional, "label is not an integer")
     reject_rows(y < 0, "negative label")
     check_count("epochs", epochs)
     check_scalar("SVM reg", reg, positive=True)
     if np.unique(y).size < 2:
         raise InvalidInputError("SVM training needs at least two classes present")
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
+    n_classes = int(y.max()) + 1 if n_classes is None else check_count("n_classes", n_classes)
     reject_rows(y >= n_classes, f"label out of range for {n_classes} classes")
     n, dim = X.shape
     Y = np.where(y[:, None] == np.arange(n_classes), 1.0, -1.0)
@@ -91,11 +89,7 @@ def svm_predict(model: LinearSvmModel, features):
 
     Rejects a batch of the wrong width, or a non-finite row by naming it.
     """
-    F = np.asarray(features, dtype=np.float64)
-    dim = model.weights.shape[1]
-    if F.ndim != 2 or F.shape[1] != dim:
-        raise InvalidInputError(f"features {F.shape} do not match model rows of width {dim}")
-    reject_rows(~np.isfinite(F).all(axis=1), "non-finite features")
+    F = finite_array("features", features, (None, model.weights.shape[1]))
     # one matrix-vector product per row, as scoring a single row computes it
     scores = np.matmul(model.weights, F[:, :, None])[:, :, 0] + model.biases
     return scores.argmax(axis=1), scores

@@ -198,18 +198,13 @@ def _load_model(prefix) -> LinearSvmModel:
 def cmd_predict(args) -> int:
     _require_files(args.features, args.images)
     model = _load_model(args.model)
-    feats = read_tensor(args.features).astype(np.float64)
-    dim = model.weights.shape[1]
-    if feats.ndim != 2 or feats.shape[1] != dim:
-        raise InvalidInputError(f"{args.features}: feature tensor of shape {feats.shape} does not "
-                                f"match model {args.model}, which expects rows of width {dim}")
     pairs = _read_image_labels(args.images)
-    if len(feats) != len(pairs):
-        raise InvalidInputError(f"{len(feats)} feature rows vs {len(pairs)} labeled images")
     try:
-        classes, scores = svm_predict(model, feats)
+        classes, scores = svm_predict(model, read_tensor(args.features))
     except InvalidInputError as exc:
-        raise InvalidInputError(f"{args.features}: {exc}") from None
+        raise InvalidInputError(f"{args.features}, model {args.model}: {exc}") from None
+    if len(classes) != len(pairs):
+        raise InvalidInputError(f"{len(classes)} feature rows vs {len(pairs)} labeled images")
     predictions = [PredictionRow(image_id, true_label, int(c), s)
                    for (image_id, true_label), c, s in zip(pairs, classes, scores)]
     write_lines(args.out, predictions_csv_lines(predictions))

@@ -44,9 +44,10 @@ row's step is 1 / (lambda_max(D^T D) + lambda2 max_j w_j^2).  A row's
 saco1 code does not depend on how rows are batched.  saco2 walks its
 rows by ``data.blocks``, p(p+1)/2 or m(m+1)/2 doubles a packed row.
 
-Every public entry checks its input by one rule, in ``_rows``, naming the
-first bad row.  Scalars go through ``data.check_scalar``, so NaN and
-inf fail: lambda1 and lambda2 finite and >= 0.  saco2 and the iterative
+Every public entry checks its arrays in ``_rows`` by ``data.finite_array``,
+which names the first bad row; weights must also be >= 0.  Scalars go
+through ``data.check_scalar``, so NaN and inf fail: lambda1 and lambda2
+finite and >= 0.  saco2 and the iterative
 coder also need every lambda2 w_j^2 finite, checked in ``Encoder._code``.
 """
 
@@ -59,7 +60,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dlamch, dppcon, dppsv, dpptrf
 
-from .data import Dictionary, blocks, check_scalar, reject_rows
+from .data import Dictionary, blocks, check_scalar, finite_array, reject_rows
 from .errors import InvalidConfigError, InvalidInputError, LinearSolveError
 
 CONDITION_WARN_THRESHOLD = 1e8
@@ -105,30 +106,19 @@ def _weight_rows(coords, atom_coords, config: SpatialWeightConfig) -> np.ndarray
 def _rows(d: Dictionary, X=None, W=None, coords=None):
     """The one input check of every public entry: float64 (X, coords, W).
 
-    Each given array holds 2-D rows, N of them in all: features X (N, p),
-    locations coords (N, 2), weights W (N, m).  Features and locations
-    must be finite, weights finite and >= 0.  Errors name the first bad row.
+    Each given array holds N rows, checked by ``data.finite_array``: features
+    X (N, p), locations coords (N, 2), weights W (N, m), weights also >= 0.
     """
-    p, m = d.feature_dim, d.n_atoms
     n, rows = None, []
-    for name, a, width, what in (("features", X, p, f"feature dim {p}"),
-                                 ("coords", coords, 2, "x, y"),
-                                 ("weights", W, m, f"{m} atoms")):
+    for name, a, width in (("features", X, d.feature_dim), ("coords", coords, 2),
+                           ("weights", W, d.n_atoms)):
         if a is not None:
-            a = np.asarray(a, dtype=np.float64)
-            if a.ndim != 2:
-                raise InvalidInputError(f"{name} {a.shape} must have 2 axes")
-            n = len(a) if n is None else n
-            if a.shape != (n, width):
-                raise InvalidInputError(f"{name} {a.shape} do not match {(n, width)} ({what})")
+            a = finite_array(name, a, (n, width))
+            n = len(a)
         rows.append(a)
     X, coords, W = rows
-    if X is not None:
-        reject_rows(~np.isfinite(X).all(axis=1), "non-finite features")
-    if coords is not None:
-        reject_rows(~np.isfinite(coords).all(axis=1), "non-finite location")
     if W is not None:
-        reject_rows(~(np.isfinite(W) & (W >= 0)).all(axis=1), "weights must be finite and >= 0")
+        reject_rows(~(W >= 0).all(axis=1), "weights must be >= 0")
     return X, coords, W
 
 
@@ -439,9 +429,7 @@ def bound_check(x, a, encoder: Encoder):
         raise InvalidInputError(f"bound_check needs a saco1 encoder, got {encoder.method}")
     d = encoder.dictionary
     x = _rows(d, [x])[0][0]
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape != (d.n_atoms,) or not np.isfinite(a).all():
-        raise InvalidInputError(f"code {a.shape} must be finite with one entry per atom")
+    a = finite_array("code", a, (d.n_atoms,))
     r = x - d.matrix @ a
     lhs = float(np.linalg.norm(encoder.omega @ r))
     rhs = float(encoder.sigma_lower * np.linalg.norm(r))

@@ -15,17 +15,17 @@ through ``tensorio.read_tensor`` and ``write_tensor``, and images through
 ``config.read_config_file``.
 
 Input is validated once, where it enters, by vectorized checks that name
-the bad row: ``PatchSet`` (row counts, finite features, coordinates in
-[0,1]^2, ids and labels whole numbers >= 0; from ``load_patches`` also
-the CSV line), ``ImageFeatures`` and ``LabeledImage`` (whole-number id
-and label, finite features and coordinates or pixels, naming the image),
-the CSV reader (header, field count, numbers) and every coding entry
-(finite features and locations, finite weights >= 0).  Other modules
-take five rules from here: ``check_count`` (counts, seeds),
-``check_scalar`` (finite scalars >= 0 or > 0), ``whole_numbers``,
-``reject_rows`` (the first bad row) and ``blocks``, the one block walk
-of graph building (``graphs``), greedy scoring (``selection``), saco2
-solves (``coding``) and the rotation search (``align``).
+the bad row.  ``finite_array`` is the one check of a float array's shape
+and finiteness, here (``PatchSet``, ``ImageFeatures``, ``LabeledImage``,
+the patch-file readers, which add the CSV line) and in every other module;
+each caller adds only its own rules: coordinates in [0,1]^2, ids and labels
+whole numbers >= 0, rows of at least one feature.  The CSV reader checks
+header, field count and numbers.  Other modules take six rules from here:
+``finite_array``, ``check_count`` (counts, seeds), ``check_scalar``
+(finite scalars >= 0 or > 0), ``whole_numbers``, ``reject_rows`` (the
+first bad row) and ``blocks``, the one block walk of graph building
+(``graphs``), greedy scoring (``selection``), saco2 solves (``coding``) and
+the rotation search (``align``).
 """
 
 from __future__ import annotations
@@ -92,11 +92,32 @@ def reject_rows(bad, what):
         raise InvalidInputError(f"row {bad.argmax()}: {what}")
 
 
+def finite_array(name, value, shape, where=None):
+    """``value`` as a float64 array of ``shape`` (per axis an int for that length or
+    None for any) whose every entry is finite.
+
+    A non-finite entry is named by its first row, and column in a 2-D array;
+    ``where(row)``, if given, prefixes its source, such as a file and line.
+    """
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, arr.shape)):
+        want = str(tuple("*" if n is None else n for n in shape)).replace("'", "")
+        raise InvalidInputError(f"{name} must have shape {want}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        first = tuple(np.argwhere(~np.isfinite(arr))[0])
+        row, *column = first
+        at = f"row {row}" + (f", column {column[0]}" if column else "")
+        prefix = "" if where is None else f"{where(row)}: "
+        raise InvalidInputError(f"{prefix}{name}: non-finite value {arr[first]} at {at}")
+    return arr
+
+
 def _id_and_label(image_id, label):
-    """An image's id and label as Python ints; either one not whole is an error."""
+    """An image's id and label as Python ints; either one not a whole number >= 0 is
+    an error."""
     ints, bad = whole_numbers([image_id, label])
-    if bad.any():
-        raise InvalidInputError(f"image {image_id!r}: id and label must be integers")
+    if bad.any() or (ints < 0).any():
+        raise InvalidInputError(f"image {image_id!r}: id and label must be integers >= 0")
     return ints.tolist()
 
 
@@ -118,18 +139,20 @@ class PatchSet:
     """
 
     def __init__(self, features, coords, labels, image_ids, ids=None, *, where=None):
-        self.features = np.ascontiguousarray(features, dtype=np.float64)
-        self.coords = np.ascontiguousarray(coords, dtype=np.float64)
-        m = len(self.features)
+        self.features = np.ascontiguousarray(finite_array("features", features, (None, None)))
+        m, p = self.features.shape
+        if m and not p:
+            raise InvalidInputError(f"patches need at least one feature, "
+                                    f"got features {self.features.shape}")
+        self.coords = np.ascontiguousarray(finite_array("coords", coords, (m, 2)))
         (self.labels, bad_label), (self.image_ids, bad_image), (self.ids, bad_id) = (
             whole_numbers(a) for a in (labels, image_ids, np.arange(m) if ids is None else ids))
-        shapes = [a.shape for a in (self.coords, self.labels, self.image_ids, self.ids)]
-        if self.features.ndim != 2 or shapes != [(m, 2), (m,), (m,), (m,)]:
-            raise InvalidInputError(f"patch arrays disagree: features {self.features.shape}; "
-                                    f"coords, labels, image ids, ids {shapes}")
+        shapes = [a.shape for a in (self.labels, self.image_ids, self.ids)]
+        if shapes != [(m,)] * 3:
+            raise InvalidInputError(f"patch arrays disagree: {m} feature rows; "
+                                    f"labels, image ids, ids {shapes}")
         inside = (self.coords >= 0.0) & (self.coords <= 1.0)
         for bad, what in (
-            (~np.isfinite(self.features).all(axis=1), "non-finite features"),
             (~inside.all(axis=1), "coord {} outside [0,1]^2"),
             (bad_label | bad_image | bad_id, "id, image id or label is not an integer"),
             ((self.labels < 0) | (self.ids < 0), "negative id or label"),
@@ -180,16 +203,12 @@ class ImageFeatures:
 
     def __post_init__(self):
         self.image_id, self.label = _id_and_label(self.image_id, self.label)
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-        if self.features.ndim != 2 or self.coords.shape != (len(self.features), 2):
-            raise InvalidInputError(
-                f"image {self.image_id}: features {self.features.shape} / coords "
-                f"{self.coords.shape} mismatch"
-            )
-        bad = ~(np.isfinite(self.features).all(axis=1) & np.isfinite(self.coords).all(axis=1))
-        if bad.any():
-            raise InvalidInputError(f"image {self.image_id}: row {bad.argmax()} is not finite")
+        name = f"image {self.image_id}"
+        self.features = finite_array(f"{name} features", self.features, (None, None))
+        if not self.features.shape[1]:
+            raise InvalidInputError(f"{name} needs at least one feature, "
+                                    f"got features {self.features.shape}")
+        self.coords = finite_array(f"{name} coords", self.coords, (len(self.features), 2))
 
 
 @dataclass
@@ -202,11 +221,10 @@ class LabeledImage:
 
     def __post_init__(self):
         self.image_id, self.label = _id_and_label(self.image_id, self.label)
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        if self.pixels.ndim != 2 or min(self.pixels.shape) < 1:
-            raise InvalidInputError(f"image {self.image_id}: pixels must be a non-empty 2-D array")
-        if not np.isfinite(self.pixels).all():
-            raise InvalidInputError(f"image {self.image_id}: pixels must be finite")
+        self.pixels = finite_array(f"image {self.image_id}", self.pixels, (None, None))
+        if not self.pixels.size:
+            raise InvalidInputError(f"image {self.image_id} must be a non-empty 2-D array, "
+                                    f"got shape {self.pixels.shape}")
 
 
 class Dictionary:
@@ -217,7 +235,7 @@ class Dictionary:
 
     def __init__(self, atoms):
         self.atoms = PatchSet.of(atoms)
-        if not len(self.atoms) or not self.atoms.features.shape[1]:
+        if not len(self.atoms):
             raise InvalidInputError(f"dictionary needs at least one atom of at least one "
                                     f"feature, got features {self.atoms.features.shape}")
         self.matrix = np.ascontiguousarray(self.atoms.features.T)
@@ -274,24 +292,27 @@ def write_lines(path, lines, comments=()) -> None:
 
 
 def _read_patch_files(csv_path, tensor_path):
-    """Line numbers, id/image id/label columns, (M, 2) coords and (M, p) features."""
+    """``where(row)``, a row's file and line, then its id/image id/label columns,
+    (M, 2) coords and (M, p) features."""
     # np.int64 makes a value past its range a malformed row, not an error later
     rows = list(read_csv_rows(csv_path, PATCH_CSV_HEADER, (np.int64,) * 3 + (float, float)))
     ints = np.array([v[:3] for _, v in rows], dtype=np.int64).reshape(-1, 3)
     coords = np.array([v[3:] for _, v in rows], dtype=np.float64).reshape(-1, 2)
-    feats = read_tensor(tensor_path).astype(np.float64)
-    if feats.ndim != 2 or len(feats) != len(rows):
-        raise InvalidInputError(
-            f"feature tensor {feats.shape} does not match {len(rows)} metadata rows"
-        )
-    return [ln for ln, _ in rows], ints[:, 0], ints[:, 1], ints[:, 2], coords, feats
+    lines = [ln for ln, _ in rows]
+
+    def where(row):
+        return f"{csv_path}:{lines[row]}"
+
+    feats = finite_array("feature tensor", read_tensor(tensor_path), (len(rows), None), where)
+    coords = finite_array("coords", coords, (len(rows), 2), where)
+    return where, ints[:, 0], ints[:, 1], ints[:, 2], coords, feats
 
 
 def load_patches(csv_path, tensor_path) -> PatchSet:
     """Patches from a metadata CSV and its aligned feature tensor."""
-    lines, ids, image_ids, labels, coords, feats = _read_patch_files(csv_path, tensor_path)
+    where, ids, image_ids, labels, coords, feats = _read_patch_files(csv_path, tensor_path)
     return PatchSet(feats, coords, labels, image_ids, ids,
-                    where=lambda row: f"{csv_path}:{lines[row]}: patch row {row}")
+                    where=lambda row: f"{where(row)}: patch row {row}")
 
 
 def save_patches(csv_path, tensor_path, patches, header_comments=()) -> None:
@@ -316,11 +337,10 @@ def pool_patches(pools) -> PatchSet:
 
 def load_image_pools(csv_path, tensor_path) -> list[ImageFeatures]:
     """One pool per image id, in order of first appearance; coordinates keep their units."""
-    lines, ids, image_ids, labels, coords, feats = _read_patch_files(csv_path, tensor_path)
+    where, ids, image_ids, labels, coords, feats = _read_patch_files(csv_path, tensor_path)
     negative = (ids < 0) | (image_ids < 0) | (labels < 0)
     if negative.any():
-        raise InvalidInputError(f"{csv_path}:{lines[negative.argmax()]}: negative id, "
-                                "image id or label")
+        raise InvalidInputError(f"{where(negative.argmax())}: negative id, image id or label")
     _, first = np.unique(image_ids, return_index=True)
     pools = []
     for image_id in image_ids[np.sort(first)].tolist():

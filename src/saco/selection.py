@@ -328,17 +328,16 @@ def _checked_labels(labels, S, L) -> np.ndarray:
     one that is not.
     """
     raw = np.asarray(labels)
-    if raw.ndim != 1 or len(raw) == 0:
-        raise InvalidInputError("labels must be a non-empty 1-D sequence")
+    if raw.shape != (S.n,) or L.n != S.n or not S.n:
+        raise InvalidInputError(f"labels need one entry per node of non-empty graphs: feature "
+                                f"graph has {S.n} nodes and spatial graph {L.n} for labels "
+                                f"of shape {raw.shape}")
     labels, fractional = whole_numbers(raw)
     if fractional.any():
         pos = int(fractional.argmax())
         raise InvalidInputError(f"label {raw[pos].item()!r} at position {pos} is not an integer")
-    if labels.min() < 0:
+    if (labels < 0).any():
         raise InvalidInputError("negative class label")
-    if S.n != len(labels) or L.n != len(labels):
-        raise InvalidInputError(f"feature graph has {S.n} nodes and spatial graph {L.n} "
-                                f"for {len(labels)} patches")
     return labels
 
 

@@ -268,7 +268,15 @@ class TestResize:
 
     @pytest.mark.parametrize("out", [(0, 5), (5, 0), (-1, 3)])
     def test_rejects_empty_target(self, out):
-        with pytest.raises(InvalidInputError, match="at least 1x1"):
+        with pytest.raises(InvalidInputError, match=r"out_(h|w) must be >= 1"):
+            al.resize_image(np.ones((4, 4)), *out)
+
+    @pytest.mark.parametrize("out, name", [((2.5, 3), "out_h"), ((True, 3), "out_h"),
+                                           ((np.nan, 3), "out_h"), ((3, 2.5), "out_w"),
+                                           ((3, None), "out_w")])
+    def test_target_size_must_be_a_count(self, out, name):
+        # these once escaped as bare TypeErrors from np.linspace
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer, got "):
             al.resize_image(np.ones((4, 4)), *out)
 
     def test_rotate_resize_shape(self):
@@ -324,26 +332,27 @@ class TestNonFinitePixels:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_k_medoids(self, images, bad, no_rotations):
         images[4][3, 5] = bad
-        with pytest.raises(InvalidInputError,
-                           match=rf"image at position 4: non-finite pixel {bad} at row 3, column 5"):
+        with pytest.raises(InvalidInputError, match=rf"image at position 4: non-finite value "
+                                                    rf"{bad} at row 3, column 5"):
             al.k_medoids(images, 2, al.default_theta_grid(), seed=0)
 
     def test_dissimilarity_matrix(self, images, no_rotations):
         images[-1][0, 0] = np.nan
-        with pytest.raises(InvalidInputError, match="image at position 11: non-finite pixel nan"):
+        with pytest.raises(InvalidInputError, match="image at position 11: non-finite value nan"):
             al.dissimilarity_matrix(images, al.default_theta_grid())
 
     def test_labeled_image_is_named_by_its_id(self, images, no_rotations):
         wrapped = [LabeledImage(i + 100, px, 0) for i, px in enumerate(images)]
         wrapped[2].pixels[1, 1] = np.nan
-        with pytest.raises(InvalidInputError, match="image 102: non-finite pixel nan"):
+        with pytest.raises(InvalidInputError, match="image 102: non-finite value nan"):
             al.k_medoids(wrapped, 2, al.default_theta_grid(), seed=0)
 
     def test_align_to_medoid(self, images, monkeypatch):
         model, _, _ = al.k_medoids(images, 2, al.default_theta_grid(), seed=0)
         forbid_rotations(monkeypatch)
         images[0][0, 7] = np.nan
-        with pytest.raises(InvalidInputError, match="image: non-finite pixel nan at row 0, column 7"):
+        with pytest.raises(InvalidInputError,
+                           match="image: non-finite value nan at row 0, column 7"):
             al.align_to_medoid(images[0], model)
 
     @pytest.mark.parametrize("call", [lambda px: al.rotate_image(px, 10.0),
@@ -353,12 +362,14 @@ class TestNonFinitePixels:
     def test_one_image_entries(self, call, no_rotations):
         px = np.full((6, 8), 0.5)
         px[4, 2] = np.inf
-        with pytest.raises(InvalidInputError, match="image: non-finite pixel inf at row 4, column 2"):
+        with pytest.raises(InvalidInputError,
+                           match="image: non-finite value inf at row 4, column 2"):
             call(px)
 
     def test_labeled_image_rejects_at_construction(self, images):
         images[0][5, 5] = np.nan
-        with pytest.raises(InvalidInputError, match="image 9: pixels must be finite"):
+        with pytest.raises(InvalidInputError,
+                           match="image 9: non-finite value nan at row 5, column 5"):
             LabeledImage(9, images[0], 0)
 
 
@@ -381,8 +392,8 @@ class TestEntryChecks:
 
     def test_wrong_shape_is_named_by_position(self, no_rotations):
         images = [np.ones((12, 12)), np.ones((12, 12)), np.ones(5)]
-        with pytest.raises(InvalidInputError, match=r"image at position 2 must be a non-empty "
-                                                    r"2-D array, got shape \(5,\)"):
+        with pytest.raises(InvalidInputError, match=r"image at position 2 must have shape "
+                                                    r"\(\*, \*\), got \(5,\)"):
             al.dissimilarity_matrix(images, al.default_theta_grid())
 
     def test_empty_list_is_rejected(self, no_rotations):
@@ -662,6 +673,25 @@ class TestAlignToMedoid:
         assert theta == 270.0
         np.testing.assert_allclose(aligned, src, atol=1e-12)
 
+    def test_non_finite_thumbnail_is_named(self):
+        # a NaN thumbnail once constructed, and align_to_medoid then returned
+        # theta = 0 for every image
+        thumbs = [np.zeros((40, 40)), np.zeros((40, 40))]
+        thumbs[1][3, 4] = np.nan
+        with pytest.raises(InvalidInputError,
+                           match="thumbnail 1: non-finite value nan at row 3, column 4"):
+            al.ViewpointModel([0, 1], thumbs, al.default_theta_grid())
+
+    @pytest.mark.parametrize("ids", [[0.5], [-1], [True], [np.nan], ["0"]])
+    def test_medoid_ids_must_be_whole_numbers(self, ids):
+        with pytest.raises(InvalidInputError,
+                           match=r"medoid id .* at position 0 is not an integer >= 0"):
+            al.ViewpointModel(ids, [np.zeros((40, 40))], al.default_theta_grid())
+
+    def test_whole_float_medoid_ids_become_ints(self):
+        model = al.ViewpointModel([np.float64(2.0)], [np.zeros((40, 40))], [0.0])
+        assert model.medoid_ids == [2] and type(model.medoid_ids[0]) is int
+
     def test_model_validation(self):
         with pytest.raises(InvalidInputError):
             al.ViewpointModel([], [], al.default_theta_grid())
@@ -669,7 +699,8 @@ class TestAlignToMedoid:
             al.ViewpointModel([0], [np.zeros((40, 40))], np.array([0.0, 360.0]))
         with pytest.raises(InvalidInputError, match="2 medoids but 1 thumbnails"):
             al.ViewpointModel([0, 1], [np.zeros((40, 40))], al.default_theta_grid())
-        with pytest.raises(InvalidInputError, match=r"thumbnail 1 must be 40x40, got shape \(20, 20\)"):
+        with pytest.raises(InvalidInputError,
+                           match=r"thumbnail 1 must have shape \(40, 40\), got \(20, 20\)"):
             al.ViewpointModel([0, 1], [np.zeros((40, 40)), np.zeros((20, 20))],
                               al.default_theta_grid())
 
@@ -715,7 +746,8 @@ class TestPgm:
         path = tmp_path / "img.pgm"
         img = np.full((4, 6), 0.5)
         img[2, 5] = np.nan
-        with pytest.raises(InvalidInputError, match="image: non-finite pixel nan at row 2, column 5"):
+        with pytest.raises(InvalidInputError,
+                           match="image: non-finite value nan at row 2, column 5"):
             al.write_pgm(path, img)
         assert not path.exists()
 

@@ -1,6 +1,7 @@
 """Pooling, the linear classifier, residual classification, and the pipeline."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,7 +105,7 @@ class TestSvm:
         X, y = separable_problem(6)
         X[7, 1] = np.nan
         # a NaN row's margins fail every "< 1" test, so it would drop out of the fit
-        with pytest.raises(InvalidInputError, match="row 7: non-finite features"):
+        with pytest.raises(InvalidInputError, match="features: non-finite value nan at row 7"):
             cl.svm_train(X, y)
         X, y = separable_problem(6)
         y[4] = -1
@@ -158,16 +159,27 @@ class TestSvm:
         X, y = separable_problem(9)
         model = cl.svm_train(X, y, epochs=5)
         X[2, 1] = np.nan
-        with pytest.raises(InvalidInputError, match="row 2: non-finite features"):
+        with pytest.raises(InvalidInputError, match="features: non-finite value nan at row 2"):
             cl.svm_predict(model, X)
-        with pytest.raises(InvalidInputError, match="width 2"):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("features must have shape (*, 2), got (2,)")):
             cl.svm_predict(model, X[0])  # one row, not a 1-row batch
+
+    def test_n_classes_must_be_a_count(self):
+        X, y = separable_problem(3)
+        for n_classes in (1.5, True, "2"):
+            with pytest.raises(InvalidInputError, match="n_classes must be an integer, got "):
+                cl.svm_train(X, y, n_classes=n_classes)
 
     @pytest.mark.parametrize("weights, biases", [
         (np.zeros((3, 2)), np.zeros(1)),              # one bias for three classes
         (np.zeros(3), np.zeros(3)),                   # weights not (classes, dim)
         (np.full((3, 2), np.nan), np.zeros(3)),
         (np.zeros((3, 2)), np.array([0.0, np.inf, 0.0])),
+        # no class or no weight column: a (0, 3) model once reached numpy's
+        # argmax of an empty sequence
+        (np.zeros((0, 3)), np.zeros(0)),
+        (np.zeros((3, 0)), np.zeros(3)),
     ])
     def test_model_validated_at_construction(self, weights, biases):
         with pytest.raises(InvalidInputError):

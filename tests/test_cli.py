@@ -308,9 +308,9 @@ BAD_PATCH_FILES = {
     "non-numeric label": (0, "0,0,zero,0.5,0.5", "malformed row '0,0,zero,0.5,0.5'"),
     "missing field": (1, "1,0,0.5,0.5", "malformed row '1,0,0.5,0.5'"),
     "id past int64": (4, f"{2**63},0,0,0.5,0.5", f"malformed row '{2**63},0,0,0.5,0.5'"),
-    "nan coordinate": (2, "2,0,0,nan,0.5", "patch row 2: coord (nan, 0.5) outside [0,1]^2"),
+    "nan coordinate": (2, "2,0,0,nan,0.5", "coords: non-finite value nan at row 2, column 0"),
     "coordinate out of range": (3, "3,0,0,0.5,1.5", "patch row 3: coord (0.5, 1.5) outside"),
-    "nan feature": (5, None, "patch row 5: non-finite features"),
+    "nan feature": (5, None, "feature tensor: non-finite value nan at row 5, column 0"),
 }
 
 
@@ -421,7 +421,7 @@ class TestTrainPredict:
         write_tensor(feats, X)
         err = run_fail(capsys, ["train", "--features", str(feats), "--images", str(images),
                                 "--out", str(tmp_path / "m")])
-        assert "InvalidInputError: row 5: non-finite features" in err
+        assert "InvalidInputError: features: non-finite value nan at row 5, column 0" in err
         assert not (tmp_path / "m.w.skt").exists()
 
     @pytest.mark.parametrize("part, value", [
@@ -440,6 +440,19 @@ class TestTrainPredict:
         assert f"InvalidInputError: model {prefix}: " in err
         assert not out.exists()
 
+    def test_predict_rejects_an_empty_model_naming_it(self, tmp_path, capsys):
+        # a model of no classes once failed in numpy's argmax of an empty sequence
+        feats, images = pooled_problem(tmp_path)
+        prefix = tmp_path / "model"
+        write_tensor(str(prefix) + ".w.skt", np.zeros((0, 2)))
+        write_tensor(str(prefix) + ".b.skt", np.zeros(0))
+        out = tmp_path / "pred.csv"
+        err = run_fail(capsys, ["predict", "--model", str(prefix), "--features", str(feats),
+                                "--images", str(images), "--out", str(out)])
+        assert (f"InvalidInputError: model {prefix}: model needs at least one class and one "
+                f"weight column, got weights (0, 2)") in err
+        assert not out.exists()
+
     def test_predict_rejects_a_wrong_feature_width_naming_both_files(self, tmp_path, capsys):
         feats, images = pooled_problem(tmp_path)
         prefix = tmp_path / "model"
@@ -448,8 +461,8 @@ class TestTrainPredict:
         out = tmp_path / "pred.csv"
         err = run_fail(capsys, ["predict", "--model", str(prefix), "--features", str(feats),
                                 "--images", str(images), "--out", str(out)])
-        assert (f"InvalidInputError: {feats}: feature tensor of shape (60, 2) does not match "
-                f"model {prefix}, which expects rows of width 3") in err
+        assert (f"InvalidInputError: {feats}, model {prefix}: features must have shape (*, 3), "
+                f"got (60, 2)") in err
         assert not out.exists()
 
     def test_predict_rejects_a_non_finite_feature_row_naming_it(self, tmp_path, capsys):
@@ -463,7 +476,8 @@ class TestTrainPredict:
         out = tmp_path / "pred.csv"
         err = run_fail(capsys, ["predict", "--model", str(prefix), "--features", str(feats),
                                 "--images", str(images), "--out", str(out)])
-        assert f"InvalidInputError: {feats}: row 2: non-finite features" in err
+        assert (f"InvalidInputError: {feats}, model {prefix}: features: non-finite value nan "
+                f"at row 2") in err
         assert not out.exists()
 
     def test_bad_image_header(self, tmp_path, capsys):

@@ -410,7 +410,8 @@ class TestSpatialWeights:
         with pytest.raises(InvalidInputError):
             cd.spatial_weights([(0.1, 0.2, 0.3)], d, cd.SpatialWeightConfig())
         # locations come as (N, 2) rows, one location too
-        with pytest.raises(InvalidInputError, match="2 axes"):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("coords must have shape (*, 2), got (2,)")):
             cd.spatial_weights((0.1, 0.2), d, cd.SpatialWeightConfig())
 
 
@@ -642,7 +643,8 @@ class TestEncoder:
     def test_rejects_bad_batches(self):
         d, X, coords = batch_problem(8)
         enc = cd.Encoder(d, "saco2", 0.1, 1.0, cd.SpatialWeightConfig())
-        with pytest.raises(InvalidInputError, match="feature dim"):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("features must have shape (*, 8), got (30, 5)")):
             enc.encode(X[:, :5], coords)
         with pytest.raises(InvalidInputError, match="coords"):
             enc.encode(X, coords[:4])
@@ -662,10 +664,12 @@ class TestEncoder:
         with pytest.raises(InvalidInputError, match="coords are required"):
             cd.Encoder(d, "saco2", 0.1, 1.0, cd.SpatialWeightConfig()).encode(X)
         uniform = cd.Encoder(d, "saco2", 0.1, 1.0)
-        with pytest.raises(InvalidInputError, match=re.escape("coords (2, 2) do not match")):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("coords must have shape (3, 2), got (2, 2)")):
             uniform.encode(X, coords[:2])
         coords[1, 0] = np.inf
-        with pytest.raises(InvalidInputError, match="row 1: non-finite location"):
+        with pytest.raises(InvalidInputError,
+                           match="coords: non-finite value inf at row 1, column 0"):
             uniform.encode(X, coords)
         # coords that pass the check leave a uniform code as it was
         coords[1, 0] = 0.5

@@ -12,6 +12,7 @@ import saco.selection as sel
 from saco.data import (
     Dictionary,
     ImageFeatures,
+    LabeledImage,
     Patch,
     PatchSet,
     load_image_pools,
@@ -39,7 +40,8 @@ class TestPatch:
         assert len(ps) == 1 and ps[0].coord == (0.25, 0.75)
 
     def test_rejects_nan_features(self):
-        with pytest.raises(InvalidInputError, match="patch row 1: non-finite features"):
+        with pytest.raises(InvalidInputError,
+                           match="features: non-finite value nan at row 1, column 0"):
             PatchSet.of([_patch(0, [0.0, 1.0]), _patch(1, [np.nan, 1.0])])
 
     def test_rejects_coord_outside_unit_square(self):
@@ -82,8 +84,8 @@ class TestPatchSet:
             np.testing.assert_array_equal(getattr(again, name), getattr(ps, name))
 
     @pytest.mark.parametrize("field, value, message", [
-        ("features", np.inf, "patch row 2: non-finite features"),
-        ("coords", np.nan, "patch row 2: coord"),
+        ("features", np.inf, "features: non-finite value inf at row 2"),
+        ("coords", np.nan, "coords: non-finite value nan at row 2"),
         ("coords", -0.5, "patch row 2: coord"),
         ("labels", -1, "patch row 2: negative id or label"),
         ("ids", -1, "patch row 2: negative id or label"),
@@ -186,7 +188,7 @@ def test_load_patches_names_the_csv_line_of_a_bad_row(tmp_path):
     save_patches(csv, skt, patches, header_comments=["one comment line"])
     csv.write_text(csv.read_text().replace("1,0,0,0.25", "1,0,0,nan"))
     # line 1 is the comment and line 2 the header, so patch row 1 is line 4
-    message = f"{csv}:4: patch row 1: coord (nan, 0.75) outside [0,1]^2"
+    message = f"{csv}:4: coords: non-finite value nan at row 1, column 0"
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         load_patches(csv, skt)
 
@@ -194,11 +196,13 @@ def test_load_patches_names_the_csv_line_of_a_bad_row(tmp_path):
 def test_image_pool_with_a_nan_row_names_image_and_row():
     feats = np.ones((4, 3))
     feats[2, 1] = np.nan
-    with pytest.raises(InvalidInputError, match="image 7: row 2 is not finite"):
+    with pytest.raises(InvalidInputError,
+                       match="image 7 features: non-finite value nan at row 2, column 1"):
         ImageFeatures(image_id=7, label=0, features=feats, coords=np.zeros((4, 2)))
     coords = np.zeros((4, 2))
     coords[3, 0] = np.inf
-    with pytest.raises(InvalidInputError, match="image 7: row 3 is not finite"):
+    with pytest.raises(InvalidInputError,
+                       match="image 7 coords: non-finite value inf at row 3, column 0"):
         ImageFeatures(image_id=7, label=0, features=np.ones((4, 3)), coords=coords)
 
 
@@ -211,6 +215,72 @@ def test_image_id_and_label_must_be_whole_numbers(image_id, label):
     with pytest.raises(InvalidInputError,
                        match=re.escape(f"image {image_id!r}: id and label must be integers")):
         ImageFeatures(image_id, label, np.zeros((2, 3)), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("image_id, label", [(-1, 0), (3, -2)])
+def test_negative_image_id_or_label_is_named(image_id, label):
+    # a test image of label -1 once reached run_pipeline's encode-test stage,
+    # whose "patch row 0: negative id or label" named no image
+    message = re.escape(f"image {image_id}: id and label must be integers >= 0")
+    with pytest.raises(InvalidInputError, match=message):
+        ImageFeatures(image_id, label, np.zeros((2, 3)), np.zeros((2, 2)))
+    with pytest.raises(InvalidInputError, match=message):
+        LabeledImage(image_id, np.ones((4, 4)), label)
+
+
+class TestZeroWidthFeatures:
+    """Features of no columns are rejected where they enter, naming their shape."""
+
+    def test_patch_set_with_rows(self):
+        # a (5, 0) PatchSet once constructed, and graph building then failed
+        # on a zero kernel bandwidth
+        with pytest.raises(InvalidInputError,
+                           match=re.escape("patches need at least one feature, "
+                                           "got features (5, 0)")):
+            PatchSet(np.zeros((5, 0)), np.full((5, 2), 0.5), np.zeros(5), np.zeros(5))
+
+    @pytest.mark.parametrize("rows", [0, 4])
+    def test_image_features(self, rows):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"image 3 needs at least one feature, "
+                                           f"got features ({rows}, 0)")):
+            ImageFeatures(3, 0, np.zeros((rows, 0)), np.zeros((rows, 2)))
+
+    def test_no_patches_still_stack(self):
+        assert PatchSet.of([]).features.shape == (0, 0)
+
+
+class TestFiniteArray:
+    """``finite_array``: float64 of a shape, every entry finite, errors naming the row."""
+
+    def test_returns_float64_of_the_shape(self):
+        out = saco.data.finite_array("a", [[1, 2], [3, 4]], (None, 2))
+        assert out.dtype == np.float64 and out.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert saco.data.finite_array("b", np.zeros(0), (None,)).shape == (0,)
+
+    @pytest.mark.parametrize("value, shape, want", [
+        (np.zeros((3, 2)), (None, 3), "(*, 3)"),
+        (np.zeros((3, 2)), (4, None), "(4, *)"),
+        (np.zeros(3), (None, None), "(*, *)"),
+        (np.zeros((3, 2)), (3,), "(3,)"),
+        (5.0, (None,), "(*,)"),
+    ])
+    def test_shape_error_gives_both_shapes(self, value, shape, want):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"a must have shape {want}, got {np.shape(value)}")):
+            saco.data.finite_array("a", value, shape)
+
+    def test_first_bad_row_and_column_are_named(self):
+        a = np.zeros((4, 3))
+        a[3, 0], a[2, 2], a[2, 1] = np.nan, -np.inf, np.inf
+        with pytest.raises(InvalidInputError,
+                           match=r"^a: non-finite value inf at row 2, column 1$"):
+            saco.data.finite_array("a", a, (None, 3))
+        with pytest.raises(InvalidInputError, match=r"^b: non-finite value nan at row 1$"):
+            saco.data.finite_array("b", [0.0, np.nan, np.inf], (3,))
+        with pytest.raises(InvalidInputError,
+                           match=r"^f.csv:12: a: non-finite value inf at row 2, column 1$"):
+            saco.data.finite_array("a", a, (4, 3), where=lambda row: f"f.csv:{row + 10}")
 
 
 def test_whole_float_image_id_and_label_become_ints():
@@ -337,9 +407,8 @@ class TestDictionary:
             Dictionary([])
 
     def test_zero_width_dictionary_rejected(self):
-        atoms = PatchSet(np.zeros((3, 0)), np.full((3, 2), 0.5), [0, 1, 0], [0, 0, 0])
         with pytest.raises(InvalidInputError, match=re.escape("got features (3, 0)")):
-            Dictionary(atoms)
+            Dictionary(PatchSet(np.zeros((3, 0)), np.full((3, 2), 0.5), [0, 1, 0], [0, 0, 0]))
 
     def test_mismatched_atom_dims_rejected(self):
         with pytest.raises(InvalidInputError):

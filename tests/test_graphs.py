@@ -289,3 +289,11 @@ def test_import_leaves_scipy_spatial_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_zero_width_features_are_named_by_their_shape():
+    # five patches of no features once reached the bandwidth check, which
+    # reported "kernel bandwidth sigma=0.0 is unusable"
+    patches = [saco.data.Patch(i, np.zeros(0), (0.5, 0.5), 0, 0) for i in range(5)]
+    with pytest.raises(InvalidInputError, match=re.escape("got features (5, 0)")):
+        build_feature_affinity(patches, k_nn=2)

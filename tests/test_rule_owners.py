@@ -1,10 +1,11 @@
 """Rules the package applies in many places have one owner, ``saco.data``:
 ``check_count`` and ``whole_numbers``, the only code that needs the
-``numbers`` module, ``check_scalar`` for finite scalars in a range, and the
-block budget ``BLOCK_DOUBLES`` with ``blocks``, the one walk over rows in
-blocks.  No other module imports ``numbers``, defines a module-level
-``*BLOCK_DOUBLES`` of its own, walks blocks itself (``np.array_split`` or a
-stepped ``range``) or compares a value against infinity, and no package
+``numbers`` module, ``check_scalar`` for finite scalars in a range,
+``finite_array`` for finite arrays of a shape, and the block budget
+``BLOCK_DOUBLES`` with ``blocks``, the one walk over rows in blocks.  No
+other module imports ``numbers``, defines a module-level ``*BLOCK_DOUBLES``
+of its own, walks blocks itself (``np.array_split`` or a stepped ``range``),
+compares a value against infinity or an ``.ndim`` attribute, and no package
 module imports another one's underscore name."""
 
 import ast
@@ -32,8 +33,9 @@ def restated_rules(source):
     """(rule, line) of every import of ``numbers``, every module-level
     assignment to a name ending in ``BLOCK_DOUBLES``, every call of
     ``array_split`` or of a three-argument ``range``, every comparison
-    against an infinity constant and every import of an underscore name from
-    a package module (relative or ``saco.*``) in ``source``, by line."""
+    against an infinity constant or of an ``.ndim`` attribute and every
+    import of an underscore name from a package module (relative or
+    ``saco.*``) in ``source``, by line."""
     tree = ast.parse(source)
     found = []
     for node in ast.walk(tree):
@@ -48,6 +50,10 @@ def restated_rules(source):
                 (node.level or (node.module or "").split(".")[0] == "saco") and \
                 any(alias.name.startswith("_") for alias in node.names):
             found.append(("private import", node.lineno))
+        if isinstance(node, ast.Compare) and any(
+                isinstance(side, ast.Attribute) and side.attr == "ndim"
+                for side in [node.left, *node.comparators]):
+            found.append(("ndim", node.lineno))
         if isinstance(node, ast.Import):
             found += [("numbers", node.lineno) for alias in node.names
                       if alias.name.split(".")[0] == "numbers"]
@@ -75,14 +81,16 @@ def test_scan_finds_every_restated_rule():
               "from saco.coding import _check\nfrom .data import check_count\n"
               "from numpy import _core\nfrom __future__ import annotations\n"
               "for lo in range(0, m, rows): pass\nparts = np.array_split(idx, 3)\n"
-              "ok = range(0, m), np.arange(0, m, 2), range(m)\n")
+              "ok = range(0, m), np.arange(0, m, 2), range(m)\n"
+              "if a.ndim != 2 or 1 < b.ndim: pass\nok = np.empty(a.ndim), a.ndim + 1\n"
+              "if len(a.shape) != 2: pass\n")
     assert restated_rules(source) == [("numbers", 1), ("numbers", 2), ("numbers", 3),
                                       ("numbers", 5), ("BLOCK_DOUBLES", 7),
                                       ("BLOCK_DOUBLES", 8), ("BLOCK_DOUBLES", 9),
                                       ("inf", 12), ("inf", 13), ("inf", 14), ("inf", 17),
                                       ("private import", 18), ("private import", 19),
                                       ("private import", 20), ("block walk", 24),
-                                      ("block walk", 25)]
+                                      ("block walk", 25), ("ndim", 27), ("ndim", 27)]
 
 
 def test_each_rule_stays_with_its_owner():
@@ -90,4 +98,4 @@ def test_each_rule_stays_with_its_owner():
              if path.name != OWNER for rule, line in restated_rules(path.read_text())]
     assert stray == []
     assert {rule for rule, _ in restated_rules((PACKAGE / OWNER).read_text())} == \
-        {"numbers", "BLOCK_DOUBLES"}
+        {"numbers", "BLOCK_DOUBLES", "ndim"}

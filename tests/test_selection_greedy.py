@@ -364,10 +364,12 @@ def test_graph_size_must_match_the_patches(driver, m_graph):
     S, L = make_graphs(patches)
     other = make_graphs(make_patches(13, m=m_graph))[0]
     with pytest.raises(InvalidInputError, match=f"feature graph has {m_graph} nodes and "
-                                                f"spatial graph 30 for 30 patches"):
+                                                f"spatial graph 30 for labels of "
+                                                f"shape \\(30,\\)"):
         driver(patches, other, L, sel.ObjectiveWeights(), 5)
     with pytest.raises(InvalidInputError, match=f"feature graph has 30 nodes and "
-                                                f"spatial graph {m_graph} for 30 patches"):
+                                                f"spatial graph {m_graph} for labels of "
+                                                f"shape \\(30,\\)"):
         driver(patches, S, other, sel.ObjectiveWeights(), 5)
 
 

@@ -250,15 +250,22 @@ class TestEvaluateIds:
         with pytest.raises(InvalidInputError, match=message):
             sel.evaluate_ids([0, 2], S, L, whole, w)
 
+    def test_empty_graphs_are_rejected(self):
+        empty = graph_from_dense(np.zeros((0, 0)))
+        with pytest.raises(InvalidInputError, match="non-empty graphs: feature graph has 0 "):
+            sel.evaluate_ids([], empty, empty, [], sel.ObjectiveWeights())
+
     @pytest.mark.parametrize("m_graph", [40, 20])
     def test_graph_size_must_match_the_labels(self, instance, m_graph):
         S, L, labels = instance
         other = make_graphs(make_patches(5, m=m_graph))[0]
         with pytest.raises(InvalidInputError, match=f"feature graph has {m_graph} nodes and "
-                                                    f"spatial graph 30 for 30 patches"):
+                                                    f"spatial graph 30 for labels of "
+                                                    f"shape \\(30,\\)"):
             sel.evaluate_ids([0], other, L, labels, sel.ObjectiveWeights())
         with pytest.raises(InvalidInputError, match=f"feature graph has 30 nodes and "
-                                                    f"spatial graph {m_graph} for 30 patches"):
+                                                    f"spatial graph {m_graph} for labels of "
+                                                    f"shape \\(30,\\)"):
             sel.evaluate_ids([0], S, other, labels, sel.ObjectiveWeights())
 
 
