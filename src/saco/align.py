@@ -6,9 +6,10 @@ zero padding), resized, and matched against the other by Euclidean
 pixel distance.  Distances feed a k-medoids clustering of viewpoints
 and per-image alignment to the nearest medoid.  Every off-diagonal
 dissimilarity is at least ``DEFAULT_EPSILON``, so a medoid stays in its
-own cluster even when another image is identical to it.  Images,
-thumbnails and the theta grid are checked by ``data.finite_array``;
-this module adds only non-empty rasters and angles in [0, 360).
+own cluster even when another image is identical to it.  Rasters
+(``data.raster``), thumbnails and the theta grid are checked once, a
+``LabeledImage``'s or ``ViewpointModel``'s when it is built; this module
+adds only angles in [0, 360).
 
 A list of images goes through the grid in blocks, one angle at a time:
 the images of one shape walk by ``data.blocks``, max(h w, s) doubles an
@@ -16,8 +17,9 @@ image, s = WORK_SIZE^2, and a block's images are the columns of one
 matrix, rotated (and resized) by one sparse product per angle.
 ``dissimilarity_matrix`` puts each block's frames at each angle into one
 matrix product against the (n, s) canonical frames and a running
-minimum, so it holds O(n^2 + s n) doubles plus one block, and its
-distances are within its stated tolerance.
+minimum, so it holds O(n^2 + s n) doubles plus one block; its distances
+are within its stated tolerance, and the bits of one unblocked product
+only while every block is wide enough for the BLAS's normal kernel.
 ``align_to_medoid`` collects one image's (T, s) frames and keeps an exact
 kernel whose stacked vector products sum as ``np.linalg.norm`` does; it
 takes the first minimum over (cluster, angle): ties go to the lowest
@@ -44,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import LabeledImage, blocks, check_count, finite_array, whole_numbers
+from .data import (LabeledImage, blocks, check_count, finite_array, raster, read_only,
+                   whole_numbers)
 from .errors import InvalidInputError
 
 WORK_SIZE = 40
@@ -62,16 +65,9 @@ def default_theta_grid(step=10.0) -> np.ndarray:
 
 
 def _pixels(image, name="image") -> np.ndarray:
-    """The raster of a ``LabeledImage``, or ``image`` itself, as a finite 2-D float array.
-
-    Errors name a ``LabeledImage`` by its id, any other image by ``name``.
-    """
-    if isinstance(image, LabeledImage):
-        name, image = f"image {image.image_id}", image.pixels
-    arr = finite_array(name, image, (None, None))
-    if not arr.size:
-        raise InvalidInputError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
-    return arr
+    """A ``LabeledImage``'s raster as it is, or ``image`` checked by ``data.raster``,
+    whose error names it by ``name``."""
+    return image.pixels if isinstance(image, LabeledImage) else raster(name, image)
 
 
 def _theta_grid(theta_grid) -> np.ndarray:
@@ -106,7 +102,7 @@ def _sampling_plan(xs: np.ndarray, ys: np.ndarray, h: int, w: int) -> sp.csr_arr
     op = sp.csr_array((wgt[valid], indices.astype(itype), indptr.astype(itype)),
                       shape=(len(xs), h * w))
     for arr in (op.data, op.indices, op.indptr):
-        arr.flags.writeable = False
+        read_only(arr)
     return op
 
 
@@ -224,9 +220,11 @@ def dissimilarity_matrix(images, theta_grid) -> np.ndarray:
     working memory is O(n^2 + n s) doubles, s = WORK_SIZE^2, plus one
     ``BLOCK_DOUBLES`` block, whatever the image and grid sizes.  Each
     d^2 = |a|^2 + |b|^2 - 2 a.b, a.b from that product, is off by at most
-    ~2e-13 (|a|^2 + |b|^2).  At one BLAS thread the default budget gives
-    the bits of one unblocked product; more threads, or a budget far from
-    the default, may move them within that bound.
+    ~2e-13 (|a|^2 + |b|^2).  At one BLAS thread they are the bits of one
+    unblocked product only while every block is wide enough for the BLAS's
+    normal kernel, as 240 64x64 images in blocks of 60 are; narrower
+    blocks (20 256x256 images go in blocks of 4) or more threads may move
+    them within that bound.
     """
     grid = _theta_grid(theta_grid)
     if len(images) == 0:
@@ -238,12 +236,12 @@ def dissimilarity_matrix(images, theta_grid) -> np.ndarray:
     return sym
 
 
-@dataclass
+@dataclass(frozen=True)
 class ViewpointModel:
     """Medoid exemplars for canonical viewpoints plus the search grid."""
 
     medoid_ids: list[int]
-    thumbnails: list[np.ndarray]  # WORK_SIZE x WORK_SIZE canonical frames
+    thumbnails: np.ndarray  # (k, WORK_SIZE, WORK_SIZE) canonical frames, one per medoid
     theta_grid: np.ndarray
 
     def __post_init__(self):
@@ -254,13 +252,13 @@ class ViewpointModel:
         if bad.any():
             raise InvalidInputError(f"medoid id {self.medoid_ids[bad.argmax()]!r} at position "
                                     f"{bad.argmax()} is not an integer >= 0")
-        self.medoid_ids = ids.tolist()
-        if len(self.thumbnails) != len(self.medoid_ids):
-            raise InvalidInputError(f"viewpoint model has {len(self.medoid_ids)} medoids but "
+        if len(self.thumbnails) != len(ids):
+            raise InvalidInputError(f"viewpoint model has {len(ids)} medoids but "
                                     f"{len(self.thumbnails)} thumbnails")
-        self.thumbnails = [finite_array(f"thumbnail {i}", thumb, (WORK_SIZE, WORK_SIZE))
-                           for i, thumb in enumerate(self.thumbnails)]
-        self.theta_grid = _theta_grid(self.theta_grid)
+        thumbs = [finite_array(f"thumbnail {i}", thumb, (WORK_SIZE, WORK_SIZE))
+                  for i, thumb in enumerate(self.thumbnails)]
+        vars(self).update(medoid_ids=ids.tolist(), thumbnails=read_only(np.stack(thumbs)),
+                          theta_grid=_theta_grid(self.theta_grid))
 
 
 def k_medoids(images, k, theta_grid, seed):
@@ -293,11 +291,7 @@ def k_medoids(images, k, theta_grid, seed):
         if new_medoids == medoids:
             break
         medoids = new_medoids
-    model = ViewpointModel(
-        medoid_ids=list(medoids),
-        thumbnails=[rotate_resize(_pixels(images[i]), 0.0) for i in medoids],
-        theta_grid=grid,
-    )
+    model = ViewpointModel(medoids, [rotate_resize(images[i], 0.0) for i in medoids], grid)
     return model, np.asarray(assign, dtype=np.int64), cost_history
 
 
@@ -311,7 +305,7 @@ def align_to_medoid(image, model: ViewpointModel):
     is the original raster rotated by theta_star.
     """
     px = _pixels(image)
-    thumbs = np.stack(model.thumbnails).reshape(len(model.thumbnails), -1)
+    thumbs = model.thumbnails.reshape(len(model.thumbnails), -1)
     dist = _distances(thumbs, _frames([px], model.theta_grid)[0])  # (cluster, angle)
     cluster, ti = np.unravel_index(int(dist.argmin()), dist.shape)
     theta = float(model.theta_grid[ti])

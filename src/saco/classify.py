@@ -31,7 +31,7 @@ from .selection import ObjectiveWeights, SelectionResult, lazy_greedy
 RESIDUAL_LAMBDA1 = 0.01
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearSvmModel:
     """One-vs-rest linear classifier: scores = W f + b."""
 
@@ -39,11 +39,11 @@ class LinearSvmModel:
     biases: np.ndarray   # (C,)
 
     def __post_init__(self):
-        W = self.weights = finite_array("weights", self.weights, (None, None))
+        W = finite_array("weights", self.weights, (None, None))
         if not W.size:
             raise InvalidInputError(f"model needs at least one class and one weight column, "
                                     f"got weights {W.shape}")
-        self.biases = finite_array("biases", self.biases, (len(W),))
+        vars(self).update(weights=W, biases=finite_array("biases", self.biases, (len(W),)))
 
     @property
     def n_classes(self) -> int:

@@ -30,26 +30,11 @@ import numpy as np
 
 from . import align as al
 from . import synth
-from .classify import (
-    LinearSvmModel,
-    PredictionRow,
-    build_encoder,
-    predictions_csv_lines,
-    run_pipeline,
-    svm_predict,
-    svm_train,
-)
+from .classify import (LinearSvmModel, PredictionRow, build_encoder, predictions_csv_lines,
+                       run_pipeline, svm_predict, svm_train)
 from .config import PipelineConfig, apply_overrides, read_config_file
-from .data import (
-    Dictionary,
-    check_count,
-    load_image_pools,
-    load_patches,
-    pool_patches,
-    read_csv_rows,
-    save_patches,
-    write_lines,
-)
+from .data import (Dictionary, check_count, finite_array, load_image_pools, load_patches,
+                   pool_patches, read_csv_rows, save_patches, write_lines)
 from .errors import InvalidConfigError, InvalidInputError
 from .graphs import build_feature_affinity, build_spatial_affinity
 from .plotting import write_svg_scatter
@@ -171,7 +156,7 @@ def _read_image_labels(path) -> list[tuple[int, int]]:
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
     _require_files(args.features, args.images)
-    feats = read_tensor(args.features).astype(np.float64)
+    feats = finite_array(f"{args.features}: features", read_tensor(args.features), (None, None))
     labels = [lab for _, lab in _read_image_labels(args.images)]
     if len(feats) != len(labels):
         raise InvalidInputError(f"{len(feats)} feature rows vs {len(labels)} labels")

@@ -60,7 +60,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dlamch, dppcon, dppsv, dpptrf
 
-from .data import Dictionary, blocks, check_scalar, finite_array, reject_rows
+from .data import Dictionary, blocks, check_scalar, finite_array, read_only, reject_rows
 from .errors import InvalidConfigError, InvalidInputError, LinearSolveError
 
 CONDITION_WARN_THRESHOLD = 1e8
@@ -93,14 +93,14 @@ class SpatialWeightConfig:
 
 
 def _weight_rows(coords, atom_coords, config: SpatialWeightConfig) -> np.ndarray:
-    """(N, m) weights from each of N query locations to each atom location."""
+    """(N, m) read-only weights from each of N query locations to each atom location."""
     # the Euclidean norm over (dx, dy), summed as np.linalg.norm sums it
     dx = atom_coords[None, :, 0] - coords[:, None, 0]
     dy = atom_coords[None, :, 1] - coords[:, None, 1]
     d = np.sqrt(dx * dx + dy * dy)
     if config.kernel == "linear":
-        return config.epsilon + d / config.scale
-    return config.epsilon + 1.0 - np.exp(-(d * d) / (2.0 * config.scale * config.scale))
+        return read_only(config.epsilon + d / config.scale)
+    return read_only(config.epsilon + 1.0 - np.exp(-(d * d) / (2.0 * config.scale * config.scale)))
 
 
 def _rows(d: Dictionary, X=None, W=None, coords=None):
@@ -163,7 +163,7 @@ def _saco1_rows(X, omega, lambda1, W) -> np.ndarray:
     # unoptimized einsum reduces every (row, atom) pair in the same order
     # whatever the batch size, unlike a BLAS product, so a row's code does
     # not depend on the rows batched with it
-    u = np.einsum("np,mp->nm", np.ascontiguousarray(X), omega)
+    u = np.einsum("np,mp->nm", X, omega)
     return soft_threshold(u, lambda1 * W)
 
 

@@ -14,18 +14,22 @@ through ``tensorio.read_tensor`` and ``write_tensor``, and images through
 ``align.read_pgm`` and ``write_pgm``.  Config files are read by
 ``config.read_config_file``.
 
-Input is validated once, where it enters, by vectorized checks that name
-the bad row.  ``finite_array`` is the one check of a float array's shape
-and finiteness, here (``PatchSet``, ``ImageFeatures``, ``LabeledImage``,
-the patch-file readers, which add the CSV line) and in every other module;
-each caller adds only its own rules: coordinates in [0,1]^2, ids and labels
-whole numbers >= 0, rows of at least one feature.  The CSV reader checks
-header, field count and numbers.  Other modules take six rules from here:
-``finite_array``, ``check_count`` (counts, seeds), ``check_scalar``
-(finite scalars >= 0 or > 0), ``whole_numbers``, ``reject_rows`` (the
-first bad row) and ``blocks``, the one block walk of graph building
-(``graphs``), greedy scoring (``selection``), saco2 solves (``coding``) and
-the rotation search (``align``).
+Input is validated once, where it enters, and stays valid: the value types
+(``PatchSet``, ``Dictionary``, ``ImageFeatures``, ``LabeledImage``,
+``align.ViewpointModel``, ``classify.LinearSvmModel``) own read-only arrays,
+checked once, that later code takes as they are.  ``finite_array`` is the
+one check of a float array's shape and finiteness in every module; its
+result is read-only, and the caller's array itself only if that is
+read-only and owns its data; ``read_only`` marks every other array.  Callers
+add their own rules: coordinates in [0,1]^2, ids and labels whole numbers
+>= 0, rows of at least one feature, ``raster``'s non-empty images.  The CSV
+reader checks header, field count and numbers.  Other modules take eight
+rules from here: ``finite_array``, ``raster``, ``read_only``, ``check_count``
+(counts, seeds), ``check_scalar`` (finite scalars >= 0 or > 0),
+``whole_numbers``, ``reject_rows`` (the first bad row) and ``blocks``, the
+one block walk of graph building (``graphs``), greedy scoring
+(``selection``), saco2 solves (``coding``) and the rotation search
+(``align``).
 """
 
 from __future__ import annotations
@@ -75,15 +79,15 @@ def check_scalar(name, value, positive=False, error=InvalidInputError):
 
 
 def whole_numbers(values):
-    """``values`` as int64, and a mask of the entries that are not whole numbers
-    (bools, strings, fractions, NaN, inf or past int64), which read 0."""
+    """``values`` as read-only int64, and a mask of the entries that are not whole
+    numbers (bools, strings, fractions, NaN, inf or past int64), which read 0."""
     raw = np.asarray(values)
     num = raw if raw.dtype.kind in "iuf" else np.full(raw.shape, np.nan)
     whole = (num == np.floor(num)) & (np.abs(num) < 2.0 ** 63)
     # np.asarray([True, 0]) is int64, so a list's bools are found by type
     if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
         whole &= [not isinstance(v, (bool, np.bool_)) for v in values]
-    return np.where(whole, num, 0).astype(np.int64), ~whole
+    return read_only(np.where(whole, num, 0).astype(np.int64)), ~whole
 
 
 def reject_rows(bad, what):
@@ -92,14 +96,23 @@ def reject_rows(bad, what):
         raise InvalidInputError(f"row {bad.argmax()}: {what}")
 
 
+def read_only(arr):
+    """``arr``, marked read-only: the one place that clears an array's ``writeable``."""
+    arr.flags.writeable = False
+    return arr
+
+
 def finite_array(name, value, shape, where=None):
-    """``value`` as a float64 array of ``shape`` (per axis an int for that length or
-    None for any) whose every entry is finite.
+    """``value`` as a read-only C-ordered float64 array of ``shape`` (per axis an int
+    for that length or None for any) whose every entry is finite, ``value`` itself
+    only if it is such an array owning its data (another value's array, or rows
+    just stacked and marked by ``read_only``), so no caller can write through it.
 
     A non-finite entry is named by its first row, and column in a 2-D array;
     ``where(row)``, if given, prefixes its source, such as a file and line.
     """
-    arr = np.asarray(value, dtype=np.float64)
+    frozen = isinstance(value, np.ndarray) and not value.flags.writeable and value.flags.owndata
+    arr = (np.asarray if frozen else np.array)(value, dtype=np.float64, order="C")
     if arr.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, arr.shape)):
         want = str(tuple("*" if n is None else n for n in shape)).replace("'", "")
         raise InvalidInputError(f"{name} must have shape {want}, got {arr.shape}")
@@ -109,6 +122,14 @@ def finite_array(name, value, shape, where=None):
         at = f"row {row}" + (f", column {column[0]}" if column else "")
         prefix = "" if where is None else f"{where(row)}: "
         raise InvalidInputError(f"{prefix}{name}: non-finite value {arr[first]} at {at}")
+    return read_only(arr)
+
+
+def raster(name, value):
+    """``value`` as a non-empty 2-D ``finite_array``: the one rule of an image's pixels."""
+    arr = finite_array(name, value, (None, None))
+    if not arr.size:
+        raise InvalidInputError(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
     return arr
 
 
@@ -139,12 +160,12 @@ class PatchSet:
     """
 
     def __init__(self, features, coords, labels, image_ids, ids=None, *, where=None):
-        self.features = np.ascontiguousarray(finite_array("features", features, (None, None)))
+        self.features = finite_array("features", features, (None, None))
         m, p = self.features.shape
         if m and not p:
             raise InvalidInputError(f"patches need at least one feature, "
                                     f"got features {self.features.shape}")
-        self.coords = np.ascontiguousarray(finite_array("coords", coords, (m, 2)))
+        self.coords = finite_array("coords", coords, (m, 2))
         (self.labels, bad_label), (self.image_ids, bad_image), (self.ids, bad_id) = (
             whole_numbers(a) for a in (labels, image_ids, np.arange(m) if ids is None else ids))
         shapes = [a.shape for a in (self.labels, self.image_ids, self.ids)]
@@ -172,9 +193,10 @@ class PatchSet:
         dims = {f.shape for f in feats}
         if len(dims) > 1:
             raise InvalidInputError(f"mixed feature dimensions: {sorted(dims)}")
-        return cls(np.stack(feats) if feats else np.empty((0, 0)),
-                   np.reshape([p.coord for p in patches], (-1, 2)), [p.label for p in patches],
-                   [p.image_id for p in patches], [p.id for p in patches])
+        return cls(read_only(np.stack(feats)) if feats else np.empty((0, 0)),
+                   read_only(np.array([p.coord for p in patches] or np.empty((0, 2)))),
+                   [p.label for p in patches], [p.image_id for p in patches],
+                   [p.id for p in patches])
 
     def __len__(self) -> int:
         return len(self.features)
@@ -192,7 +214,7 @@ class PatchSet:
         return (self[i] for i in range(len(self)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImageFeatures:
     """A pool of located feature vectors belonging to one labeled image."""
 
@@ -202,16 +224,17 @@ class ImageFeatures:
     coords: np.ndarray    # (n, 2), arbitrary units
 
     def __post_init__(self):
-        self.image_id, self.label = _id_and_label(self.image_id, self.label)
-        name = f"image {self.image_id}"
-        self.features = finite_array(f"{name} features", self.features, (None, None))
-        if not self.features.shape[1]:
-            raise InvalidInputError(f"{name} needs at least one feature, "
-                                    f"got features {self.features.shape}")
-        self.coords = finite_array(f"{name} coords", self.coords, (len(self.features), 2))
+        image_id, label = _id_and_label(self.image_id, self.label)
+        features = finite_array(f"image {image_id} features", self.features, (None, None))
+        if not features.shape[1]:
+            raise InvalidInputError(f"image {image_id} needs at least one feature, "
+                                    f"got features {features.shape}")
+        coords = finite_array(f"image {image_id} coords", self.coords, (len(features), 2))
+        # a frozen dataclass stores its checked fields past its own __setattr__
+        vars(self).update(image_id=image_id, label=label, features=features, coords=coords)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabeledImage:
     """A grayscale raster with a class label (pixel values in [0, 1])."""
 
@@ -220,11 +243,9 @@ class LabeledImage:
     label: int
 
     def __post_init__(self):
-        self.image_id, self.label = _id_and_label(self.image_id, self.label)
-        self.pixels = finite_array(f"image {self.image_id}", self.pixels, (None, None))
-        if not self.pixels.size:
-            raise InvalidInputError(f"image {self.image_id} must be a non-empty 2-D array, "
-                                    f"got shape {self.pixels.shape}")
+        image_id, label = _id_and_label(self.image_id, self.label)
+        vars(self).update(image_id=image_id, label=label,
+                          pixels=raster(f"image {image_id}", self.pixels))
 
 
 class Dictionary:
@@ -238,7 +259,7 @@ class Dictionary:
         if not len(self.atoms):
             raise InvalidInputError(f"dictionary needs at least one atom of at least one "
                                     f"feature, got features {self.atoms.features.shape}")
-        self.matrix = np.ascontiguousarray(self.atoms.features.T)
+        self.matrix = read_only(np.ascontiguousarray(self.atoms.features.T))
         self.atom_coords = self.atoms.coords
         self.atom_labels = self.atoms.labels
 
@@ -253,7 +274,7 @@ class Dictionary:
     def gram(self) -> np.ndarray:
         """D^T D, cached after the first call."""
         if not hasattr(self, "_gram"):
-            self._gram = self.matrix.T @ self.matrix
+            self._gram = read_only(self.matrix.T @ self.matrix)
         return self._gram
 
 
@@ -329,8 +350,8 @@ def save_patches(csv_path, tensor_path, patches, header_comments=()) -> None:
 def pool_patches(pools) -> PatchSet:
     """Every row of every pool, in pool order; coordinates must lie in [0,1]^2."""
     sizes = [len(pool.features) for pool in pools]
-    return PatchSet(np.concatenate([pool.features for pool in pools]),
-                    np.concatenate([pool.coords for pool in pools]),
+    return PatchSet(read_only(np.concatenate([pool.features for pool in pools])),
+                    read_only(np.concatenate([pool.coords for pool in pools])),
                     np.repeat([pool.label for pool in pools], sizes),
                     np.repeat([pool.image_id for pool in pools], sizes))
 

@@ -61,7 +61,7 @@ def make_blobs2d(n_classes=3, points_per_class=100, spread=0.06, seed=0) -> list
             mu = subs[i % len(subs)]
             pts.append(rng.normal(mu, spread))
         pts = np.clip(np.array(pts), 0.0, 1.0)
-        pools.append(ImageFeatures(image_id=c, label=c, features=pts, coords=pts.copy()))
+        pools.append(ImageFeatures(image_id=c, label=c, features=pts, coords=pts))
     return pools
 
 

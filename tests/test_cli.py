@@ -421,7 +421,22 @@ class TestTrainPredict:
         write_tensor(feats, X)
         err = run_fail(capsys, ["train", "--features", str(feats), "--images", str(images),
                                 "--out", str(tmp_path / "m")])
-        assert "InvalidInputError: features: non-finite value nan at row 5, column 0" in err
+        assert (f"InvalidInputError: {feats}: features: non-finite value nan at row 5, "
+                f"column 0") in err
+        assert not (tmp_path / "m.w.skt").exists()
+
+    @pytest.mark.parametrize("rank0, detail", [
+        (True, "features must have shape (*, *), got ()"),
+        (False, "features: non-finite value nan at row 2, column 1"),
+    ], ids=["0-d", "nan-row"])
+    def test_train_names_the_features_file(self, tmp_path, capsys, rank0, detail):
+        feats, images = pooled_problem(tmp_path)
+        X = read_tensor(feats)
+        X[2, 1] = np.nan
+        write_tensor(feats, np.array(1.0) if rank0 else X)
+        err = run_fail(capsys, ["train", "--features", str(feats), "--images", str(images),
+                                "--out", str(tmp_path / "m")])
+        assert f"InvalidInputError: {feats}: {detail}" in err
         assert not (tmp_path / "m.w.skt").exists()
 
     @pytest.mark.parametrize("part, value", [

@@ -1,12 +1,14 @@
 """Rules the package applies in many places have one owner, ``saco.data``:
 ``check_count`` and ``whole_numbers``, the only code that needs the
 ``numbers`` module, ``check_scalar`` for finite scalars in a range,
-``finite_array`` for finite arrays of a shape, and the block budget
-``BLOCK_DOUBLES`` with ``blocks``, the one walk over rows in blocks.  No
-other module imports ``numbers``, defines a module-level ``*BLOCK_DOUBLES``
-of its own, walks blocks itself (``np.array_split`` or a stepped ``range``),
-compares a value against infinity or an ``.ndim`` attribute, and no package
-module imports another one's underscore name."""
+``finite_array`` for finite arrays of a shape, ``read_only``, the one place
+that marks an array read-only, and the block budget ``BLOCK_DOUBLES`` with
+``blocks``, the one walk over rows in blocks.  No other module imports
+``numbers``, defines a module-level ``*BLOCK_DOUBLES`` of its own, walks
+blocks itself (``np.array_split`` or a stepped ``range``), compares a value
+against infinity or an ``.ndim`` attribute, or assigns to
+``.flags.writeable``, and no package module imports another one's
+underscore name."""
 
 import ast
 from pathlib import Path
@@ -33,9 +35,10 @@ def restated_rules(source):
     """(rule, line) of every import of ``numbers``, every module-level
     assignment to a name ending in ``BLOCK_DOUBLES``, every call of
     ``array_split`` or of a three-argument ``range``, every comparison
-    against an infinity constant or of an ``.ndim`` attribute and every
-    import of an underscore name from a package module (relative or
-    ``saco.*``) in ``source``, by line."""
+    against an infinity constant or of an ``.ndim`` attribute, every
+    assignment to a ``.flags.writeable`` attribute and every import of an
+    underscore name from a package module (relative or ``saco.*``) in
+    ``source``, by line."""
     tree = ast.parse(source)
     found = []
     for node in ast.walk(tree):
@@ -54,6 +57,12 @@ def restated_rules(source):
                 isinstance(side, ast.Attribute) and side.attr == "ndim"
                 for side in [node.left, *node.comparators]):
             found.append(("ndim", node.lineno))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and any(
+                isinstance(t, ast.Attribute) and t.attr == "writeable" and
+                isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
+                for target in getattr(node, "targets", [getattr(node, "target", None)])
+                for t in ast.walk(target)):
+            found.append(("writeable", node.lineno))
         if isinstance(node, ast.Import):
             found += [("numbers", node.lineno) for alias in node.names
                       if alias.name.split(".")[0] == "numbers"]
@@ -83,14 +92,19 @@ def test_scan_finds_every_restated_rule():
               "for lo in range(0, m, rows): pass\nparts = np.array_split(idx, 3)\n"
               "ok = range(0, m), np.arange(0, m, 2), range(m)\n"
               "if a.ndim != 2 or 1 < b.ndim: pass\nok = np.empty(a.ndim), a.ndim + 1\n"
-              "if len(a.shape) != 2: pass\n")
+              "if len(a.shape) != 2: pass\n"
+              "a.flags.writeable = False\nfor x in xs: x.flags.writeable = False\n"
+              "op.data.flags.writeable: bool = False\nb, c.flags.writeable = 1, 0\n"
+              "ok = a.flags.writeable, a.setflags(write=True), b.writeable == False\n")
     assert restated_rules(source) == [("numbers", 1), ("numbers", 2), ("numbers", 3),
                                       ("numbers", 5), ("BLOCK_DOUBLES", 7),
                                       ("BLOCK_DOUBLES", 8), ("BLOCK_DOUBLES", 9),
                                       ("inf", 12), ("inf", 13), ("inf", 14), ("inf", 17),
                                       ("private import", 18), ("private import", 19),
                                       ("private import", 20), ("block walk", 24),
-                                      ("block walk", 25), ("ndim", 27), ("ndim", 27)]
+                                      ("block walk", 25), ("ndim", 27), ("ndim", 27),
+                                      ("writeable", 30), ("writeable", 31),
+                                      ("writeable", 32), ("writeable", 33)]
 
 
 def test_each_rule_stays_with_its_owner():
@@ -98,4 +112,4 @@ def test_each_rule_stays_with_its_owner():
              if path.name != OWNER for rule, line in restated_rules(path.read_text())]
     assert stray == []
     assert {rule for rule, _ in restated_rules((PACKAGE / OWNER).read_text())} == \
-        {"numbers", "BLOCK_DOUBLES", "ndim"}
+        {"numbers", "BLOCK_DOUBLES", "ndim", "writeable"}
