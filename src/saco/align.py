@@ -248,7 +248,6 @@ class ViewpointModel:
         if len(self.medoid_ids) < 1:
             raise InvalidInputError("viewpoint model needs at least one medoid")
         ids, bad = whole_numbers(self.medoid_ids)
-        bad |= ids < 0
         if bad.any():
             raise InvalidInputError(f"medoid id {self.medoid_ids[bad.argmax()]!r} at position "
                                     f"{bad.argmax()} is not an integer >= 0")
@@ -265,10 +264,11 @@ def k_medoids(images, k, theta_grid, seed):
     """Voronoi-iteration k-medoids on rotation-search dissimilarities.
 
     Returns (model, assignments, cost_history) once the medoids stop
-    moving, or after ``KMEDOIDS_MAX_ITER`` rounds.  Initial medoids are a
-    seeded draw; assignment ties go to the lowest cluster index and
-    medoid-update ties to the lowest member index, so runs are fully
-    reproducible.  The cost history never increases.
+    moving, or after ``KMEDOIDS_MAX_ITER`` rounds; either way each image is
+    assigned to its nearest returned medoid, and the last cost is theirs.
+    Initial medoids are a seeded draw; assignment ties go to the lowest
+    cluster index and medoid-update ties to the lowest member index, so
+    runs are fully reproducible.  The cost history never increases.
     """
     n = len(images)
     if check_count("k", k) > n:
@@ -288,7 +288,7 @@ def k_medoids(images, k, theta_grid, seed):
         for ci in np.unique(assign):
             members = np.flatnonzero(assign == ci)
             new_medoids[ci] = int(members[dm[np.ix_(members, members)].sum(axis=1).argmin()])
-        if new_medoids == medoids:
+        if new_medoids == medoids or len(cost_history) == KMEDOIDS_MAX_ITER:
             break
         medoids = new_medoids
     model = ViewpointModel(medoids, [rotate_resize(images[i], 0.0) for i in medoids], grid)

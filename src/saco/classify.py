@@ -60,11 +60,10 @@ def svm_train(features, labels, n_classes=None, reg=1.0, epochs=300):
     and BLAS thread count, and invariant to duplicating the training set.
     """
     X = finite_array("features", features, (None, None))
-    y, fractional = whole_numbers(labels)
+    y, bad = whole_numbers(labels)
     if y.shape != (len(X),):
         raise InvalidInputError(f"labels {y.shape} must be one per row of features {X.shape}")
-    reject_rows(fractional, "label is not an integer")
-    reject_rows(y < 0, "negative label")
+    reject_rows(bad, "label is not an integer >= 0")
     check_count("epochs", epochs)
     check_scalar("SVM reg", reg, positive=True)
     if np.unique(y).size < 2:

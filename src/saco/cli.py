@@ -34,7 +34,7 @@ from .classify import (LinearSvmModel, PredictionRow, build_encoder, predictions
                        run_pipeline, svm_predict, svm_train)
 from .config import PipelineConfig, apply_overrides, read_config_file
 from .data import (Dictionary, check_count, finite_array, load_image_pools, load_patches,
-                   pool_patches, read_csv_rows, save_patches, write_lines)
+                   pool_patches, read_csv_rows, save_patches, whole_numbers, write_lines)
 from .errors import InvalidConfigError, InvalidInputError
 from .graphs import build_feature_affinity, build_spatial_affinity
 from .plotting import write_svg_scatter
@@ -142,15 +142,17 @@ def cmd_code(args) -> int:
 # -- train / predict ---------------------------------------------------------------
 
 
-def _read_image_labels(path) -> list[tuple[int, int]]:
-    pairs = []
-    for ln, (image_id, label) in read_csv_rows(path, "image_id,label", (int, int)):
-        if label < 0:
-            raise InvalidInputError(f"{path}:{ln}: negative label {label}")
-        pairs.append((image_id, label))
-    if not pairs:
+def _read_image_labels(path) -> list[list[int]]:
+    # np.int64 makes a value past its range a malformed row, so only negatives are left
+    rows = list(read_csv_rows(path, "image_id,label", (np.int64, np.int64)))
+    if not rows:
         raise InvalidInputError(f"{path}: no labeled images")
-    return pairs
+    pairs, bad = whole_numbers([values for _, values in rows])
+    if bad.any():
+        row, column = np.argwhere(bad)[0]
+        raise InvalidInputError(f"{path}:{rows[row][0]}: negative {('image id', 'label')[column]} "
+                                f"{rows[row][1][column]}")
+    return pairs.tolist()
 
 
 def cmd_train(args) -> int:

@@ -20,16 +20,17 @@ Input is validated once, where it enters, and stays valid: the value types
 checked once, that later code takes as they are.  ``finite_array`` is the
 one check of a float array's shape and finiteness in every module; its
 result is read-only, and the caller's array itself only if that is
-read-only and owns its data; ``read_only`` marks every other array.  Callers
-add their own rules: coordinates in [0,1]^2, ids and labels whole numbers
->= 0, rows of at least one feature, ``raster``'s non-empty images.  The CSV
-reader checks header, field count and numbers.  Other modules take eight
-rules from here: ``finite_array``, ``raster``, ``read_only``, ``check_count``
-(counts, seeds), ``check_scalar`` (finite scalars >= 0 or > 0),
-``whole_numbers``, ``reject_rows`` (the first bad row) and ``blocks``, the
-one block walk of graph building (``graphs``), greedy scoring
-(``selection``), saco2 solves (``coding``) and the rotation search
-(``align``).
+read-only and owns its data (another value's array, or rows just gathered
+and marked by ``read_only``, the one place that marks one).  Callers add
+their own rules: coordinates in [0,1]^2, ids, image ids and labels whole
+numbers >= 0, rows of at least one feature, ``raster``'s non-empty images.
+The CSV reader checks header, field count and numbers.  Other modules take
+eight rules from here: ``finite_array``, ``raster``, ``read_only``,
+``check_count`` (counts, seeds), ``check_scalar`` (finite scalars >= 0 or
+> 0), ``whole_numbers`` (ids and labels), ``reject_rows`` (the first bad
+row) and ``blocks``, the one block walk of graph building (``graphs``),
+greedy scoring (``selection``), saco2 solves (``coding``) and the rotation
+search (``align``).
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ def check_scalar(name, value, positive=False, error=InvalidInputError):
 
 def whole_numbers(values):
     """``values`` as read-only int64, and a mask of the entries that are not whole
-    numbers (bools, strings, fractions, NaN, inf or past int64), which read 0."""
+    numbers >= 0 (negatives, bools, strings, fractions, NaN, inf, past int64), read 0."""
     raw = np.asarray(values)
     num = raw if raw.dtype.kind in "iuf" else np.full(raw.shape, np.nan)
-    whole = (num == np.floor(num)) & (np.abs(num) < 2.0 ** 63)
+    whole = (num == np.floor(num)) & (num >= 0) & (num < 2.0 ** 63)
     # np.asarray([True, 0]) is int64, so a list's bools are found by type
     if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
         whole &= [not isinstance(v, (bool, np.bool_)) for v in values]
@@ -137,7 +138,7 @@ def _id_and_label(image_id, label):
     """An image's id and label as Python ints; either one not a whole number >= 0 is
     an error."""
     ints, bad = whole_numbers([image_id, label])
-    if bad.any() or (ints < 0).any():
+    if bad.any():
         raise InvalidInputError(f"image {image_id!r}: id and label must be integers >= 0")
     return ints.tolist()
 
@@ -175,8 +176,7 @@ class PatchSet:
         inside = (self.coords >= 0.0) & (self.coords <= 1.0)
         for bad, what in (
             (~inside.all(axis=1), "coord {} outside [0,1]^2"),
-            (bad_label | bad_image | bad_id, "id, image id or label is not an integer"),
-            ((self.labels < 0) | (self.ids < 0), "negative id or label"),
+            (bad_label | bad_image | bad_id, "id, image id or label is not an integer >= 0"),
         ):
             if bad.any():
                 row = int(bad.argmax())
@@ -207,8 +207,8 @@ class PatchSet:
             x, y = self.coords[index].tolist()
             return Patch(int(self.ids[index]), self.features[index], (x, y),
                          int(self.labels[index]), int(self.image_ids[index]))
-        return PatchSet(self.features[index], self.coords[index], self.labels[index],
-                        self.image_ids[index], self.ids[index])
+        return PatchSet(read_only(self.features[index]), read_only(self.coords[index]),
+                        self.labels[index], self.image_ids[index], self.ids[index])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -314,10 +314,10 @@ def write_lines(path, lines, comments=()) -> None:
 
 def _read_patch_files(csv_path, tensor_path):
     """``where(row)``, a row's file and line, then its id/image id/label columns,
-    (M, 2) coords and (M, p) features."""
-    # np.int64 makes a value past its range a malformed row, not an error later
+    (M, 2) coords and (M, p) features; both readers reject the same rows."""
+    # np.int64 makes a value past its range a malformed row, so only negatives are left
     rows = list(read_csv_rows(csv_path, PATCH_CSV_HEADER, (np.int64,) * 3 + (float, float)))
-    ints = np.array([v[:3] for _, v in rows], dtype=np.int64).reshape(-1, 3)
+    ints, bad = whole_numbers(np.array([v[:3] for _, v in rows], dtype=np.int64).reshape(-1, 3))
     coords = np.array([v[3:] for _, v in rows], dtype=np.float64).reshape(-1, 2)
     lines = [ln for ln, _ in rows]
 
@@ -326,6 +326,8 @@ def _read_patch_files(csv_path, tensor_path):
 
     feats = finite_array("feature tensor", read_tensor(tensor_path), (len(rows), None), where)
     coords = finite_array("coords", coords, (len(rows), 2), where)
+    if bad.any():
+        raise InvalidInputError(f"{where(bad.any(1).argmax())}: negative id, image id or label")
     return where, ints[:, 0], ints[:, 1], ints[:, 2], coords, feats
 
 
@@ -358,10 +360,7 @@ def pool_patches(pools) -> PatchSet:
 
 def load_image_pools(csv_path, tensor_path) -> list[ImageFeatures]:
     """One pool per image id, in order of first appearance; coordinates keep their units."""
-    where, ids, image_ids, labels, coords, feats = _read_patch_files(csv_path, tensor_path)
-    negative = (ids < 0) | (image_ids < 0) | (labels < 0)
-    if negative.any():
-        raise InvalidInputError(f"{where(negative.argmax())}: negative id, image id or label")
+    _, _, image_ids, labels, coords, feats = _read_patch_files(csv_path, tensor_path)
     _, first = np.unique(image_ids, return_index=True)
     pools = []
     for image_id in image_ids[np.sort(first)].tolist():
@@ -369,7 +368,8 @@ def load_image_pools(csv_path, tensor_path) -> list[ImageFeatures]:
         found = np.unique(labels[rows]).tolist()
         if len(found) != 1:
             raise InvalidInputError(f"image {image_id} has conflicting labels {found}")
-        pools.append(ImageFeatures(image_id, found[0], feats[rows], coords[rows]))
+        pools.append(ImageFeatures(image_id, found[0], read_only(feats[rows]),
+                                   read_only(coords[rows])))
     return pools
 
 
@@ -397,5 +397,6 @@ def sample_candidates(images, per_image, seed) -> PatchSet:
         lo = img.coords.min(axis=0)
         span = img.coords.max(axis=0) - lo
         norm = np.where(span > 0, (img.coords[chosen] - lo) / np.where(span > 0, span, 1.0), 0.5)
-        sampled.append(ImageFeatures(img.image_id, img.label, img.features[chosen], norm))
+        sampled.append(ImageFeatures(img.image_id, img.label, read_only(img.features[chosen]),
+                                     read_only(norm)))
     return pool_patches(sampled)

@@ -324,20 +324,19 @@ def _best_rows(G, ids):
 def _checked_labels(labels, S, L) -> np.ndarray:
     """``labels`` as a 1-D int64 array of class ids >= 0, one per node of each graph.
 
-    A label must be a whole number; errors name the position of the first
-    one that is not.
+    A label must be a whole number >= 0; errors name the position of the
+    first one that is not.
     """
     raw = np.asarray(labels)
     if raw.shape != (S.n,) or L.n != S.n or not S.n:
         raise InvalidInputError(f"labels need one entry per node of non-empty graphs: feature "
                                 f"graph has {S.n} nodes and spatial graph {L.n} for labels "
                                 f"of shape {raw.shape}")
-    labels, fractional = whole_numbers(raw)
-    if fractional.any():
-        pos = int(fractional.argmax())
-        raise InvalidInputError(f"label {raw[pos].item()!r} at position {pos} is not an integer")
-    if (labels < 0).any():
-        raise InvalidInputError("negative class label")
+    labels, bad = whole_numbers(raw)
+    if bad.any():
+        pos = int(bad.argmax())
+        raise InvalidInputError(f"label {raw[pos].item()!r} at position {pos} is not an "
+                                "integer >= 0")
     return labels
 
 

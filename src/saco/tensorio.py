@@ -24,8 +24,6 @@ MAX_ELEMENTS = 1 << 40
 def write_tensor(path, array) -> None:
     """Write ``array`` to ``path``, casting the payload to float32."""
     arr = np.asarray(array, dtype="<f4")
-    if not arr.flags.c_contiguous:
-        arr = np.ascontiguousarray(arr)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(np.array([arr.ndim], dtype="<u4").tobytes())

@@ -653,6 +653,19 @@ class TestKMedoids:
         np.testing.assert_array_equal(assign, np.arange(5))
         assert hist[-1] == 0.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_at_the_iteration_cap_assignments_match_the_returned_medoids(self, seed,
+                                                                          monkeypatch):
+        # one round used to return the updated medoids beside the assignment to
+        # the drawn ones: 1 to 8 of these 20 images had a nearer returned medoid
+        images, _, _ = make_viewpoints(per_view=10, seed=3)
+        grid = al.default_theta_grid(30.0)
+        monkeypatch.setattr(al, "KMEDOIDS_MAX_ITER", 1)
+        model, assign, hist = al.k_medoids(images, 3, grid, seed=seed)
+        dist = al.dissimilarity_matrix(images, grid)[:, model.medoid_ids]
+        np.testing.assert_array_equal(assign, dist.argmin(axis=1))
+        assert hist == [dist.min(axis=1).sum()]
+
 
 class TestAlignToMedoid:
     @pytest.fixture()

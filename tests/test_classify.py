@@ -109,7 +109,7 @@ class TestSvm:
             cl.svm_train(X, y)
         X, y = separable_problem(6)
         y[4] = -1
-        with pytest.raises(InvalidInputError, match="row 4: negative label"):
+        with pytest.raises(InvalidInputError, match="row 4: label is not an integer >= 0"):
             cl.svm_train(X, y)
         # np.asarray(labels, dtype=np.int64) once trained the label 0.7 as class 0
         X, y = separable_problem(6)
@@ -316,6 +316,13 @@ class TestPipeline:
         assert err.value.stage == "coder"
         with pytest.raises(InvalidInputError):
             cl.run_pipeline([], test, tiny_config())
+
+    def test_a_stage_error_raised_in_another_stage_keeps_its_stage(self):
+        def fail():
+            raise ValueError("boom")
+        with pytest.raises(PipelineStageError, match="^stage 'inner': boom$") as err:
+            cl._stage("outer", cl._stage, "inner", fail)
+        assert err.value.stage == "inner"
 
     def test_encode_images_shape(self):
         train, _, _ = tiny_dataset()

@@ -310,6 +310,8 @@ BAD_PATCH_FILES = {
     "id past int64": (4, f"{2**63},0,0,0.5,0.5", f"malformed row '{2**63},0,0,0.5,0.5'"),
     "nan coordinate": (2, "2,0,0,nan,0.5", "coords: non-finite value nan at row 2, column 0"),
     "coordinate out of range": (3, "3,0,0,0.5,1.5", "patch row 3: coord (0.5, 1.5) outside"),
+    # the pipeline's pool reader rejects the same row in the same words
+    "negative image id": (2, "2,-1,0,0.5,0.5", "negative id, image id or label"),
     "nan feature": (5, None, "feature tensor: non-finite value nan at row 5, column 0"),
 }
 
@@ -381,10 +383,18 @@ class TestTrainPredict:
 
     def test_row_count_mismatch(self, tmp_path, capsys):
         feats, images = pooled_problem(tmp_path)
+        prefix = tmp_path / "model"
+        run_ok(capsys, ["train", "--features", str(feats), "--images", str(images),
+                        "--out", str(prefix)])
         images.write_text("image_id,label\n0,0\n1,1\n")
         err = run_fail(capsys, ["train", "--features", str(feats),
                                 "--images", str(images), "--out", str(tmp_path / "m")])
         assert "feature rows" in err
+        out = tmp_path / "pred.csv"
+        err = run_fail(capsys, ["predict", "--model", str(prefix), "--features", str(feats),
+                                "--images", str(images), "--out", str(out)])
+        assert "InvalidInputError: 60 feature rows vs 2 labeled images" in err
+        assert not out.exists()
 
     def test_predict_rejects_an_empty_image_list(self, tmp_path, capsys):
         feats, images = pooled_problem(tmp_path)
@@ -501,6 +511,7 @@ class TestTrainPredict:
             ("id,label\n0,0\n", 1, "expected header 'image_id,label'"),
             ("image_id,label\n0,0\n1,1,0\n", 3, "malformed row '1,1,0'"),
             ("image_id,label\n0,0\n1,zero\n", 3, "malformed row '1,zero'"),
+            ("image_id,label\n0,0\n-3,1\n", 3, "negative image id -3"),
         ]:
             images.write_text(text)
             err = run_fail(capsys, ["train", "--features", str(feats),

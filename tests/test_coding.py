@@ -360,6 +360,11 @@ class TestBoundCheck:
         with pytest.raises(InvalidInputError, match="code"):
             cd.bound_check(np.ones(4), a, coder)
 
+    def test_needs_a_saco1_encoder(self):
+        coder = cd.Encoder(make_dictionary(13, p=4, m=3), "saco2", 0.1)
+        with pytest.raises(InvalidInputError, match="bound_check needs a saco1 encoder, got saco2"):
+            cd.bound_check(np.ones(4), np.zeros(3), coder)
+
 
 class TestSpatialWeights:
     def test_linear_kernel_frozen(self):
@@ -581,6 +586,15 @@ class TestEncoder:
                 np.testing.assert_array_equal(parts, whole)
             else:
                 np.testing.assert_allclose(parts, whole, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("method", ["saco1", "saco2", "iterative"])
+    def test_an_empty_batch_gives_no_codes(self, method):
+        p, m = (12, 6) if method == "saco1" else (8, 20)
+        d, X, coords = batch_problem(5, p=p, m=m, n=29)
+        enc = cd.Encoder(d, method, 0.1, 0.5, cd.SpatialWeightConfig())
+        for codes, diag in (enc.encode(X[:0], coords[:0]), enc.code(X[:0])):
+            assert codes.shape == (0, m)
+            assert diag == cd.CodingDiagnostics()
 
     @pytest.mark.parametrize("lam2", [0.0, 0.4])
     @pytest.mark.parametrize("weighted", [False, True])

@@ -49,7 +49,8 @@ class TestPatch:
             PatchSet.of([_patch(0, [1.0], coord=(1.5, 0.0))])
 
     def test_rejects_negative_label(self):
-        with pytest.raises(InvalidInputError, match="patch row 0: negative id or label"):
+        with pytest.raises(InvalidInputError,
+                           match="patch row 0: id, image id or label is not an integer >= 0"):
             PatchSet.of([_patch(0, [1.0], label=-1)])
 
 
@@ -87,8 +88,9 @@ class TestPatchSet:
         ("features", np.inf, "features: non-finite value inf at row 2"),
         ("coords", np.nan, "coords: non-finite value nan at row 2"),
         ("coords", -0.5, "patch row 2: coord"),
-        ("labels", -1, "patch row 2: negative id or label"),
-        ("ids", -1, "patch row 2: negative id or label"),
+        ("labels", -1, "patch row 2: id, image id or label is not an integer >= 0"),
+        ("ids", -1, "patch row 2: id, image id or label is not an integer >= 0"),
+        ("image_ids", -1, "patch row 2: id, image id or label is not an integer >= 0"),
     ])
     def test_bad_row_is_named(self, field, value, message):
         ps = self._set()
@@ -191,6 +193,22 @@ def test_load_patches_names_the_csv_line_of_a_bad_row(tmp_path):
     message = f"{csv}:4: coords: non-finite value nan at row 1, column 0"
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         load_patches(csv, skt)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2], ids=["id", "image_id", "label"])
+def test_both_patch_readers_reject_a_negative_field_at_its_line(tmp_path, column):
+    # load_patches once took an image id of -1 that load_image_pools rejected
+    csv, skt = tmp_path / "n.csv", tmp_path / "n.skt"
+    save_patches(csv, skt, [_patch(i, [float(i)]) for i in range(3)])
+    lines = csv.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[column] = "-1"
+    lines[2] = ",".join(fields)
+    csv.write_text("\n".join(lines) + "\n")
+    for reader in (load_patches, load_image_pools):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"{csv}:3: negative id, image id or label")):
+            reader(csv, skt)
 
 
 def test_image_pool_with_a_nan_row_names_image_and_row():
@@ -378,6 +396,14 @@ class TestSampleCandidates:
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             sample_candidates(self._pools(), per_image=per_image, seed=0)
 
+    def test_no_images_and_an_empty_pool_are_rejected(self):
+        with pytest.raises(InvalidInputError, match="no images to sample from"):
+            sample_candidates([], per_image=5, seed=0)
+        empty = ImageFeatures(image_id=7, label=0, features=np.zeros((0, 3)),
+                              coords=np.zeros((0, 2)))
+        with pytest.raises(InvalidInputError, match="image 7 has an empty pool"):
+            sample_candidates(self._pools() + [empty], per_image=5, seed=0)
+
     def test_oversampling_with_replacement(self):
         pool = ImageFeatures(image_id=0, label=0,
                              features=np.arange(6.0).reshape(3, 2),
@@ -420,6 +446,19 @@ class TestDictionary:
         d = Dictionary(atoms)
         np.testing.assert_allclose(d.atom_coords, [[0.1, 0.2], [0.3, 0.4]])
         assert list(d.atom_labels) == [2, 1]
+
+
+def test_a_csv_of_comments_alone_has_no_header(tmp_path):
+    path = tmp_path / "c.csv"
+    write_lines(path, [], comments=["seed = 3", "no rows"])
+    with pytest.raises(InvalidInputError, match=re.escape(f"{path}: empty file, header required")):
+        list(read_csv_rows(path, "a,b", (int, float)))
+
+
+def test_an_empty_raster_is_named():
+    with pytest.raises(InvalidInputError,
+                       match=re.escape("image 3 must be a non-empty 2-D array, got shape (0, 5)")):
+        LabeledImage(3, np.ones((0, 5)), 0)
 
 
 def test_write_lines_writes_comments_then_lines(tmp_path):

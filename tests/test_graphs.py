@@ -142,6 +142,11 @@ class TestGraphStructure:
         b = build_feature_affinity(patches, k_nn=5).csr.toarray()
         np.testing.assert_array_equal(a, b)
 
+    def test_a_non_square_matrix_is_rejected(self):
+        rect = build_feature_affinity(make_patches(14, m=6, dim=2), k_nn=2).csr[:, :5]
+        with pytest.raises(InvalidInputError, match=re.escape("must be square, got (6, 5)")):
+            graphs.AffinityGraph(rect)
+
 
 def assert_matches_oracle(points, k, sigma=0.3):
     """Same sparsity pattern as the oracle, values within 1e-12."""

@@ -2,19 +2,23 @@
 ``check_count`` and ``whole_numbers``, the only code that needs the
 ``numbers`` module, ``check_scalar`` for finite scalars in a range,
 ``finite_array`` for finite arrays of a shape, ``read_only``, the one place
-that marks an array read-only, and the block budget ``BLOCK_DOUBLES`` with
-``blocks``, the one walk over rows in blocks.  No other module imports
+that marks an array read-only, the block budget ``BLOCK_DOUBLES`` with
+``blocks``, the one walk over rows in blocks, and ``whole_numbers``, the one
+"whole number >= 0" rule of ids and labels.  No other module imports
 ``numbers``, defines a module-level ``*BLOCK_DOUBLES`` of its own, walks
 blocks itself (``np.array_split`` or a stepped ``range``), compares a value
-against infinity or an ``.ndim`` attribute, or assigns to
-``.flags.writeable``, and no package module imports another one's
-underscore name."""
+against infinity or an ``.ndim`` attribute, compares an id or label with 0,
+or assigns to ``.flags.writeable``, and no package module imports another
+one's underscore name."""
 
 import ast
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "saco"
 OWNER = "data.py"
+# ``ids``, ``image_ids``, ``label``, ``self.labels``, or ``y`` as classify names labels
+ID_OR_LABEL = re.compile(r"(^|_)(ids?|labels?)$|^y$")
 
 
 def _is_inf(node):
@@ -31,14 +35,30 @@ def _is_inf(node):
         str(node.args[0].value).strip().lstrip("+-").lower() in ("inf", "infinity")
 
 
+def _is_id_or_label(node):
+    """Whether ``node`` names an id or label array: its name, an attribute, an
+    indexed one (``ids[rows]``) or one whose method is called (``labels.min()``)."""
+    while isinstance(node, ast.Subscript) or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        node = node.value if isinstance(node, ast.Subscript) else node.func.value
+    name = node.id if isinstance(node, ast.Name) else \
+        node.attr if isinstance(node, ast.Attribute) else ""
+    return bool(ID_OR_LABEL.search(name))
+
+
+def _is_zero(node):
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and \
+        node.value == 0
+
+
 def restated_rules(source):
     """(rule, line) of every import of ``numbers``, every module-level
     assignment to a name ending in ``BLOCK_DOUBLES``, every call of
     ``array_split`` or of a three-argument ``range``, every comparison
-    against an infinity constant or of an ``.ndim`` attribute, every
-    assignment to a ``.flags.writeable`` attribute and every import of an
-    underscore name from a package module (relative or ``saco.*``) in
-    ``source``, by line."""
+    against an infinity constant, of an ``.ndim`` attribute or of an id or
+    label with 0 (a sign test), every assignment to a ``.flags.writeable``
+    attribute and every import of an underscore name from a package module
+    (relative or ``saco.*``) in ``source``, by line."""
     tree = ast.parse(source)
     found = []
     for node in ast.walk(tree):
@@ -57,6 +77,10 @@ def restated_rules(source):
                 isinstance(side, ast.Attribute) and side.attr == "ndim"
                 for side in [node.left, *node.comparators]):
             found.append(("ndim", node.lineno))
+        if isinstance(node, ast.Compare) and \
+                any(map(_is_zero, [node.left, *node.comparators])) and \
+                any(map(_is_id_or_label, [node.left, *node.comparators])):
+            found.append(("sign", node.lineno))
         if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and any(
                 isinstance(t, ast.Attribute) and t.attr == "writeable" and
                 isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
@@ -95,7 +119,11 @@ def test_scan_finds_every_restated_rule():
               "if len(a.shape) != 2: pass\n"
               "a.flags.writeable = False\nfor x in xs: x.flags.writeable = False\n"
               "op.data.flags.writeable: bool = False\nb, c.flags.writeable = 1, 0\n"
-              "ok = a.flags.writeable, a.setflags(write=True), b.writeable == False\n")
+              "ok = a.flags.writeable, a.setflags(write=True), b.writeable == False\n"
+              "bad |= ids < 0\nif (self.labels < 0).any() or labels.min() < 0: pass\n"
+              "ok = 0 > label, y >= 0.0, image_ids[rows] < 0, medoid_ids != 0\n"
+              "ok = scores[best] < 0, -neg_g < 0, 0 <= pid < m, ids < 1, len(ids) == 0\n"
+              "ok = 0 < v, yi >= 0, labels == c, x.ids, valid & (ids == ids)\n")
     assert restated_rules(source) == [("numbers", 1), ("numbers", 2), ("numbers", 3),
                                       ("numbers", 5), ("BLOCK_DOUBLES", 7),
                                       ("BLOCK_DOUBLES", 8), ("BLOCK_DOUBLES", 9),
@@ -104,7 +132,9 @@ def test_scan_finds_every_restated_rule():
                                       ("private import", 20), ("block walk", 24),
                                       ("block walk", 25), ("ndim", 27), ("ndim", 27),
                                       ("writeable", 30), ("writeable", 31),
-                                      ("writeable", 32), ("writeable", 33)]
+                                      ("writeable", 32), ("writeable", 33),
+                                      ("sign", 35), ("sign", 36), ("sign", 36),
+                                      ("sign", 37), ("sign", 37), ("sign", 37), ("sign", 37)]
 
 
 def test_each_rule_stays_with_its_owner():

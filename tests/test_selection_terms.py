@@ -239,7 +239,8 @@ class TestEvaluateIds:
     @pytest.mark.parametrize("bad, message", [
         (0.7, r"label 0\.7 at position 4 is not an integer"),
         (float("nan"), r"label nan at position 4 is not an integer"),
-    ], ids=["fractional", "nan"])
+        (-10.0, r"label -\d+\.0 at position 4 is not an integer >= 0"),
+    ], ids=["fractional", "nan", "negative"])
     def test_bad_label_is_named(self, instance, bad, message):
         # labels + 0.7 once scored the same as the integer labels
         S, L, labels = instance

@@ -1,17 +1,21 @@
 """Every value type owns read-only arrays: checked once when it is built, valid for
 good.  One table covers them all: writing through a value's array raises, and
-writing into the arrays it was built from leaves it unchanged."""
+writing into the arrays it was built from leaves it unchanged.  Rows the program
+has just gathered reach their value read-only, so they are not copied again."""
 
 import dataclasses
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import saco
 import saco.align as al
 from saco.classify import LinearSvmModel
 from saco.data import (Dictionary, ImageFeatures, LabeledImage, Patch, PatchSet, finite_array,
-                       read_only)
-from saco.synth import make_viewpoints
+                       read_only, sample_candidates)
+from saco.synth import make_spatial_texture, make_viewpoints
 
 
 def _inputs(seed):
@@ -87,6 +91,36 @@ def test_finite_array_takes_only_a_read_only_array_that_owns_its_data():
         out = finite_array("a", other, (None, None))
         assert not out.flags.writeable and out.flags.c_contiguous
         assert not np.shares_memory(out, other)
+
+
+@pytest.fixture
+def copies(monkeypatch):
+    """The names of the arrays that ``finite_array`` copies, counted in every
+    package module that imports it."""
+    made = []
+
+    def counted(name, value, shape, where=None):
+        out = finite_array(name, value, shape, where)
+        if out is not value:
+            made.append(name)
+        return out
+
+    for info in pkgutil.iter_modules(saco.__path__):
+        module = importlib.import_module(f"saco.{info.name}")
+        if getattr(module, "finite_array", None) is finite_array:
+            monkeypatch.setattr(module, "finite_array", counted)
+    return made
+
+
+def test_sampled_and_gathered_rows_are_not_copied_again(copies):
+    pools, _, _ = make_spatial_texture(n_classes=2, train_per_class=3, test_per_class=1,
+                                       pool_size=16, feature_dim=8, seed=0)
+    copies.clear()  # the generator's own arrays are copied into its pools
+    ps = sample_candidates(pools, per_image=5, seed=0)
+    sub = ps[np.arange(0, len(ps), 2)]
+    assert copies == []
+    np.testing.assert_array_equal(sub.features, ps.features[::2])
+    np.testing.assert_array_equal(sub.coords, ps.coords[::2])
 
 
 def test_a_value_rebuilt_from_another_shares_its_arrays():
