@@ -266,6 +266,7 @@ def k_medoids(images, k, theta_grid, seed):
     Returns (model, assignments, cost_history) once the medoids stop
     moving, or after ``KMEDOIDS_MAX_ITER`` rounds; either way each image is
     assigned to its nearest returned medoid, and the last cost is theirs.
+    The model's thumbnails are the medoids' canonical frames from the search.
     Initial medoids are a seeded draw; assignment ties go to the lowest
     cluster index and medoid-update ties to the lowest member index, so
     runs are fully reproducible.  The cost history never increases.
@@ -291,7 +292,8 @@ def k_medoids(images, k, theta_grid, seed):
         if new_medoids == medoids or len(cost_history) == KMEDOIDS_MAX_ITER:
             break
         medoids = new_medoids
-    model = ViewpointModel(medoids, [rotate_resize(images[i], 0.0) for i in medoids], grid)
+    thumbs = _frames([_pixels(images[i]) for i in medoids], [0.0])
+    model = ViewpointModel(medoids, thumbs.reshape(k, WORK_SIZE, WORK_SIZE), grid)
     return model, np.asarray(assign, dtype=np.int64), cost_history
 
 

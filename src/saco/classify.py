@@ -179,8 +179,6 @@ class PipelineResult:
 def _stage(name, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except PipelineStageError:
-        raise
     except Exception as exc:
         raise PipelineStageError(name, exc) from exc
 

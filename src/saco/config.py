@@ -1,6 +1,7 @@
 """Flat key-value configuration files with override support.
 
-Files hold one ``key = value`` pair per line; ``#`` starts a comment.
+Files hold one ``key = value`` pair per line; ``#`` starts a comment.  An
+override (``--set key=value``) is read as one such line, by the same parser.
 Every resolved configuration can be echoed back as sorted lines so run
 artifacts record exactly what produced them.
 """
@@ -23,11 +24,10 @@ def parse_config_text(text: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise InvalidConfigError(f"line {ln}: expected 'key = value', got '{raw.strip()}'")
-        key, value = line.split("=", 1)
-        key = key.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if not key:
-            raise InvalidConfigError(f"line {ln}: empty key")
-        out[key] = value.strip()
+            raise InvalidConfigError(f"line {ln}: empty key in '{raw.strip()}'")
+        out[key] = value
     return out
 
 
@@ -37,14 +37,8 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def apply_overrides(mapping: dict[str, str], overrides) -> dict[str, str]:
-    """Merge ``key=value`` strings (e.g. repeated --set flags) on top."""
-    merged = dict(mapping)
-    for item in overrides or ():
-        if "=" not in item:
-            raise InvalidConfigError(f"override '{item}' is not key=value")
-        key, value = item.split("=", 1)
-        merged[key.strip()] = value.strip()
-    return merged
+    """Merge ``key=value`` strings (e.g. repeated --set flags) on top, each a config line."""
+    return {**mapping, **parse_config_text("\n".join(overrides or ()))}
 
 
 def _parse_bool(v: str) -> bool:

@@ -83,6 +83,9 @@ def whole_numbers(values):
     """``values`` as read-only int64, and a mask of the entries that are not whole
     numbers >= 0 (negatives, bools, strings, fractions, NaN, inf, past int64), read 0."""
     raw = np.asarray(values)
+    if raw.dtype.kind in "OSU":  # a mix, as [0, 2**64] or [0, "a"]: each entry on its own
+        raw = np.array([v if isinstance(v, numbers.Real) and abs(v) < 2 ** 63 else np.nan
+                        for v in np.asarray(values, dtype=object).flat]).reshape(raw.shape)
     num = raw if raw.dtype.kind in "iuf" else np.full(raw.shape, np.nan)
     whole = (num == np.floor(num)) & (num >= 0) & (num < 2.0 ** 63)
     # np.asarray([True, 0]) is int64, so a list's bools are found by type

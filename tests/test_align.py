@@ -704,6 +704,14 @@ class TestAlignToMedoid:
                            match=r"medoid id .* at position 0 is not an integer >= 0"):
             al.ViewpointModel(ids, [np.zeros((40, 40))], al.default_theta_grid())
 
+    @pytest.mark.parametrize("bad", [2 ** 64, "1", None])
+    def test_only_the_bad_medoid_id_is_named(self, bad):
+        # [0, 2**64] is an object array, and every id of it once read as bad, so
+        # "medoid id 0 at position 0" was named
+        with pytest.raises(InvalidInputError,
+                           match=rf"medoid id {re.escape(repr(bad))} at position 1 is not"):
+            al.ViewpointModel([0, bad], np.zeros((2, 40, 40)), [0.0])
+
     def test_whole_float_medoid_ids_become_ints(self):
         model = al.ViewpointModel([np.float64(2.0)], [np.zeros((40, 40))], [0.0])
         assert model.medoid_ids == [2] and type(model.medoid_ids[0]) is int

@@ -317,13 +317,6 @@ class TestPipeline:
         with pytest.raises(InvalidInputError):
             cl.run_pipeline([], test, tiny_config())
 
-    def test_a_stage_error_raised_in_another_stage_keeps_its_stage(self):
-        def fail():
-            raise ValueError("boom")
-        with pytest.raises(PipelineStageError, match="^stage 'inner': boom$") as err:
-            cl._stage("outer", cl._stage, "inner", fail)
-        assert err.value.stage == "inner"
-
     def test_encode_images_shape(self):
         train, _, _ = tiny_dataset()
         cfg = tiny_config()

@@ -186,6 +186,14 @@ class TestSelect:
                                            extra=["--set", "warp=9"]))
         assert "unknown config key" in err
 
+    @pytest.mark.parametrize("override, message", [
+        ("=5", "empty key in '=5'"), ("justakey", "expected 'key = value', got 'justakey'")])
+    def test_malformed_override_is_quoted(self, blob_dataset, tmp_path, capsys, override,
+                                          message):
+        out = tmp_path / "s.csv"
+        err = run_fail(capsys, select_args(blob_dataset, out, extra=["--set", override]))
+        assert message in err and not out.exists()
+
     def test_selection_key_is_rejected_naming_pipeline(self, blob_dataset, tmp_path, capsys):
         # select once ran greedy under a "# selection = random" header
         out = tmp_path / "s.csv"

@@ -321,6 +321,19 @@ class TestCoderBuild:
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
             cd.Encoder(d, "saco1", 0.1)
 
+    @pytest.mark.parametrize("condition, warns", [(1.5e8, True), (0.5e8, False)])
+    def test_condition_warning_threshold(self, condition, warns):
+        # D = diag(1, s) is full rank with cond(D^T D) = 1 / s^2; the warning
+        # starts above CONDITION_WARN_THRESHOLD = 1e8
+        s = condition ** -0.5
+        d = Dictionary([Patch(0, [1.0, 0.0], (0.1, 0.1), 0, 0),
+                        Patch(1, [0.0, s], (0.9, 0.9), 1, 0)])
+        if warns:
+            with pytest.warns(RuntimeWarning, match="ill-conditioned dictionary"):
+                cd.Encoder(d, "saco1", 0.1)
+        else:
+            cd.Encoder(d, "saco1", 0.1)  # a stray RuntimeWarning fails the test
+
     def test_rank_deficient_rejected(self):
         d = Dictionary([Patch(0, [0.0, 0.0], (0.1, 0.1), 0, 0),
                         Patch(1, [1.0, 0.0], (0.9, 0.9), 1, 0)])

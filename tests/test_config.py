@@ -1,6 +1,7 @@
 """Key-value config parsing, overrides, and the pipeline config contract."""
 
 import dataclasses
+import re
 
 import pytest
 
@@ -55,6 +56,18 @@ class TestOverrides:
     def test_malformed_override(self):
         with pytest.raises(InvalidConfigError):
             apply_overrides({}, ["justakey"])
+
+    @pytest.mark.parametrize("override", ["seed=9", " dict_size = 12 ", "expr = a=b",
+                                          "k_nn = 7 # note", "# all comment", "=5", "justakey"])
+    def test_an_override_reads_as_one_config_line(self, override):
+        base = {"seed": "1", "k_nn": "5"}
+        try:
+            want = {**base, **parse_config_text(override)}
+        except InvalidConfigError as exc:
+            with pytest.raises(InvalidConfigError, match=f"^{re.escape(str(exc))}$"):
+                apply_overrides(base, [override])
+        else:
+            assert apply_overrides(base, [override]) == want
 
 
 class TestPipelineConfig:

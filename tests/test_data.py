@@ -125,6 +125,16 @@ class TestPatchSet:
                            match="patch row 2: id, image id or label is not an integer"):
             PatchSet.of(rows)
 
+    @pytest.mark.parametrize("field", ["label", "image_id", "id"])
+    def test_int_past_uint64_in_a_list_is_named(self, field):
+        # np.asarray([0, 1, 2**64]) is an object array, and every row of it once
+        # read as bad, so row 0 was named
+        rows = list(self._set())[:3]
+        rows[2] = Patch(**{**vars(rows[2]), field: 2 ** 64})
+        with pytest.raises(InvalidInputError,
+                           match="patch row 2: id, image id or label is not an integer"):
+            PatchSet.of(rows)
+
     def test_row_counts_must_agree(self):
         with pytest.raises(InvalidInputError, match="patch arrays disagree"):
             PatchSet(np.zeros((3, 2)), np.zeros((3, 2)), [0, 0], [0, 0, 0])

@@ -17,7 +17,6 @@ def load_script(name):
 
 # script: (arguments, files it must write into --out)
 RUNS = {
-    "demo_blobs": (["--per-class", "30", "--k", "6"], ["layout.svg", "selection.csv"]),
     "run_spatial_benchmark": (
         ["--train-per-class", "4", "--test-per-class", "4", "--pool-size", "40",
          "--dict-size", "8", "--random-draws", "1"],
