@@ -9,7 +9,7 @@ dissimilarity is at least ``DEFAULT_EPSILON``, so a medoid stays in its
 own cluster even when another image is identical to it.  Rasters
 (``data.raster``), thumbnails and the theta grid are checked once, a
 ``LabeledImage``'s or ``ViewpointModel``'s when it is built; this module
-adds only angles in [0, 360).
+adds grid angles in [0, 360) and one angle rule, a 0-d ``finite_array``.
 
 A list of images goes through the grid in blocks, one angle at a time:
 the images of one shape walk by ``data.blocks``, max(h w, s) doubles an
@@ -20,10 +20,9 @@ matrix product against the (n, s) canonical frames and a running
 minimum, so it holds O(n^2 + s n) doubles plus one block; its distances
 are within its stated tolerance, and the bits of one unblocked product
 only while every block is wide enough for the BLAS's normal kernel.
-``align_to_medoid`` collects one image's (T, s) frames and keeps an exact
-kernel whose stacked vector products sum as ``np.linalg.norm`` does; it
-takes the first minimum over (cluster, angle): ties go to the lowest
-cluster, then angle.
+``align_to_medoid`` ranks one image's (s, T) frames against the thumbnails
+by the search's own d^2 and takes the first minimum over (cluster, angle):
+among equal bits, ties go to the lowest cluster, then angle.
 
 Bilinear sampling is a linear operator on the flattened pixels.  A
 plan is a read-only ``scipy.sparse.csr_array`` of shape (output pixels,
@@ -112,12 +111,9 @@ def _rotation_plan(h: int, w: int, theta_deg: float) -> sp.csr_array:
     t = math.radians(theta_deg)
     ct, st = math.cos(t), math.sin(t)
     yy, xx = np.mgrid[0:h, 0:w]
-    dx = xx - cx
-    dy = yy - cy
+    dx, dy = xx - cx, yy - cy
     # inverse map: rotate destination offsets by -theta
-    src_x = ct * dx + st * dy + cx
-    src_y = -st * dx + ct * dy + cy
-    return _sampling_plan(src_x, src_y, h, w)
+    return _sampling_plan(ct * dx + st * dy + cx, -st * dx + ct * dy + cy, h, w)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -128,13 +124,15 @@ def _resize_plan(h: int, w: int, out_h: int, out_w: int) -> sp.csr_array:
     return _sampling_plan(gx, gy, h, w)
 
 
+def _angle(theta_deg) -> float:
+    """One rotation angle in degrees, a finite 0-d ``finite_array``, as a float."""
+    return float(finite_array("rotation angle", theta_deg, ()))
+
+
 def rotate_image(image, theta_deg: float) -> np.ndarray:
     """Rotate by theta degrees about the center; bilinear, zero padding."""
     img = _pixels(image)
-    theta_deg = float(theta_deg)
-    if not math.isfinite(theta_deg):
-        raise InvalidInputError(f"rotation angle must be finite, got {theta_deg}")
-    return (_rotation_plan(*img.shape, theta_deg) @ img.ravel()).reshape(img.shape)
+    return (_rotation_plan(*img.shape, _angle(theta_deg)) @ img.ravel()).reshape(img.shape)
 
 
 def resize_image(image, out_h: int, out_w: int) -> np.ndarray:
@@ -148,8 +146,9 @@ def resize_image(image, out_h: int, out_w: int) -> np.ndarray:
 
 
 def rotate_resize(image, theta_deg: float) -> np.ndarray:
-    """Rotate about the center, then resize to the WORK_SIZE working square."""
-    return resize_image(rotate_image(image, theta_deg), WORK_SIZE, WORK_SIZE)
+    """The search's frame of ``image`` at one angle, rendered by ``_frames``: rotated
+    about the center, then resized to the WORK_SIZE working square."""
+    return _frames([_pixels(image)], [_angle(theta_deg)]).reshape(WORK_SIZE, WORK_SIZE)
 
 
 def _sampled(images, theta_grid):
@@ -159,7 +158,7 @@ def _sampled(images, theta_grid):
     image's pixels and frame a column.  A block's images are the columns of
     one matrix, rotated (and resized) by one product per angle; column c of
     the frames is image ``indices[c]`` in the working square, flattened
-    (s = WORK_SIZE^2), bit-identical to ``rotate_resize``.
+    (s = WORK_SIZE^2), as ``rotate_resize`` returns it.
     """
     for shape in dict.fromkeys(px.shape for px in images):
         idx = np.array([i for i, px in enumerate(images) if px.shape == shape])
@@ -187,10 +186,11 @@ def _frames(images, theta_grid) -> np.ndarray:
     return out
 
 
-def _distances(targets: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """(q, T) Euclidean distances from each of q flattened targets to each frame."""
-    diff = frames[None, :, :] - targets[:, None, :]
-    return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+def _sq_distances(targets, targets_sq, frames) -> np.ndarray:
+    """(q, n) d^2 = |t|^2 + |f|^2 - 2 t.f from (q, s) targets to (s, n) frames."""
+    d2 = targets_sq[:, None] + np.einsum("sj,sj->j", frames, frames)
+    d2 -= 2.0 * (targets @ frames)
+    return d2
 
 
 def _min_sq_distances(images, grid) -> np.ndarray:
@@ -201,9 +201,7 @@ def _min_sq_distances(images, grid) -> np.ndarray:
     for idx, frames in _sampled(images, grid):
         best = np.full((len(images), len(idx)), np.inf)
         for f in frames:
-            part = base_sq[:, None] + np.einsum("sj,sj->j", f, f)
-            part -= 2.0 * (base @ f)
-            np.minimum(best, part, out=best)
+            np.minimum(best, _sq_distances(base, base_sq, f), out=best)
         d2[:, idx] = best
     return d2
 
@@ -300,16 +298,17 @@ def k_medoids(images, k, theta_grid, seed):
 def align_to_medoid(image, model: ViewpointModel):
     """Best (cluster, rotation) for one image, plus the rotated image.
 
-    Scans every medoid and grid angle for the smallest distance between
-    the rotated image and the medoid thumbnail; ties prefer the lowest
-    cluster index, then the earliest grid angle.  Returns
-    (aligned_image, cluster_index, theta_star) where the aligned image
-    is the original raster rotated by theta_star.
+    Scans every medoid and grid angle for the smallest d^2, as the search
+    computes it, between the rotated image's frame and the medoid thumbnail;
+    among equal bits, ties prefer the lowest cluster, then the earliest angle.
+    Returns (aligned_image, cluster_index, theta_star), the aligned image being
+    the original raster rotated by theta_star.
     """
     px = _pixels(image)
     thumbs = model.thumbnails.reshape(len(model.thumbnails), -1)
-    dist = _distances(thumbs, _frames([px], model.theta_grid)[0])  # (cluster, angle)
-    cluster, ti = np.unravel_index(int(dist.argmin()), dist.shape)
+    frames = _frames([px], model.theta_grid)[0].T  # (s, angle)
+    d2 = _sq_distances(thumbs, np.einsum("is,is->i", thumbs, thumbs), frames)  # (cluster, angle)
+    cluster, ti = np.unravel_index(int(d2.argmin()), d2.shape)
     theta = float(model.theta_grid[ti])
     return rotate_image(px, theta), int(cluster), theta
 

@@ -112,20 +112,29 @@ def finite_array(name, value, shape, where=None):
     only if it is such an array owning its data (another value's array, or rows
     just stacked and marked by ``read_only``), so no caller can write through it.
 
-    A non-finite entry is named by its first row, and column in a 2-D array;
+    Only integers and floats are numbers here: bools, strings, bytes, objects,
+    complex numbers and ragged sequences are rejected by name.  A non-finite entry
+    is named by its first row, and column in a 2-D array (a 0-d value by itself);
     ``where(row)``, if given, prefixes its source, such as a file and line.
     """
     frozen = isinstance(value, np.ndarray) and not value.flags.writeable and value.flags.owndata
-    arr = (np.asarray if frozen else np.array)(value, dtype=np.float64, order="C")
+    try:
+        raw = np.asarray(value)  # ``value`` itself if it is an array
+    except ValueError:  # numpy refuses a ragged sequence
+        raise InvalidInputError(f"{name} must hold integers or floats, got a ragged "
+                                "sequence") from None
+    if raw.dtype.kind not in "iuf":
+        raise InvalidInputError(f"{name} must hold integers or floats, got dtype {raw.dtype}")
+    arr = (np.asarray if frozen else np.array)(raw, dtype=np.float64, order="C")
     if arr.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, arr.shape)):
         want = str(tuple("*" if n is None else n for n in shape)).replace("'", "")
         raise InvalidInputError(f"{name} must have shape {want}, got {arr.shape}")
     if not np.isfinite(arr).all():
-        first = tuple(np.argwhere(~np.isfinite(arr))[0])
-        row, *column = first
-        at = f"row {row}" + (f", column {column[0]}" if column else "")
-        prefix = "" if where is None else f"{where(row)}: "
-        raise InvalidInputError(f"{prefix}{name}: non-finite value {arr[first]} at {at}")
+        first = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())
+        at = ", ".join(f"{axis} {i}" for axis, i in zip(("row", "column"), first))
+        prefix = "" if where is None else f"{where(first[0])}: "
+        raise InvalidInputError(f"{prefix}{name}: non-finite value {arr[first]}"
+                                + (f" at {at}" if at else ""))
     return read_only(arr)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
-from .data import PatchSet, write_lines
+from .data import PatchSet, whole_numbers, write_lines
 from .errors import InvalidInputError
 
 PALETTE = [
@@ -26,13 +26,22 @@ def _sy(y: float) -> str:
 
 
 def svg_scatter(patches, selected_ids=(), title="patch layout") -> str:
-    """Render patches colored by class, selected row positions ringed in black."""
+    """Render patches colored by class, selected row positions ringed in black.
+
+    A selected id that is not a whole number in [0, len(patches)) is an error
+    naming its position.
+    """
     patches = PatchSet.of(patches)
     if not len(patches):
         raise InvalidInputError("nothing to plot")
-    selected = sorted(set(int(i) for i in selected_ids))
-    if selected and not (0 <= selected[0] and selected[-1] < len(patches)):
-        raise InvalidInputError(f"selected rows {selected} outside [0, {len(patches)})")
+    ids = list(selected_ids)
+    rows, bad = whole_numbers(ids)
+    bad |= rows >= len(patches)
+    if bad.any():
+        pos = int(bad.argmax())
+        raise InvalidInputError(f"selected id {ids[pos]!r} at position {pos} is outside the "
+                                f"patch rows, the integers in [0, {len(patches)})")
+    selected = sorted(set(rows.tolist()))
     labels = patches.labels.tolist()
     classes = sorted(set(labels))
     parts = [

@@ -79,8 +79,12 @@ def make_spatial_texture(n_classes=3, train_per_class=20, test_per_class=20,
     image draws an equal number of patches from each zone, so the
     per-image texture histogram is exactly uniform for every class and
     only the (texture, location) joint distribution carries the class.
+    ``pool_size`` is a positive multiple of 4 and there are at least two classes.
     """
-    if pool_size % 4 != 0:
+    check_count("n_classes", n_classes, low=2)
+    check_count("train_per_class", train_per_class)
+    check_count("test_per_class", test_per_class)
+    if check_count("pool_size", pool_size) % 4 != 0:
         raise InvalidInputError(f"pool_size must be divisible by 4, got {pool_size}")
     check_count("feature_dim", feature_dim, low=4)  # one dimension per texture
     rng = np.random.default_rng(seed)

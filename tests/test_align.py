@@ -156,6 +156,14 @@ class TestRotate:
         with pytest.raises(InvalidInputError):
             al.rotate_image(np.zeros(0), 10.0)
 
+    @pytest.mark.parametrize("theta, got", [(True, "bool"), ("10", "<U2")], ids=["bool", "string"])
+    @pytest.mark.parametrize("rotate", [al.rotate_image, al.rotate_resize],
+                             ids=["rotate_image", "rotate_resize"])
+    def test_rejects_an_angle_that_is_not_a_number(self, rotate, theta, got, no_rotations):
+        with pytest.raises(InvalidInputError,
+                           match=f"rotation angle must hold integers or floats, got dtype {got}"):
+            rotate(np.ones((5, 5)), theta)
+
     @pytest.mark.parametrize("theta", [np.nan, np.inf])
     def test_rejects_non_finite_angle(self, theta):
         with pytest.raises(InvalidInputError, match="finite"):

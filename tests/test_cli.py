@@ -125,6 +125,13 @@ class TestGen:
                      "test_patches.csv", "test_features.skt"):
             assert (tmp_path / "st" / name).exists()
 
+    @pytest.mark.parametrize("pool_size", ["0", "-4"])
+    def test_spatial_texture_pool_size_is_a_count(self, tmp_path, capsys, pool_size):
+        err = run_fail(capsys, ["gen", "--kind", "spatial-texture", "--out", str(tmp_path / "st"),
+                                "--pool-size", pool_size])
+        assert f"pool_size must be >= 1, got {pool_size}" in err
+        assert not list((tmp_path / "st").iterdir())
+
     def test_viewpoints_pgm_files(self, tmp_path, capsys):
         run_ok(capsys, ["gen", "--kind", "viewpoints", "--out", str(tmp_path / "vp"),
                         "--per-view", "2", "--seed", "0"])

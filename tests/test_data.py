@@ -298,6 +298,28 @@ class TestFiniteArray:
                            match=re.escape(f"a must have shape {want}, got {np.shape(value)}")):
             saco.data.finite_array("a", value, shape)
 
+    @pytest.mark.parametrize("value, got", [
+        pytest.param([[True, False]], "dtype bool", id="bool"),
+        pytest.param([["1", "2"]], "dtype <U1", id="numeric-string"),
+        pytest.param([["a", "2"]], "dtype <U1", id="string"),
+        pytest.param([[1.0, 2.0], [3.0]], "a ragged sequence", id="ragged"),
+    ])
+    def test_only_integers_and_floats_are_numbers(self, value, got):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"features must hold integers or floats, got {got}")):
+            saco.data.finite_array("features", value, (None, None))
+
+    def test_a_bool_raster_is_not_an_image(self):
+        with pytest.raises(InvalidInputError, match="image 0 must hold integers or floats"):
+            LabeledImage(0, [[True, False], [False, True]], 0)
+
+    @pytest.mark.parametrize("value", [float("nan"), np.float64("inf"), np.array(-np.inf)],
+                             ids=["float", "numpy-scalar", "0-d-array"])
+    def test_a_non_finite_0d_value_is_named(self, value):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"angle: non-finite value {float(value)}") + "$"):
+            saco.data.finite_array("angle", value, ())
+
     def test_first_bad_row_and_column_are_named(self):
         a = np.zeros((4, 3))
         a[3, 0], a[2, 2], a[2, 1] = np.nan, -np.inf, np.inf

@@ -1,5 +1,6 @@
 """SVG scatter rendering."""
 
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -56,4 +57,12 @@ def test_write_roundtrip(tmp_path):
 @pytest.mark.parametrize("selected", [[-1], [12]])
 def test_selected_rows_outside_the_set_rejected(selected):
     with pytest.raises(InvalidInputError, match="outside"):
+        svg_scatter(some_patches(12), selected)
+
+
+@pytest.mark.parametrize("selected, shown", [([4, 1.7], "1.7"), ([True], "True")],
+                         ids=["fraction", "bool"])
+def test_a_selected_id_that_is_not_a_row_is_named(selected, shown):
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"selected id {shown} at position {len(selected) - 1} is outside the patch rows")):
         svg_scatter(some_patches(12), selected)

@@ -1,11 +1,12 @@
 """Rules the package applies in many places have one owner, ``saco.data``:
 ``check_count`` and ``whole_numbers``, the only code that needs the
-``numbers`` module, ``check_scalar`` for finite scalars in a range,
-``finite_array`` for finite arrays of a shape, ``read_only``, the one place
+``numbers`` module, ``check_scalar`` for finite scalars in a range, the
+only code that calls ``math.isfinite``, ``finite_array`` for finite arrays
+of a shape, ``read_only``, the one place
 that marks an array read-only, the block budget ``BLOCK_DOUBLES`` with
 ``blocks``, the one walk over rows in blocks, and ``whole_numbers``, the one
 "whole number >= 0" rule of ids and labels.  No other module imports
-``numbers``, defines a module-level ``*BLOCK_DOUBLES`` of its own, walks
+``numbers`` or calls ``math.isfinite``, defines a module-level ``*BLOCK_DOUBLES`` of its own, walks
 blocks itself (``np.array_split`` or a stepped ``range``), compares a value
 against infinity or an ``.ndim`` attribute, compares an id or label with 0,
 or assigns to ``.flags.writeable``, and no package module imports another
@@ -57,8 +58,9 @@ def restated_rules(source):
     ``array_split`` or of a three-argument ``range``, every comparison
     against an infinity constant, of an ``.ndim`` attribute or of an id or
     label with 0 (a sign test), every assignment to a ``.flags.writeable``
-    attribute and every import of an underscore name from a package module
-    (relative or ``saco.*``) in ``source``, by line."""
+    attribute, every ``math.isfinite`` call or import and every import of an
+    underscore name from a package module (relative or ``saco.*``) in
+    ``source``, by line."""
     tree = ast.parse(source)
     found = []
     for node in ast.walk(tree):
@@ -87,6 +89,13 @@ def restated_rules(source):
                 for target in getattr(node, "targets", [getattr(node, "target", None)])
                 for t in ast.walk(target)):
             found.append(("writeable", node.lineno))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "isfinite" and isinstance(node.func.value, ast.Name) and \
+                node.func.value.id == "math":
+            found.append(("isfinite", node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math" and \
+                any(alias.name == "isfinite" for alias in node.names):
+            found.append(("isfinite", node.lineno))
         if isinstance(node, ast.Import):
             found += [("numbers", node.lineno) for alias in node.names
                       if alias.name.split(".")[0] == "numbers"]
@@ -123,7 +132,9 @@ def test_scan_finds_every_restated_rule():
               "bad |= ids < 0\nif (self.labels < 0).any() or labels.min() < 0: pass\n"
               "ok = 0 > label, y >= 0.0, image_ids[rows] < 0, medoid_ids != 0\n"
               "ok = scores[best] < 0, -neg_g < 0, 0 <= pid < m, ids < 1, len(ids) == 0\n"
-              "ok = 0 < v, yi >= 0, labels == c, x.ids, valid & (ids == ids)\n")
+              "ok = 0 < v, yi >= 0, labels == c, x.ids, valid & (ids == ids)\n"
+              "if not math.isfinite(theta): pass\nfrom math import isfinite, pi\n"
+              "ok = np.isfinite(a).all(), numpy.isfinite(b), math.isnan(c), m.isfinite(d)\n")
     assert restated_rules(source) == [("numbers", 1), ("numbers", 2), ("numbers", 3),
                                       ("numbers", 5), ("BLOCK_DOUBLES", 7),
                                       ("BLOCK_DOUBLES", 8), ("BLOCK_DOUBLES", 9),
@@ -134,7 +145,8 @@ def test_scan_finds_every_restated_rule():
                                       ("writeable", 30), ("writeable", 31),
                                       ("writeable", 32), ("writeable", 33),
                                       ("sign", 35), ("sign", 36), ("sign", 36),
-                                      ("sign", 37), ("sign", 37), ("sign", 37), ("sign", 37)]
+                                      ("sign", 37), ("sign", 37), ("sign", 37), ("sign", 37),
+                                      ("isfinite", 40), ("isfinite", 41)]
 
 
 def test_each_rule_stays_with_its_owner():
@@ -142,4 +154,4 @@ def test_each_rule_stays_with_its_owner():
              if path.name != OWNER for rule, line in restated_rules(path.read_text())]
     assert stray == []
     assert {rule for rule, _ in restated_rules((PACKAGE / OWNER).read_text())} == \
-        {"numbers", "BLOCK_DOUBLES", "ndim", "writeable"}
+        {"numbers", "BLOCK_DOUBLES", "ndim", "writeable", "isfinite"}

@@ -113,6 +113,14 @@ class TestSpatialTexture:
         with pytest.raises(InvalidInputError):
             sy.make_spatial_texture(feature_dim=2)
 
+    @pytest.mark.parametrize("name, value, low", [
+        ("pool_size", 0, 1), ("pool_size", -4, 1), ("train_per_class", 0, 1),
+        ("test_per_class", -1, 1), ("n_classes", 0, 2), ("n_classes", 1, 2),
+    ])
+    def test_sizes_are_counts(self, name, value, low):
+        with pytest.raises(InvalidInputError, match=f"{name} must be >= {low}, got {value}"):
+            sy.make_spatial_texture(**{"pool_size": 8, "feature_dim": 8, name: value})
+
 
 class TestViewpoints:
     def test_counts_and_ranges(self):
