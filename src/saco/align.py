@@ -252,9 +252,13 @@ class ViewpointModel:
         if len(self.thumbnails) != len(ids):
             raise InvalidInputError(f"viewpoint model has {len(ids)} medoids but "
                                     f"{len(self.thumbnails)} thumbnails")
-        thumbs = [finite_array(f"thumbnail {i}", thumb, (WORK_SIZE, WORK_SIZE))
-                  for i, thumb in enumerate(self.thumbnails)]
-        vars(self).update(medoid_ids=ids.tolist(), thumbnails=read_only(np.stack(thumbs)),
+        try:  # the (k, WORK_SIZE, WORK_SIZE) block at one copy at most
+            thumbs = finite_array("thumbnails", self.thumbnails, (len(ids), WORK_SIZE, WORK_SIZE))
+        except InvalidInputError:  # named by the first bad thumbnail
+            for i, thumb in enumerate(self.thumbnails):
+                finite_array(f"thumbnail {i}", thumb, (WORK_SIZE, WORK_SIZE))
+            raise
+        vars(self).update(medoid_ids=ids.tolist(), thumbnails=thumbs,
                           theta_grid=_theta_grid(self.theta_grid))
 
 

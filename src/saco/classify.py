@@ -121,8 +121,8 @@ def src_classify(x, dictionary: Dictionary):
     only that class's coefficients and measures ||x - D_c a_c||.
     Returns (class, residuals); ties go to the lowest class index.
     """
+    X = finite_array("patch", [x], (1, dictionary.feature_dim))
     encoder, groups = _residual_coder(dictionary)
-    X = np.asarray([x], dtype=np.float64)
     residuals = _class_residuals(X, encoder.code(X)[0], dictionary.matrix, groups)[0]
     return int(residuals.argmin()), residuals
 

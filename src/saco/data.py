@@ -125,7 +125,8 @@ def finite_array(name, value, shape, where=None):
                                 "sequence") from None
     if raw.dtype.kind not in "iuf":
         raise InvalidInputError(f"{name} must hold integers or floats, got dtype {raw.dtype}")
-    arr = (np.asarray if frozen else np.array)(raw, dtype=np.float64, order="C")
+    fresh = frozen or isinstance(value, (list, tuple))  # a list is copied into raw
+    arr = (np.asarray if fresh else np.array)(raw, dtype=np.float64, order="C")
     if arr.ndim != len(shape) or any(n not in (None, k) for n, k in zip(shape, arr.shape)):
         want = str(tuple("*" if n is None else n for n in shape)).replace("'", "")
         raise InvalidInputError(f"{name} must have shape {want}, got {arr.shape}")

@@ -736,6 +736,24 @@ class TestAlignToMedoid:
             al.ViewpointModel([0, 1], [np.zeros((40, 40)), np.zeros((20, 20))],
                               al.default_theta_grid())
 
+    @pytest.mark.parametrize("given", ["list", "view"])
+    def test_thumbnails_are_copied_once(self, given):
+        # the thumbnails were once copied one by one and then stacked again;
+        # k_medoids passes a view of its frames, a caller may pass a list
+        block = np.random.default_rng(3).normal(size=(50, 40, 40))
+        thumbs = list(block) if given == "list" else block[:]
+        tracemalloc.start()
+        try:
+            model = al.ViewpointModel(list(range(50)), thumbs, [0.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * block.nbytes
+        np.testing.assert_array_equal(model.thumbnails, block)
+        # a model's own block is read-only and owned: rebuilding shares it
+        assert al.ViewpointModel(model.medoid_ids, model.thumbnails,
+                                 [0.0]).thumbnails is model.thumbnails
+
 
 @pytest.mark.parametrize("kind", ["random", "viewpoints"])
 class TestSearchMatchesReference:

@@ -208,11 +208,20 @@ class TestSrcClassify:
         assert residuals[true] < 0.1
         assert residuals[1 - true] == pytest.approx(np.linalg.norm(x), abs=1e-9)
 
-    def test_empty_class_rejected(self):
+    @pytest.mark.parametrize("x, match", [
+        pytest.param(np.ones(3), r"classes \[1\] have none", id="empty class"),
+        # a complex patch was once coded by its real part, with only a ComplexWarning
+        pytest.param(np.ones(3) + 1j, "patch must hold integers or floats, got dtype complex",
+                     id="complex patch"),
+        # and an object patch escaped as a builtins TypeError
+        pytest.param(np.array([1.0, None, 1.0], dtype=object),
+                     "patch must hold integers or floats, got dtype object", id="object patch"),
+    ])
+    def test_bad_input_rejected(self, x, match):
         eye = np.eye(3)
         d = Dictionary([Patch(i, eye[i], (0.3, 0.3), 2 * (i // 2), 0) for i in range(3)])
-        with pytest.raises(InvalidInputError):
-            cl.src_classify(np.ones(3), d)
+        with pytest.raises(InvalidInputError, match=match):
+            cl.src_classify(x, d)
         # the image-level baseline keeps the same rule: class 1 has no atom
         eye = np.eye(8)
         d = Dictionary([Patch(i, eye[i], (0.3, 0.3), 2 * (i // 2), 0) for i in range(3)])

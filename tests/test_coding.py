@@ -1,7 +1,12 @@
 """Sparse-coding solvers against closed forms and an optimality oracle."""
 
+import os
+import pickle
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ import scipy.linalg
 
 import saco.coding as cd
 import saco.data
+from conftest import reference_fista_rows
 from saco.data import Dictionary, Patch
 from saco.errors import InvalidConfigError, InvalidInputError, LinearSolveError
 
@@ -643,11 +649,13 @@ class TestEncoder:
                                  cd.SpatialWeightConfig()).encode(X, coords)
         assert (diag.rows, diag.unconverged, diag.max_iterations) == (30, 30, 1)
         assert diag.worst_kkt > 0
+        assert diag.row_iterations == 30
         total = cd.CodingDiagnostics()
         total.add(diag)
-        total.add(cd.CodingDiagnostics(5))
+        total.add(cd.Encoder(d, "saco2", 0.01, 1.0).code(X[:5])[1])
         assert (total.rows, total.unconverged, total.max_iterations) == (35, 30, 1)
         assert total.worst_kkt == diag.worst_kkt
+        assert total.row_iterations == 30  # the closed-form coder adds none
 
     @pytest.mark.parametrize("method", ["saco2", "iterative"])
     def test_overflowing_ridge_rejected_naming_the_row(self, method):
@@ -701,6 +709,85 @@ class TestEncoder:
         # coords that pass the check leave a uniform code as it was
         coords[1, 0] = 0.5
         assert uniform.encode(X, coords)[0].tobytes() == uniform.encode(X)[0].tobytes()
+
+
+# -- the iterative coder's loop against its plain reference --------------------
+
+
+def fista_cases():
+    """name -> (encoder, X, W, FISTA_MAX_ITER): the batches on which
+    ``_fista_rows`` must return ``reference_fista_rows``' bits."""
+    rng = np.random.default_rng(17)
+    # 48 correlated atoms in 16 dimensions, as patch dictionaries are
+    p, m, n = 16, 48, 60
+    D = rng.normal(size=(p, 6))[:, rng.integers(0, 6, size=m)] + 0.3 * rng.normal(size=(p, m))
+    d = Dictionary([Patch(i, D[:, i], tuple(rng.uniform(size=2)), i % 3, 0) for i in range(m)])
+    zero = Dictionary([Patch(i, np.zeros(p), (0.5, 0.5), i % 3, 0) for i in range(4)])
+    X = rng.normal(size=(n, p))
+    W = cd.spatial_weights(rng.uniform(size=(n, 2)), d, cd.SpatialWeightConfig())
+    W0 = rng.uniform(0.5, 2.0, size=(n, 4))
+    W0[::3] = 0.0  # with a ridge, these rows of the zero dictionary get no step
+    ones = np.ones((n, m))
+    return {
+        # the residual baseline's coder: lambda2 = 0, uniform weights
+        "unridged uniform": (cd.Encoder(d, "iterative", 0.01, 0.0), X, ones, 1000),
+        "ridged spatial": (cd.Encoder(d, "iterative", 0.05, 0.5), X, W, 1000),
+        # stops at a cap no multiple of FISTA_KKT_EVERY
+        "iteration cap": (cd.Encoder(d, "iterative", 0.001, 0.0), X, ones, 25),
+        "all-zero dictionary": (cd.Encoder(zero, "iterative", 0.1, 0.5), X, W0, 1000),
+    }
+
+
+def fista_oracle(path):
+    """Pickle to ``path``, per ``fista_cases`` batch, the reference's outputs
+    and events, ``_fista_rows``' outputs and ``Encoder.code``'s diagnostics."""
+    out = {}
+    for name, (enc, X, W, max_iter) in fista_cases().items():
+        cd.FISTA_MAX_ITER = max_iter
+        args = (X, enc.dictionary, W, enc.lambda2 * W * W, enc.lambda1, enc._spectrum[1])
+        events = []
+        ref = reference_fista_rows(*args, events=events)
+        out[name] = {"ref": ref, "events": events, "new": cd._fista_rows(*args),
+                     "diag": enc.code(X, W)[1]}
+    Path(path).write_bytes(pickle.dumps(out))
+
+
+@pytest.fixture(scope="module")
+def fista_runs(tmp_path_factory):
+    """``fista_oracle``'s results, run at one BLAS thread in a new interpreter,
+    as other thread counts may split the products differently."""
+    path = tmp_path_factory.mktemp("fista") / "runs.pkl"
+    here = Path(__file__).resolve().parent
+    code = ("import sys; sys.path[:0] = sys.argv[1:3]\n"
+            "import test_coding; test_coding.fista_oracle(sys.argv[3])\n")
+    subprocess.run([sys.executable, "-c", code, str(here.parent / "src"), str(here), str(path)],
+                   check=True, timeout=600, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    return pickle.loads(path.read_bytes())
+
+
+@pytest.mark.parametrize("case", list(fista_cases()))
+def test_fista_rows_returns_the_reference_bits(case, fista_runs):
+    run = fista_runs[case]
+    names = ("codes", "converged", "iterations", "kkt")
+    for name, want, got in zip(names, run["ref"], run["new"]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    codes, converged, iterations, kkt = run["ref"]
+    assert run["diag"] == cd.CodingDiagnostics(
+        len(codes), int((~converged).sum()), int(iterations.max()), float(kkt.max()),
+        int(iterations.sum()))
+
+
+def test_fista_cases_reach_every_branch(fista_runs):
+    def steps(case, restarted, frozen):
+        return [it for it, r, f in fista_runs[case]["events"] if r >= restarted and f >= frozen]
+
+    # rows restart (F would rise) in the very step that other rows freeze
+    assert steps("unridged uniform", 1, 1)
+    assert steps("ridged spatial", 1, 1)
+    converged, iterations = fista_runs["iteration cap"]["ref"][1:3]
+    assert not converged.all() and iterations.max() == 25
+    converged, iterations = fista_runs["all-zero dictionary"]["ref"][1:3]
+    assert converged.all() and (iterations[::3] == 0).all() and (iterations > 0).any()
 
 
 # -- one input rule behind every entry ---------------------------------------
