@@ -28,18 +28,18 @@ Bilinear sampling is a linear operator on the flattened pixels.  A
 plan is a read-only ``scipy.sparse.csr_array`` of shape (output pixels,
 h * w) whose row holds the weights of an output pixel's in-frame source
 corners, with int32 indices where they fit.  Plans are kept in two LRU
-caches of ``PLAN_CACHE_SIZE`` entries, keyed by (shape, angle) and
-(shape, target shape); one takes 43-52 bytes per output pixel (~190 KB
-for a 64x64 rotation).  The CSR product sums each row's corners from
-zero in (dy, dx) order, as sampling is defined, in every column of a
-stack, so results are bit-identical to sampling one image directly.
+caches of ``PLAN_CACHE_SIZE`` entries, the rotations keyed by (shape,
+angle) and the resizes to the working square by shape alone; one takes
+43-52 bytes per output pixel (~190 KB for a 64x64 rotation).  The CSR
+product sums each row's corners from zero in (dy, dx) order, as sampling
+is defined, in every column of a stack, so results are bit-identical to
+sampling one image directly.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,9 +117,9 @@ def _rotation_plan(h: int, w: int, theta_deg: float) -> sp.csr_array:
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _resize_plan(h: int, w: int, out_h: int, out_w: int) -> sp.csr_array:
-    ys = np.linspace(0.0, h - 1.0, out_h) if out_h > 1 else np.zeros(1)
-    xs = np.linspace(0.0, w - 1.0, out_w) if out_w > 1 else np.zeros(1)
+def _resize_plan(h: int, w: int) -> sp.csr_array:
+    """Corner-aligned resize of an h x w image to the WORK_SIZE working square."""
+    ys, xs = np.linspace(0.0, h - 1.0, WORK_SIZE), np.linspace(0.0, w - 1.0, WORK_SIZE)
     gx, gy = np.meshgrid(xs, ys)
     return _sampling_plan(gx, gy, h, w)
 
@@ -133,16 +133,6 @@ def rotate_image(image, theta_deg: float) -> np.ndarray:
     """Rotate by theta degrees about the center; bilinear, zero padding."""
     img = _pixels(image)
     return (_rotation_plan(*img.shape, _angle(theta_deg)) @ img.ravel()).reshape(img.shape)
-
-
-def resize_image(image, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with corner-aligned sampling (identity if same size)."""
-    img = _pixels(image)
-    check_count("out_h", out_h)
-    check_count("out_w", out_w)
-    if img.shape == (out_h, out_w):
-        return img.copy()
-    return (_resize_plan(*img.shape, out_h, out_w) @ img.ravel()).reshape(out_h, out_w)
 
 
 def rotate_resize(image, theta_deg: float) -> np.ndarray:
@@ -173,7 +163,7 @@ def _rotated(cols: np.ndarray, shape, theta_grid):
     for theta in theta_grid:
         f = _rotation_plan(*shape, float(theta)) @ cols
         if shape != (WORK_SIZE, WORK_SIZE):
-            f = _resize_plan(*shape, WORK_SIZE, WORK_SIZE) @ f
+            f = _resize_plan(*shape) @ f
         yield f
 
 
@@ -317,30 +307,7 @@ def align_to_medoid(image, model: ViewpointModel):
     return rotate_image(px, theta), int(cluster), theta
 
 
-# -- PGM files ----------------------------------------------------------------
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary (P5) PGM into floats in [0, 1]."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    tokens, i = [], 0
-    for m in re.finditer(rb"\s+|#[^\r\n]*|([^\s#]+)", data):  # space, comment or token
-        if len(tokens) == 4:
-            break
-        if m[1]:
-            tokens.append(m[1])
-        i = m.end()
-    if len(tokens) < 4 or tokens[0] != b"P5":
-        raise InvalidInputError(f"{path}: not a binary PGM (P5) file")
-    w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if w < 1 or h < 1 or not 0 < maxval <= 255:
-        raise InvalidInputError(f"{path}: unsupported PGM geometry {w}x{h} maxval {maxval}")
-    i += 1  # single whitespace after maxval
-    raster = data[i : i + w * h]
-    if len(raster) != w * h:
-        raise InvalidInputError(f"{path}: truncated raster, expected {w * h} bytes")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(h, w).astype(np.float64) / maxval
+# -- PGM writer ---------------------------------------------------------------
 
 
 def write_pgm(path, image) -> None:

@@ -37,7 +37,7 @@ from .data import (Dictionary, check_count, finite_array, load_image_pools, load
                    pool_patches, read_csv_rows, save_patches, whole_numbers, write_lines)
 from .errors import InvalidConfigError, InvalidInputError
 from .graphs import build_feature_affinity, build_spatial_affinity
-from .plotting import write_svg_scatter
+from .plotting import svg_scatter
 from .selection import ObjectiveWeights, lazy_greedy, naive_greedy, read_selection_ids
 from .tensorio import read_tensor, write_tensor
 
@@ -268,7 +268,7 @@ def cmd_plot_layout(args) -> int:
     if args.selection:
         _require_files(args.selection)
         selected = read_selection_ids(args.selection, len(patches))
-    write_svg_scatter(args.out, patches, selected, title=args.title)
+    write_lines(args.out, [svg_scatter(patches, selected, title=args.title)])
     print(f"wrote {args.out}")
     return 0
 

@@ -133,7 +133,8 @@ def soft_threshold(u, thresh):
 
 
 def _pseudo_inverse(D):
-    """Omega = (D^T D)^-1 D^T via QR (no explicit inverse) and its smallest singular value.
+    """Omega = (D^T D)^-1 D^T via QR (no explicit inverse), read-only, and its smallest
+    singular value.
 
     Requires at least as many feature dimensions as atoms; warns when
     cond(D^T D) exceeds 1e8 and fails on rank deficiency.
@@ -156,7 +157,7 @@ def _pseudo_inverse(D):
     # whenever p > m (the residual space has a null direction), else
     # the smallest of the m singular values.
     sigma_lower = 0.0 if p > m else float(scipy.linalg.svdvals(omega)[-1])
-    return omega, sigma_lower
+    return read_only(omega), sigma_lower
 
 
 def _saco1_rows(X, omega, lambda1, W) -> np.ndarray:
@@ -371,15 +372,16 @@ class CodingDiagnostics:
         self.worst_kkt = max(self.worst_kkt, other.worst_kkt)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Encoder:
     """Codes batches of patch features against one dictionary.
 
     ``weights`` of None gives every atom weight 1, and ``encode`` then
     needs no locations.  A saco1 encoder holds ``omega`` (the
-    pseudo-inverse) and ``sigma_lower`` (its smallest singular value on
-    R^p, see ``bound_check``); it needs an under-complete, full-rank
-    dictionary.
+    pseudo-inverse, read-only) and ``sigma_lower`` (its smallest singular
+    value on R^p, see ``bound_check``); it needs an under-complete, full-rank
+    dictionary.  An encoder is frozen, so what it derives from its fields
+    is derived once, when it is built.
     """
 
     dictionary: Dictionary
@@ -394,15 +396,16 @@ class Encoder:
         for name in ("lambda1", "lambda2"):
             check_scalar(name, getattr(self, name))
         D = self.dictionary.matrix
-        self.omega = self.sigma_lower = self._outer = self._spectrum = None
+        omega = sigma_lower = outer = spectrum = None
         if self.method == "saco1":
-            self.omega, self.sigma_lower = _pseudo_inverse(D)
-            return
-        # (lambda_min, lambda_max) of D^T D: saco2's conditioning gate and
-        # the iterative coder's step
-        self._spectrum = np.linalg.eigvalsh(self.dictionary.gram())[[0, -1]]
-        if self.method == "saco2" and D.shape[0] < D.shape[1] and self.lambda2 > 0:
-            self._outer = _atom_outer(D)
+            omega, sigma_lower = _pseudo_inverse(D)
+        else:
+            # (lambda_min, lambda_max) of D^T D: saco2's conditioning gate and
+            # the iterative coder's step
+            spectrum = np.linalg.eigvalsh(self.dictionary.gram())[[0, -1]]
+            if self.method == "saco2" and D.shape[0] < D.shape[1] and self.lambda2 > 0:
+                outer = _atom_outer(D)
+        vars(self).update(omega=omega, sigma_lower=sigma_lower, _outer=outer, _spectrum=spectrum)
 
     def code(self, X, W=None):
         """Code an (N, p) batch at explicit (N, m) weights, all ones for None.

@@ -50,9 +50,10 @@ def _parse_bool(v: str) -> bool:
     raise InvalidConfigError(f"expected a boolean, got '{v}'")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Everything one classification run needs, with sane defaults."""
+    """Everything one classification run needs, with sane defaults; frozen, so a
+    value checked when it is built is the value every stage runs with."""
 
     seed: int = 0
     candidates_per_image: int = 50

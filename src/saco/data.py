@@ -8,10 +8,10 @@ selection CSVs name a patch by its row position 0..M-1.  ``ps[i]`` is a
 Patch CSVs have the header ``id,image_id,label,x,y``; the features
 travel in a tensor file in the same row order.
 
-Files cross the boundary in three pairs: CSVs and other text artifacts
-through ``read_csv_rows`` and ``write_lines`` (here), feature tensors
-through ``tensorio.read_tensor`` and ``write_tensor``, and images through
-``align.read_pgm`` and ``write_pgm``.  Config files are read by
+Files cross the boundary in two pairs and one writer: CSVs and other text
+artifacts through ``read_csv_rows`` and ``write_lines`` (here), feature
+tensors through ``tensorio.read_tensor`` and ``write_tensor``, and images,
+out only, through ``align.write_pgm``.  Config files are read by
 ``config.read_config_file``.
 
 Input is validated once, where it enters, and stays valid: the value types

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
-from .data import PatchSet, whole_numbers, write_lines
+from .data import PatchSet, whole_numbers
 from .errors import InvalidInputError
 
 PALETTE = [
@@ -75,7 +75,3 @@ def svg_scatter(patches, selected_ids=(), title="patch layout") -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def write_svg_scatter(path, patches, selected_ids=(), title="patch layout") -> None:
-    write_lines(path, [svg_scatter(patches, selected_ids, title)])

@@ -6,10 +6,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-import saco.align as al
 import saco.coding as cd
 from saco.cli import build_parser, main
 from saco.selection import naive_greedy
+from saco.synth import make_viewpoints
 from saco.tensorio import read_tensor, write_tensor
 
 
@@ -140,9 +140,12 @@ class TestGen:
         assert index[header_at] == "image_id,view,rotation_deg,file"
         rows = index[header_at + 1:]
         assert len(rows) == 4
-        first = rows[0].split(",")
-        img = al.read_pgm(tmp_path / "vp" / first[3])
-        assert img.shape == (64, 64)
+        images, _, _ = make_viewpoints(2, seed=0)
+        for row, image in zip(rows, images):
+            image_id, _, _, name = row.split(",")
+            assert int(image_id) == image.image_id
+            quant = np.clip(np.rint(image.pixels * 255), 0, 255).astype(np.uint8)
+            assert (tmp_path / "vp" / name).read_bytes() == b"P5\n64 64\n255\n" + quant.tobytes()
 
 
 @pytest.fixture()

@@ -6,9 +6,9 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from saco.data import Patch
+from saco.data import Patch, write_lines
 from saco.errors import InvalidInputError
-from saco.plotting import svg_scatter, write_svg_scatter
+from saco.plotting import svg_scatter
 
 
 def some_patches(n=12):
@@ -48,7 +48,7 @@ def test_empty_rejected():
 
 def test_write_roundtrip(tmp_path):
     path = tmp_path / "p.svg"
-    write_svg_scatter(path, some_patches(5), [0])
+    write_lines(path, [svg_scatter(some_patches(5), [0])])
     content = path.read_text()
     assert content.endswith("</svg>\n")
     ET.fromstring(content)

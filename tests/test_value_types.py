@@ -13,6 +13,8 @@ import pytest
 import saco
 import saco.align as al
 from saco.classify import LinearSvmModel
+from saco.coding import Encoder
+from saco.config import PipelineConfig
 from saco.data import (Dictionary, ImageFeatures, LabeledImage, Patch, PatchSet, finite_array,
                        read_only, sample_candidates)
 from saco.synth import make_spatial_texture, make_viewpoints
@@ -51,6 +53,10 @@ TABLE = {
                                   "theta_grid": v.theta_grid}),
     "LinearSvmModel": (lambda a: LinearSvmModel(a["features"], a["coords"][:, 0]),
                        lambda v: {"weights": v.weights, "biases": v.biases}),
+    # saco1, so that the pseudo-inverse it derives is checked too
+    "Encoder": (lambda a: Encoder(Dictionary(_patch_rows(a)[:3]), "saco1"),
+                lambda v: {"matrix": v.dictionary.matrix, "omega": v.omega}),
+    "PipelineConfig": (lambda a: PipelineConfig(seed=int(a["labels"][0])), lambda v: {}),
 }
 
 
