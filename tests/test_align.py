@@ -167,6 +167,9 @@ class TestRotate:
 
 
 SHAPES = [(7, 7), (8, 8), (12, 9), (64, 64)]
+# sources the resize meets at its edges: one row or column, one pixel, the
+# working square itself and a source whose grid lands on every other pixel
+RESIZE_SHAPES = SHAPES + [(1, 1), (1, 6), (6, 1), (5, 7), (40, 40), (79, 79)]
 
 
 def signed_image(shape, seed):
@@ -190,7 +193,7 @@ class TestSamplingPlans:
         img = signed_image(shape, 7)
         assert_bit_identical(al.rotate_image(img, theta), reference_rotate(img, theta))
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", RESIZE_SHAPES)
     def test_resize_bit_identical(self, shape):
         img = signed_image(shape, 8)
         assert_bit_identical((al._resize_plan(*shape) @ img.ravel()).reshape(40, 40),
@@ -257,6 +260,54 @@ class TestResize:
     def test_rotate_resize_shape(self):
         img = random_images(5, n=1, size=17)[0]
         assert al.rotate_resize(img, 30.0).shape == (al.WORK_SIZE, al.WORK_SIZE)
+
+    def test_working_square_is_copied_unchanged(self):
+        img = random_images(2, n=1, size=al.WORK_SIZE)[0]
+        out = al.rotate_resize(img, 0.0)
+        assert np.array_equal(out, img)
+        out[0, 0] = 99.0
+        assert img[0, 0] != 99.0
+
+    def test_downsample_hits_grid_points(self):
+        # a 79-pixel side puts the 40 samples on every other source pixel
+        img = random_images(6, n=1, size=2 * al.WORK_SIZE - 1)[0]
+        np.testing.assert_allclose(al.rotate_resize(img, 0.0), img[::2, ::2], atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 6), (6, 1), (1, 1)])
+    def test_a_one_pixel_side_is_repeated_across_the_frame(self, shape):
+        img = np.random.default_rng(list(shape)).uniform(size=shape)
+        out = al.rotate_resize(img, 0.0)
+        if shape[0] == 1:
+            assert np.array_equal(out, np.broadcast_to(out[:1], out.shape))
+        if shape[1] == 1:
+            assert np.array_equal(out, np.broadcast_to(out[:, :1], out.shape))
+        assert out[0, 0] == pytest.approx(img[0, 0])
+        assert out[-1, -1] == pytest.approx(img[-1, -1])
+
+
+BAD_RASTERS = {
+    "3-D": (np.zeros((2, 2, 2)), r"image must have shape \(\*, \*\), got \(2, 2, 2\)"),
+    "1-D": (np.zeros(0), r"image must have shape \(\*, \*\), got \(0,\)"),
+    "no rows": (np.zeros((0, 4)), r"image must be a non-empty 2-D array, got shape \(0, 4\)"),
+    "bool": (np.array([[True, False]]), "image must hold integers or floats, got dtype bool"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_RASTERS.values(), ids=BAD_RASTERS.keys())
+class TestRasterChecks:
+    """Every one-image entry reads its pixels by ``data.raster``."""
+
+    def test_rotate_resize(self, bad, no_rotations):
+        pixels, message = bad
+        with pytest.raises(InvalidInputError, match=message):
+            al.rotate_resize(pixels, 10.0)
+
+    def test_write_pgm_writes_nothing(self, bad, tmp_path):
+        pixels, message = bad
+        path = tmp_path / "img.pgm"
+        with pytest.raises(InvalidInputError, match=message):
+            al.write_pgm(path, pixels)
+        assert not path.exists()
 
 
 BAD_GRIDS = {
@@ -762,6 +813,12 @@ class TestPgm:
         path = tmp_path / "img.pgm"
         al.write_pgm(path, np.array([[-0.5, 2.0]]))
         assert path.read_bytes() == pgm_bytes(1, 2, [[0, 255]])
+
+    def test_labeled_image_writes_its_pixels(self, tmp_path):
+        levels = np.random.default_rng(22).integers(0, 256, size=(3, 4))
+        path = tmp_path / "img.pgm"
+        al.write_pgm(path, LabeledImage(5, levels / 255.0, 1))
+        assert path.read_bytes() == pgm_bytes(3, 4, levels)
 
     def test_rejects_non_finite_pixel_before_writing(self, tmp_path):
         path = tmp_path / "img.pgm"
