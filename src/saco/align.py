@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import (LabeledImage, blocks, check_count, finite_array, raster, read_only,
-                   whole_numbers)
+from .data import (LabeledImage, blocks, check_count, finite_array, positions, raster,
+                   read_only)
 from .errors import InvalidInputError
 
 WORK_SIZE = 40
@@ -233,12 +233,9 @@ class ViewpointModel:
     theta_grid: np.ndarray
 
     def __post_init__(self):
-        if len(self.medoid_ids) < 1:
+        ids = positions("medoid id", self.medoid_ids)
+        if not len(ids):
             raise InvalidInputError("viewpoint model needs at least one medoid")
-        ids, bad = whole_numbers(self.medoid_ids)
-        if bad.any():
-            raise InvalidInputError(f"medoid id {self.medoid_ids[bad.argmax()]!r} at position "
-                                    f"{bad.argmax()} is not an integer >= 0")
         if len(self.thumbnails) != len(ids):
             raise InvalidInputError(f"viewpoint model has {len(ids)} medoids but "
                                     f"{len(self.thumbnails)} thumbnails")

@@ -25,12 +25,11 @@ and marked by ``read_only``, the one place that marks one).  Callers add
 their own rules: coordinates in [0,1]^2, ids, image ids and labels whole
 numbers >= 0, rows of at least one feature, ``raster``'s non-empty images.
 The CSV reader checks header, field count and numbers.  Other modules take
-eight rules from here: ``finite_array``, ``raster``, ``read_only``,
+nine rules from here: ``finite_array``, ``raster``, ``read_only``,
 ``check_count`` (counts, seeds), ``check_scalar`` (finite scalars >= 0 or
-> 0), ``whole_numbers`` (ids and labels), ``reject_rows`` (the first bad
-row) and ``blocks``, the one block walk of graph building (``graphs``),
-greedy scoring (``selection``), saco2 solves (``coding``) and the rotation
-search (``align``).
+> 0), ``whole_numbers`` (ids and labels), ``positions`` (a list of them),
+``reject_rows`` (the first bad row) and ``blocks``, the one block walk of
+graph building, greedy scoring, saco2 solves and the rotation search.
 """
 
 from __future__ import annotations
@@ -82,8 +81,11 @@ def check_scalar(name, value, positive=False, error=InvalidInputError):
 def whole_numbers(values):
     """``values`` as read-only int64, and a mask of the entries that are not whole
     numbers >= 0 (negatives, bools, strings, fractions, NaN, inf, past int64), read 0."""
-    raw = np.asarray(values)
-    if raw.dtype.kind in "OSU":  # a mix, as [0, 2**64] or [0, "a"]: each entry on its own
+    try:
+        raw = np.asarray(values)
+    except ValueError:  # numpy refuses a ragged or nested list, as [0, [1]]
+        raw = np.asarray(values, dtype=object)
+    if raw.dtype.kind in "OSU":  # a mix, as [0, 2**64], [0, "a"] or [0, [1]]: each on its own
         raw = np.array([v if isinstance(v, numbers.Real) and abs(v) < 2 ** 63 else np.nan
                         for v in np.asarray(values, dtype=object).flat]).reshape(raw.shape)
     num = raw if raw.dtype.kind in "iuf" else np.full(raw.shape, np.nan)
@@ -92,6 +94,31 @@ def whole_numbers(values):
     if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
         whole &= [not isinstance(v, (bool, np.bool_)) for v in values]
     return read_only(np.where(whole, num, 0).astype(np.int64)), ~whole
+
+
+def positions(name, values, n=None, *, distinct=False):
+    """``values``, a list of ids or labels, as a read-only 1-D int64 array of whole numbers
+    >= 0, each below ``n`` if given and, if ``distinct``, none twice.  An error names the
+    value and position of the first entry that is none (a list, as in ``[[1]]``, is none)."""
+    try:  # an array stays as it is, any other iterable is read once
+        values = values if isinstance(values, np.ndarray) and values.ndim else list(values)
+    except TypeError:  # a number, or a 0-d array
+        raise InvalidInputError(f"{name}s must be a list, got {values!r}") from None
+    ints, bad = whole_numbers(values)
+    if ints.ndim != 1:  # every entry of [[1]] is a list
+        ints, bad = read_only(np.zeros(len(values), np.int64)), np.ones(len(values), bool)
+    if n is not None:
+        bad |= ints >= n
+    repeat = np.full(len(ints), distinct)
+    if distinct:
+        repeat[np.unique(ints, return_index=True)[1]] = False
+    if (bad | repeat).any():
+        pos = int((bad | repeat).argmax())
+        shown = getattr(values[pos], "tolist", lambda: values[pos])()  # NumPy's as Python's
+        why = (f"is not an integer {'>= 0' if n is None else f'in [0, {n})'}" if bad[pos]
+               else f"repeats position {(ints[:pos] == ints[pos]).argmax()}")
+        raise InvalidInputError(f"{name} {shown!r} at position {pos} {why}")
+    return ints
 
 
 def reject_rows(bad, what):
@@ -151,7 +178,7 @@ def _id_and_label(image_id, label):
     """An image's id and label as Python ints; either one not a whole number >= 0 is
     an error."""
     ints, bad = whole_numbers([image_id, label])
-    if bad.any():
+    if ints.shape != (2,) or bad.any():  # [[1], [0]] is no id and label
         raise InvalidInputError(f"image {image_id!r}: id and label must be integers >= 0")
     return ints.tolist()
 

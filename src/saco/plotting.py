@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
-from .data import PatchSet, whole_numbers
+from .data import PatchSet, positions
 from .errors import InvalidInputError
 
 PALETTE = [
@@ -28,20 +28,13 @@ def _sy(y: float) -> str:
 def svg_scatter(patches, selected_ids=(), title="patch layout") -> str:
     """Render patches colored by class, selected row positions ringed in black.
 
-    A selected id that is not a whole number in [0, len(patches)) is an error
-    naming its position.
+    Selected ids are read by ``data.positions``: one that is not a whole number
+    in [0, len(patches)) is an error naming its position.
     """
     patches = PatchSet.of(patches)
     if not len(patches):
         raise InvalidInputError("nothing to plot")
-    ids = list(selected_ids)
-    rows, bad = whole_numbers(ids)
-    bad |= rows >= len(patches)
-    if bad.any():
-        pos = int(bad.argmax())
-        raise InvalidInputError(f"selected id {ids[pos]!r} at position {pos} is outside the "
-                                f"patch rows, the integers in [0, {len(patches)})")
-    selected = sorted(set(rows.tolist()))
+    selected = sorted(set(positions("selected id", selected_ids, len(patches)).tolist()))
     labels = patches.labels.tolist()
     classes = sorted(set(labels))
     parts = [

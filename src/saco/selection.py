@@ -40,20 +40,20 @@ call; later lazy calls re-score up to ``_RESCORE_BATCH`` stale heap
 entries (the exact half of "lazier than lazy" greedy).  Evaluation
 counts include every candidate scored, so a lazy run counts slightly
 more than one re-scoring entries one at a time.  ``K`` is checked by
-``data.check_count`` and labels by ``data.whole_numbers``.
+``data.check_count``, and labels and ``objective_terms``' ids are read by
+``data.positions``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (PatchSet, blocks, check_count, check_scalar, read_csv_rows,
-                   whole_numbers, write_lines)
+from .data import (PatchSet, blocks, check_count, check_scalar, positions, read_csv_rows,
+                   write_lines)
 from .errors import InvalidInputError
 
 SELECTION_CSV_HEADER = "step,patch_id,gain,evaluations"
@@ -322,21 +322,12 @@ def _best_rows(G, ids):
 
 
 def _checked_labels(labels, S, L) -> np.ndarray:
-    """``labels`` as a 1-D int64 array of class ids >= 0, one per node of each graph.
-
-    A label must be a whole number >= 0; errors name the position of the
-    first one that is not.
-    """
-    raw = np.asarray(labels)
-    if raw.shape != (S.n,) or L.n != S.n or not S.n:
+    """``labels``, read by ``data.positions``, as class ids, one per node of each graph."""
+    labels = positions("label", labels)
+    if len(labels) != S.n or L.n != S.n or not S.n:
         raise InvalidInputError(f"labels need one entry per node of non-empty graphs: feature "
                                 f"graph has {S.n} nodes and spatial graph {L.n} for labels "
-                                f"of shape {raw.shape}")
-    labels, bad = whole_numbers(raw)
-    if bad.any():
-        pos = int(bad.argmax())
-        raise InvalidInputError(f"label {raw[pos].item()!r} at position {pos} is not an "
-                                "integer >= 0")
+                                f"of shape {labels.shape}")
     return labels
 
 
@@ -345,24 +336,15 @@ def objective_terms(ids, S, L, labels) -> dict[str, float]:
 
     Keyed representative (feature coverage), spatial, discriminative
     (cluster purity), balance and compact (assignment entropy), each as
-    the module docstring defines it.  ``ids`` are distinct integer patch
-    positions, and each graph has one node per entry of ``labels``;
-    errors name the bad id.  Every term of the empty set is 0.
+    the module docstring defines it.  ``ids`` are distinct patch positions
+    and ``labels`` has one entry per node of each graph, both read by
+    ``data.positions``, which names the first bad one.  Every term of the
+    empty set is 0.
     """
     labels = _checked_labels(labels, S, L)
     m = len(labels)
-    selected: list[int] = []
-    for i in ids:
-        try:
-            pid = operator.index(i)
-        except TypeError:
-            raise InvalidInputError(f"patch id {i} is not an integer") from None
-        if not 0 <= pid < m:
-            raise InvalidInputError(f"patch id {pid} outside [0, {m})")
-        if pid in selected:
-            raise InvalidInputError(f"patch id {pid} repeats")
-        selected.append(pid)
-    if not selected:
+    selected = positions("patch id", ids, m, distinct=True)
+    if not len(selected):
         return dict.fromkeys(("representative", "spatial", "discriminative", "balance",
                               "compact"), 0.0)
     n, n_classes = len(selected), int(labels.max()) + 1

@@ -397,7 +397,8 @@ class TestNonFinitePixels:
             LabeledImage(9, images[0], 0)
 
 
-@pytest.mark.parametrize("image_id, label", [(1.5, 0), (2, 0.5), (True, 0), (2, np.nan)])
+@pytest.mark.parametrize("image_id, label", [(1.5, 0), (2, 0.5), (True, 0), (2, np.nan),
+                                             ([2], 0), ([2], [0])])
 def test_labeled_image_id_and_label_must_be_whole_numbers(image_id, label):
     # LabeledImage(1.5, pixels, 0.5) once constructed with id 1.5 and label 0.5
     with pytest.raises(InvalidInputError,
@@ -723,7 +724,7 @@ class TestAlignToMedoid:
                            match="thumbnail 1: non-finite value nan at row 3, column 4"):
             al.ViewpointModel([0, 1], thumbs, al.default_theta_grid())
 
-    @pytest.mark.parametrize("ids", [[0.5], [-1], [True], [np.nan], ["0"]])
+    @pytest.mark.parametrize("ids", [[0.5], [-1], [True], [np.nan], ["0"], [[0]]])
     def test_medoid_ids_must_be_whole_numbers(self, ids):
         with pytest.raises(InvalidInputError,
                            match=r"medoid id .* at position 0 is not an integer >= 0"):

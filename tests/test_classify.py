@@ -120,6 +120,11 @@ class TestSvm:
         y[4] = 0.7
         with pytest.raises(InvalidInputError, match="row 4: label is not an integer"):
             cl.svm_train(X, y)
+        # a ragged list once leaked numpy's "setting an array element with a sequence"
+        y = y.astype(int).tolist()
+        y[4] = [1]
+        with pytest.raises(InvalidInputError, match="row 4: label is not an integer >= 0"):
+            cl.svm_train(X, y)
 
     def test_label_beyond_n_classes_named(self):
         X, y = separable_problem(6)

@@ -91,11 +91,14 @@ class TestPatchSet:
         ("labels", -1, "patch row 2: id, image id or label is not an integer >= 0"),
         ("ids", -1, "patch row 2: id, image id or label is not an integer >= 0"),
         ("image_ids", -1, "patch row 2: id, image id or label is not an integer >= 0"),
+        ("labels", [1], "patch row 2: id, image id or label is not an integer >= 0"),
     ])
     def test_bad_row_is_named(self, field, value, message):
         ps = self._set()
         arrays = {name: getattr(ps, name).copy()
                   for name in ("features", "coords", "labels", "image_ids", "ids")}
+        if isinstance(value, list):  # a ragged Python list, as [0, 1, [1], 1, 0, 1]
+            arrays[field] = arrays[field].tolist()
         arrays[field][2] = value
         with pytest.raises(InvalidInputError, match=message):
             PatchSet(**arrays)
@@ -235,7 +238,7 @@ def test_image_pool_with_a_nan_row_names_image_and_row():
 
 
 @pytest.mark.parametrize("image_id, label", [(1.5, 0), (3, 0.5), (3, np.nan), ("4", 0),
-                                             (True, 0), (3, False)])
+                                             (True, 0), (3, False), ([3], 0), ([3], [0])])
 def test_image_id_and_label_must_be_whole_numbers(image_id, label):
     # an id of 1.5 failed later inside numpy's default_rng, and a label of
     # 0.5 was sampled as class 0; np.asarray([True, 0]) is an int64 array,

@@ -56,13 +56,15 @@ def test_write_roundtrip(tmp_path):
 
 @pytest.mark.parametrize("selected", [[-1], [12]])
 def test_selected_rows_outside_the_set_rejected(selected):
-    with pytest.raises(InvalidInputError, match="outside"):
+    with pytest.raises(InvalidInputError, match=re.escape(
+            f"selected id {selected[0]} at position 0 is not an integer in [0, 12)")):
         svg_scatter(some_patches(12), selected)
 
 
-@pytest.mark.parametrize("selected, shown", [([4, 1.7], "1.7"), ([True], "True")],
-                         ids=["fraction", "bool"])
+@pytest.mark.parametrize("selected, shown", [([4, 1.7], "1.7"), ([True], "True"),
+                                             ([4, [1]], "[1]")],
+                         ids=["fraction", "bool", "nested"])
 def test_a_selected_id_that_is_not_a_row_is_named(selected, shown):
     with pytest.raises(InvalidInputError, match=re.escape(
-            f"selected id {shown} at position {len(selected) - 1} is outside the patch rows")):
+            f"selected id {shown} at position {len(selected) - 1} is not an integer in [0, 12)")):
         svg_scatter(some_patches(12), selected)

@@ -4,9 +4,10 @@
 only code that calls ``math.isfinite``, ``finite_array`` for finite arrays
 of a shape, ``read_only``, the one place
 that marks an array read-only, the block budget ``BLOCK_DOUBLES`` with
-``blocks``, the one walk over rows in blocks, and ``whole_numbers``, the one
-"whole number >= 0" rule of ids and labels.  No other module imports
-``numbers`` or calls ``math.isfinite``, defines a module-level ``*BLOCK_DOUBLES`` of its own, walks
+``blocks``, the one walk over rows in blocks, ``whole_numbers``, the one
+"whole number >= 0" rule of ids and labels, and ``positions``, the one reader
+of an id or label list.  No other module imports ``numbers`` or ``operator``,
+calls ``math.isfinite`` or ``operator.index``, defines a module-level ``*BLOCK_DOUBLES`` of its own, walks
 blocks itself (``np.array_split`` or a stepped ``range``), compares a value
 against infinity or an ``.ndim`` attribute, compares an id or label with 0,
 or assigns to ``.flags.writeable``, and no package module imports another
@@ -20,6 +21,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "saco"
 OWNER = "data.py"
 # ``ids``, ``image_ids``, ``label``, ``self.labels``, or ``y`` as classify names labels
 ID_OR_LABEL = re.compile(r"(^|_)(ids?|labels?)$|^y$")
+# the rule each module's import restates
+IMPORT_RULES = {"numbers": "numbers", "operator": "index"}
 
 
 def _is_inf(node):
@@ -58,9 +61,9 @@ def restated_rules(source):
     ``array_split`` or of a three-argument ``range``, every comparison
     against an infinity constant, of an ``.ndim`` attribute or of an id or
     label with 0 (a sign test), every assignment to a ``.flags.writeable``
-    attribute, every ``math.isfinite`` call or import and every import of an
-    underscore name from a package module (relative or ``saco.*``) in
-    ``source``, by line."""
+    attribute, every ``math.isfinite`` call or import, every import of
+    ``operator`` or ``operator.index`` call and every import of an underscore
+    name from a package module (relative or ``saco.*``) in ``source``, by line."""
     tree = ast.parse(source)
     found = []
     for node in ast.walk(tree):
@@ -97,11 +100,15 @@ def restated_rules(source):
                 any(alias.name == "isfinite" for alias in node.names):
             found.append(("isfinite", node.lineno))
         if isinstance(node, ast.Import):
-            found += [("numbers", node.lineno) for alias in node.names
-                      if alias.name.split(".")[0] == "numbers"]
+            found += [(IMPORT_RULES[top], node.lineno) for alias in node.names
+                      if (top := alias.name.split(".")[0]) in IMPORT_RULES]
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and \
-                (node.module or "").split(".")[0] == "numbers":
-            found.append(("numbers", node.lineno))
+                (top := (node.module or "").split(".")[0]) in IMPORT_RULES:
+            found.append((IMPORT_RULES[top], node.lineno))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "index" and isinstance(node.func.value, ast.Name) and \
+                node.func.value.id == "operator":
+            found.append(("index", node.lineno))
     for node in tree.body:
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
@@ -134,7 +141,9 @@ def test_scan_finds_every_restated_rule():
               "ok = scores[best] < 0, -neg_g < 0, 0 <= pid < m, ids < 1, len(ids) == 0\n"
               "ok = 0 < v, yi >= 0, labels == c, x.ids, valid & (ids == ids)\n"
               "if not math.isfinite(theta): pass\nfrom math import isfinite, pi\n"
-              "ok = np.isfinite(a).all(), numpy.isfinite(b), math.isnan(c), m.isfinite(d)\n")
+              "ok = np.isfinite(a).all(), numpy.isfinite(b), math.isnan(c), m.isfinite(d)\n"
+              "import operator\npid = operator.index(i)\nfrom operator import index\n"
+              "ok = ids.index(3), op.index(i), operator_index(i), import_operator\n")
     assert restated_rules(source) == [("numbers", 1), ("numbers", 2), ("numbers", 3),
                                       ("numbers", 5), ("BLOCK_DOUBLES", 7),
                                       ("BLOCK_DOUBLES", 8), ("BLOCK_DOUBLES", 9),
@@ -146,7 +155,8 @@ def test_scan_finds_every_restated_rule():
                                       ("writeable", 32), ("writeable", 33),
                                       ("sign", 35), ("sign", 36), ("sign", 36),
                                       ("sign", 37), ("sign", 37), ("sign", 37), ("sign", 37),
-                                      ("isfinite", 40), ("isfinite", 41)]
+                                      ("isfinite", 40), ("isfinite", 41), ("index", 43),
+                                      ("index", 44), ("index", 45)]
 
 
 def test_each_rule_stays_with_its_owner():

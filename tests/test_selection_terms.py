@@ -225,16 +225,25 @@ class TestEvaluateIds:
         return S, L, [p.label for p in patches]
 
     @pytest.mark.parametrize("ids, message", [
-        ([0, -1], r"patch id -1 outside \[0, 30\)"),
-        ([0, 31], r"patch id 31 outside \[0, 30\)"),
-        ([0, 30], r"patch id 30 outside \[0, 30\)"),
-        ([3, 3], r"patch id 3 repeats"),
-        ([0, 2.7], r"patch id 2.7 is not an integer"),
-    ], ids=["negative", "out-of-range", "id-equals-m", "repeated", "non-integer"])
+        ([0, -1], r"patch id -1 at position 1 is not an integer in \[0, 30\)"),
+        ([0, 31], r"patch id 31 at position 1 is not an integer in \[0, 30\)"),
+        ([0, 30], r"patch id 30 at position 1 is not an integer in \[0, 30\)"),
+        ([3, 3], r"patch id 3 at position 1 repeats position 0"),
+        ([0, 2.7], r"patch id 2.7 at position 1 is not an integer"),
+        # True once scored as patch 1, and np.True_ failed as "not an integer"
+        ([True], r"patch id True at position 0 is not an integer"),
+        ([np.True_], r"patch id True at position 0 is not an integer"),
+        ([[1]], r"patch id \[1\] at position 0 is not an integer"),
+        (5, r"patch ids must be a list, got 5"),
+    ], ids=["negative", "out-of-range", "id-equals-m", "repeated", "non-integer", "bool",
+            "numpy-bool", "nested", "number"])
     def test_bad_id_is_named(self, instance, ids, message):
         S, L, labels = instance
+        w = sel.ObjectiveWeights()
+        # a whole float is the integer it holds
+        assert sel.evaluate_ids([1.0], S, L, labels, w) == sel.evaluate_ids([1], S, L, labels, w)
         with pytest.raises(InvalidInputError, match=message):
-            sel.evaluate_ids(ids, S, L, labels, sel.ObjectiveWeights())
+            sel.evaluate_ids(ids, S, L, labels, w)
 
     @pytest.mark.parametrize("bad, message", [
         (0.7, r"label 0\.7 at position 4 is not an integer"),
